@@ -46,14 +46,28 @@ class PathTerm:
     factors: Factors
 
     def __str__(self) -> str:
-        if not self.factors:
-            return str(self.coeff)
-        body = "*".join(f"W[{i}]" for i in self.factors)
-        if self.coeff == 1:
-            return body
-        if self.coeff == -1:
-            return f"-{body}"
-        return f"{self.coeff}*{body}"
+        return signed_sum([(self.coeff, block_product(self.factors))])
+
+
+def block_product(factors: Iterable[int]) -> str:
+    """The product text "W[3]*W[2]"; empty for the identity term."""
+    return "*".join(f"W[{i}]" for i in factors)
+
+
+def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Text of a sum of (coeff, body) terms, e.g. "2 - W[3] + 3*W[2]*W[1]".
+
+    An empty body stands for the constant 1; the empty sum is "0".
+    """
+    parts: list[str] = []
+    for coeff, body in terms:
+        mag = abs(coeff)
+        text = str(mag) if not body else (body if mag == 1 else f"{mag}*{body}")
+        if parts:
+            parts.append(("- " if coeff < 0 else "+ ") + text)
+        else:
+            parts.append(f"-{text}" if coeff < 0 else text)
+    return " ".join(parts) or "0"
 
 
 def _term_sort_key(factors: Factors) -> tuple:
@@ -214,21 +228,7 @@ def census(p: PathPolynomial) -> dict[int, CensusBin]:
 
 def render_poly(p: PathPolynomial) -> str:
     """Canonical text form: terms joined by " + "/" - ", identity as "1"."""
-    if p.is_zero():
-        return "0"
-    parts: list[str] = []
-    for term in p.terms():
-        mag = abs(term.coeff)
-        if not term.factors:
-            text = str(mag)
-        else:
-            body = "*".join(f"W[{i}]" for i in term.factors)
-            text = body if mag == 1 else f"{mag}*{body}"
-        if not parts:
-            parts.append(text if term.coeff > 0 else f"-{text}")
-        else:
-            parts.append(("+ " if term.coeff > 0 else "- ") + text)
-    return " ".join(parts)
+    return signed_sum((t.coeff, block_product(t.factors)) for t in p.terms())
 
 
 class StateExpansion:

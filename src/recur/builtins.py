@@ -13,6 +13,8 @@ Each entry is DSL source text for one recursion formula:
 
 from __future__ import annotations
 
+from functools import cache
+
 from .parser import ArchitectureSpec, parse
 
 BUILTIN_SOURCES: dict[str, str] = {
@@ -43,8 +45,12 @@ BUILTIN_SOURCES: dict[str, str] = {
 BUILTIN_NAMES = tuple(BUILTIN_SOURCES)
 
 
+@cache
 def builtin_spec(name: str, *, depth: int = 6) -> ArchitectureSpec:
-    """Return the named built-in spec; KeyError for unknown names."""
+    """Return the named built-in spec; KeyError for unknown names.
+
+    Each (name, depth) is parsed once; specs are frozen, so callers share it.
+    """
     try:
         source = BUILTIN_SOURCES[name]
     except KeyError:
@@ -52,13 +58,6 @@ def builtin_spec(name: str, *, depth: int = 6) -> ArchitectureSpec:
             f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_NAMES)}"
         ) from None
     return parse(source, name=name, depth=depth)
-
-
-def is_activatable(spec: ArchitectureSpec) -> bool:
-    """True when the spec has a built-in activated form (chain or resnet)."""
-    return any(
-        spec.same_recursion(builtin_spec(name)) for name in ("chain", "resnet")
-    )
 
 
 def activated_kind(spec: ArchitectureSpec) -> str | None:

@@ -233,6 +233,8 @@ def cmd_verify(args) -> int:
     spec = _resolve_spec(args)
     L, d = args.depth, args.dim
     cap = depth_cap()
+    if args.seeds < 1:
+        raise RecurError(f"--seeds must be >= 1, got {args.seeds}")
     seeds = [args.seed + t for t in range(args.seeds)]
     results = []
     if args.activation == "tanh":

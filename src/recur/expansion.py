@@ -11,7 +11,8 @@ state with respect to an earlier one:
     the queried state as a free symbol and reads off its coefficient.
 
 For affine formulas the two must agree exactly; the test suite leans on
-that equivalence.
+that equivalence.  ``unroll`` is the forward route at j = 0: the validator
+makes X[0] the only free input, so X[L] is its derivative times X[0].
 """
 
 from __future__ import annotations
@@ -19,27 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .algebra import PathPolynomial, StateExpansion, census, poly_add, poly_mul
+from .algebra import (
+    PathPolynomial, StateExpansion, block_product, census, poly_add, poly_mul
+)
 from .errors import DepthError
 from .parser import ArchitectureSpec
 
 DEFAULT_DEPTH_CAP = 24
-
-
-@dataclass(frozen=True)
-class DerivativeQuery:
-    """A (spec, depth, source index) triple naming one derivative."""
-
-    spec: ArchitectureSpec
-    depth: int
-    wrt: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.wrt <= self.depth:
-            raise ValueError(f"wrt must be in [0, {self.depth}], got {self.wrt}")
-
-    def evaluate(self, depth_cap: int = DEFAULT_DEPTH_CAP) -> PathPolynomial:
-        return derivative(self.spec, self.depth, self.wrt, depth_cap=depth_cap)
 
 
 def _check_depth(L: int, depth_cap: int) -> None:
@@ -55,21 +42,8 @@ def _check_depth(L: int, depth_cap: int) -> None:
 def unroll(
     spec: ArchitectureSpec, L: int, depth_cap: int = DEFAULT_DEPTH_CAP
 ) -> StateExpansion:
-    """Express X[L] over the free input states, substituting all base cases."""
-    _check_depth(L, depth_cap)
-    states: dict[int, dict[int, PathPolynomial]] = {
-        j: {j: PathPolynomial.one()} for j in spec.input_indices
-    }
-    for i in range(1, L + 1):
-        if i in states:
-            continue
-        acc: dict[int, PathPolynomial] = {}
-        for source, coeff in spec.instantiate_terms(i):
-            for j, poly in states[source].items():
-                contribution = poly_mul(coeff, poly)
-                acc[j] = poly_add(acc.get(j, PathPolynomial.zero()), contribution)
-        states[i] = acc
-    return StateExpansion(states[L])
+    """Express X[L] over the free input X[0], substituting all base cases."""
+    return StateExpansion({0: derivative_bruteforce(spec, L, 0, depth_cap)})
 
 
 def derivative(
@@ -101,10 +75,8 @@ def derivative_bruteforce(
     _check_depth(L, depth_cap)
     if not 0 <= j <= L:
         raise ValueError(f"wrt index must be in [0, {L}], got {j}")
-    states: dict[int, dict[int, PathPolynomial]] = {}
-    for free in spec.input_indices:
-        states[free] = {free: PathPolynomial.one()}
-    states[j] = {j: PathPolynomial.one()}
+    one = PathPolynomial.one()
+    states: dict[int, dict[int, PathPolynomial]] = {0: {0: one}, j: {j: one}}
     for i in range(1, L + 1):
         if i in states:
             continue
@@ -200,9 +172,7 @@ def check_structure(
             by_length.setdefault(len(term.factors), []).append(term)
         for k in range(0, i + 1):
             expected_factors = tuple(range(L, L - k, -1))
-            expected_text = (
-                "*".join(f"W[{b}]" for b in expected_factors) if k else "1"
-            )
+            expected_text = block_product(expected_factors) or "1"
             terms = by_length.get(k, [])
             if len(terms) != 1 or terms[0].factors != expected_factors:
                 actual_text = " + ".join(str(t) for t in terms) if terms else "absent"
@@ -245,23 +215,18 @@ def value_equivalence_report(
     depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> StructureReport:
     """Term-by-term comparison of the two unrolled expansions."""
-    ea = unroll(spec_a, L, depth_cap).components
-    eb = unroll(spec_b, L, depth_cap).components
+    pa = unroll(spec_a, L, depth_cap).component(0)
+    pb = unroll(spec_b, L, depth_cap).component(0)
     violations: list[Violation] = []
-    for j in sorted(set(ea) | set(eb)):
-        pa = ea.get(j, PathPolynomial.zero())
-        pb = eb.get(j, PathPolynomial.zero())
-        if pa == pb:
-            continue
-        keys = set(pa.coefficients) | set(pb.coefficients)
-        for factors in sorted(keys, key=lambda f: (len(f), f)):
-            ca = pa.coefficient(factors)
-            cb = pb.coefficient(factors)
-            if ca != cb:
-                term = "*".join(f"W[{b}]" for b in factors) if factors else "1"
-                violations.append(
-                    Violation(len(factors), f"{ca}*{term} (X[{j}])", f"{cb}*{term}")
-                )
+    keys = set(pa.coefficients) | set(pb.coefficients) if pa != pb else ()
+    for factors in sorted(keys, key=lambda f: (len(f), f)):
+        ca = pa.coefficient(factors)
+        cb = pb.coefficient(factors)
+        if ca != cb:
+            term = block_product(factors) or "1"
+            violations.append(
+                Violation(len(factors), f"{ca}*{term} (X[0])", f"{cb}*{term}")
+            )
     return StructureReport(
         spec=f"{spec_a.name} vs {spec_b.name}",
         depth=L,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple
 
-from .algebra import PathPolynomial
+from .algebra import PathPolynomial, signed_sum
 from .errors import (
     FormulaSyntaxError,
     NonAffineError,
@@ -42,6 +42,10 @@ WKey = tuple[WAtom, ...]
 
 REL = "rel"
 ABS = "abs"
+
+# Deepest parenthesis nesting the recursive-descent parser accepts; each
+# level costs three Python stack frames.
+MAX_NESTING = 100
 
 
 def _atom_sort_key(atom: WAtom) -> tuple[int, int]:
@@ -123,22 +127,10 @@ class CoefficientExpr:
 
     def render(self, var: str) -> str:
         """Canonical text, e.g. "1 + W[i]" or "-W[i-1]"."""
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for atoms in sorted(self._terms, key=_coeff_term_key):
-            coeff = self._terms[atoms]
-            mag = abs(coeff)
-            if not atoms:
-                text = str(mag)
-            else:
-                body = "*".join(_render_watom(a, var) for a in atoms)
-                text = body if mag == 1 else f"{mag}*{body}"
-            if not parts:
-                parts.append(text if coeff > 0 else f"-{text}")
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + text)
-        return " ".join(parts)
+        return signed_sum(
+            (self._terms[atoms], "*".join(_render_watom(a, var) for a in atoms))
+            for atoms in sorted(self._terms, key=_coeff_term_key)
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoefficientExpr):
@@ -260,10 +252,6 @@ class ArchitectureSpec:
     def first_rule_index(self) -> int:
         """Smallest state index computed by the rule."""
         return self.base_cases[-1].index + 1
-
-    @property
-    def input_indices(self) -> tuple[int, ...]:
-        return tuple(b.index for b in self.base_cases if b.is_input)
 
     def base_case(self, index: int) -> BaseCase | None:
         for base in self.base_cases:
@@ -446,6 +434,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.nesting = 0
         # Set per statement: the rule's index variable, or the base-case index.
         self.context_var: str | None = None
         self.context_base: int | None = None
@@ -583,9 +572,15 @@ class _Parser:
             self.advance()
             return [(int(tok.value), ())]
         if tok.kind == "LPAREN":
+            if self.nesting == MAX_NESTING:
+                raise FormulaSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", position=tok.pos
+                )
             self.advance()
+            self.nesting += 1
             inner = self.parse_expr()
             self.expect("RPAREN", "')'")
+            self.nesting -= 1
             return inner
         if tok.kind == "NAME" and tok.value in ("W", "X"):
             self.advance()
@@ -768,49 +763,27 @@ def parse_file(path, *, depth: int = 6) -> ArchitectureSpec:
 # ---------------------------------------------------------------------------
 
 
-def _render_xref(var: str, lag: int | None, source: int | None) -> str:
-    if lag is not None:
-        return f"X[{var}-{lag}]"
-    return f"X[{source}]"
-
-
-def _render_summand(coeff: CoefficientExpr, xref: str, var: str, first: bool) -> str:
-    if coeff.is_one():
-        return xref if first else f"+ {xref}"
+def _summand(coeff: CoefficientExpr, xref: str, var: str) -> tuple[int, str]:
+    """(sign-carrying coefficient, body) of one coeff*X summand."""
     items = coeff.terms
     if len(items) == 1:
         ((atoms, value),) = items.items()
-        mag = abs(value)
-        body = "*".join(_render_watom(a, var) for a in atoms) if atoms else None
-        if body is None:
-            text = xref if mag == 1 else f"{mag}*{xref}"
-        elif mag == 1:
-            text = f"{body}*{xref}"
-        else:
-            text = f"{mag}*{body}*{xref}"
-        if first:
-            return text if value > 0 else f"-{text}"
-        return ("+ " if value > 0 else "- ") + text
-    text = f"({coeff.render(var)})*{xref}"
-    return text if first else f"+ {text}"
+        return value, "*".join([*(_render_watom(a, var) for a in atoms), xref])
+    return 1, f"({coeff.render(var)})*{xref}"
 
 
 def render(spec: ArchitectureSpec) -> str:
     """Canonical DSL text; parse(render(spec)) is structurally the identity."""
     var = spec.rule.index_var
-    parts = [f"X[{var}] ="]
-    for pos, term in enumerate(spec.rule.terms):
-        xref = _render_xref(var, term.lag, term.source)
-        parts.append(_render_summand(term.coeff, xref, var, first=pos == 0))
-    lines = [" ".join(parts)]
+    rule = signed_sum(
+        _summand(t.coeff, f"X[{var}-{t.lag}]" if t.lag else f"X[{t.source}]", var)
+        for t in spec.rule.terms
+    )
+    lines = [f"X[{var}] = {rule}"]
     for base in sorted(spec.base_cases, key=lambda b: -b.index):
         if base.is_input:
             lines.append("X[0] = input")
-            continue
-        chunks = [f"X[{base.index}] ="]
-        for pos, (source, coeff) in enumerate(base.terms):
-            chunks.append(
-                _render_summand(coeff, f"X[{source}]", var, first=pos == 0)
-            )
-        lines.append(" ".join(chunks))
+        else:
+            body = signed_sum(_summand(c, f"X[{s}]", var) for s, c in base.terms)
+            lines.append(f"X[{base.index}] = {body}")
     return "\n".join(lines) + "\n"

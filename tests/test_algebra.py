@@ -148,12 +148,16 @@ def test_render():
     assert render_poly(PathPolynomial({(3,): -1, (): 2})) == "2 - W[3]"
     assert render_poly(PathPolynomial({(2, 1): 2})) == "2*W[2]*W[1]"
     assert render_poly(PathPolynomial({(1,): -1})) == "-W[1]"
+    mixed = PathPolynomial({(): -3, (2, 1): -1, (2,): 2, (1,): 1})
+    assert render_poly(mixed) == "-3 + 2*W[2] + W[1] - W[2]*W[1]"
 
 
 def test_path_term_str():
     assert str(PathTerm(1, (3, 2))) == "W[3]*W[2]"
     assert str(PathTerm(-1, (3,))) == "-W[3]"
     assert str(PathTerm(2, ())) == "2"
+    assert str(PathTerm(-2, (3,))) == "-2*W[3]"
+    assert str(PathTerm(-2, ())) == "-2"
 
 
 def test_polynomials_are_hashable_and_equal_by_value():

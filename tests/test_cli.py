@@ -153,6 +153,24 @@ def test_verify_tanh(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_verify_rejects_seed_count_below_one(capsys, seeds):
+    code, out, err = run(capsys, "verify", "--builtin", "newarch", "--seeds", seeds)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--seeds" in err
+
+
+def test_deep_nesting_exits_two_without_traceback(tmp_path, capsys):
+    f = tmp_path / "deep.rf"
+    nested = "(" * 1000 + "W[i]*X[i-1]" + ")" * 1000
+    f.write_text(f"X[i] = {nested}\nX[0] = input\n")
+    code, out, err = run(capsys, "parse", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_tanh_rejected_for_newarch(capsys):
     code, _, err = run(
         capsys, "verify", "--builtin", "newarch", "--activation", "tanh"

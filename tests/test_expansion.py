@@ -8,7 +8,6 @@ from recur.algebra import PathPolynomial, census, poly_add, poly_mul
 from recur.builtins import builtin_spec
 from recur.errors import DepthError
 from recur.expansion import (
-    DerivativeQuery,
     check_structure,
     derivative,
     derivative_bruteforce,
@@ -111,11 +110,11 @@ def test_depth_cap():
     assert unroll(CHAIN, 25, depth_cap=30).component(0).max_length() == 25
 
 
-def test_derivative_query_wrapper():
-    q = DerivativeQuery(spec=RESNET, depth=4, wrt=2)
-    assert q.evaluate() == derivative(RESNET, 4, 2)
+@pytest.mark.parametrize("route", [derivative, derivative_bruteforce])
+@pytest.mark.parametrize("wrt", [-1, 5])
+def test_wrt_out_of_range_rejected(route, wrt):
     with pytest.raises(ValueError):
-        DerivativeQuery(spec=RESNET, depth=4, wrt=5)
+        route(RESNET, 4, wrt)
 
 
 def test_check_binomial_passes_for_resnet():

@@ -11,6 +11,7 @@ from recur.errors import (
     RangeError,
 )
 from recur.parser import (
+    MAX_NESTING,
     ArchitectureSpec,
     BaseCase,
     CoefficientExpr,
@@ -179,15 +180,36 @@ def test_render_newarch_canonical():
 def test_render_collected_coefficient_reparses():
     spec = parse("X[i] = X[i-1] + X[i-1] + X[i-1]; X[0] = input")
     text = render(spec)
-    assert "3*X[i-1]" in text
+    assert text == "X[i] = 3*X[i-1]\nX[0] = input\n"
     assert parse(text).structurally_equal(spec)
 
 
 def test_render_leading_negative_reparses():
-    spec = parse("X[i] = 0 - W[i]*X[i-1] + X[i-2];"
-                 " X[1] = W[1]*X[0]; X[0] = input")
-    text = render(spec)
-    assert parse(text).structurally_equal(spec)
+    cases = [
+        (
+            "X[i] = 0 - W[i]*X[i-1] + X[i-2]; X[1] = W[1]*X[0]; X[0] = input",
+            "X[i] = -W[i]*X[i-1] + X[i-2]\nX[1] = W[1]*X[0]\nX[0] = input\n",
+        ),
+        # A constant 2*X, a scaled 3*W*X and a negative scaled base case.
+        (
+            "X[i] = -W[i]*X[i-1] + 2*X[i-2] + 3*W[i-1]*X[0];"
+            " X[1] = -2*W[1]*X[0]; X[0] = input",
+            "X[i] = -W[i]*X[i-1] + 2*X[i-2] + 3*W[i-1]*X[0]\n"
+            "X[1] = -2*W[1]*X[0]\nX[0] = input\n",
+        ),
+        # Parenthesized multi-term coefficients and a bare negative base case.
+        (
+            "X[i] = (1 - 2*W[i])*X[i-1] - (W[i] + W[i-1])*X[i-2];"
+            " X[1] = -X[0]; X[0] = input",
+            "X[i] = (1 - 2*W[i])*X[i-1] + (-W[i] - W[i-1])*X[i-2]\n"
+            "X[1] = -X[0]\nX[0] = input\n",
+        ),
+    ]
+    for source, expected in cases:
+        spec = parse(source)
+        text = render(spec)
+        assert text == expected
+        assert parse(text).structurally_equal(spec)
 
 
 def test_roundtrip_on_builtins():
@@ -248,3 +270,14 @@ def test_same_recursion_ignores_variable_name():
     b = parse("X[n] = W[n]*X[n-1]; X[0] = input")
     assert not a.structurally_equal(b)
     assert a.same_recursion(b)
+
+
+def test_deep_nesting_is_a_syntax_error():
+    inner = "W[i]*X[i-1]"
+    ok = "X[i] = " + "(" * MAX_NESTING + inner + ")" * MAX_NESTING + "; X[0] = input"
+    assert parse(ok).same_recursion(parse(f"X[i] = {inner}; X[0] = input"))
+    depth = MAX_NESTING + 1
+    text = "X[i] = " + "(" * depth + inner + ")" * depth + "; X[0] = input"
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse(text)
+    assert info.value.position == text.index("(") + MAX_NESTING
