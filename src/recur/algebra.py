@@ -94,6 +94,17 @@ class PathPolynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _trusted(cls, terms: dict[Factors, int]) -> "PathPolynomial":
+        """Adopt a dict already known to hold valid keys and nonzero coefficients.
+
+        For results built from valid operands: no per-key checks and no copy,
+        so the caller hands ``terms`` over and must not change it afterwards.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
+
+    @classmethod
     def zero(cls) -> "PathPolynomial":
         return cls()
 
@@ -174,7 +185,14 @@ class PathPolynomial:
 
 
 def poly_add(a: PathPolynomial, b: PathPolynomial) -> PathPolynomial:
-    """Coefficient-wise sum; zero coefficients are dropped."""
+    """Coefficient-wise sum; zero coefficients are dropped.
+
+    Polynomials are immutable, so a zero operand returns the other one as is.
+    """
+    if not a._terms:
+        return b
+    if not b._terms:
+        return a
     out = dict(a._terms)
     for factors, coeff in b._terms.items():
         total = out.get(factors, 0) + coeff
@@ -182,11 +200,11 @@ def poly_add(a: PathPolynomial, b: PathPolynomial) -> PathPolynomial:
             out[factors] = total
         else:
             out.pop(factors, None)
-    return PathPolynomial(out)
+    return PathPolynomial._trusted(out)
 
 
 def poly_neg(a: PathPolynomial) -> PathPolynomial:
-    return PathPolynomial({f: -c for f, c in a._terms.items()})
+    return PathPolynomial._trusted({f: -c for f, c in a._terms.items()})
 
 
 def poly_mul(a: PathPolynomial, b: PathPolynomial) -> PathPolynomial:
@@ -194,14 +212,16 @@ def poly_mul(a: PathPolynomial, b: PathPolynomial) -> PathPolynomial:
 
     Factor sequences concatenate as (factors of a) + (factors of b): the
     left operand is the later stage, so its blocks end up closer to the
-    output.  Coefficients multiply.
+    output.  Coefficients multiply; those that cancel to zero are dropped.
     """
     out: dict[Factors, int] = {}
     for fa, ca in a._terms.items():
         for fb, cb in b._terms.items():
             key = fa + fb
             out[key] = out.get(key, 0) + ca * cb
-    return PathPolynomial(out)
+    if 0 in out.values():
+        out = {f: c for f, c in out.items() if c}
+    return PathPolynomial._trusted(out)
 
 
 class CensusBin(NamedTuple):

@@ -363,20 +363,6 @@ def structural_equal(ga: ArchGraph, gb: ArchGraph, size_cap: int = SIZE_CAP) -> 
     return assign(0)
 
 
-def relabel_nodes(g: ArchGraph, mapping: dict[str, str]) -> ArchGraph:
-    """Copy of g with node ids renamed; structure and labels unchanged."""
-    def rename(nid: str) -> str:
-        return mapping.get(nid, nid)
-
-    return ArchGraph(
-        name=g.name,
-        depth=g.depth,
-        nodes=tuple(Node(rename(n.id), n.kind, n.block) for n in g.nodes),
-        edges=tuple(Edge(rename(e.src), rename(e.dst), e.sign, e.label) for e in g.edges),
-        state_ids=tuple((i, rename(nid)) for i, nid in g.state_ids),
-    )
-
-
 def count_paths(g: ArchGraph) -> int:
     """Number of distinct directed input-to-output paths (multi-edges count)."""
     order = _toposort(g)

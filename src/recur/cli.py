@@ -247,11 +247,11 @@ def cmd_verify(args) -> int:
                 )
     else:
         wrts = [args.wrt] if args.wrt is not None else list(range(0, L + 1))
+        polys = {j: derivative(spec, L, j, cap) for j in wrts}
         for seed in seeds:
             net = instantiate(spec, L, d, seed)
             for j in wrts:
-                poly = derivative(spec, L, j, cap)
-                results.append(check_derivative(net, poly, j, tol=args.tol))
+                results.append(check_derivative(net, polys[j], j, tol=args.tol))
 
     all_pass = all(r.passed for r in results)
     if args.format == "json":
@@ -276,6 +276,8 @@ def cmd_verify(args) -> int:
 def cmd_chain_identity(args) -> int:
     spec = _resolve_spec(args)
     cap = depth_cap()
+    if args.depth < 2:
+        raise RecurError(f"--depth must be >= 2, got {args.depth}")
     outcomes = {m: verify_chain_identity(spec, m, cap) for m in range(2, args.depth + 1)}
     all_pass = all(outcomes.values())
     if args.format == "json":

@@ -9,6 +9,7 @@ from recur.algebra import (
     census,
     poly_add,
     poly_mul,
+    poly_neg,
     render_poly,
 )
 
@@ -166,3 +167,99 @@ def test_polynomials_are_hashable_and_equal_by_value():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# -- differential checks against a naive reference ---------------------------
+
+
+def _hypothesis():
+    """The hypothesis module and a strategy for raw term dicts (may hold zeros)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    factors = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+    return hypothesis, st.dictionaries(factors, st.integers(-3, 3), max_size=6)
+
+
+def _naive_add(a, b):
+    out = a.coefficients
+    for factors, coeff in b.coefficients.items():
+        out[factors] = out.get(factors, 0) + coeff
+    return PathPolynomial(out)
+
+
+def _naive_mul(a, b):
+    out = {}
+    for fa, ca in a.coefficients.items():
+        for fb, cb in b.coefficients.items():
+            out[fa + fb] = out.get(fa + fb, 0) + ca * cb
+    return PathPolynomial(out)
+
+
+def _same_terms(p, q):
+    # Equal coefficients, stored in the same order, and no zero kept.
+    assert list(p.coefficients.items()) == list(q.coefficients.items())
+    assert 0 not in p.coefficients.values()
+
+
+def test_operations_match_naive_reference():
+    hypothesis, terms = _hypothesis()
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(terms, terms, st.data())
+    def check(raw_a, raw_b, data):
+        a = PathPolynomial(raw_a)
+        # Negate part of a into b so that sums cancel term by term.
+        cancel = data.draw(st.sets(st.sampled_from(sorted(raw_a) or [()])))
+        b = PathPolynomial({**raw_b, **{f: -a.coefficient(f) for f in cancel}})
+        _same_terms(poly_add(a, b), _naive_add(a, b))
+        _same_terms(poly_mul(a, b), _naive_mul(a, b))
+        _same_terms(poly_mul(b, a), _naive_mul(b, a))
+        _same_terms(poly_neg(a), PathPolynomial({f: -c for f, c in raw_a.items()}))
+        assert poly_add(a, poly_neg(a)).is_zero()
+
+    check()
+
+
+def test_mul_drops_cancelled_terms():
+    # (1 + W1)*(W1 - 1) = W1*W1 - 1: the two W1 products cancel.
+    product = poly_mul(poly_add(ONE, W(1)), poly_add(W(1), -ONE))
+    assert product.coefficients == {(): -1, (1, 1): 1}
+
+
+def test_add_zero_is_identity_and_isolated():
+    hypothesis, terms = _hypothesis()
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(terms)
+    def check(raw):
+        p = PathPolynomial(raw)
+        expected = PathPolynomial(raw)
+        left, right = poly_add(ZERO, p), poly_add(p, ZERO)
+        assert left == p and right == p
+        leaked = p.coefficients
+        leaked[(3, 3, 3, 3)] = 7
+        for factors in list(leaked)[:-1]:
+            leaked[factors] += 1
+        assert p == expected and left == expected and right == expected
+
+    check()
+
+
+def test_constructor_rejects_index_below_one():
+    hypothesis, _ = _hypothesis()
+    st = hypothesis.strategies
+
+    @hypothesis.given(
+        st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(
+            lambda f: min(f) < 1
+        ),
+        st.integers(-3, 3),
+    )
+    def check(factors, coeff):
+        with pytest.raises(ValueError):
+            PathPolynomial({tuple(factors): coeff})
+
+    check()
+    with pytest.raises(ValueError):
+        PathPolynomial({(0,): 1})

@@ -9,12 +9,14 @@ from recur.archgraph import (
     JUNCTION,
     MAPPED,
     TAP,
+    ArchGraph,
+    Edge,
+    Node,
     build_graph,
     count_paths,
     direct_propagation_check,
     export,
     recover_terms,
-    relabel_nodes,
     structural_equal,
 )
 from recur.builtins import builtin_spec
@@ -110,6 +112,20 @@ def test_blocks_have_single_data_edge():
         for n in g.nodes:
             if n.kind == BLOCK:
                 assert len(g.in_edges(n.id)) == 1
+
+
+def relabel_nodes(g: ArchGraph, mapping: dict[str, str]) -> ArchGraph:
+    """Copy of g with node ids renamed; structure and labels unchanged."""
+    def rename(nid: str) -> str:
+        return mapping.get(nid, nid)
+
+    return ArchGraph(
+        name=g.name,
+        depth=g.depth,
+        nodes=tuple(Node(rename(n.id), n.kind, n.block) for n in g.nodes),
+        edges=tuple(Edge(rename(e.src), rename(e.dst), e.sign, e.label) for e in g.edges),
+        state_ids=tuple((i, rename(nid)) for i, nid in g.state_ids),
+    )
 
 
 def test_structural_equal_invariant_under_relabeling():

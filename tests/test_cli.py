@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -187,6 +188,14 @@ def test_chain_identity_command(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("depth", ["1", "0", "-3"])
+def test_chain_identity_rejects_depth_below_two(capsys, depth):
+    code, out, err = run(capsys, "chain-identity", "--builtin", "resnet", "-L", depth)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_depth_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("RECUR_DEPTH_CAP", "4")
     code, _, err = run(capsys, "expand", "--builtin", "resnet", "--depth", "6")
@@ -203,6 +212,28 @@ def test_byte_identical_output(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# sha256 of stdout, pinned from a known-good build: a change in term order,
+# zero dropping or rendering shows here, not only in the benchmark.
+PINNED_STDOUT = [
+    (("expand", "--builtin", "resnet", "-L", "10", "--format", "json"), 0,
+     "a891b6bc0fca108324f90558a1a318ef1e5b95f2488417a03b5d98cf900b8649"),
+    (("census", "--builtin", "appendix-ex2", "-L", "14", "--check", "binomial",
+      "--format", "json"), 1,
+     "fd3adad9260099c9564026e085748a0dfe066f2b8352ac3bfdbcacd4f0824697"),
+    (("equiv", "newarch", "eq22", "-L", "8", "--format", "json"), 0,
+     "3c9664075f3358a1bd8f1fd26dfa20f7e6d0cb2583ae79aa2556423a4e5c9192"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", PINNED_STDOUT, ids=["expand", "census", "equiv"]
+)
+def test_stdout_matches_pinned_digest(capsys, argv, code, digest):
+    got_code, out, _ = run(capsys, *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_byte_identical_across_processes(tmp_path):
