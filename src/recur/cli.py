@@ -14,11 +14,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .algebra import PathPolynomial, block_product, signed_sum
 from .archgraph import build_graph, direct_propagation_check, export, structural_equal
 from .builtins import BUILTIN_NAMES, builtin_spec
 from .errors import RecurError
 from .expansion import (
     DEFAULT_DEPTH_CAP,
+    check_depth,
     check_structure,
     derivative,
     unroll,
@@ -100,6 +102,15 @@ def cmd_parse(args) -> int:
     return 0
 
 
+def _component_json(j: int, poly: PathPolynomial) -> dict:
+    terms = list(poly.terms())  # sorted once, for both the text and the list
+    return {
+        "state": j,
+        "polynomial": signed_sum((t.coeff, block_product(t.factors)) for t in terms),
+        "terms": [{"coeff": t.coeff, "factors": list(t.factors)} for t in terms],
+    }
+
+
 def cmd_expand(args) -> int:
     spec = _resolve_spec(args)
     expansion = unroll(spec, args.depth, depth_cap())
@@ -108,15 +119,7 @@ def cmd_expand(args) -> int:
             "spec": spec.name,
             "depth": args.depth,
             "components": [
-                {
-                    "state": j,
-                    "polynomial": str(poly),
-                    "terms": [
-                        {"coeff": t.coeff, "factors": list(t.factors)}
-                        for t in poly.terms()
-                    ],
-                }
-                for j, poly in expansion.components.items()
+                _component_json(j, poly) for j, poly in expansion.components.items()
             ],
         }
         _emit(_json_text(payload), args)
@@ -278,6 +281,7 @@ def cmd_chain_identity(args) -> int:
     cap = depth_cap()
     if args.depth < 2:
         raise RecurError(f"--depth must be >= 2, got {args.depth}")
+    check_depth(args.depth, cap)
     outcomes = {m: verify_chain_identity(spec, m, cap) for m in range(2, args.depth + 1)}
     all_pass = all(outcomes.values())
     if args.format == "json":

@@ -29,7 +29,8 @@ from .parser import ArchitectureSpec
 DEFAULT_DEPTH_CAP = 24
 
 
-def _check_depth(L: int, depth_cap: int) -> None:
+def check_depth(L: int, depth_cap: int) -> None:
+    """Reject a depth below 1 or above the expansion cap."""
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
     if L > depth_cap:
@@ -54,7 +55,7 @@ def derivative(
     W symbols are treated as constants: a coefficient like W[i-1] carries
     no derivative of its own, it is the block Jacobian itself.
     """
-    _check_depth(L, depth_cap)
+    check_depth(L, depth_cap)
     if not 0 <= j <= L:
         raise ValueError(f"wrt index must be in [0, {L}], got {j}")
     f: dict[int, PathPolynomial] = {i: PathPolynomial.zero() for i in range(0, L + 1)}
@@ -72,7 +73,7 @@ def derivative_bruteforce(
     spec: ArchitectureSpec, L: int, j: int, depth_cap: int = DEFAULT_DEPTH_CAP
 ) -> PathPolynomial:
     """Independent oracle: unroll forward with X[j] held free."""
-    _check_depth(L, depth_cap)
+    check_depth(L, depth_cap)
     if not 0 <= j <= L:
         raise ValueError(f"wrt index must be in [0, {L}], got {j}")
     one = PathPolynomial.one()

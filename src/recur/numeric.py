@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PathPolynomial
+from .algebra import Factors, PathPolynomial
 from .builtins import activated_kind
 from .errors import ActivationError
 from .parser import ArchitectureSpec
@@ -133,14 +133,30 @@ def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
 
     Factors multiply in listed order (leftmost factor leftmost in the
     product); the identity term contributes the identity matrix.
+
+    Terms are visited in insertion order, and each reuses the products of
+    the prefix it shares with the term before it: ``poly_mul`` appends new
+    factors right after their prefix term, so most terms cost one matmul.
+    Every product is the same left-to-right chain and the sum runs in the
+    same order as term-by-term evaluation, so the result is bit-identical
+    to it; the extra memory is one matrix per factor of the longest term.
     """
     d = net.dim
     total = np.zeros((d, d))
+    previous: Factors = ()
+    prefix: list[np.ndarray] = []  # prefix[k]: product of previous[: k + 1]
     for factors, coeff in poly.coefficients.items():
-        product = np.eye(d)
-        for index in factors:
-            product = product @ net.matrix(index)
-        total += coeff * product
+        shared = 0
+        for a, b in zip(previous, factors):
+            if a != b:
+                break
+            shared += 1
+        del prefix[shared:]
+        for index in factors[shared:]:
+            block = net.matrix(index)
+            prefix.append(prefix[-1] @ block if prefix else block)
+        previous = factors
+        total += coeff * (prefix[-1] if prefix else np.eye(d))
     return total
 
 

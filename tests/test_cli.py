@@ -196,6 +196,22 @@ def test_chain_identity_rejects_depth_below_two(capsys, depth):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_chain_identity_rejects_depth_over_cap_before_sweep(monkeypatch, capsys):
+    code, out, err = run(capsys, "chain-identity", "--builtin", "newarch", "-L", "30")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: depth 30 exceeds the expansion cap 24;"
+        " raise the cap explicitly if you mean it\n"
+    )
+    calls = []
+    monkeypatch.setattr(
+        "recur.cli.verify_chain_identity", lambda *a: calls.append(a) or True
+    )
+    assert run(capsys, "chain-identity", "--builtin", "newarch", "-L", "25")[0] == 2
+    assert calls == []
+
+
 def test_depth_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("RECUR_DEPTH_CAP", "4")
     code, _, err = run(capsys, "expand", "--builtin", "resnet", "--depth", "6")

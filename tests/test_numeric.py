@@ -109,6 +109,64 @@ def test_eval_polynomial_index_error():
     net = instantiate(CHAIN, 2, 2, seed=0)
     with pytest.raises(IndexError):
         eval_polynomial(PathPolynomial({(3,): 1}), net)
+    # the bad index comes after a prefix that is already computed
+    with pytest.raises(IndexError):
+        eval_polynomial(PathPolynomial({(2,): 1, (2, 3): 1}), net)
+
+
+def _naive_eval(poly, net):
+    """Reference: each term's product from scratch, summed in insertion order."""
+    total = np.zeros((net.dim, net.dim))
+    for factors, coeff in poly.coefficients.items():
+        if factors:
+            product = net.matrix(factors[0])
+            for index in factors[1:]:
+                product = product @ net.matrix(index)
+        else:
+            product = np.eye(net.dim)
+        total += coeff * product
+    return total
+
+
+def test_eval_polynomial_matches_naive_on_drawn_terms():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # Few indices and short sequences, so shared prefixes, repeated indices
+    # and the identity term are all common.  Extensions add chains of terms
+    # that each extend the one before, as poly_mul builds them; half the
+    # draws then shuffle the key order.
+    factors = st.lists(st.integers(1, 3), max_size=4).map(tuple)
+    coeffs = st.integers(-3, 3).filter(bool)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        st.lists(factors, max_size=8),
+        st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3), max_size=3),
+        st.integers(1, 3),
+        st.integers(0, 2**32),
+        st.data(),
+    )
+    def check(bases, extensions, d, seed, data):
+        keys = []
+        for base, tail in zip(bases, extensions + [[]] * len(bases)):
+            keys += [base + tuple(tail[:k]) for k in range(len(tail) + 1)]
+        keys = list(dict.fromkeys(keys))
+        if data.draw(st.booleans()):
+            keys = data.draw(st.permutations(keys))
+        poly = PathPolynomial({f: data.draw(coeffs) for f in keys})
+        net = instantiate(CHAIN, 3, d, seed=seed)
+        assert np.array_equal(eval_polynomial(poly, net), _naive_eval(poly, net))
+
+    check()
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_eval_polynomial_matches_naive_on_derivatives(name):
+    spec = builtin_spec(name)
+    net = instantiate(spec, 8, 3, seed=4)
+    for j in range(0, 9):
+        poly = derivative(spec, 8, j)
+        assert np.array_equal(eval_polynomial(poly, net), _naive_eval(poly, net))
 
 
 def test_derivative_matches_exact_jacobian():
