@@ -27,7 +27,9 @@ Subtraction is a sign on an edge, not a node kind.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import PathPolynomial
 from .errors import SizeError, UnrealizableError
@@ -95,11 +97,27 @@ class ArchGraph:
             raise ValueError("graph must have exactly one output node")
         _toposort(self)  # raises on cycles
 
+    # The lookup index is built on first use and kept (cached_property writes
+    # the instance __dict__, which a frozen dataclass permits).  It is not
+    # built at construction: graphs that are only compared or exported would
+    # carry it for nothing.
+
+    @cached_property
+    def _nodes_by_id(self) -> dict[str, Node]:
+        return {n.id: n for n in self.nodes}
+
+    @cached_property
+    def _edges_by_node(self) -> tuple[dict[str, list[Edge]], dict[str, list[Edge]]]:
+        """(in-edges, out-edges) of every node, each in ``edges`` order."""
+        ins: dict[str, list[Edge]] = {n.id: [] for n in self.nodes}
+        outs: dict[str, list[Edge]] = {n.id: [] for n in self.nodes}
+        for e in self.edges:
+            ins[e.dst].append(e)
+            outs[e.src].append(e)
+        return ins, outs
+
     def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+        return self._nodes_by_id[node_id]
 
     def state_node(self, index: int) -> str:
         for i, node_id in self.state_ids:
@@ -108,25 +126,27 @@ class ArchGraph:
         raise KeyError(f"no node for state {index}")
 
     def in_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.dst == node_id]
+        return list(self._edges_by_node[0].get(node_id, ()))
 
     def out_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.src == node_id]
+        return list(self._edges_by_node[1].get(node_id, ()))
 
 
 def _toposort(g: ArchGraph) -> list[str]:
     indegree = {n.id: 0 for n in g.nodes}
+    successors: dict[str, list[str]] = {n.id: [] for n in g.nodes}
     for e in g.edges:
         indegree[e.dst] += 1
+        successors[e.src].append(e.dst)
     ready = sorted(nid for nid, d in indegree.items() if d == 0)
     order: list[str] = []
     while ready:
         nid = ready.pop()
         order.append(nid)
-        for e in g.out_edges(nid):
-            indegree[e.dst] -= 1
-            if indegree[e.dst] == 0:
-                ready.append(e.dst)
+        for dst in successors[nid]:
+            indegree[dst] -= 1
+            if indegree[dst] == 0:
+                ready.append(dst)
         ready.sort()
     if len(order) != len(g.nodes):
         raise ValueError("graph contains a cycle")
@@ -281,31 +301,92 @@ def _label(n: Node) -> tuple:
     return (n.kind, -1 if n.block is None else n.block)
 
 
-def _multi_adjacency(g: ArchGraph) -> dict[tuple[str, str], tuple]:
-    acc: dict[tuple[str, str], list] = {}
+# Colour refinement with individualization (McKay & Piperno 2014, "Practical
+# graph isomorphism, II").  Nodes are numbered by position and colours are
+# ints.  Both graphs are refined together: a node's next colour is the rank
+# of (its colour, its sorted out-edges, its sorted in-edges) in one key map
+# shared by the two graphs, so equal colours mean the same thing on both
+# sides.  Each edge, parallel ones included, enters as (colour of the other
+# end, sign, label).  Refinement only splits colours; it stops once a round
+# adds none or every colour is a single node.  An isomorphism maps every node
+# to a node of its own colour, so the search individualizes one node of the
+# smallest shared colour class against each candidate in the other graph
+# until the colouring is discrete, and then checks the one colour-preserving
+# bijection against every edge (refinement stops as soon as the colouring is
+# discrete, before any round has compared the edges against it).
+
+_Wiring = tuple[list[list[tuple]], list[list[tuple]]]
+
+
+def _wiring(g: ArchGraph) -> _Wiring:
+    """Per node position: out-edges as (dst, sign, label) and in-edges as
+    (src, sign, label), over positions."""
+    index = {n.id: k for k, n in enumerate(g.nodes)}
+    outs: list[list[tuple]] = [[] for _ in g.nodes]
+    ins: list[list[tuple]] = [[] for _ in g.nodes]
     for e in g.edges:
-        acc.setdefault((e.src, e.dst), []).append((e.sign, e.label))
-    return {k: tuple(sorted(v)) for k, v in acc.items()}
+        src, dst = index[e.src], index[e.dst]
+        outs[src].append((dst, e.sign, e.label))
+        ins[dst].append((src, e.sign, e.label))
+    return outs, ins
 
 
-def _refined_signatures(g: ArchGraph, rounds: int = 3) -> dict[str, tuple]:
-    adj = _multi_adjacency(g)
-    outs: dict[str, list] = {n.id: [] for n in g.nodes}
-    ins: dict[str, list] = {n.id: [] for n in g.nodes}
-    for (u, v), labels in adj.items():
-        outs[u].append((v, labels))
-        ins[v].append((u, labels))
-    sig = {n.id: _label(n) for n in g.nodes}
-    for _ in range(rounds):
-        sig = {
-            n.id: (
-                sig[n.id],
-                tuple(sorted((labels, sig[v]) for v, labels in outs[n.id])),
-                tuple(sorted((labels, sig[u]) for u, labels in ins[n.id])),
-            )
-            for n in g.nodes
-        }
-    return sig
+def _keys(colours: list[int], wiring: _Wiring) -> list[tuple]:
+    outs, ins = wiring
+    return [
+        (
+            c,
+            tuple(sorted((colours[u], sign, label) for u, sign, label in outs[v])),
+            tuple(sorted((colours[u], sign, label) for u, sign, label in ins[v])),
+        )
+        for v, c in enumerate(colours)
+    ]
+
+
+def _refine(
+    ca: list[int], cb: list[int], a: _Wiring, b: _Wiring
+) -> tuple[list[int], list[int]] | None:
+    """Refine (ca, cb) until stable or discrete; None once histograms differ."""
+    count = len(set(ca))
+    while count < len(ca):
+        ka = _keys(ca, a)
+        kb = _keys(cb, b)
+        rank = {key: c for c, key in enumerate(sorted(set(ka).union(kb)))}
+        ca = [rank[key] for key in ka]
+        cb = [rank[key] for key in kb]
+        if sorted(ca) != sorted(cb):
+            return None
+        if len(rank) == count:
+            break
+        count = len(rank)
+    return ca, cb
+
+
+def _edge_colours(colours: list[int], wiring: _Wiring) -> Counter:
+    return Counter(
+        (colours[v], colours[u], sign, label)
+        for v, out in enumerate(wiring[0])
+        for u, sign, label in out
+    )
+
+
+def _search(ca: list[int], cb: list[int], a: _Wiring, b: _Wiring) -> bool:
+    refined = _refine(ca, cb, a, b)
+    if refined is None:
+        return False
+    ca, cb = refined
+    sizes = Counter(ca)
+    if len(sizes) == len(ca):
+        return _edge_colours(ca, a) == _edge_colours(cb, b)
+    cell = min((size, c) for c, size in sizes.items() if size > 1)[1]
+    v = ca.index(cell)
+    fresh = len(sizes)
+    for w in [w for w, c in enumerate(cb) if c == cell]:
+        ca2, cb2 = ca[:], cb[:]
+        ca2[v] = cb2[w] = fresh
+        if _search(ca2, cb2, a, b):
+            return True
+    return False
 
 
 def structural_equal(ga: ArchGraph, gb: ArchGraph, size_cap: int = SIZE_CAP) -> bool:
@@ -318,49 +399,13 @@ def structural_equal(ga: ArchGraph, gb: ArchGraph, size_cap: int = SIZE_CAP) -> 
             )
     if len(ga.nodes) != len(gb.nodes) or len(ga.edges) != len(gb.edges):
         return False
-
-    siga = _refined_signatures(ga)
-    sigb = _refined_signatures(gb)
-    if sorted(siga.values()) != sorted(sigb.values()):
+    labels = sorted({_label(n) for g in (ga, gb) for n in g.nodes})
+    palette = {label: c for c, label in enumerate(labels)}
+    ca = [palette[_label(n)] for n in ga.nodes]
+    cb = [palette[_label(n)] for n in gb.nodes]
+    if sorted(ca) != sorted(cb):
         return False
-
-    adja = _multi_adjacency(ga)
-    adjb = _multi_adjacency(gb)
-    candidates: dict[str, list[str]] = {}
-    by_sig: dict[tuple, list[str]] = {}
-    for node_id, s in sigb.items():
-        by_sig.setdefault(s, []).append(node_id)
-    for node_id, s in siga.items():
-        candidates[node_id] = sorted(by_sig.get(s, []))
-
-    order = sorted(candidates, key=lambda nid: (len(candidates[nid]), nid))
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-
-    def compatible(a: str, b: str) -> bool:
-        for a2, b2 in assignment.items():
-            if adja.get((a, a2)) != adjb.get((b, b2)):
-                return False
-            if adja.get((a2, a)) != adjb.get((b2, b)):
-                return False
-        return True
-
-    def assign(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        a = order[pos]
-        for b in candidates[a]:
-            if b in used or not compatible(a, b):
-                continue
-            assignment[a] = b
-            used.add(b)
-            if assign(pos + 1):
-                return True
-            del assignment[a]
-            used.remove(b)
-        return False
-
-    return assign(0)
+    return _search(ca, cb, _wiring(ga), _wiring(gb))
 
 
 def count_paths(g: ArchGraph) -> int:

@@ -33,7 +33,7 @@ from .errors import DegenerateError, RangeError
 
 # Studentized range q values divided by sqrt(2), for k = 2..10 methods.
 Q_TABLE: dict[float, tuple[float, ...]] = {
-    0.05: (1.960, 2.334, 2.569, 2.728, 2.850, 2.949, 3.031, 3.102, 3.164),
+    0.05: (1.960, 2.343, 2.569, 2.728, 2.850, 2.949, 3.031, 3.102, 3.164),
     0.10: (1.645, 2.052, 2.291, 2.459, 2.589, 2.693, 2.780, 2.855, 2.920),
 }
 

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -6,8 +7,10 @@ from conftest import random_realizable_spec
 from recur.archgraph import (
     BLOCK,
     IDENTITY,
+    INPUT,
     JUNCTION,
     MAPPED,
+    OUTPUT,
     TAP,
     ArchGraph,
     Edge,
@@ -232,3 +235,244 @@ def test_parallel_identity_edges_for_integer_coefficients():
     assert len(identities) == 2
     recovered = recover_terms(g)
     assert _by_source(recovered[2]) == _by_source(spec.instantiate_terms(2))
+
+
+def _tiny(nodes, edges):
+    return ArchGraph(
+        name="tiny",
+        depth=1,
+        nodes=tuple(nodes),
+        edges=tuple(Edge(s, d, 1, IDENTITY) for s, d in edges),
+        state_ids=((0, "input"),),
+    )
+
+
+IN, OUT = Node("input", INPUT), Node("output", OUTPUT)
+I2, O2 = Node("input2", INPUT), Node("output2", OUTPUT)
+J1, J2 = Node("j1", JUNCTION), Node("j2", JUNCTION)
+WIRED = [("input", "j1"), ("j1", "output")]
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, message",
+    [
+        ([IN, J1, J2, OUT], [*WIRED, ("j1", "j2"), ("j2", "j1")], "cycle"),
+        ([IN, J1, J1, OUT], WIRED, "duplicate"),
+        ([IN, J1, OUT], [*WIRED, ("j1", "nowhere")], "unknown"),
+        ([IN, J1, OUT], [*WIRED, ("ghost", "j1")], "unknown"),
+        ([J1, OUT], [("j1", "output")], "one input"),
+        ([IN, I2, J1, OUT], [*WIRED, ("input2", "j1")], "one input"),
+        ([IN, J1], [("input", "j1")], "one output"),
+        ([IN, J1, OUT, O2], [*WIRED, ("j1", "output2")], "one output"),
+    ],
+)
+def test_constructor_rejects_malformed_graphs(nodes, edges, message):
+    with pytest.raises(ValueError, match=message):
+        _tiny(nodes, edges)
+
+
+def test_node_lookup_and_edge_order():
+    g = build_graph(NEWARCH, 6)
+    with pytest.raises(KeyError):
+        g.node("no-such-node")
+    for n in g.nodes:
+        assert g.node(n.id) is n
+        assert g.in_edges(n.id) == [e for e in g.edges if e.dst == n.id]
+        assert g.out_edges(n.id) == [e for e in g.edges if e.src == n.id]
+    # Edges from a shuffled edge tuple come back in that tuple's order.
+    edges = list(g.edges)
+    random.Random(3).shuffle(edges)
+    shuffled = ArchGraph(g.name, g.depth, g.nodes, tuple(edges), g.state_ids)
+    for n in g.nodes:
+        assert shuffled.in_edges(n.id) == [e for e in edges if e.dst == n.id]
+        assert shuffled.out_edges(n.id) == [e for e in edges if e.src == n.id]
+    # Callers get their own lists.
+    g.in_edges("output").clear()
+    assert len(g.in_edges("output")) == 1
+
+
+# ---------------------------------------------------------------------------
+# structural_equal against networkx VF2 (Cordella et al. 2004)
+# ---------------------------------------------------------------------------
+
+
+def _nx_isomorphic(ga: ArchGraph, gb: ArchGraph) -> bool:
+    """DiGraphMatcher verdict; parallel edges become one edge labelled with
+    the sorted multiset of their (sign, label)."""
+    nx = pytest.importorskip("networkx")
+
+    def digraph(g):
+        out = nx.DiGraph()
+        for n in g.nodes:
+            out.add_node(n.id, label=(n.kind, n.block))
+        parallel = {}
+        for e in g.edges:
+            parallel.setdefault((e.src, e.dst), []).append((e.sign, e.label))
+        for (src, dst), labels in parallel.items():
+            out.add_edge(src, dst, labels=sorted(labels))
+        return out
+
+    return nx.algorithms.isomorphism.DiGraphMatcher(
+        digraph(ga),
+        digraph(gb),
+        node_match=lambda x, y: x["label"] == y["label"],
+        edge_match=lambda x, y: x["labels"] == y["labels"],
+    ).is_isomorphic()
+
+
+def _shuffled(g: ArchGraph, rng: random.Random) -> ArchGraph:
+    """Isomorphic copy with new node ids and shuffled node and edge order."""
+    names = [f"v{k}" for k in range(len(g.nodes))]
+    rng.shuffle(names)
+    ids = {n.id: names[k] for k, n in enumerate(g.nodes)}
+    nodes = [Node(ids[n.id], n.kind, n.block) for n in g.nodes]
+    edges = [Edge(ids[e.src], ids[e.dst], e.sign, e.label) for e in g.edges]
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    state_ids = tuple((i, ids[nid]) for i, nid in g.state_ids)
+    return ArchGraph(g.name, g.depth, tuple(nodes), tuple(edges), state_ids)
+
+
+def _with_sign_flipped(g: ArchGraph, k: int) -> ArchGraph:
+    edges = list(g.edges)
+    e = edges[k]
+    edges[k] = Edge(e.src, e.dst, -e.sign, e.label)
+    return ArchGraph(g.name, g.depth, g.nodes, tuple(edges), g.state_ids)
+
+
+def _dag(labels, edges) -> ArchGraph:
+    """input, the inner nodes labelled (kind, block), then output; edges are
+    (i, j, sign, label) between positions, input 0 and output len(labels)+1."""
+    nodes = [Node("input", INPUT)]
+    nodes += [Node(f"n{k}", kind, block) for k, (kind, block) in enumerate(labels, 1)]
+    nodes.append(Node("output", OUTPUT))
+    return ArchGraph(
+        name="dag",
+        depth=1,
+        nodes=tuple(nodes),
+        edges=tuple(Edge(nodes[i].id, nodes[j].id, s, lab) for i, j, s, lab in edges),
+        state_ids=((0, "input"),),
+    )
+
+
+def _bipartite(pairs, n: int = 4) -> ArchGraph:
+    """input -> a1..an -> b1..bn -> output, all unlabelled junctions, with
+    the a->b edges given as (a, b) in 1..n."""
+    edges = [(0, a, 1, IDENTITY) for a in range(1, n + 1)]
+    edges += [(a, n + b, 1, MAPPED) for a, b in pairs]
+    edges += [(n + b, 2 * n + 1, 1, IDENTITY) for b in range(1, n + 1)]
+    return _dag([(JUNCTION, None)] * (2 * n), edges)
+
+
+# One 8-cycle against two 4-cycles: every a and every b has the same
+# neighbourhood counts, so refinement alone leaves them in one colour each.
+CYCLE = [(a, b) for a in range(1, 5) for b in (a, a % 4 + 1)]
+SQUARES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 4), (4, 3), (4, 4)]
+EIGHT_CYCLE = _bipartite(CYCLE)
+TWO_SQUARES = _bipartite(SQUARES)
+# Both side by side: one colour still holds the a's of the cycle and of the
+# squares, which no automorphism exchanges, so the search must try more
+# than one candidate.
+BOTH = _bipartite(CYCLE + [(a + 4, b + 4) for a, b in SQUARES], n=8)
+# Every label distinct, so the colouring is discrete before any refinement.
+LABELLED = _dag(
+    [(BLOCK, 1), (TAP, 1)],
+    [(0, 1, 1, IDENTITY), (1, 2, 1, MAPPED), (1, 3, 1, MAPPED), (2, 3, -1, MAPPED)],
+)
+
+
+@pytest.mark.parametrize(
+    "ga, gb, expected",
+    [
+        (EIGHT_CYCLE, _shuffled(EIGHT_CYCLE, random.Random(8)), True),
+        (TWO_SQUARES, _shuffled(TWO_SQUARES, random.Random(4)), True),
+        (EIGHT_CYCLE, TWO_SQUARES, False),
+        *[(BOTH, _shuffled(BOTH, random.Random(seed)), True) for seed in range(4)],
+        (LABELLED, _shuffled(LABELLED, random.Random(1)), True),
+        (LABELLED, _with_sign_flipped(LABELLED, 3), False),
+        (LABELLED, _with_sign_flipped(LABELLED, 0), False),
+    ],
+)
+def test_structural_equal_hand_built(ga, gb, expected):
+    assert structural_equal(ga, gb) is expected
+    assert structural_equal(gb, ga) is expected
+    assert _nx_isomorphic(ga, gb) is expected
+
+
+# Depths that give 200 nodes, or 199 for the formulas with taps.
+AT_THE_CAP = [
+    ("chain", 99),
+    ("resnet", 99),
+    ("eq22", 99),
+    ("newarch", 66),
+    ("appendix-ex2", 66),
+]
+
+
+@pytest.mark.parametrize("name, L", AT_THE_CAP)
+def test_structural_equal_builtins_at_the_cap(name, L):
+    g = build_graph(builtin_spec(name), L)
+    assert len(g.nodes) <= 200
+    rng = random.Random(name)
+    assert structural_equal(g, _shuffled(g, rng))
+    flipped = _with_sign_flipped(g, rng.randrange(len(g.edges)))
+    assert not structural_equal(g, _shuffled(flipped, rng))
+
+
+def test_structural_equal_matches_networkx_on_drawn_dags():
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("networkx")
+    st = hypothesis.strategies
+    # Unlabelled junctions are common and twins copy a node's whole wiring,
+    # so many colourings stay coarse and the search has to individualize.
+    label = st.one_of(
+        st.just((JUNCTION, None)),
+        st.tuples(st.sampled_from([BLOCK, TAP]), st.integers(1, 2)),
+    )
+    edge_type = st.tuples(st.sampled_from([1, -1]), st.sampled_from([IDENTITY, MAPPED]))
+
+    @st.composite
+    def dags(draw):
+        labels = draw(st.lists(label, min_size=1, max_size=6))
+        last = len(labels) + 1
+        position = st.integers(0, last)
+        pairs = draw(st.lists(st.tuples(position, position), max_size=14))
+        edges = [(min(p), max(p), *draw(edge_type)) for p in pairs if p[0] != p[1]]
+        for k in draw(st.lists(st.integers(1, len(labels)), max_size=3)):
+            # The twin of inner node k sits just before the output.
+            labels.append(labels[k - 1])
+            twin = len(labels)
+            edges = [(i, j + 1 if j == twin else j, s, lab) for i, j, s, lab in edges]
+            edges += [(i, twin, s, lab) for i, j, s, lab in edges if j == k]
+            edges += [(twin, j, s, lab) for i, j, s, lab in edges if i == k]
+        return _dag(labels, edges)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(dags(), dags(), st.integers(0, 2**32), st.data())
+    def check(g, other, seed, data):
+        rng = random.Random(seed)
+        copy = _shuffled(g, rng)
+        assert structural_equal(g, copy)
+        assert _nx_isomorphic(g, copy)
+        pairs = [(g, other)]
+        if g.edges:
+            k = data.draw(st.integers(0, len(g.edges) - 1))
+            pairs.append((g, _shuffled(_with_sign_flipped(g, k), rng)))
+        for ga, gb in pairs:
+            assert structural_equal(ga, gb) == _nx_isomorphic(ga, gb)
+
+    check()
+
+
+def test_structural_equal_leaves_no_reference_cycles():
+    g = build_graph(NEWARCH, 20)
+    copy = _shuffled(g, random.Random(20))
+    structural_equal(EIGHT_CYCLE, EIGHT_CYCLE)  # warm any lazy state
+    gc.collect()
+    gc.disable()
+    try:
+        assert structural_equal(g, copy)
+        assert structural_equal(EIGHT_CYCLE, _shuffled(EIGHT_CYCLE, random.Random(2)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -288,3 +288,15 @@ def test_f_distribution_tail():
         expected = 1 - 2 / math.pi * math.atan(math.sqrt(x))
         assert f_distribution_sf(x, 1, 1) == pytest.approx(expected, abs=1e-12)
     assert f_distribution_sf(0.0, 3, 7) == 1.0
+
+
+def test_q_table_matches_studentized_range():
+    # Q_TABLE holds q(1 - alpha; k, df=inf) / sqrt(2) rounded to 3 places.
+    studentized_range = pytest.importorskip("scipy.stats").studentized_range
+    from recur.stats import Q_TABLE
+
+    for alpha, row in Q_TABLE.items():
+        assert len(row) == 9
+        for k, q in enumerate(row, start=2):
+            exact = studentized_range.ppf(1 - alpha, k, math.inf) / math.sqrt(2)
+            assert q == pytest.approx(exact, abs=0.0011), (alpha, k)

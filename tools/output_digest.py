@@ -54,11 +54,12 @@ def commands() -> list[list[str]]:
                 cmds.append(
                     ["equiv", name, other, "-L", "6", "--structural", "--format", fmt]
                 )
-        for fmt in ("dot", "json", "text"):
-            for extra in ([], ["--propagation"]):
-                cmds.append(
-                    ["graph", "--builtin", name, "-L", "5", "--format", fmt, *extra]
-                )
+        # graph has no depth cap: L=66 reaches the 200-node isomorphism cap.
+        for L in (5, 66):
+            for fmt in ("dot", "json", "text"):
+                for extra in ([], ["--propagation"]):
+                    graph = ["graph", "--builtin", name, "-L", str(L)]
+                    cmds.append([*graph, "--format", fmt, *extra])
     cmds += [
         ["expand", "--builtin", "resnet", "-L", "10", "--format", "json"],
         ["stats", "table1"],
