@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -238,6 +239,9 @@ def cmd_verify(args) -> int:
     cap = depth_cap()
     if args.seeds < 1:
         raise RecurError(f"--seeds must be >= 1, got {args.seeds}")
+    for flag, tol in (("--tol", args.tol), ("--fd-tol", args.fd_tol)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise RecurError(f"{flag} must be finite and >= 0, got {tol}")
     seeds = [args.seed + t for t in range(args.seeds)]
     results = []
     if args.activation == "tanh":

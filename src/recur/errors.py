@@ -59,7 +59,8 @@ class UnrealizableError(RecurError):
 
 
 class SizeError(RecurError):
-    """Graph too large for the isomorphism check."""
+    """Input too large: a graph for the isomorphism check, or a matrix net
+    to instantiate."""
 
 
 class ActivationError(RecurError):

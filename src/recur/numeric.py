@@ -5,18 +5,23 @@ be evaluated numerically and compared against two independent references:
 an exact Jacobian obtained by propagating basis vectors through the affine
 recursion, and a central-difference Jacobian for the activated built-in
 chains.  tanh is the activation (smooth, so central differences behave).
+
+Each function imports numpy in its body, so importing this module (as
+``recur`` and ``recur.cli`` do) leaves numpy unloaded until the first
+numeric call: the symbolic commands start without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import Factors, PathPolynomial
 from .builtins import activated_kind
-from .errors import ActivationError
+from .errors import ActivationError, SizeError
 from .parser import ArchitectureSpec
+
+# L * d * d float64 entries instantiate may allocate: 256 MB.
+MAX_MATRIX_ENTRIES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -29,6 +34,8 @@ class ConcreteNet:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         d = self.matrices[0].shape[0]
         for m in self.matrices:
             if m.shape != (d, d):
@@ -69,12 +76,19 @@ def instantiate(
     """Draw block matrices i.i.d. uniform on [-0.5, 0.5], scaled by 1/sqrt(d).
 
     Deterministic for a given seed; the scaling keeps products of (1 + W)
-    factors well conditioned at the depths used for verification.
+    factors well conditioned at the depths used for verification.  Raises
+    SizeError, before allocating, when L * d * d exceeds MAX_MATRIX_ENTRIES.
     """
+    import numpy as np
+
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
+    if L * d * d > MAX_MATRIX_ENTRIES:
+        raise SizeError(
+            f"L * d * d = {L * d * d} matrix entries, cap is {MAX_MATRIX_ENTRIES}"
+        )
     rng = np.random.default_rng(seed % (1 << 64))
     matrices = tuple(
         rng.uniform(-0.5, 0.5, size=(d, d)) / np.sqrt(d) for _ in range(L)
@@ -101,6 +115,8 @@ def forward(net: ConcreteNet, x0: np.ndarray) -> ForwardTrace:
     With tanh the activation is applied after the junction sum, and the
     pre-activation vectors are recorded for later g' capture.
     """
+    import numpy as np
+
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (net.dim,):
         raise ValueError(f"x0 must have shape ({net.dim},), got {x0.shape}")
@@ -141,6 +157,8 @@ def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
     same order as term-by-term evaluation, so the result is bit-identical
     to it; the extra memory is one matrix per factor of the longest term.
     """
+    import numpy as np
+
     d = net.dim
     total = np.zeros((d, d))
     previous: Factors = ()
@@ -166,6 +184,8 @@ def jacobian_exact(net: ConcreteNet, j: int) -> np.ndarray:
     Works directly on the affine recursion and never touches the path
     polynomials, so it is an independent reference for eval_polynomial.
     """
+    import numpy as np
+
     if net.activation is not None:
         raise ActivationError("jacobian_exact requires an unactivated net")
     L, d = net.depth, net.dim
@@ -215,6 +235,8 @@ class JacobianCheckResult:
 
 
 def relative_error(observed: np.ndarray, reference: np.ndarray) -> float:
+    import numpy as np
+
     scale = np.linalg.norm(reference)
     if scale == 0.0:
         return float(np.linalg.norm(observed - reference))
@@ -247,6 +269,8 @@ def _activated_product_jacobian(
     chain:  diag(g'(z_L)) M_L * ... * diag(g'(z_{j+1})) M_{j+1}
     resnet: the same with (I + M_i) in place of M_i.
     """
+    import numpy as np
+
     kind = activated_kind(net.spec)
     d = net.dim
     eye = np.eye(d)
@@ -271,6 +295,8 @@ def finite_diff_check(
     Only defined for tanh-activated built-in chains (lag-1 recursions), so
     perturbing X[j] and rerunning the tail of the recursion is well posed.
     """
+    import numpy as np
+
     if net.activation != "tanh":
         raise ActivationError("finite_diff_check requires a tanh-activated net")
     if not 0.0 < epsilon <= 1e-2:

@@ -1,8 +1,13 @@
-"""Shared helpers: random spec generators with reproducible seeds."""
+"""Shared helpers: random spec generators with reproducible seeds, and a
+fresh interpreter for checks that depend on what a process has imported."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from recur.parser import (
     ArchitectureSpec,
@@ -13,6 +18,21 @@ from recur.parser import (
 )
 
 INDEX_VARS = ("i", "q", "n", "m")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter with this checkout's ``src`` first on
+    the path; return its stdout, failing on a non-zero exit."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def _random_abs_coeff(rng: random.Random, max_index: int) -> CoefficientExpr:

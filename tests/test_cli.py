@@ -162,6 +162,18 @@ def test_verify_rejects_seed_count_below_one(capsys, seeds):
     assert err.startswith("error:") and "--seeds" in err
 
 
+@pytest.mark.parametrize(
+    "tol", [["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"],
+            ["--fd-tol", "nan"], ["--fd-tol", "-1"]],
+)
+def test_verify_rejects_meaningless_tolerance_before_any_work(capsys, tol):
+    # -L 30 is over the depth cap: reaching derivative() would say so instead.
+    code, out, err = run(capsys, "verify", "--builtin", "resnet", "-L", "30", *tol)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {tol[0]} must be finite")
+
+
 def test_deep_nesting_exits_two_without_traceback(tmp_path, capsys):
     f = tmp_path / "deep.rf"
     nested = "(" * 1000 + "W[i]*X[i-1]" + ")" * 1000
@@ -283,4 +295,7 @@ def test_invalid_values_exit_two(capsys):
                        "--depth", "3", "--wrt", "9")
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "verify", "--builtin", "resnet", "--dim", "0")
+    assert code == 2 and "error:" in err
+    code, _, err = run(capsys, "verify", "--builtin", "chain",
+                       "-L", "1", "--dim", "1000000")
     assert code == 2 and "error:" in err

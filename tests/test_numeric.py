@@ -3,9 +3,10 @@ import pytest
 
 from recur.algebra import PathPolynomial
 from recur.builtins import builtin_spec
-from recur.errors import ActivationError
+from recur.errors import ActivationError, SizeError
 from recur.expansion import derivative
 from recur.numeric import (
+    MAX_MATRIX_ENTRIES,
     ConcreteNet,
     check_derivative,
     eval_polynomial,
@@ -45,6 +46,12 @@ def test_instantiate_range_scaled_by_sqrt_dim():
     bound = 0.5 / 2.0  # 0.5 / sqrt(4)
     for m in net4.matrices:
         assert np.all(np.abs(m) <= bound)
+
+
+@pytest.mark.parametrize("L, d", [(1, 1_000_000), (2, 4097), (MAX_MATRIX_ENTRIES, 2)])
+def test_instantiate_rejects_oversized_nets_before_allocating(L, d):
+    with pytest.raises(SizeError):
+        instantiate(CHAIN, L, d)
 
 
 def test_activation_guard():

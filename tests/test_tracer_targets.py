@@ -2,9 +2,11 @@
 
 import importlib
 import importlib.util
+import json
 from collections.abc import Mapping
 from pathlib import Path
 
+from conftest import run_fresh
 from recur.builtins import builtin_spec
 from recur.expansion import unroll
 
@@ -25,6 +27,17 @@ def test_every_tracer_target_resolves():
         if cls_name is not None:
             owner = getattr(owner, cls_name)
         assert callable(getattr(owner, attr, None)), (module_name, cls_name, attr)
+
+
+def test_import_cli_alone_loads_every_target_module():
+    # Tracer.install looks each target's module up in sys.modules right
+    # after `import recur.cli`; importing it on demand here would hide a
+    # module that only loads lazily.
+    loaded = json.loads(
+        run_fresh("import json, sys, recur.cli; print(json.dumps(list(sys.modules)))")
+    )
+    missing = {t[0] for t in _load_tracer().TARGETS} - set(loaded)
+    assert not missing
 
 
 def test_unroll_components_is_a_mapping():

@@ -72,6 +72,11 @@ def commands() -> list[list[str]]:
         ["verify", "--builtin", "resnet", "--dim", "0"],
         ["verify", "--builtin", "resnet", "-L", "30", "--dim", "0"],
         ["verify", "--builtin", "newarch", "--activation", "tanh"],
+        ["verify", "--builtin", "resnet", "--tol", "nan"],
+        ["verify", "--builtin", "resnet", "--tol", "-1"],
+        ["verify", "--builtin", "resnet", "--tol", "inf"],
+        ["verify", "--builtin", "resnet", "--activation", "tanh", "--fd-tol", "nan"],
+        ["verify", "--builtin", "chain", "-L", "1", "-d", "1000000"],
         ["expand", "--builtin", "resnet", "-L", "0"],
         ["expand", "--builtin", "resnet", "-L", "30"],
         ["census", "--builtin", "resnet", "-L", "4", "-j", "9"],
