@@ -25,20 +25,6 @@ Factors = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class BlockSymbol:
-    """A single block mapping symbol W[index], index >= 1."""
-
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"block index must be >= 1, got {self.index}")
-
-    def __str__(self) -> str:
-        return f"W[{self.index}]"
-
-
-@dataclass(frozen=True)
 class PathTerm:
     """One signed product of block symbols; factors leftmost = applied last."""
 
@@ -113,16 +99,9 @@ class PathPolynomial:
         return cls({(): 1})
 
     @classmethod
-    def constant(cls, value: int) -> "PathPolynomial":
-        return cls({(): value})
-
-    @classmethod
-    def block(cls, index: int | BlockSymbol) -> "PathPolynomial":
+    def block(cls, index: int) -> "PathPolynomial":
         """The polynomial consisting of the single symbol W[index]."""
-        idx = index.index if isinstance(index, BlockSymbol) else index
-        if idx < 1:
-            raise ValueError(f"block index must be >= 1, got {idx}")
-        return cls({(idx,): 1})
+        return cls({(index,): 1})
 
     # -- inspection ---------------------------------------------------
 
@@ -139,15 +118,8 @@ class PathPolynomial:
         for factors in sorted(self._terms, key=_term_sort_key):
             yield PathTerm(self._terms[factors], factors)
 
-    def max_length(self) -> int:
-        """Length of the longest factor sequence (0 for constants and zero)."""
-        return max((len(f) for f in self._terms), default=0)
-
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_one(self) -> bool:
-        return self._terms == {(): 1}
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -267,14 +239,6 @@ class StateExpansion:
 
     def component(self, j: int) -> PathPolynomial:
         return self._components.get(j, PathPolynomial.zero())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StateExpansion):
-            return NotImplemented
-        return self._components == other._components
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._components.items()))
 
     def __str__(self) -> str:
         if not self._components:

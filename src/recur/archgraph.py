@@ -46,6 +46,9 @@ MAPPED = "mapped"
 
 SIZE_CAP = 200
 
+# Nodes plus edges that build_graph may materialize.
+MAX_GRAPH_ITEMS = 1 << 20
+
 
 @dataclass(frozen=True)
 class Node:
@@ -158,10 +161,33 @@ def _toposort(g: ArchGraph) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _item_floor(spec: ArchitectureSpec, L: int) -> int:
+    """Fewest nodes plus edges build_graph(spec, L) can make.
+
+    The input, the output with its edge and one junction per state, plus one
+    edge per unit of |c| in each rule coefficient for every state from
+    X[2 * first_rule_index] on: from there no relative W atom can meet an
+    absolute one, so no coefficient term cancels.
+    """
+    weight = sum(abs(c) for t in spec.rule.terms for c in t.coeff.terms.values())
+    return 3 + L + max(0, L + 1 - 2 * spec.first_rule_index) * weight
+
+
 def build_graph(spec: ArchitectureSpec, L: int) -> ArchGraph:
-    """Compile the spec at depth L into its architecture graph."""
+    """Compile the spec at depth L into its architecture graph.
+
+    Raises SizeError when the graph would hold more than MAX_GRAPH_ITEMS
+    nodes plus edges: up front when the spec's rule alone says so, else
+    before the edges of the term that would pass the budget.
+    """
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
+    floor = _item_floor(spec, L)
+    if floor > MAX_GRAPH_ITEMS:
+        raise SizeError(
+            f"graph {spec.name!r} at depth {L} needs at least {floor} nodes"
+            f" plus edges, budget is {MAX_GRAPH_ITEMS}"
+        )
     nodes: list[Node] = [Node("input", INPUT)]
     edges: list[Edge] = []
     state_ids: dict[int, str] = {0: "input"}
@@ -182,35 +208,35 @@ def build_graph(spec: ArchitectureSpec, L: int) -> ArchGraph:
                         f"coefficient term {term} on X[{source}] in X[{i}] has"
                         f" degree {degree}; no single-block wiring exists"
                     )
-                sign = 1 if term.coeff > 0 else -1
-                copies = abs(term.coeff)
+                # The term's |c| parallel edges leave ``origin``.
                 if degree == 0:
-                    for _ in range(copies):
-                        edges.append(Edge(source_node, junction, sign, IDENTITY))
-                    continue
-                k = term.factors[0]
-                if k == i and k not in block_input:
-                    block_id = f"block{k}"
-                    nodes.append(Node(block_id, BLOCK, block=k))
-                    block_input[k] = source
-                    edges.append(Edge(source_node, block_id, 1, IDENTITY))
-                    for _ in range(copies):
-                        edges.append(Edge(block_id, junction, sign, MAPPED))
-                elif k == i and block_input[k] == source:
-                    for _ in range(copies):
-                        edges.append(Edge(f"block{k}", junction, sign, MAPPED))
-                elif k < i and source == k - 1 and block_input.get(k) == source:
-                    if k not in taps:
-                        tap_id = f"tap{k}"
-                        nodes.append(Node(tap_id, TAP, block=k))
-                        edges.append(Edge(f"block{k}", tap_id, 1, MAPPED))
-                        taps.add(k)
-                    for _ in range(copies):
-                        edges.append(Edge(f"tap{k}", junction, sign, MAPPED))
+                    origin, label = source_node, IDENTITY
                 else:
-                    # No shared-parameter realization; keep the data path.
-                    for _ in range(copies):
-                        edges.append(Edge(source_node, junction, sign, MAPPED))
+                    k = term.factors[0]
+                    if k == i and k not in block_input:
+                        nodes.append(Node(f"block{k}", BLOCK, block=k))
+                        block_input[k] = source
+                        edges.append(Edge(source_node, f"block{k}", 1, IDENTITY))
+                    if k == i and block_input[k] == source:
+                        origin, label = f"block{k}", MAPPED
+                    elif k < i and source == k - 1 and block_input.get(k) == source:
+                        if k not in taps:
+                            nodes.append(Node(f"tap{k}", TAP, block=k))
+                            edges.append(Edge(f"block{k}", f"tap{k}", 1, MAPPED))
+                            taps.add(k)
+                        origin, label = f"tap{k}", MAPPED
+                    else:
+                        # No shared-parameter realization; keep the data path.
+                        origin, label = source_node, MAPPED
+                copies = abs(term.coeff)
+                # The output node and its edge come last.
+                if len(nodes) + len(edges) + copies + 2 > MAX_GRAPH_ITEMS:
+                    raise SizeError(
+                        f"graph {spec.name!r} at depth {L} passes {MAX_GRAPH_ITEMS}"
+                        f" nodes plus edges at X[{i}]"
+                    )
+                sign = 1 if term.coeff > 0 else -1
+                edges.extend([Edge(origin, junction, sign, label)] * copies)
 
     nodes.append(Node("output", OUTPUT))
     edges.append(Edge(state_ids[L], "output", 1, IDENTITY))
@@ -255,10 +281,6 @@ class StructuralReport:
     @property
     def all_direct(self) -> bool:
         return all(e.has_direct_identity for e in self.entries)
-
-    @property
-    def any_direct(self) -> bool:
-        return any(e.has_direct_identity for e in self.entries)
 
     def to_dict(self) -> dict:
         return {"graph": self.graph, "pairs": [e.to_dict() for e in self.entries]}
@@ -389,13 +411,13 @@ def _search(ca: list[int], cb: list[int], a: _Wiring, b: _Wiring) -> bool:
     return False
 
 
-def structural_equal(ga: ArchGraph, gb: ArchGraph, size_cap: int = SIZE_CAP) -> bool:
+def structural_equal(ga: ArchGraph, gb: ArchGraph) -> bool:
     """Labeled-DAG isomorphism respecting node kinds, block indices and
     signed/labeled edges (including multi-edges)."""
     for g in (ga, gb):
-        if len(g.nodes) > size_cap:
+        if len(g.nodes) > SIZE_CAP:
             raise SizeError(
-                f"graph {g.name!r} has {len(g.nodes)} nodes, cap is {size_cap}"
+                f"graph {g.name!r} has {len(g.nodes)} nodes, cap is {SIZE_CAP}"
             )
     if len(ga.nodes) != len(gb.nodes) or len(ga.edges) != len(gb.edges):
         return False

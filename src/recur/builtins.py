@@ -46,10 +46,10 @@ BUILTIN_NAMES = tuple(BUILTIN_SOURCES)
 
 
 @cache
-def builtin_spec(name: str, *, depth: int = 6) -> ArchitectureSpec:
+def builtin_spec(name: str) -> ArchitectureSpec:
     """Return the named built-in spec; KeyError for unknown names.
 
-    Each (name, depth) is parsed once; specs are frozen, so callers share it.
+    Each name is parsed once; specs are frozen, so callers share it.
     """
     try:
         source = BUILTIN_SOURCES[name]
@@ -57,7 +57,7 @@ def builtin_spec(name: str, *, depth: int = 6) -> ArchitectureSpec:
         raise KeyError(
             f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_NAMES)}"
         ) from None
-    return parse(source, name=name, depth=depth)
+    return parse(source, name=name)
 
 
 def activated_kind(spec: ArchitectureSpec) -> str | None:

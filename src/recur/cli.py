@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .algebra import PathPolynomial, block_product, signed_sum
+from .algebra import PathPolynomial, block_product, census, signed_sum
 from .archgraph import build_graph, direct_propagation_check, export, structural_equal
 from .builtins import BUILTIN_NAMES, builtin_spec
 from .errors import RecurError
@@ -130,8 +130,6 @@ def cmd_expand(args) -> int:
 
 
 def cmd_census(args) -> int:
-    from .algebra import census
-
     spec = _resolve_spec(args)
     poly = derivative(spec, args.depth, args.wrt, depth_cap())
     histogram = census(poly)

@@ -59,8 +59,9 @@ class UnrealizableError(RecurError):
 
 
 class SizeError(RecurError):
-    """Input too large: a graph for the isomorphism check, or a matrix net
-    to instantiate."""
+    """Input too large: a graph past the node-plus-edge budget of
+    build_graph, a graph for the isomorphism check, or a matrix net to
+    instantiate."""
 
 
 class ActivationError(RecurError):

@@ -147,27 +147,9 @@ def check_structure(
     i = L - j
     if i < 0:
         raise ValueError(f"wrt index {j} exceeds depth {L}")
-    counts = {k: entry.count for k, entry in census(poly).items()}
     violations: list[Violation] = []
 
-    if kind == "binomial":
-        for k in range(0, i + 1):
-            expected = comb(i, k)
-            actual = counts.get(k, 0)
-            if actual != expected:
-                violations.append(Violation(k, expected, actual))
-        for k in sorted(counts):
-            if k > i:
-                violations.append(Violation(k, 0, counts[k]))
-    elif kind == "single-path":
-        for k in range(0, i + 1):
-            actual = counts.get(k, 0)
-            if actual != 1:
-                violations.append(Violation(k, 1, actual))
-        for k in sorted(counts):
-            if k > i:
-                violations.append(Violation(k, 0, counts[k]))
-    else:  # widest
+    if kind == "widest":
         by_length: dict[int, list] = {}
         for term in poly.terms():
             by_length.setdefault(len(term.factors), []).append(term)
@@ -183,6 +165,16 @@ def check_structure(
                 violations.append(
                     Violation(k, "absent", " + ".join(str(t) for t in by_length[k]))
                 )
+    else:
+        counts = {k: entry.count for k, entry in census(poly).items()}
+        for k in range(0, i + 1):
+            expected = comb(i, k) if kind == "binomial" else 1
+            actual = counts.get(k, 0)
+            if actual != expected:
+                violations.append(Violation(k, expected, actual))
+        for k in sorted(counts):
+            if k > i:
+                violations.append(Violation(k, 0, counts[k]))
 
     return StructureReport(
         spec=spec_name,
@@ -197,16 +189,6 @@ def check_structure(
 # ---------------------------------------------------------------------------
 # Equivalence and identities
 # ---------------------------------------------------------------------------
-
-
-def value_equivalence(
-    spec_a: ArchitectureSpec,
-    spec_b: ArchitectureSpec,
-    L: int,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> bool:
-    """True iff both specs unroll to the same expansion at depth L."""
-    return unroll(spec_a, L, depth_cap) == unroll(spec_b, L, depth_cap)
 
 
 def value_equivalence_report(

@@ -98,10 +98,10 @@ def instantiate(
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """States X[1..L] of one forward pass, with pre-activations when activated."""
+    """States X[1..L] of one tanh forward pass and their pre-activations."""
 
     states: tuple[np.ndarray, ...]
-    preactivations: tuple[np.ndarray, ...] | None = None
+    preactivations: tuple[np.ndarray, ...]
 
     def state(self, i: int) -> np.ndarray:
         if not 1 <= i <= len(self.states):
@@ -110,38 +110,30 @@ class ForwardTrace:
 
 
 def forward(net: ConcreteNet, x0: np.ndarray) -> ForwardTrace:
-    """Evaluate the literal recursion with W[i] v = M[i] v.
+    """Run the tanh-activated chain or resnet with W[i] v = M[i] v.
 
-    With tanh the activation is applied after the junction sum, and the
-    pre-activation vectors are recorded for later g' capture.
+    The activation is applied after the junction sum, and the pre-activation
+    vectors are recorded for later g' capture.
     """
     import numpy as np
 
+    if net.activation != "tanh":
+        raise ActivationError("forward requires a tanh-activated net")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (net.dim,):
         raise ValueError(f"x0 must have shape ({net.dim},), got {x0.shape}")
-
-    if net.activation == "tanh":
-        kind = activated_kind(net.spec)
-        states: list[np.ndarray] = []
-        preacts: list[np.ndarray] = []
-        current = x0
-        for i in range(1, net.depth + 1):
-            z = net.matrix(i) @ current
-            if kind == "resnet":
-                z = current + z
-            current = np.tanh(z)
-            preacts.append(z)
-            states.append(current)
-        return ForwardTrace(states=tuple(states), preactivations=tuple(preacts))
-
-    values: dict[int, np.ndarray] = {0: x0}
+    kind = activated_kind(net.spec)
+    states: list[np.ndarray] = []
+    preacts: list[np.ndarray] = []
+    current = x0
     for i in range(1, net.depth + 1):
-        acc = np.zeros(net.dim)
-        for source, coeff in net.spec.instantiate_terms(i):
-            acc = acc + eval_polynomial(coeff, net) @ values[source]
-        values[i] = acc
-    return ForwardTrace(states=tuple(values[i] for i in range(1, net.depth + 1)))
+        z = net.matrix(i) @ current
+        if kind == "resnet":
+            z = current + z
+        current = np.tanh(z)
+        preacts.append(z)
+        states.append(current)
+    return ForwardTrace(states=tuple(states), preactivations=tuple(preacts))
 
 
 def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:

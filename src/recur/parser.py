@@ -72,35 +72,12 @@ class CoefficientExpr:
                     normalized[tuple(atoms)] = coeff
         object.__setattr__(self, "_terms", normalized)
 
-    @classmethod
-    def constant(cls, value: int) -> "CoefficientExpr":
-        return cls({(): value})
-
-    @classmethod
-    def one(cls) -> "CoefficientExpr":
-        return cls.constant(1)
-
-    @classmethod
-    def w_rel(cls, offset: int, coeff: int = 1) -> "CoefficientExpr":
-        return cls({((REL, offset),): coeff})
-
-    @classmethod
-    def w_abs(cls, index: int, coeff: int = 1) -> "CoefficientExpr":
-        return cls({((ABS, index),): coeff})
-
     @property
     def terms(self) -> dict[WKey, int]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_one(self) -> bool:
-        return self._terms == {(): 1}
-
-    def degree(self) -> int:
-        """Largest number of W factors in any term."""
-        return max((len(k) for k in self._terms), default=0)
 
     def atoms(self) -> Iterator[WAtom]:
         for key in self._terms:
@@ -231,13 +208,11 @@ class BaseCase:
 class ArchitectureSpec:
     """A validated recursion rule with its base cases.
 
-    ``depth`` and ``name`` are presentation metadata; they do not take part
-    in structural equality and are not emitted by :func:`render`.
+    ``name`` is presentation metadata: :func:`render` does not emit it.
     """
 
     rule: RecursionRule
     base_cases: tuple[BaseCase, ...]
-    depth: int = 6
     name: str = "spec"
 
     def __post_init__(self) -> None:
@@ -274,12 +249,9 @@ class ArchitectureSpec:
             pairs.append((source, term.coeff.instantiate(i)))
         return pairs
 
-    def structurally_equal(self, other: "ArchitectureSpec") -> bool:
-        """Equality of rule and base cases, ignoring name and depth."""
-        return self.rule == other.rule and self.base_cases == other.base_cases
-
     def same_recursion(self, other: "ArchitectureSpec") -> bool:
-        """Like structurally_equal but indifferent to the index-variable name."""
+        """Equality of rule terms and base cases, ignoring the name and the
+        index-variable name."""
         return (
             self.rule.terms == other.rule.terms
             and self.base_cases == other.base_cases
@@ -288,8 +260,6 @@ class ArchitectureSpec:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
-        if self.depth < 1:
-            raise RangeError(f"depth must be >= 1, got {self.depth}")
         if not self.base_cases:
             raise FormulaSyntaxError("missing base cases (need at least X[0] = input)")
         indices = [b.index for b in self.base_cases]
@@ -673,10 +643,10 @@ def _classify(terms: list[_Term], stmt_pos: int):
     return rel, absolute
 
 
-def parse(text: str, *, name: str = "spec", depth: int = 6) -> ArchitectureSpec:
+def parse(text: str, *, name: str = "spec") -> ArchitectureSpec:
     """Parse DSL text into an ArchitectureSpec.
 
-    ``name`` and ``depth`` are metadata the DSL itself does not carry.
+    ``name`` is metadata the DSL itself does not carry.
     """
     parser = _Parser(text)
     statements = parser.parse_statements()
@@ -741,21 +711,19 @@ def parse(text: str, *, name: str = "spec", depth: int = 6) -> ArchitectureSpec:
         raise FormulaSyntaxError("missing 'X[0] = input' declaration", position=0)
 
     try:
-        return ArchitectureSpec(
-            rule=rule, base_cases=tuple(base_cases), depth=depth, name=name
-        )
+        return ArchitectureSpec(rule=rule, base_cases=tuple(base_cases), name=name)
     except (RangeError, NonCausalError, FormulaSyntaxError) as exc:
         if exc.position is None:
             exc.position = rule_pos
         raise
 
 
-def parse_file(path, *, depth: int = 6) -> ArchitectureSpec:
+def parse_file(path) -> ArchitectureSpec:
     """Parse a .rf file; the spec is named after the file stem."""
     from pathlib import Path
 
     p = Path(path)
-    return parse(p.read_text(encoding="utf-8"), name=p.stem, depth=depth)
+    return parse(p.read_text(encoding="utf-8"), name=p.stem)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +741,7 @@ def _summand(coeff: CoefficientExpr, xref: str, var: str) -> tuple[int, str]:
 
 
 def render(spec: ArchitectureSpec) -> str:
-    """Canonical DSL text; parse(render(spec)) is structurally the identity."""
+    """Canonical DSL text; parse(render(spec), name=spec.name) == spec."""
     var = spec.rule.index_var
     rule = signed_sum(
         _summand(t.coeff, f"X[{var}-{t.lag}]" if t.lag else f"X[{t.source}]", var)

@@ -54,6 +54,8 @@ class AccuracyTable:
             raise ValueError("need at least 1 dataset")
         if len(set(self.methods)) != k:
             raise ValueError("duplicate method names")
+        if len(set(self.datasets)) != n:
+            raise ValueError("duplicate dataset names")
         if len(self.values) != k or any(len(row) != n for row in self.values):
             raise ValueError(f"values must be {k}x{n}")
         for row in self.values:
@@ -71,15 +73,6 @@ class AccuracyTable:
 
     def column(self, j: int) -> tuple[float, ...]:
         return tuple(row[j] for row in self.values)
-
-    def restrict(self, datasets: list[str]) -> "AccuracyTable":
-        """Sub-table keeping only the named dataset columns."""
-        indices = [self.datasets.index(name) for name in datasets]
-        return AccuracyTable(
-            methods=self.methods,
-            datasets=tuple(datasets),
-            values=tuple(tuple(row[j] for j in indices) for row in self.values),
-        )
 
     @classmethod
     def from_csv(cls, text: str) -> "AccuracyTable":
@@ -101,14 +94,6 @@ class AccuracyTable:
             methods.append(cells[0])
             values.append(tuple(float(c) for c in cells[1:]))
         return cls(methods=tuple(methods), datasets=datasets, values=tuple(values))
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["method", *self.datasets])
-        for method, row in zip(self.methods, self.values):
-            writer.writerow([method, *row])
-        return out.getvalue()
 
 
 def load_table(path) -> AccuracyTable:

@@ -43,7 +43,7 @@ def _random_abs_coeff(rng: random.Random, max_index: int) -> CoefficientExpr:
         atoms = tuple(("abs", rng.randint(1, max_index)) for _ in range(n_atoms))
         terms[atoms] = terms.get(atoms, 0) + rng.choice((-2, -1, 1, 2))
     expr = CoefficientExpr(terms)
-    return expr if not expr.is_zero() else CoefficientExpr.one()
+    return expr if not expr.is_zero() else CoefficientExpr({(): 1})
 
 
 def _random_rel_coeff(
@@ -56,7 +56,7 @@ def _random_rel_coeff(
         atoms = tuple(("rel", rng.randint(0, max_offset)) for _ in range(degree))
         terms[atoms] = terms.get(atoms, 0) + rng.choice((-2, -1, 1, 2))
     expr = CoefficientExpr(terms)
-    return expr if not expr.is_zero() else CoefficientExpr.one()
+    return expr if not expr.is_zero() else CoefficientExpr({(): 1})
 
 
 def random_affine_spec(rng: random.Random, max_lag_cap: int = 3) -> ArchitectureSpec:
@@ -133,7 +133,7 @@ def random_realizable_spec(rng: random.Random, max_lag_cap: int = 3) -> Architec
     if rng.random() < 0.3:
         terms.append(
             RuleTerm(
-                coeff=CoefficientExpr.constant(rng.choice((-1, 1))),
+                coeff=CoefficientExpr({(): rng.choice((-1, 1))}),
                 source=rng.randrange(i_min),
             )
         )

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from recur.algebra import (
-    BlockSymbol,
     PathPolynomial,
     PathTerm,
     census,
@@ -19,12 +18,6 @@ ZERO = PathPolynomial.zero()
 
 def W(i):
     return PathPolynomial.block(i)
-
-
-def test_block_symbol_validates_index():
-    assert BlockSymbol(3).index == 3
-    with pytest.raises(ValueError):
-        BlockSymbol(0)
 
 
 def test_add_cancellation():
@@ -111,6 +104,10 @@ def test_ring_axioms_on_random_polynomials():
         assert poly_mul(poly_add(a, b), c) == poly_add(poly_mul(a, c), poly_mul(b, c))
 
 
+def _max_length(p):
+    return max(map(len, p.coefficients), default=0)
+
+
 def test_mul_max_length_adds():
     rng = random.Random(99)
     for _ in range(100):
@@ -118,11 +115,11 @@ def test_mul_max_length_adds():
         b = _random_poly(rng)
         p = poly_mul(a, b)
         if not a.is_zero() and not b.is_zero() and not p.is_zero():
-            assert p.max_length() <= a.max_length() + b.max_length()
+            assert _max_length(p) <= _max_length(a) + _max_length(b)
         # Without cancellation the bound is attained; check a clean case.
     a = poly_add(ONE, poly_mul(W(2), W(2)))
     b = poly_add(W(1), ONE)
-    assert poly_mul(a, b).max_length() == a.max_length() + b.max_length()
+    assert _max_length(poly_mul(a, b)) == _max_length(a) + _max_length(b)
 
 
 def test_normalization_idempotent():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import random_realizable_spec
+from recur import archgraph
 from recur.archgraph import (
     BLOCK,
     IDENTITY,
@@ -11,6 +12,7 @@ from recur.archgraph import (
     JUNCTION,
     MAPPED,
     OUTPUT,
+    SIZE_CAP,
     TAP,
     ArchGraph,
     Edge,
@@ -22,9 +24,9 @@ from recur.archgraph import (
     recover_terms,
     structural_equal,
 )
-from recur.builtins import builtin_spec
+from recur.builtins import BUILTIN_NAMES, builtin_spec
 from recur.errors import SizeError, UnrealizableError
-from recur.expansion import unroll, value_equivalence
+from recur.expansion import unroll, value_equivalence_report
 from recur.parser import parse
 
 RESNET = builtin_spec("resnet")
@@ -90,11 +92,11 @@ def test_propagation_reports():
     assert direct_propagation_check(build_graph(RESNET, 5)).all_direct
 
     rep = direct_propagation_check(build_graph(EQ22, 5))
-    assert not rep.any_direct
+    assert not any(e.has_direct_identity for e in rep.entries)
     assert all(e.cross_layer_sources == (0,) for e in rep.entries)
 
     rep_chain = direct_propagation_check(build_graph(CHAIN, 5))
-    assert not rep_chain.any_direct
+    assert not any(e.has_direct_identity for e in rep_chain.entries)
     assert all(e.cross_layer_sources == () for e in rep_chain.entries)
 
 
@@ -141,7 +143,7 @@ def test_structural_equal_invariant_under_relabeling():
 
 
 def test_newarch_vs_eq22_not_isomorphic_but_value_equivalent():
-    assert value_equivalence(NEWARCH, EQ22, 4)
+    assert value_equivalence_report(NEWARCH, EQ22, 4).passed
     assert not structural_equal(build_graph(NEWARCH, 4), build_graph(EQ22, 4))
 
 
@@ -153,9 +155,50 @@ def test_resnet_vs_newarch_not_isomorphic():
 
 
 def test_size_cap():
-    g = build_graph(RESNET, 3)
+    small, large = build_graph(CHAIN, 99), build_graph(CHAIN, 100)
+    assert len(small.nodes) == SIZE_CAP < len(large.nodes)
+    assert structural_equal(small, small)
     with pytest.raises(SizeError):
-        structural_equal(g, g, size_cap=5)
+        structural_equal(large, large)
+    with pytest.raises(SizeError):
+        structural_equal(small, large)
+
+
+# W[i-1] meets the absolute W[1] at X[2] and cancels there, so X[2] gets
+# fewer edges than the rule's coefficients alone would give; the 50 parallel
+# edges make the budget's up-front floor nearly tight.
+CANCELLING = parse(
+    "X[i] = 50*X[i-1] + (W[i-1] - W[1])*X[i-2]; X[1] = X[0]; X[0] = input",
+    name="cancelling",
+)
+
+
+def _budget_cases():
+    rng = random.Random(2024)
+    specs = [builtin_spec(name) for name in BUILTIN_NAMES] + [CANCELLING]
+    specs += [random_realizable_spec(rng) for _ in range(20)]
+    return [(spec, L) for spec in specs for L in (1, 2, 3, 4, 7)]
+
+
+def test_graph_budget_admits_a_graph_of_exactly_its_size(monkeypatch):
+    for spec, L in _budget_cases():
+        g = build_graph(spec, L)
+        items = len(g.nodes) + len(g.edges)
+        monkeypatch.setattr(archgraph, "MAX_GRAPH_ITEMS", items)
+        assert build_graph(spec, L) == g
+        monkeypatch.setattr(archgraph, "MAX_GRAPH_ITEMS", items - 1)
+        with pytest.raises(SizeError):
+            build_graph(spec, L)
+        monkeypatch.undo()
+
+
+def test_graph_budget_fails_before_materializing():
+    huge = parse("X[i] = 1000000000*X[i-1]; X[0] = input", name="huge")
+    for L in (1, 2):
+        with pytest.raises(SizeError):
+            build_graph(huge, L)
+    with pytest.raises(SizeError):
+        build_graph(builtin_spec("appendix-ex2"), 1_000_000)
 
 
 def test_unrealizable_degree_two_coefficient():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -182,6 +183,30 @@ def test_deep_nesting_exits_two_without_traceback(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "source, depth",
+    [
+        (None, "1000000"),  # appendix-ex2: about 9 GB if it were built
+        ("X[i] = 1000000000*X[i-1]\nX[0] = input\n", "1"),
+        ("X[i] = 1000000000*X[i-1]\nX[0] = input\n", "2"),
+        ("X[i] = 200000*X[i-1]\nX[0] = input\n", "6"),
+    ],
+)
+def test_graph_over_budget_exits_two_at_once(tmp_path, capsys, source, depth):
+    if source is None:
+        spec = ["--builtin", "appendix-ex2"]
+    else:
+        f = tmp_path / "wide.rf"
+        f.write_text(source)
+        spec = [str(f)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "graph", *spec, "-L", depth, "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: graph ") and "nodes plus edges" in err
 
 
 def test_verify_tanh_rejected_for_newarch(capsys):

@@ -12,7 +12,6 @@ from recur.expansion import (
     derivative,
     derivative_bruteforce,
     unroll,
-    value_equivalence,
     value_equivalence_report,
     verify_chain_identity,
 )
@@ -107,7 +106,8 @@ def test_depth_cap():
     with pytest.raises(DepthError):
         derivative(RESNET, 30, 0)
     # The cap is configurable.
-    assert unroll(CHAIN, 25, depth_cap=30).component(0).max_length() == 25
+    longest = max(map(len, unroll(CHAIN, 25, depth_cap=30).component(0).coefficients))
+    assert longest == 25
 
 
 @pytest.mark.parametrize("route", [derivative, derivative_bruteforce])
@@ -156,17 +156,15 @@ def test_newarch_prefix_nesting():
 
 
 def test_value_equivalence_newarch_eq22():
-    assert value_equivalence(NEWARCH, EQ22, 6)
     report = value_equivalence_report(NEWARCH, EQ22, 6)
     assert report.passed and not report.violations
 
 
 def test_value_equivalence_negative_and_reflexive():
-    assert not value_equivalence(RESNET, CHAIN, 2)
     report = value_equivalence_report(RESNET, CHAIN, 2)
     assert not report.passed and report.violations
     for spec in (RESNET, CHAIN, NEWARCH, EQ22):
-        assert value_equivalence(spec, spec, 5)
+        assert value_equivalence_report(spec, spec, 5).passed
 
 
 def test_chain_identity_for_newarch():

@@ -45,3 +45,21 @@ def test_verify_loads_numpy_and_passes():
         "print(status, 'numpy' in sys.modules)\n"
     )
     assert run_fresh(code).split() == ["0", "True"]
+
+
+def test_every_export_resolves():
+    import recur
+
+    assert len(set(recur.__all__)) == len(recur.__all__)
+    missing = [name for name in recur.__all__ if not hasattr(recur, name)]
+    assert not missing, missing
+
+
+def test_star_import_binds_exactly_all():
+    code = (
+        "from recur import *\n"
+        "import recur\n"
+        "names = {n for n in globals() if not n.startswith('__')} - {'recur'}\n"
+        "print(sorted(names) == sorted(recur.__all__))\n"
+    )
+    assert run_fresh(code).split() == ["True"]

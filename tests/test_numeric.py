@@ -62,25 +62,30 @@ def test_activation_guard():
     instantiate(RESNET, 3, 4, seed=7, activation="tanh")
 
 
+def _tanh_net(spec, *values):
+    matrices = tuple(np.array([[v]], dtype=float) for v in values)
+    return ConcreteNet(spec=spec, matrices=matrices, activation="tanh")
+
+
 def test_forward_scalar_resnet():
-    net = _scalar_net(RESNET, 0.5, 0.25, 0.125)
-    trace = forward(net, np.array([1.0]))
-    assert trace.state(3)[0] == pytest.approx(1.5 * 1.25 * 1.125, abs=0)
-    assert trace.state(3)[0] == 2.109375
+    trace = forward(_tanh_net(RESNET, 0.5, 0.25, 0.125), np.array([1.0]))
+    x, expected = 1.0, []
+    for m in (0.5, 0.25, 0.125):
+        expected.append(x + m * x)
+        x = np.tanh(expected[-1])
+    assert [z[0] for z in trace.preactivations] == expected
+    assert trace.state(3)[0] == x
 
 
 def test_forward_scalar_chain():
-    net = _scalar_net(CHAIN, 2.0, 3.0)
-    assert forward(net, np.array([1.0])).state(2)[0] == 6.0
+    trace = forward(_tanh_net(CHAIN, 2.0, 3.0), np.array([1.0]))
+    assert [z[0] for z in trace.preactivations] == [2.0, 3.0 * np.tanh(2.0)]
+    assert trace.state(2)[0] == np.tanh(3.0 * np.tanh(2.0))
 
 
-def test_forward_zero_matrices_newarch_passes_input_through():
-    d = 3
-    zeros = tuple(np.zeros((d, d)) for _ in range(4))
-    net = ConcreteNet(spec=NEWARCH, matrices=zeros)
-    trace = forward(net, np.arange(1.0, d + 1))
-    for i in range(1, 5):
-        assert np.allclose(trace.state(i), np.arange(1.0, d + 1))
+def test_forward_rejects_unactivated_net():
+    with pytest.raises(ActivationError):
+        forward(_scalar_net(RESNET, 0.5, 0.25), np.array([1.0]))
 
 
 def test_jacobian_exact_at_final_state_is_identity():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from recur.cli import main
 from recur.errors import DegenerateError, RangeError
 from recur.stats import (
     AccuracyTable,
@@ -244,7 +245,14 @@ def test_fixture_table1_s_variants_rank_better():
 
 
 def test_fixture_table1_resnet50s_best_on_cifar():
-    table = fixture_table("table1").restrict(["CIFAR10", "CIFAR100"])
+    full = fixture_table("table1")
+    cifar = ("CIFAR10", "CIFAR100")
+    columns = [full.datasets.index(name) for name in cifar]
+    table = AccuracyTable(
+        methods=full.methods,
+        datasets=cifar,
+        values=tuple(tuple(row[j] for j in columns) for row in full.values),
+    )
     ranks = rank(table)
     means = dict(zip(ranks.methods, ranks.mean_ranks))
     assert min(means, key=means.get) == "ResNet50s"
@@ -258,10 +266,15 @@ def test_fixture_table2_shape():
     assert t2.values[t2.methods.index("Res2NeXt4s")] == (96.09, 82.49)
 
 
-def test_csv_round_trip():
-    t = fixture_table("table1")
-    again = AccuracyTable.from_csv(t.to_csv())
-    assert again == t
+def test_duplicate_names_rejected(capsys, tmp_path):
+    with pytest.raises(ValueError, match="duplicate method names"):
+        AccuracyTable.from_csv("method,a,b\nres,91,92\nres,92,93\n")
+    with pytest.raises(ValueError, match="duplicate dataset names"):
+        AccuracyTable.from_csv("method,a,a\nres,91,92\nres2,92,93\n")
+    f = tmp_path / "dup.csv"
+    f.write_text("method,a,a\nres,91,92\nres2,92,93\n")
+    assert main(["stats", str(f)]) == 2
+    assert "duplicate dataset names" in capsys.readouterr().err
 
 
 def test_csv_rejects_bad_header():

@@ -54,7 +54,7 @@ def commands() -> list[list[str]]:
                 cmds.append(
                     ["equiv", name, other, "-L", "6", "--structural", "--format", fmt]
                 )
-        # graph has no depth cap: L=66 reaches the 200-node isomorphism cap.
+        # L=66 reaches the 200-node isomorphism cap.
         for L in (5, 66):
             for fmt in ("dot", "json", "text"):
                 for extra in ([], ["--propagation"]):
@@ -77,6 +77,7 @@ def commands() -> list[list[str]]:
         ["verify", "--builtin", "resnet", "--tol", "inf"],
         ["verify", "--builtin", "resnet", "--activation", "tanh", "--fd-tol", "nan"],
         ["verify", "--builtin", "chain", "-L", "1", "-d", "1000000"],
+        ["graph", "--builtin", "appendix-ex2", "-L", "1000000"],
         ["expand", "--builtin", "resnet", "-L", "0"],
         ["expand", "--builtin", "resnet", "-L", "30"],
         ["census", "--builtin", "resnet", "-L", "4", "-j", "9"],
