@@ -64,7 +64,9 @@ def _term_sort_key(factors: Factors) -> tuple:
 class PathPolynomial:
     """Immutable integer-weighted sum of ordered block-symbol products."""
 
-    __slots__ = ("_terms",)
+    # _schedule: numeric.eval_polynomial's evaluation schedule for these
+    # terms, unset until the first evaluation.
+    __slots__ = ("_terms", "_schedule")
 
     def __init__(self, terms: Mapping[Factors, int] | None = None):
         normalized: dict[Factors, int] = {}

@@ -13,7 +13,8 @@ numeric call: the symbolic commands start without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .algebra import Factors, PathPolynomial
 from .builtins import activated_kind
@@ -26,22 +27,36 @@ MAX_MATRIX_ENTRIES = 1 << 25
 
 @dataclass(frozen=True)
 class ConcreteNet:
-    """One matrix realization of a spec at a fixed depth and width."""
+    """One matrix realization of a spec at a fixed depth and width.
+
+    ``matrices`` may be given as d x d arrays or as one (L, d, d) array.  The
+    net keeps them as one read-only float64 ``stack`` (no copy when it is
+    handed such an array) and ``matrices`` holds views of its rows.
+    """
 
     spec: ArchitectureSpec
     matrices: tuple[np.ndarray, ...]  # matrices[i-1] realizes W[i]
     activation: str | None = None
     seed: int | None = None
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    # i -> instantiate_terms(i) with the coefficients evaluated, filled by
+    # jacobian_exact: the blocks are read-only, so these never go stale.
+    _coefficients: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         import numpy as np
 
-        d = self.matrices[0].shape[0]
-        for m in self.matrices:
-            if m.shape != (d, d):
-                raise ValueError("all block matrices must share one square shape")
-            if not np.all(np.isfinite(m)):
-                raise ValueError("block matrices must be finite")
+        d = np.shape(self.matrices[0])[0]
+        if any(np.shape(m) != (d, d) for m in self.matrices):
+            raise ValueError("all block matrices must share one square shape")
+        stack = np.asarray(self.matrices, dtype=float).view()
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("block matrices must be finite")
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "matrices", tuple(stack))
         if self.activation is not None:
             if self.activation != "tanh":
                 raise ValueError(f"unsupported activation {self.activation!r}")
@@ -90,10 +105,10 @@ def instantiate(
             f"L * d * d = {L * d * d} matrix entries, cap is {MAX_MATRIX_ENTRIES}"
         )
     rng = np.random.default_rng(seed % (1 << 64))
-    matrices = tuple(
-        rng.uniform(-0.5, 0.5, size=(d, d)) / np.sqrt(d) for _ in range(L)
-    )
-    return ConcreteNet(spec=spec, matrices=matrices, activation=activation, seed=seed)
+    # One draw of L * d * d values gives the same doubles as L draws of d * d.
+    stack = rng.uniform(-0.5, 0.5, size=(L, d, d))
+    stack /= np.sqrt(d)
+    return ConcreteNet(spec=spec, matrices=stack, activation=activation, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -136,6 +151,138 @@ def forward(net: ConcreteNet, x0: np.ndarray) -> ForwardTrace:
     return ForwardTrace(states=tuple(states), preactivations=tuple(preacts))
 
 
+# eval_polynomial batches its matmuls over chunks of at most CHUNK_ENTRIES
+# // d**2 consecutive terms and NODES_PER_TERM times as many new prefix
+# products, so its working memory stays a small multiple of CHUNK_ENTRIES
+# float64 entries (64 KB), plus one matrix per factor of the longest term,
+# whatever the number of terms.  Batching pays from MIN_CHUNK_TERMS terms a
+# chunk (so d <= 22): with fewer, a chunk's fixed numpy calls cost more than
+# the per-term calls they save, and the terms go one by one.
+CHUNK_ENTRIES = 1 << 13
+NODES_PER_TERM = 4
+MIN_CHUNK_TERMS = 16
+
+
+class _Schedule(NamedTuple):
+    """How eval_polynomial computes one polynomial's terms, chunk by chunk.
+
+    As in term-by-term evaluation, each term reuses the prefix products it
+    shares with the term before it and adds one product (a node) per
+    further factor, also across a chunk boundary.  Rows of the product
+    buffer: row k < ``longest`` holds the last term's product of k + 1
+    factors (the path, carried from chunk to chunk), row ``longest`` the
+    identity, and the rows after it a chunk's nodes, level by level (level
+    = factors - 1), so that one batched matmul computes a level.
+    """
+
+    size: int  # most terms in a chunk
+    longest: int  # factors in the longest term
+    rows: int  # rows of the product buffer
+    top: int  # largest block index
+    chunks: list[tuple[int, int, int, int]]  # (terms, levels, first kept level, kept)
+    steps: list[tuple[int, int]]  # per level of each chunk: (level, nodes)
+    parents: np.ndarray  # per node: row of the node it extends
+    blocks: np.ndarray  # per node: stack index of its last factor
+    ends: np.ndarray  # per term: row of its product
+    coeffs: np.ndarray  # per term: float64 coefficient, shape (1, 1)
+    kept: np.ndarray  # per chunk: rows of the new nodes on its last term's path
+
+
+def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
+    """Lay out ``poly``'s chunks in one pass over its terms."""
+    import numpy as np
+
+    terms = poly.coefficients
+    longest = max(map(len, terms), default=0)
+    eye = longest  # row of the identity
+    chunks: list[tuple[int, int, int, int]] = []
+    steps: list[tuple[int, int]] = []
+    parents: list[int] = []
+    blocks: list[int] = []  # block indices, 1-based
+    ends: list[int] = []
+    kept: list[int] = []
+    most = 0  # most nodes in a chunk
+    # The open chunk, per level: its new nodes' parents and blocks.  A node
+    # is its index in its level, or -1 for the product carried in ``path``.
+    level_parents: list[list[int]] = []
+    level_blocks: list[list[int]] = []
+    term_ends: list[tuple[int, int]] = []  # (level, node) of each term
+    nodes = 0
+    path: list[int] = []  # per level, the previous term's node
+
+    def close() -> None:
+        first_row = [eye + 1]
+        for made in level_blocks:
+            first_row.append(first_row[-1] + len(made))
+
+        def row(level: int, node: int) -> int:
+            if level < 0:
+                return eye
+            return level if node < 0 else first_row[level] + node
+
+        levels = 0
+        for level, made in enumerate(level_blocks):
+            if made:
+                parents.extend(row(level - 1, node) for node in level_parents[level])
+                blocks.extend(made)
+                steps.append((level, len(made)))
+                levels += 1
+        ends.extend(row(level, node) for level, node in term_ends)
+        new = [row(level, node) for level, node in enumerate(path) if node >= 0]
+        kept.extend(new)
+        chunks.append((len(term_ends), levels, len(path) - len(new), len(new)))
+
+    previous: Factors = ()
+    for factors in terms:
+        shared = 0
+        for a, b in zip(previous, factors):
+            if a != b:
+                break
+            shared += 1
+        previous = factors
+        length = len(factors)
+        if term_ends and (
+            len(term_ends) == size or nodes + length - shared > NODES_PER_TERM * size
+        ):
+            close()
+            level_parents, level_blocks, term_ends = [], [], []
+            nodes = 0
+            path = [-1] * len(path)
+        del path[shared:]
+        while len(level_blocks) < length:
+            level_parents.append([])
+            level_blocks.append([])
+        node = path[-1] if shared else -1
+        for level in range(shared, length):
+            level_parents[level].append(node)
+            made = level_blocks[level]
+            made.append(factors[level])
+            node = len(made) - 1
+            path.append(node)
+        nodes += length - shared
+        most = max(most, nodes)
+        term_ends.append((length - 1, node))
+    if term_ends:
+        close()
+
+    def intp(values: list[int]) -> np.ndarray:
+        return np.array(values, dtype=np.intp)
+
+    return _Schedule(
+        size,
+        longest,
+        eye + 1 + most,
+        max(blocks, default=0),
+        chunks,
+        steps,
+        intp(parents),
+        intp(blocks) - 1,
+        intp(ends),
+        np.fromiter(terms.values(), float, len(terms)).reshape(-1, 1, 1),
+        intp(kept),
+    )
+
+
 def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
     """Evaluate a path polynomial as a d x d matrix.
 
@@ -147,8 +294,73 @@ def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
     factors right after their prefix term, so most terms cost one matmul.
     Every product is the same left-to-right chain and the sum runs in the
     same order as term-by-term evaluation, so the result is bit-identical
-    to it; the extra memory is one matrix per factor of the longest term.
+    to it.  When a chunk holds at least MIN_CHUNK_TERMS terms, a chunk
+    costs one batched matmul per prefix length and one ordered sum (see
+    _Schedule); the schedule depends only on the terms and the chunk size,
+    so it is kept on ``poly`` and reused.
     """
+    import numpy as np
+
+    d = net.dim
+    size = CHUNK_ENTRIES // (d * d)
+    if min(size, len(poly)) < MIN_CHUNK_TERMS:
+        return _eval_term_by_term(poly, net)
+    schedule = getattr(poly, "_schedule", None)
+    if schedule is not None:
+        top = schedule.top
+    else:
+        top = max(map(max, filter(None, poly.coefficients)), default=0)
+    if top > net.depth:
+        # The first block out of range, in term order, raises IndexError.
+        for factors in poly.coefficients:
+            for index in factors:
+                net.matrix(index)
+    if schedule is None or schedule.size != size:
+        schedule = poly._schedule = _schedule(poly, size)
+    stack = net.stack
+    parents, blocks, ends, coeffs, kept = (
+        schedule.parents, schedule.blocks, schedule.ends, schedule.coeffs, schedule.kept
+    )
+    products = np.empty((schedule.rows, d, d))
+    products[schedule.longest] = np.eye(d)
+    # Row 0 holds the running total.  The zero pad column keeps the inner
+    # loop of add.reduce off axis 0, so it adds the rows in order even at
+    # d = 1, where numpy would otherwise sum a contiguous axis pairwise.
+    weighted = np.zeros((min(size, len(poly)) + 1, d, d + 1))
+    steps = iter(schedule.steps)
+    node = end = keep = 0
+    for terms, levels, first_kept, kept_count in schedule.chunks:
+        row = schedule.longest + 1
+        for _ in range(levels):
+            level, count = next(steps)
+            factors = stack[blocks[node : node + count]]  # each node's last one
+            if level:
+                np.matmul(
+                    products[parents[node : node + count]],
+                    factors,
+                    out=products[row : row + count],
+                )
+            else:
+                products[row : row + count] = factors
+            node += count
+            row += count
+        np.multiply(
+            coeffs[end : end + terms],
+            products[ends[end : end + terms]],
+            out=weighted[1 : terms + 1, :, :d],
+        )
+        end += terms
+        weighted[0] = np.add.reduce(weighted[: terms + 1], axis=0)
+        # The last term's new prefix products become the carried path.
+        products[first_kept : first_kept + kept_count] = products[
+            kept[keep : keep + kept_count]
+        ]
+        keep += kept_count
+    return weighted[0, :, :d].copy()
+
+
+def _eval_term_by_term(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
+    """eval_polynomial one term at a time, with one 2-D matmul per node."""
     import numpy as np
 
     d = net.dim
@@ -175,6 +387,8 @@ def jacobian_exact(net: ConcreteNet, j: int) -> np.ndarray:
 
     Works directly on the affine recursion and never touches the path
     polynomials, so it is an independent reference for eval_polynomial.
+    The evaluated rule coefficients stay on ``net``, so a sweep over every
+    j evaluates each of them once (unless they would not fit, see below).
     """
     import numpy as np
 
@@ -186,11 +400,23 @@ def jacobian_exact(net: ConcreteNet, j: int) -> np.ndarray:
     if j == L:
         return np.eye(d)
     sensitivities: dict[int, np.ndarray] = {j: np.eye(d)}
+    evaluated = net._coefficients
+    # Kept only when the net and its evaluated coefficients fit together in
+    # MAX_MATRIX_ENTRIES, the bound instantiate puts on the net alone.
+    keep = (len(net.spec.rule.terms) + 1) * L * d * d <= MAX_MATRIX_ENTRIES
     for i in range(j + 1, L + 1):
+        terms = evaluated.get(i)
+        if terms is None:
+            terms = [
+                (source, eval_polynomial(coeff, net))
+                for source, coeff in net.spec.instantiate_terms(i)
+            ]
+            if keep:
+                evaluated[i] = terms
         acc = np.zeros((d, d))
-        for source, coeff in net.spec.instantiate_terms(i):
+        for source, matrix in terms:
             if source in sensitivities:
-                acc = acc + eval_polynomial(coeff, net) @ sensitivities[source]
+                acc = acc + matrix @ sensitivities[source]
         sensitivities[i] = acc
     return sensitivities[L]
 

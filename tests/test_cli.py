@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
 
+from recur.builtins import BUILTIN_NAMES
 from recur.cli import main
 
 NEWARCH_TEXT = (
@@ -173,6 +176,55 @@ def test_verify_rejects_meaningless_tolerance_before_any_work(capsys, tol):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {tol[0]} must be finite")
+
+
+def test_drawn_verify_argv_exits_zero_one_or_two_without_raising():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # Each value comes from its full range or, as often, from its valid
+    # part, so that most draws get past the argument checks.
+    def value(valid, full):
+        return st.one_of(valid, full)
+
+    tolerances = value(
+        st.sampled_from(["0", "1e-300", "1e-10", "1e-4", "1"]),
+        st.sampled_from(["1e-10", "-1", "nan", "inf", "-inf"]),
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        L = data.draw(value(st.integers(1, 9), st.integers(-2, 9)), label="L")
+        name = st.sampled_from(("chain", "resnet") + BUILTIN_NAMES)
+        argv = [
+            "verify",
+            "--builtin", data.draw(name, label="builtin"),
+            f"--depth={L}",
+            f"--dim={data.draw(value(st.integers(1, 5), st.integers(-1, 5)))}",
+            f"--seeds={data.draw(value(st.integers(1, 3), st.integers(-1, 3)))}",
+            f"--tol={data.draw(tolerances, label='tol')}",
+            f"--fd-tol={data.draw(tolerances, label='fd-tol')}",
+        ]
+        wrt = data.draw(
+            st.none() | value(st.integers(0, max(L - 1, 0)), st.integers(-2, L + 2)),
+            label="wrt",
+        )
+        if wrt is not None:
+            argv.append(f"--wrt={wrt}")
+        if data.draw(st.booleans(), label="tanh"):
+            argv += ["--activation", "tanh"]
+        if data.draw(st.booleans(), label="json"):
+            argv += ["--format", "json"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().startswith("error:"), argv
+        else:
+            assert out.getvalue() and not err.getvalue(), argv
+
+    check()
 
 
 def test_deep_nesting_exits_two_without_traceback(tmp_path, capsys):

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from recur import numeric
 from recur.algebra import PathPolynomial
 from recur.builtins import builtin_spec
 from recur.errors import ActivationError, SizeError
@@ -36,6 +39,16 @@ def test_instantiate_is_deterministic():
         assert np.array_equal(ma, mb)
     c = instantiate(RESNET, 3, 4, seed=8)
     assert not np.array_equal(a.matrices[0], c.matrices[0])
+
+
+def test_instantiate_draws_one_read_only_stack():
+    net = instantiate(NEWARCH, 5, 3, seed=9)
+    rng = np.random.default_rng(9)
+    for m in net.matrices:  # the same doubles as one draw per block
+        assert np.array_equal(m, rng.uniform(-0.5, 0.5, size=(3, 3)) / np.sqrt(3))
+        assert np.shares_memory(m, net.stack)
+    with pytest.raises(ValueError):
+        net.matrices[0][0, 0] = 1.0
 
 
 def test_instantiate_range_scaled_by_sqrt_dim():
@@ -98,6 +111,33 @@ def test_jacobian_exact_scalar_oracle():
     assert jacobian_exact(net, 0)[0, 0] == 2.109375
 
 
+def test_jacobian_exact_evaluates_each_coefficient_once_per_net(monkeypatch):
+    calls = []
+
+    def counting(poly, net):
+        calls.append(poly)
+        return eval_polynomial(poly, net)
+
+    monkeypatch.setattr(numeric, "eval_polynomial", counting)
+    for name in ALL_BUILTINS:
+        spec = builtin_spec(name)
+        net = instantiate(spec, 6, 3, seed=2)
+        del calls[:]
+        got = [jacobian_exact(net, j) for j in range(0, 7)]
+        assert len(calls) == sum(len(spec.instantiate_terms(i)) for i in range(1, 7))
+        for j in range(0, 7):
+            fresh = instantiate(spec, 6, 3, seed=2)
+            assert np.array_equal(got[j], jacobian_exact(fresh, j)), (name, j)
+    # A net that fits in MAX_MATRIX_ENTRIES only without its coefficients
+    # keeps none of them, and its Jacobians do not change.
+    expected = [jacobian_exact(instantiate(NEWARCH, 6, 3, seed=2), j) for j in range(7)]
+    monkeypatch.setattr(numeric, "MAX_MATRIX_ENTRIES", 2 * 6 * 3 * 3)
+    net = instantiate(NEWARCH, 6, 3, seed=2)
+    for j in range(0, 7):
+        assert np.array_equal(jacobian_exact(net, j), expected[j])
+    assert net._coefficients == {}
+
+
 def test_jacobian_exact_rejects_activated_net():
     net = instantiate(RESNET, 3, 2, seed=1, activation="tanh")
     with pytest.raises(ActivationError):
@@ -124,6 +164,40 @@ def test_eval_polynomial_index_error():
     # the bad index comes after a prefix that is already computed
     with pytest.raises(IndexError):
         eval_polynomial(PathPolynomial({(2,): 1, (2, 3): 1}), net)
+
+
+@pytest.mark.parametrize("d", [2, 23])
+def test_eval_polynomial_index_error_after_a_deeper_net(d):
+    # 16 terms, so that d = 2 batches them; the schedule made on a depth-3
+    # net is reused on a depth-2 net.
+    short = [f for k in (1, 2, 3) for f in itertools.product((2, 1), repeat=k)]
+    poly = PathPolynomial({f: 1 for f in short + [(2, 3), (3, 1)]})
+    assert len(poly) == numeric.MIN_CHUNK_TERMS
+    eval_polynomial(poly, instantiate(CHAIN, 3, d, seed=0))
+    with pytest.raises(IndexError, match=r"^block index 3 outside \[1, 2\]$"):
+        eval_polynomial(poly, instantiate(CHAIN, 2, d, seed=0))
+
+
+def test_eval_polynomial_memory_does_not_grow_with_terms():
+    import tracemalloc
+
+    def peak(name, L):
+        spec = builtin_spec(name)
+        poly = derivative(spec, L, 0)
+        net = instantiate(spec, L, 16, seed=1)
+        eval_polynomial(poly, net)  # makes and keeps the schedule
+        tracemalloc.start()
+        try:
+            eval_polynomial(poly, net)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    budget = numeric.CHUNK_ENTRIES * 8  # bytes
+    small, large = peak("resnet", 8), peak("resnet", 16)  # 256 and 65,536 terms
+    assert large <= min(2 * small, 10 * budget), (small, large)
+    # Long terms that share few prefixes make several products each.
+    assert peak("appendix-ex2", 14) <= 10 * budget
 
 
 def _naive_eval(poly, net):
@@ -174,11 +248,74 @@ def test_eval_polynomial_matches_naive_on_drawn_terms():
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_eval_polynomial_matches_naive_on_derivatives(name):
+    # d = 1 sums scalars, d <= 22 batches chunks, d = 23 goes term by term.
     spec = builtin_spec(name)
-    net = instantiate(spec, 8, 3, seed=4)
-    for j in range(0, 9):
-        poly = derivative(spec, 8, j)
+    polys = [derivative(spec, 8, j) for j in range(0, 9)]
+    for d in (1, 2, 3, 16, 23):
+        net = instantiate(spec, 8, d, seed=4)
+        for poly in polys:
+            assert np.array_equal(eval_polynomial(poly, net), _naive_eval(poly, net))
+
+
+@pytest.mark.parametrize("name, L", [("resnet", 12), ("appendix-ex2", 14)])
+def test_eval_polynomial_matches_naive_over_many_chunks(name, L):
+    # At d = 16 a chunk holds 32 terms: resnet at L = 12 has 4,096 terms that
+    # share long prefixes, appendix-ex2 at L = 14 long terms that share few.
+    spec = builtin_spec(name)
+    poly = derivative(spec, L, 0)
+    assert len(poly) > 10 * numeric.CHUNK_ENTRIES // 16**2
+    for d in (8, 16):
+        net = instantiate(spec, L, d, seed=11)
         assert np.array_equal(eval_polynomial(poly, net), _naive_eval(poly, net))
+
+
+def test_eval_polynomial_matches_naive_in_small_chunks(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.setattr(numeric, "MIN_CHUNK_TERMS", 1)
+    # Chains of extensions, as poly_mul builds them, cut into chunks of 1 to
+    # 5 terms and 1 to 4 new products a term: chunk boundaries fall inside
+    # shared prefixes.
+    factors = st.lists(st.integers(1, 3), max_size=5).map(tuple)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        st.lists(
+            st.tuples(factors, st.lists(st.integers(1, 3), max_size=4)),
+            max_size=10,
+        ),
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.integers(1, 4),
+        st.integers(0, 2**32),
+        st.data(),
+    )
+    def check(chains, d, chunk, nodes, seed, data):
+        keys = []
+        for base, tail in chains:
+            keys += [base + tuple(tail[:k]) for k in range(len(tail) + 1)]
+        keys = list(dict.fromkeys(keys))
+        if data.draw(st.booleans()):
+            keys = data.draw(st.permutations(keys))
+        coeffs = st.integers(-3, 3).filter(bool)
+        poly = PathPolynomial({f: data.draw(coeffs) for f in keys})
+        monkeypatch.setattr(numeric, "CHUNK_ENTRIES", chunk * d * d)
+        monkeypatch.setattr(numeric, "NODES_PER_TERM", nodes)
+        net = instantiate(CHAIN, 3, d, seed=seed)
+        assert np.array_equal(eval_polynomial(poly, net), _naive_eval(poly, net))
+
+    check()
+
+
+def test_eval_polynomial_adds_scalars_in_term_order():
+    # In term order each 1.0 rounds away against 2**53; numpy sums a
+    # contiguous axis pairwise, which keeps them.
+    values = (2.0**53,) + (1.0,) * 15
+    net = _scalar_net(CHAIN, *values)
+    poly = PathPolynomial({(i,): 1 for i in range(1, len(values) + 1)})
+    pairwise = np.add.reduce(np.array((0.0,) + values).reshape(-1, 1, 1), axis=0)
+    assert pairwise[0, 0] != 2.0**53
+    assert eval_polynomial(poly, net)[0, 0] == 2.0**53 == _naive_eval(poly, net)[0, 0]
 
 
 def test_derivative_matches_exact_jacobian():

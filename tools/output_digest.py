@@ -43,7 +43,7 @@ def commands() -> list[list[str]]:
                     )
             cmds.append(["chain-identity", *spec, "-L", "8"])
             for L in (1, 3, 8, 12):
-                for d in (1, 4, 8):
+                for d in (1, 4, 8, 16)[: 4 if L >= 8 else 3]:
                     cmds.append(
                         ["verify", *spec, "-L", str(L), "-d", str(d), "--seeds", "2"]
                     )
@@ -62,6 +62,14 @@ def commands() -> list[list[str]]:
                     cmds.append([*graph, "--format", fmt, *extra])
     cmds += [
         ["expand", "--builtin", "resnet", "-L", "10", "--format", "json"],
+        # the verify workload's widest shapes, and a width verified term by term
+        *(
+            ["verify", "--builtin", "appendix-ex2", "-L", "14", "-d", d, "--seeds", "2"]
+            + fmt
+            for d in ("8", "16")
+            for fmt in ([], ["--format", "json"])
+        ),
+        ["verify", "--builtin", "newarch", "-L", "8", "-d", "24", "--format", "json"],
         ["stats", "table1"],
         ["stats", "table1", "--format", "json"],
         # error paths: exit 2 with a message on stderr
