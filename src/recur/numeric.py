@@ -30,8 +30,10 @@ class ConcreteNet:
     """One matrix realization of a spec at a fixed depth and width.
 
     ``matrices`` may be given as d x d arrays or as one (L, d, d) array.  The
-    net keeps them as one read-only float64 ``stack`` (no copy when it is
-    handed such an array) and ``matrices`` holds views of its rows.
+    net keeps them as one read-only float64 ``stack``, and ``matrices``
+    holds views of its rows.  An (L, d, d) float64 array is copied unless it
+    is read-only and owns its data, as ``instantiate`` hands it over, so a
+    caller cannot change the blocks behind the net's back.
     """
 
     spec: ArchitectureSpec
@@ -51,7 +53,9 @@ class ConcreteNet:
         d = np.shape(self.matrices[0])[0]
         if any(np.shape(m) != (d, d) for m in self.matrices):
             raise ValueError("all block matrices must share one square shape")
-        stack = np.asarray(self.matrices, dtype=float).view()
+        stack = np.asarray(self.matrices, dtype=float)
+        if stack is self.matrices and (stack.flags.writeable or stack.base is not None):
+            stack = stack.copy()
         if not np.all(np.isfinite(stack)):
             raise ValueError("block matrices must be finite")
         stack.flags.writeable = False
@@ -108,6 +112,7 @@ def instantiate(
     # One draw of L * d * d values gives the same doubles as L draws of d * d.
     stack = rng.uniform(-0.5, 0.5, size=(L, d, d))
     stack /= np.sqrt(d)
+    stack.flags.writeable = False
     return ConcreteNet(spec=spec, matrices=stack, activation=activation, seed=seed)
 
 
@@ -152,40 +157,37 @@ def forward(net: ConcreteNet, x0: np.ndarray) -> ForwardTrace:
 
 
 # eval_polynomial batches its matmuls over chunks of at most CHUNK_ENTRIES
-# // d**2 consecutive terms and NODES_PER_TERM times as many new prefix
+# // d**2 consecutive terms and NODES_PER_TERM times as many prefix
 # products, so its working memory stays a small multiple of CHUNK_ENTRIES
 # float64 entries (64 KB), plus one matrix per factor of the longest term,
-# whatever the number of terms.  Batching pays from MIN_CHUNK_TERMS terms a
-# chunk (so d <= 22): with fewer, a chunk's fixed numpy calls cost more than
-# the per-term calls they save, and the terms go one by one.
+# whatever the number of terms.  Batching pays from about MIN_CHUNK_TERMS
+# terms a chunk: measured against the term-by-term loop, it broke even at
+# about 10 terms a polynomial (d = 4..16) and 13 terms a chunk (d = 25).
+# With fewer terms (small polynomials, d >= 27) the terms go one by one.
 CHUNK_ENTRIES = 1 << 13
 NODES_PER_TERM = 4
-MIN_CHUNK_TERMS = 16
+MIN_CHUNK_TERMS = 12
 
 
 class _Schedule(NamedTuple):
     """How eval_polynomial computes one polynomial's terms, chunk by chunk.
 
-    As in term-by-term evaluation, each term reuses the prefix products it
-    shares with the term before it and adds one product (a node) per
-    further factor, also across a chunk boundary.  Rows of the product
-    buffer: row k < ``longest`` holds the last term's product of k + 1
-    factors (the path, carried from chunk to chunk), row ``longest`` the
-    identity, and the rows after it a chunk's nodes, level by level (level
-    = factors - 1), so that one batched matmul computes a level.
+    Each chunk is a prefix trie of its terms: a term reuses the prefix
+    products it shares with the term before it in the chunk and adds one
+    product (a node) per further factor.  Row 0 of the product buffer holds
+    the identity and the rows after it a chunk's nodes, level by level
+    (level = factors - 1), so that one batched matmul computes a level.
     """
 
     size: int  # most terms in a chunk
-    longest: int  # factors in the longest term
     rows: int  # rows of the product buffer
     top: int  # largest block index
-    chunks: list[tuple[int, int, int, int]]  # (terms, levels, first kept level, kept)
+    chunks: list[tuple[int, int]]  # (terms, levels)
     steps: list[tuple[int, int]]  # per level of each chunk: (level, nodes)
     parents: np.ndarray  # per node: row of the node it extends
     blocks: np.ndarray  # per node: stack index of its last factor
     ends: np.ndarray  # per term: row of its product
     coeffs: np.ndarray  # per term: float64 coefficient, shape (1, 1)
-    kept: np.ndarray  # per chunk: rows of the new nodes on its last term's path
 
 
 def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
@@ -193,17 +195,14 @@ def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
     import numpy as np
 
     terms = poly.coefficients
-    longest = max(map(len, terms), default=0)
-    eye = longest  # row of the identity
-    chunks: list[tuple[int, int, int, int]] = []
+    chunks: list[tuple[int, int]] = []
     steps: list[tuple[int, int]] = []
     parents: list[int] = []
     blocks: list[int] = []  # block indices, 1-based
     ends: list[int] = []
-    kept: list[int] = []
     most = 0  # most nodes in a chunk
-    # The open chunk, per level: its new nodes' parents and blocks.  A node
-    # is its index in its level, or -1 for the product carried in ``path``.
+    # The open chunk, per level: its nodes' parents and blocks.  A node is
+    # its index in its level, or -1 for the identity.
     level_parents: list[list[int]] = []
     level_blocks: list[list[int]] = []
     term_ends: list[tuple[int, int]] = []  # (level, node) of each term
@@ -211,26 +210,19 @@ def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
     path: list[int] = []  # per level, the previous term's node
 
     def close() -> None:
-        first_row = [eye + 1]
+        first_row = [1]
         for made in level_blocks:
             first_row.append(first_row[-1] + len(made))
 
         def row(level: int, node: int) -> int:
-            if level < 0:
-                return eye
-            return level if node < 0 else first_row[level] + node
+            return 0 if node < 0 else first_row[level] + node
 
-        levels = 0
         for level, made in enumerate(level_blocks):
-            if made:
-                parents.extend(row(level - 1, node) for node in level_parents[level])
-                blocks.extend(made)
-                steps.append((level, len(made)))
-                levels += 1
+            parents.extend(row(level - 1, node) for node in level_parents[level])
+            blocks.extend(made)
+            steps.append((level, len(made)))
         ends.extend(row(level, node) for level, node in term_ends)
-        new = [row(level, node) for level, node in enumerate(path) if node >= 0]
-        kept.extend(new)
-        chunks.append((len(term_ends), levels, len(path) - len(new), len(new)))
+        chunks.append((len(term_ends), len(level_blocks)))
 
     previous: Factors = ()
     for factors in terms:
@@ -245,9 +237,8 @@ def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
             len(term_ends) == size or nodes + length - shared > NODES_PER_TERM * size
         ):
             close()
-            level_parents, level_blocks, term_ends = [], [], []
-            nodes = 0
-            path = [-1] * len(path)
+            level_parents, level_blocks, term_ends, path = [], [], [], []
+            nodes = shared = 0
         del path[shared:]
         while len(level_blocks) < length:
             level_parents.append([])
@@ -270,8 +261,7 @@ def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
 
     return _Schedule(
         size,
-        longest,
-        eye + 1 + most,
+        1 + most,
         max(blocks, default=0),
         chunks,
         steps,
@@ -279,7 +269,6 @@ def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
         intp(blocks) - 1,
         intp(ends),
         np.fromiter(terms.values(), float, len(terms)).reshape(-1, 1, 1),
-        intp(kept),
     )
 
 
@@ -289,15 +278,13 @@ def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
     Factors multiply in listed order (leftmost factor leftmost in the
     product); the identity term contributes the identity matrix.
 
-    Terms are visited in insertion order, and each reuses the products of
-    the prefix it shares with the term before it: ``poly_mul`` appends new
-    factors right after their prefix term, so most terms cost one matmul.
-    Every product is the same left-to-right chain and the sum runs in the
-    same order as term-by-term evaluation, so the result is bit-identical
-    to it.  When a chunk holds at least MIN_CHUNK_TERMS terms, a chunk
-    costs one batched matmul per prefix length and one ordered sum (see
-    _Schedule); the schedule depends only on the terms and the chunk size,
-    so it is kept on ``poly`` and reused.
+    Terms are cut, in insertion order, into chunks (see _Schedule).  A
+    chunk costs one batched matmul per prefix length and one ordered sum
+    into the running total.  Every product is the same left-to-right chain
+    and the sum runs in term order, so the result is bit-identical to
+    evaluating the terms one by one, as is done when a chunk would hold
+    fewer than MIN_CHUNK_TERMS terms.  The schedule depends only on the
+    terms and the chunk size, so it is kept on ``poly`` and reused.
     """
     import numpy as np
 
@@ -318,19 +305,19 @@ def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
     if schedule is None or schedule.size != size:
         schedule = poly._schedule = _schedule(poly, size)
     stack = net.stack
-    parents, blocks, ends, coeffs, kept = (
-        schedule.parents, schedule.blocks, schedule.ends, schedule.coeffs, schedule.kept
+    parents, blocks, ends, coeffs = (
+        schedule.parents, schedule.blocks, schedule.ends, schedule.coeffs
     )
     products = np.empty((schedule.rows, d, d))
-    products[schedule.longest] = np.eye(d)
+    products[0] = np.eye(d)
     # Row 0 holds the running total.  The zero pad column keeps the inner
     # loop of add.reduce off axis 0, so it adds the rows in order even at
     # d = 1, where numpy would otherwise sum a contiguous axis pairwise.
     weighted = np.zeros((min(size, len(poly)) + 1, d, d + 1))
     steps = iter(schedule.steps)
-    node = end = keep = 0
-    for terms, levels, first_kept, kept_count in schedule.chunks:
-        row = schedule.longest + 1
+    node = end = 0
+    for terms, levels in schedule.chunks:
+        row = 1
         for _ in range(levels):
             level, count = next(steps)
             factors = stack[blocks[node : node + count]]  # each node's last one
@@ -351,16 +338,12 @@ def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
         )
         end += terms
         weighted[0] = np.add.reduce(weighted[: terms + 1], axis=0)
-        # The last term's new prefix products become the carried path.
-        products[first_kept : first_kept + kept_count] = products[
-            kept[keep : keep + kept_count]
-        ]
-        keep += kept_count
     return weighted[0, :, :d].copy()
 
 
 def _eval_term_by_term(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
-    """eval_polynomial one term at a time, with one 2-D matmul per node."""
+    """eval_polynomial one term at a time, each reusing the prefix products
+    it shares with the term before it."""
     import numpy as np
 
     d = net.dim
@@ -387,8 +370,9 @@ def jacobian_exact(net: ConcreteNet, j: int) -> np.ndarray:
 
     Works directly on the affine recursion and never touches the path
     polynomials, so it is an independent reference for eval_polynomial.
-    The evaluated rule coefficients stay on ``net``, so a sweep over every
-    j evaluates each of them once (unless they would not fit, see below).
+    The evaluated coefficients of each state stay on ``net`` while they fit
+    beside it in MAX_MATRIX_ENTRIES, so a sweep over every j evaluates them
+    once; a state whose coefficients do not fit evaluates them one at a time.
     """
     import numpy as np
 
@@ -401,21 +385,22 @@ def jacobian_exact(net: ConcreteNet, j: int) -> np.ndarray:
         return np.eye(d)
     sensitivities: dict[int, np.ndarray] = {j: np.eye(d)}
     evaluated = net._coefficients
-    # Kept only when the net and its evaluated coefficients fit together in
-    # MAX_MATRIX_ENTRIES, the bound instantiate puts on the net alone.
-    keep = (len(net.spec.rule.terms) + 1) * L * d * d <= MAX_MATRIX_ENTRIES
+    # Matrices the memo may still take: the net and the kept coefficients
+    # stay within MAX_MATRIX_ENTRIES, the bound instantiate puts on the net.
+    room =MAX_MATRIX_ENTRIES // (d * d) - L - sum(map(len, evaluated.values()))
     for i in range(j + 1, L + 1):
         terms = evaluated.get(i)
-        if terms is None:
-            terms = [
-                (source, eval_polynomial(coeff, net))
-                for source, coeff in net.spec.instantiate_terms(i)
-            ]
-            if keep:
-                evaluated[i] = terms
+        kept = terms is not None
+        if not kept:
+            terms = net.spec.instantiate_terms(i)
+            if len(terms) <= room:
+                terms = [(source, eval_polynomial(coeff, net)) for source, coeff in terms]
+                evaluated[i], kept = terms, True
+                room -= len(terms)
         acc = np.zeros((d, d))
-        for source, matrix in terms:
+        for source, coeff in terms:
             if source in sensitivities:
+                matrix = coeff if kept else eval_polynomial(coeff, net)
                 acc = acc + matrix @ sensitivities[source]
         sensitivities[i] = acc
     return sensitivities[L]

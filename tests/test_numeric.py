@@ -8,6 +8,7 @@ from recur.algebra import PathPolynomial
 from recur.builtins import builtin_spec
 from recur.errors import ActivationError, SizeError
 from recur.expansion import derivative
+from recur.parser import parse
 from recur.numeric import (
     MAX_MATRIX_ENTRIES,
     ConcreteNet,
@@ -49,6 +50,20 @@ def test_instantiate_draws_one_read_only_stack():
         assert np.shares_memory(m, net.stack)
     with pytest.raises(ValueError):
         net.matrices[0][0, 0] = 1.0
+
+
+def test_concrete_net_copies_arrays_its_caller_can_write():
+    mine = np.full((2, 3, 3), 0.25)
+    view = mine.view()
+    view.flags.writeable = False
+    for given in (mine, view, list(mine)):
+        net = ConcreteNet(spec=CHAIN, matrices=given)
+        with pytest.raises(ValueError):
+            net.stack[0, 0, 0] = 1.0
+        mine[0, 0, 0] = 7.0  # the caller's array changes, the net's does not
+        assert net.matrix(1)[0, 0] == 0.25
+        assert not np.shares_memory(net.stack, mine)
+        mine[0, 0, 0] = 0.25
 
 
 def test_instantiate_range_scaled_by_sqrt_dim():
@@ -128,14 +143,34 @@ def test_jacobian_exact_evaluates_each_coefficient_once_per_net(monkeypatch):
         for j in range(0, 7):
             fresh = instantiate(spec, 6, 3, seed=2)
             assert np.array_equal(got[j], jacobian_exact(fresh, j)), (name, j)
-    # A net that fits in MAX_MATRIX_ENTRIES only without its coefficients
-    # keeps none of them, and its Jacobians do not change.
-    expected = [jacobian_exact(instantiate(NEWARCH, 6, 3, seed=2), j) for j in range(7)]
-    monkeypatch.setattr(numeric, "MAX_MATRIX_ENTRIES", 2 * 6 * 3 * 3)
-    net = instantiate(NEWARCH, 6, 3, seed=2)
-    for j in range(0, 7):
-        assert np.array_equal(jacobian_exact(net, j), expected[j])
-    assert net._coefficients == {}
+
+
+# Base cases X[1..6] each depend on every earlier state: 21 coefficients,
+# against one a state for the rule.
+WIDE_BASES = parse(
+    "X[i] = W[i]*X[i-1]\nX[0] = input\n"
+    + "".join(
+        f"X[{k}] = " + " + ".join(f"X[{s}]" for s in range(k)) + "\n"
+        for k in range(1, 7)
+    ),
+    name="wide-bases",
+)
+
+
+@pytest.mark.parametrize("spec", [NEWARCH, WIDE_BASES], ids=["newarch", "wide-bases"])
+def test_jacobian_exact_keeps_coefficients_within_the_matrix_budget(
+    monkeypatch, spec
+):
+    L, d = 7, 3
+    expected = [jacobian_exact(instantiate(spec, L, d, seed=2), j) for j in range(L + 1)]
+    # Room for the net alone keeps nothing; room for L more matrices keeps at
+    # most L coefficients, whatever the number of terms a state has.
+    for budget, room in ((L * d * d, 0), (2 * L * d * d, L)):
+        monkeypatch.setattr(numeric, "MAX_MATRIX_ENTRIES", budget)
+        net = instantiate(spec, L, d, seed=2)
+        for j in range(L, -1, -1):
+            assert np.array_equal(jacobian_exact(net, j), expected[j]), (budget, j)
+            assert sum(map(len, net._coefficients.values())) <= room
 
 
 def test_jacobian_exact_rejects_activated_net():
@@ -166,13 +201,12 @@ def test_eval_polynomial_index_error():
         eval_polynomial(PathPolynomial({(2,): 1, (2, 3): 1}), net)
 
 
-@pytest.mark.parametrize("d", [2, 23])
+@pytest.mark.parametrize("d", [2, 23, 91])
 def test_eval_polynomial_index_error_after_a_deeper_net(d):
-    # 16 terms, so that d = 2 batches them; the schedule made on a depth-3
-    # net is reused on a depth-2 net.
+    # One chunk of 16 terms at d = 2, two at d = 23, term by term at d = 91;
+    # the schedule made on a depth-3 net is reused on a depth-2 net.
     short = [f for k in (1, 2, 3) for f in itertools.product((2, 1), repeat=k)]
     poly = PathPolynomial({f: 1 for f in short + [(2, 3), (3, 1)]})
-    assert len(poly) == numeric.MIN_CHUNK_TERMS
     eval_polynomial(poly, instantiate(CHAIN, 3, d, seed=0))
     with pytest.raises(IndexError, match=r"^block index 3 outside \[1, 2\]$"):
         eval_polynomial(poly, instantiate(CHAIN, 2, d, seed=0))
@@ -248,10 +282,11 @@ def test_eval_polynomial_matches_naive_on_drawn_terms():
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_eval_polynomial_matches_naive_on_derivatives(name):
-    # d = 1 sums scalars, d <= 22 batches chunks, d = 23 goes term by term.
+    # d = 1 sums scalars; a chunk holds 32 terms at d = 16 and 15 at d = 23,
+    # and d = 91 goes term by term.
     spec = builtin_spec(name)
     polys = [derivative(spec, 8, j) for j in range(0, 9)]
-    for d in (1, 2, 3, 16, 23):
+    for d in (1, 2, 3, 16, 23, 91):
         net = instantiate(spec, 8, d, seed=4)
         for poly in polys:
             assert np.array_equal(eval_polynomial(poly, net), _naive_eval(poly, net))

@@ -62,14 +62,18 @@ def commands() -> list[list[str]]:
                     cmds.append([*graph, "--format", fmt, *extra])
     cmds += [
         ["expand", "--builtin", "resnet", "-L", "10", "--format", "json"],
-        # the verify workload's widest shapes, and a width verified term by term
+        # the verify workload's widest shapes, then a width with 14-term
+        # chunks and one verified term by term
         *(
             ["verify", "--builtin", "appendix-ex2", "-L", "14", "-d", d, "--seeds", "2"]
             + fmt
             for d in ("8", "16")
             for fmt in ([], ["--format", "json"])
         ),
-        ["verify", "--builtin", "newarch", "-L", "8", "-d", "24", "--format", "json"],
+        *(
+            ["verify", "--builtin", "newarch", "-L", "8", "-d", d, "--format", "json"]
+            for d in ("24", "28")
+        ),
         ["stats", "table1"],
         ["stats", "table1", "--format", "json"],
         # error paths: exit 2 with a message on stderr
