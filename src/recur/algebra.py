@@ -14,12 +14,15 @@ multiplication concatenates factor tuples and never reorders them.
 Canonical term order (used for rendering and iteration) is ascending
 factor-sequence length, then lexicographically descending indices, which
 puts "1" first and deeper blocks before shallower ones within a length.
+
+``json_text`` is the one writer of recur's indented JSON output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Iterable, Iterator, ItemsView, KeysView, Mapping, NamedTuple
 
 Factors = tuple[int, ...]
 
@@ -56,9 +59,85 @@ def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
     return " ".join(parts) or "0"
 
 
-def _term_sort_key(factors: Factors) -> tuple:
-    # Ascending length, then descending indices within a length.
-    return (len(factors), tuple(-i for i in factors))
+def json_text(payload) -> str:
+    """``json.dumps(payload, indent=2) + "\n"``, built with C-speed joins.
+
+    Covers what recur emits: dicts with str keys, lists, tuples, str, int,
+    float (NaN and infinities as json writes them), bool and None.  Any
+    other value, or a non-str key, raises TypeError.  json itself falls
+    back to its pure-Python encoder whenever ``indent`` is set.
+    """
+    return _json_value(payload, "\n", "\n")
+
+
+_INFINITY = float("inf")
+_int_text = int.__repr__
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_value(value, newline: str, tail: str = "") -> str:
+    """The text of ``value``, then ``tail``.
+
+    A container is one join of its members' texts, its brackets and
+    ``tail`` folded into the first and last member, so each nesting level
+    copies the text below it once.  Members that are exact str or int, the
+    bulk of a payload, are written inline.  _json_str raises TypeError for a
+    key that is no str.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}" + tail
+        inner = newline + "  "
+        parts = [
+            _json_str(k) + ": " + (
+                _json_str(v) if type(v) is str
+                else _int_text(v) if type(v) is int
+                else _json_value(v, inner)
+            )
+            for k, v in value.items()
+        ]
+        parts[0] = "{" + inner + parts[0]
+        parts[-1] += newline + "}" + tail
+        return ("," + inner).join(parts)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]" + tail
+        inner = newline + "  "
+        parts = [
+            _json_str(v) if type(v) is str
+            else _int_text(v) if type(v) is int
+            else _json_value(v, inner)
+            for v in value
+        ]
+        parts[0] = "[" + inner + parts[0]
+        parts[-1] += newline + "]" + tail
+        return ("," + inner).join(parts)
+    if isinstance(value, str):
+        text = _json_str(value)
+    elif value is None:
+        text = "null"
+    elif value is True:
+        text = "true"
+    elif value is False:
+        text = "false"
+    elif isinstance(value, int):
+        text = _int_text(value)
+    elif isinstance(value, float):
+        text = _json_float(value)
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
+    return text + tail
 
 
 class PathPolynomial:
@@ -112,13 +191,30 @@ class PathPolynomial:
         """Copy of the factor-sequence -> coefficient map."""
         return dict(self._terms)
 
+    def keys(self) -> KeysView[Factors]:
+        """Read-only view of the factor sequences, in insertion order."""
+        return self._terms.keys()
+
+    def items(self) -> ItemsView[Factors, int]:
+        """Read-only view of the (factors, coeff) pairs, in insertion order."""
+        return self._terms.items()
+
     def coefficient(self, factors: Iterable[int]) -> int:
         return self._terms.get(tuple(factors), 0)
 
+    def canonical_items(self) -> list[tuple[Factors, int]]:
+        """The (factors, coeff) pairs in canonical order.
+
+        Keys are distinct, so sorting them descending and then, stably, by
+        length gives the canonical order from two C-level sorts.
+        """
+        terms = self._terms
+        return [(f, terms[f]) for f in sorted(sorted(terms, reverse=True), key=len)]
+
     def terms(self) -> Iterator[PathTerm]:
         """Yield terms in canonical order."""
-        for factors in sorted(self._terms, key=_term_sort_key):
-            yield PathTerm(self._terms[factors], factors)
+        for factors, coeff in self.canonical_items():
+            yield PathTerm(coeff, factors)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -222,7 +318,7 @@ def census(p: PathPolynomial) -> dict[int, CensusBin]:
 
 def render_poly(p: PathPolynomial) -> str:
     """Canonical text form: terms joined by " + "/" - ", identity as "1"."""
-    return signed_sum((t.coeff, block_product(t.factors)) for t in p.terms())
+    return signed_sum((c, block_product(f)) for f, c in p.canonical_items())
 
 
 class StateExpansion:

@@ -26,12 +26,11 @@ Subtraction is a sign on an edge, not a node kind.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebra import PathPolynomial
+from .algebra import PathPolynomial, json_text
 from .errors import SizeError, UnrealizableError
 from .parser import ArchitectureSpec
 
@@ -528,7 +527,7 @@ def export(g: ArchGraph, fmt: str = "dot") -> str:
             "nodes": [n.to_dict() for n in g.nodes],
             "edges": [e.to_dict() for e in g.edges],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return json_text(payload)
     if fmt != "dot":
         raise ValueError(f"unknown export format {fmt!r}; use 'dot' or 'json'")
     lines = [f'digraph "{g.name}" {{', "  rankdir=LR;"]

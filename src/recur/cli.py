@@ -8,14 +8,13 @@ Text output is for humans; JSON output is the stable surface.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .algebra import PathPolynomial, block_product, census, signed_sum
+from .algebra import PathPolynomial, block_product, census, json_text, signed_sum
 from .archgraph import build_graph, direct_propagation_check, export, structural_equal
 from .builtins import BUILTIN_NAMES, builtin_spec
 from .errors import RecurError
@@ -78,10 +77,6 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -97,18 +92,18 @@ def cmd_parse(args) -> int:
             "first_rule_index": spec.first_rule_index,
             "canonical": canonical,
         }
-        _emit(_json_text(payload), args)
+        _emit(json_text(payload), args)
     else:
         _emit(canonical, args)
     return 0
 
 
 def _component_json(j: int, poly: PathPolynomial) -> dict:
-    terms = list(poly.terms())  # sorted once, for both the text and the list
+    terms = poly.canonical_items()  # sorted once, for both the text and the list
     return {
         "state": j,
-        "polynomial": signed_sum((t.coeff, block_product(t.factors)) for t in terms),
-        "terms": [{"coeff": t.coeff, "factors": list(t.factors)} for t in terms],
+        "polynomial": signed_sum((c, block_product(f)) for f, c in terms),
+        "terms": [{"coeff": c, "factors": list(f)} for f, c in terms],
     }
 
 
@@ -123,7 +118,7 @@ def cmd_expand(args) -> int:
                 _component_json(j, poly) for j, poly in expansion.components.items()
             ],
         }
-        _emit(_json_text(payload), args)
+        _emit(json_text(payload), args)
     else:
         _emit(f"X[{args.depth}] = {expansion}\n", args)
     return 0
@@ -148,7 +143,7 @@ def cmd_census(args) -> int:
             },
             "check": report.to_dict() if report else None,
         }
-        _emit(_json_text(payload), args)
+        _emit(json_text(payload), args)
     else:
         lines = [f"spec: {spec.name}  depth: {args.depth}  wrt: {args.wrt}"]
         body = ", ".join(f"{k}: {b.count}" for k, b in histogram.items())
@@ -197,7 +192,7 @@ def cmd_equiv(args) -> int:
         failed = failed or not iso
 
     if args.format == "json":
-        _emit(_json_text(reports), args)
+        _emit(json_text(reports), args)
     else:
         _emit("\n".join(lines) + "\n", args)
     return 1 if failed else 0
@@ -209,7 +204,7 @@ def cmd_graph(args) -> int:
     if args.propagation:
         report = direct_propagation_check(graph)
         if args.format == "json":
-            _emit(_json_text(report.to_dict()), args)
+            _emit(json_text(report.to_dict()), args)
         else:
             lines = [f"graph: {graph.name}  depth: {graph.depth}"]
             for entry in report.entries:
@@ -261,7 +256,7 @@ def cmd_verify(args) -> int:
     all_pass = all(r.passed for r in results)
     if args.format == "json":
         payload = {"checks": [r.to_dict() for r in results], "pass": all_pass}
-        _emit(_json_text(payload), args)
+        _emit(json_text(payload), args)
     else:
         lines = []
         for r in results:
@@ -292,7 +287,7 @@ def cmd_chain_identity(args) -> int:
             "results": [{"m": m, "holds": ok} for m, ok in outcomes.items()],
             "pass": all_pass,
         }
-        _emit(_json_text(payload), args)
+        _emit(json_text(payload), args)
     else:
         lines = [
             f"m={m}: {'holds' if ok else 'FAILS'}" for m, ok in outcomes.items()
@@ -318,7 +313,7 @@ def cmd_stats(args) -> int:
 
     if args.graph_json:
         Path(args.graph_json).write_text(
-            _json_text(graph_data.to_dict()), encoding="utf-8"
+            json_text(graph_data.to_dict()), encoding="utf-8"
         )
 
     if args.format == "json":
@@ -328,7 +323,7 @@ def cmd_stats(args) -> int:
             "nemenyi": nem.to_dict(),
             "graph": graph_data.to_dict(),
         }
-        _emit(_json_text(payload), args)
+        _emit(json_text(payload), args)
     else:
         lines = [f"methods: {ranks.k}  datasets: {ranks.n}"]
         for method, mean, lo, hi in graph_data.entries:

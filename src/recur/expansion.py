@@ -17,12 +17,11 @@ makes X[0] the only free input, so X[L] is its derivative times X[0].
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
-from .algebra import (
-    PathPolynomial, StateExpansion, block_product, census, poly_add, poly_mul
-)
+from .algebra import PathPolynomial, StateExpansion, block_product, poly_add, poly_mul
 from .errors import DepthError
 from .parser import ArchitectureSpec
 
@@ -166,7 +165,7 @@ def check_structure(
                     Violation(k, "absent", " + ".join(str(t) for t in by_length[k]))
                 )
     else:
-        counts = {k: entry.count for k, entry in census(poly).items()}
+        counts = Counter(map(len, poly.keys()))
         for k in range(0, i + 1):
             expected = comb(i, k) if kind == "binomial" else 1
             actual = counts.get(k, 0)
@@ -201,7 +200,7 @@ def value_equivalence_report(
     pa = unroll(spec_a, L, depth_cap).component(0)
     pb = unroll(spec_b, L, depth_cap).component(0)
     violations: list[Violation] = []
-    keys = set(pa.coefficients) | set(pb.coefficients) if pa != pb else ()
+    keys = pa.keys() | pb.keys() if pa != pb else ()
     for factors in sorted(keys, key=lambda f: (len(f), f)):
         ca = pa.coefficient(factors)
         cb = pb.coefficient(factors)

@@ -194,7 +194,6 @@ def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
     """Lay out ``poly``'s chunks in one pass over its terms."""
     import numpy as np
 
-    terms = poly.coefficients
     chunks: list[tuple[int, int]] = []
     steps: list[tuple[int, int]] = []
     parents: list[int] = []
@@ -225,7 +224,7 @@ def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
         chunks.append((len(term_ends), len(level_blocks)))
 
     previous: Factors = ()
-    for factors in terms:
+    for factors in poly.keys():
         shared = 0
         for a, b in zip(previous, factors):
             if a != b:
@@ -268,8 +267,19 @@ def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
         intp(parents),
         intp(blocks) - 1,
         intp(ends),
-        np.fromiter(terms.values(), float, len(terms)).reshape(-1, 1, 1),
+        np.array([_coefficient(c) for _, c in poly.items()]).reshape(-1, 1, 1),
     )
+
+
+def _coefficient(coeff: int) -> float:
+    """``coeff`` as a float64; SizeError when it is past the float64 range."""
+    try:
+        return float(coeff)
+    except OverflowError:
+        raise SizeError(
+            f"a path coefficient of {coeff.bit_length()} bits is past the float64"
+            " range; verify needs every coefficient as a float64"
+        ) from None
 
 
 def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
@@ -296,10 +306,10 @@ def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
     if schedule is not None:
         top = schedule.top
     else:
-        top = max(map(max, filter(None, poly.coefficients)), default=0)
+        top = max(map(max, filter(None, poly.keys())), default=0)
     if top > net.depth:
         # The first block out of range, in term order, raises IndexError.
-        for factors in poly.coefficients:
+        for factors in poly.keys():
             for index in factors:
                 net.matrix(index)
     if schedule is None or schedule.size != size:
@@ -350,7 +360,7 @@ def _eval_term_by_term(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
     total = np.zeros((d, d))
     previous: Factors = ()
     prefix: list[np.ndarray] = []  # prefix[k]: product of previous[: k + 1]
-    for factors, coeff in poly.coefficients.items():
+    for factors, coeff in poly.items():
         shared = 0
         for a, b in zip(previous, factors):
             if a != b:
@@ -361,7 +371,7 @@ def _eval_term_by_term(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
             block = net.matrix(index)
             prefix.append(prefix[-1] @ block if prefix else block)
         previous = factors
-        total += coeff * (prefix[-1] if prefix else np.eye(d))
+        total += _coefficient(coeff) * (prefix[-1] if prefix else np.eye(d))
     return total
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from recur.algebra import (
     PathPolynomial,
     PathTerm,
     census,
+    json_text,
     poly_add,
     poly_mul,
     poly_neg,
@@ -260,3 +262,81 @@ def test_constructor_rejects_index_below_one():
     check()
     with pytest.raises(ValueError):
         PathPolynomial({(0,): 1})
+
+
+def test_keys_and_items_are_views_in_insertion_order():
+    raw = {(2,): 1, (): -1, (1, 2): 3}
+    p = PathPolynomial(raw)
+    assert list(p.keys()) == list(raw)
+    assert list(p.items()) == list(raw.items())
+    assert p.keys() | {(5,)} == {(2,), (), (1, 2), (5,)}
+
+
+def _old_canonical_key(factors):
+    # The per-term key the canonical order was defined by: ascending length,
+    # then descending indices within a length.
+    return (len(factors), tuple(-i for i in factors))
+
+
+def test_canonical_order_matches_the_per_term_key():
+    hypothesis, _ = _hypothesis()
+    st = hypothesis.strategies
+    # Two-digit indices, so a numeric and a text order would differ.
+    factors = st.lists(st.integers(1, 12), max_size=5).map(tuple)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        st.dictionaries(factors, st.integers(-3, 3).filter(bool), max_size=12)
+    )
+    def check(raw):
+        # Every prefix of a drawn key is a term too, so many keys share one.
+        raw = {**{f[:k]: 1 for f in raw for k in range(len(f))}, **raw}
+        p = PathPolynomial(raw)
+        expected = [(f, raw[f]) for f in sorted(raw, key=_old_canonical_key)]
+        assert p.canonical_items() == expected
+        assert [(t.factors, t.coeff) for t in p.terms()] == expected
+
+    check()
+
+
+def test_json_text_matches_json_dumps():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # Any code point, lone surrogates and control characters included.
+    text = st.text(st.characters(exclude_categories=()), max_size=8)
+    scalars = (
+        text
+        | st.integers(-(10**80), 10**80)
+        | st.floats()
+        | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e-300])
+        | st.booleans()
+        | st.none()
+    )
+    values = st.recursive(
+        scalars,
+        lambda inner: (
+            st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=4).map(tuple)
+            | st.dictionaries(text, inner, max_size=4)
+        ),
+        max_leaves=24,
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(values)
+    def check(value):
+        assert json_text(value) == json.dumps(value, indent=2) + "\n"
+
+    check()
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, (1,)])
+def test_json_text_rejects_keys_that_are_not_str(key):
+    with pytest.raises(TypeError):
+        json_text({"outer": [{"a": 1, key: 2}]})
+
+
+@pytest.mark.parametrize("value", [{1, 2}, object(), b"bytes"])
+def test_json_text_rejects_values_json_cannot_write(value):
+    with pytest.raises(TypeError):
+        json_text({"a": [value]})

@@ -261,6 +261,18 @@ def test_graph_over_budget_exits_two_at_once(tmp_path, capsys, source, depth):
     assert err.startswith("error: graph ") and "nodes plus edges" in err
 
 
+def test_verify_coefficient_past_float64_exits_two(tmp_path, capsys):
+    f = tmp_path / "big.rf"
+    f.write_text("X[0] = input\nX[i] = 1" + "0" * 200 + "*X[i-1]\n")
+    # At L = 3 the derivative's coefficient is 10^600.
+    code, out, err = run(capsys, "verify", str(f), "-L", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "float64" in err
+    # At L = 1 every coefficient, 10^200 at most, is a float64.
+    code, out, _ = run(capsys, "verify", str(f), "-L", "1")
+    assert code == 0 and out.endswith("2 checks, 2 passed\n")
+
+
 def test_verify_tanh_rejected_for_newarch(capsys):
     code, _, err = run(
         capsys, "verify", "--builtin", "newarch", "--activation", "tanh"

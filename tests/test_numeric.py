@@ -234,6 +234,34 @@ def test_eval_polynomial_memory_does_not_grow_with_terms():
     assert peak("appendix-ex2", 14) <= 10 * budget
 
 
+def test_eval_term_by_term_memory_does_not_grow_with_terms():
+    import tracemalloc
+
+    def peak(L):
+        poly = derivative(RESNET, L, 0)
+        net = instantiate(RESNET, L, 16, seed=1)
+        tracemalloc.start()
+        try:
+            numeric._eval_term_by_term(poly, net)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 256 and 65,536 terms: only the L prefix products grow, not a copy of
+    # the terms (2.66 MB at L = 16).
+    small, large = peak(8), peak(16)
+    assert large <= 4 * small, (small, large)
+
+
+@pytest.mark.parametrize("d", [2, 91])
+def test_eval_polynomial_rejects_coefficients_past_float64(d):
+    # 14 terms: one chunk at d = 2, term by term at d = 91.
+    terms = [f for k in (1, 2, 3) for f in itertools.product((2, 1), repeat=k)]
+    poly = PathPolynomial({**{f: 1 for f in terms}, (1, 1, 2): 10**400})
+    with pytest.raises(SizeError, match="float64"):
+        eval_polynomial(poly, instantiate(CHAIN, 2, d, seed=0))
+
+
 def _naive_eval(poly, net):
     """Reference: each term's product from scratch, summed in insertion order."""
     total = np.zeros((net.dim, net.dim))

@@ -11,7 +11,10 @@ byte, so a change that should not alter output is checked with::
     diff before.txt after.txt
 
 ``--root`` names the checkout whose ``src/recur`` is imported (default:
-the one holding this script).
+the one holding this script).  A command argument that names one of
+``FILES`` is run on that formula, written to a temporary directory; an
+exception that escapes ``main`` is digested by its type name in place of
+the exit code.
 """
 
 from __future__ import annotations
@@ -21,10 +24,13 @@ import contextlib
 import hashlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 BUILTINS = ("chain", "resnet", "newarch", "eq22", "appendix-ex1", "appendix-ex2")
 FORMATS = ("text", "json")
+# A formula whose derivative coefficients pass the float64 range from L = 2 on.
+FILES = {"overflow.rf": "X[0] = input\nX[i] = 1" + "0" * 200 + "*X[i-1]\n"}
 
 
 def commands() -> list[list[str]]:
@@ -62,6 +68,16 @@ def commands() -> list[list[str]]:
                     cmds.append([*graph, "--format", fmt, *extra])
     cmds += [
         ["expand", "--builtin", "resnet", "-L", "10", "--format", "json"],
+        # the full-size expand and censuses of the paths workload
+        ["expand", "--builtin", "resnet", "-L", "14", "--format", "json"],
+        [
+            "census", "--builtin", "resnet", "-L", "17", "--check", "binomial",
+            "--format", "json",
+        ],
+        *(
+            ["census", "--builtin", name, "-L", "20", "--format", "json"]
+            for name in ("appendix-ex1", "appendix-ex2")
+        ),
         # the verify workload's widest shapes, then a width with 14-term
         # chunks and one verified term by term
         *(
@@ -97,6 +113,7 @@ def commands() -> list[list[str]]:
         ["parse", "no-such-file.rf"],
         ["parse"],
         ["census", "--builtin", "not-a-builtin"],
+        ["verify", "overflow.rf", "-L", "3"],
     ]
     return cmds
 
@@ -104,7 +121,10 @@ def commands() -> list[list[str]]:
 def run(main, argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception as exc:
+            code = type(exc).__name__
     blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
@@ -121,10 +141,14 @@ def main() -> int:
     from recur.cli import main as recur_main
 
     total = hashlib.sha256()
-    for argv in commands():
-        digest = run(recur_main, argv)
-        total.update(digest.encode("ascii"))
-        print(f"{digest}  {' '.join(argv)}")
+    with tempfile.TemporaryDirectory() as work:
+        for name, text in FILES.items():
+            Path(work, name).write_text(text, encoding="utf-8")
+        for argv in commands():
+            paths = [str(Path(work, a)) if a in FILES else a for a in argv]
+            digest = run(recur_main, paths)
+            total.update(digest.encode("ascii"))
+            print(f"{digest}  {' '.join(argv)}")
     print(f"{total.hexdigest()}  total")
     return 0
 
