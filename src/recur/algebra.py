@@ -20,22 +20,10 @@ puts "1" first and deeper blocks before shallower ones within a length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Iterator, ItemsView, KeysView, Mapping, NamedTuple
+from typing import Iterable, ItemsView, KeysView, Mapping, NamedTuple
 
 Factors = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PathTerm:
-    """One signed product of block symbols; factors leftmost = applied last."""
-
-    coeff: int
-    factors: Factors
-
-    def __str__(self) -> str:
-        return signed_sum([(self.coeff, block_product(self.factors))])
 
 
 def block_product(factors: Iterable[int]) -> str:
@@ -210,11 +198,6 @@ class PathPolynomial:
         """
         terms = self._terms
         return [(f, terms[f]) for f in sorted(sorted(terms, reverse=True), key=len)]
-
-    def terms(self) -> Iterator[PathTerm]:
-        """Yield terms in canonical order."""
-        for factors, coeff in self.canonical_items():
-            yield PathTerm(coeff, factors)
 
     def is_zero(self) -> bool:
         return not self._terms

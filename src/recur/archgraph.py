@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebra import PathPolynomial, json_text
+from .algebra import PathPolynomial, block_product, json_text, signed_sum
 from .errors import SizeError, UnrealizableError
 from .parser import ArchitectureSpec
 
@@ -42,8 +42,6 @@ OUTPUT = "output"
 
 IDENTITY = "identity"
 MAPPED = "mapped"
-
-SIZE_CAP = 200
 
 # Nodes plus edges that build_graph may materialize.
 MAX_GRAPH_ITEMS = 1 << 20
@@ -99,10 +97,10 @@ class ArchGraph:
             raise ValueError("graph must have exactly one output node")
         _toposort(self)  # raises on cycles
 
-    # The lookup index is built on first use and kept (cached_property writes
-    # the instance __dict__, which a frozen dataclass permits).  It is not
-    # built at construction: graphs that are only compared or exported would
-    # carry it for nothing.
+    # The lookup indexes are built on first use and kept (cached_property
+    # writes the instance __dict__, which a frozen dataclass permits).  They
+    # are not built at construction: graphs that are only compared or
+    # exported would carry them for nothing.
 
     @cached_property
     def _nodes_by_id(self) -> dict[str, Node]:
@@ -118,14 +116,20 @@ class ArchGraph:
             outs[e.src].append(e)
         return ins, outs
 
+    @cached_property
+    def _states(self) -> tuple[dict[int, str], dict[str, int]]:
+        """(state index -> node id, node id -> state index)."""
+        return dict(self.state_ids), {node_id: i for i, node_id in self.state_ids}
+
     def node(self, node_id: str) -> Node:
         return self._nodes_by_id[node_id]
 
     def state_node(self, index: int) -> str:
-        for i, node_id in self.state_ids:
-            if i == index:
-                return node_id
-        raise KeyError(f"no node for state {index}")
+        return self._states[0][index]
+
+    def node_state(self, node_id: str) -> int | None:
+        """The index of the state that node carries, or None."""
+        return self._states[1].get(node_id)
 
     def in_edges(self, node_id: str) -> list[Edge]:
         return list(self._edges_by_node[0].get(node_id, ()))
@@ -200,9 +204,10 @@ def build_graph(spec: ArchitectureSpec, L: int) -> ArchGraph:
 
         for source, coeff in spec.instantiate_terms(i):
             source_node = state_ids[source]
-            for term in coeff.terms():
-                degree = len(term.factors)
+            for factors, c in coeff.canonical_items():
+                degree = len(factors)
                 if degree >= 2:
+                    term = signed_sum([(c, block_product(factors))])
                     raise UnrealizableError(
                         f"coefficient term {term} on X[{source}] in X[{i}] has"
                         f" degree {degree}; no single-block wiring exists"
@@ -211,7 +216,7 @@ def build_graph(spec: ArchitectureSpec, L: int) -> ArchGraph:
                 if degree == 0:
                     origin, label = source_node, IDENTITY
                 else:
-                    k = term.factors[0]
+                    k = factors[0]
                     if k == i and k not in block_input:
                         nodes.append(Node(f"block{k}", BLOCK, block=k))
                         block_input[k] = source
@@ -227,14 +232,14 @@ def build_graph(spec: ArchitectureSpec, L: int) -> ArchGraph:
                     else:
                         # No shared-parameter realization; keep the data path.
                         origin, label = source_node, MAPPED
-                copies = abs(term.coeff)
+                copies = abs(c)
                 # The output node and its edge come last.
                 if len(nodes) + len(edges) + copies + 2 > MAX_GRAPH_ITEMS:
                     raise SizeError(
                         f"graph {spec.name!r} at depth {L} passes {MAX_GRAPH_ITEMS}"
                         f" nodes plus edges at X[{i}]"
                     )
-                sign = 1 if term.coeff > 0 else -1
+                sign = 1 if c > 0 else -1
                 edges.extend([Edge(origin, junction, sign, label)] * copies)
 
     nodes.append(Node("output", OUTPUT))
@@ -293,14 +298,12 @@ def direct_propagation_check(g: ArchGraph) -> StructuralReport:
     edge; cross_layer_sources lists the other states with identity edges
     into junction i (for the substituted recursion this is just the input).
     """
-    state_index = {node_id: i for i, node_id in g.state_ids}
     entries = []
     for i in range(2, g.depth + 1):
-        junction = g.state_node(i)
         sources = [
-            state_index[e.src]
-            for e in g.in_edges(junction)
-            if e.label == IDENTITY and e.src in state_index
+            s
+            for e in g.in_edges(g.state_node(i))
+            if e.label == IDENTITY and (s := g.node_state(e.src)) is not None
         ]
         entries.append(
             PairReport(
@@ -413,11 +416,6 @@ def _search(ca: list[int], cb: list[int], a: _Wiring, b: _Wiring) -> bool:
 def structural_equal(ga: ArchGraph, gb: ArchGraph) -> bool:
     """Labeled-DAG isomorphism respecting node kinds, block indices and
     signed/labeled edges (including multi-edges)."""
-    for g in (ga, gb):
-        if len(g.nodes) > SIZE_CAP:
-            raise SizeError(
-                f"graph {g.name!r} has {len(g.nodes)} nodes, cap is {SIZE_CAP}"
-            )
     if len(ga.nodes) != len(gb.nodes) or len(ga.edges) != len(gb.edges):
         return False
     labels = sorted({_label(n) for g in (ga, gb) for n in g.nodes})
@@ -450,29 +448,26 @@ def recover_terms(g: ArchGraph) -> dict[int, list[tuple[int, PathPolynomial]]]:
     through block or tap nodes; a bare mapped edge has no recoverable
     block index and raises ValueError.
     """
-    state_index = {node_id: i for i, node_id in g.state_ids}
     block_input: dict[int, int] = {}
     for n in g.nodes:
         if n.kind != BLOCK:
             continue
-        feeds = [e for e in g.in_edges(n.id) if e.src in state_index]
+        feeds = [s for e in g.in_edges(n.id) if (s := g.node_state(e.src)) is not None]
         if len(feeds) != 1:
             raise ValueError(f"block node {n.id} must have exactly one data edge")
-        block_input[n.block] = state_index[feeds[0].src]
+        block_input[n.block] = feeds[0]
 
     out: dict[int, list[tuple[int, PathPolynomial]]] = {}
-    for i, node_id in g.state_ids:
-        if i == 0:
-            continue
+    for i in range(1, g.depth + 1):
         acc: dict[int, dict[tuple[int, ...], int]] = {}
-        for e in g.in_edges(node_id):
+        for e in g.in_edges(g.state_node(i)):
             src_node = g.node(e.src)
             if src_node.kind in (INPUT, JUNCTION):
                 if e.label != IDENTITY:
                     raise ValueError(
                         f"mapped edge {e.src}->{e.dst} carries no block index"
                     )
-                source = state_index[e.src]
+                source = g.node_state(e.src)
                 key: tuple[int, ...] = ()
             elif src_node.kind in (BLOCK, TAP):
                 source = block_input[src_node.block]

@@ -19,6 +19,7 @@ from .archgraph import build_graph, direct_propagation_check, export, structural
 from .builtins import BUILTIN_NAMES, builtin_spec
 from .errors import RecurError
 from .expansion import (
+    CHECK_KINDS,
     DEFAULT_DEPTH_CAP,
     check_depth,
     check_structure,
@@ -393,7 +394,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--wrt", "-j", type=int, default=0, help="source state index")
     p.add_argument(
         "--check",
-        choices=("binomial", "single-path", "widest"),
+        choices=CHECK_KINDS,
         help="also check a structural claim (exit 1 on violation)",
     )
     _add_common(p)

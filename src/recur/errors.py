@@ -60,8 +60,8 @@ class UnrealizableError(RecurError):
 
 class SizeError(RecurError):
     """Input too large: a graph past the node-plus-edge budget of
-    build_graph, a graph for the isomorphism check, a matrix net to
-    instantiate, or a path coefficient to evaluate as a float64."""
+    build_graph, a matrix net to instantiate, or a path coefficient to
+    evaluate as a float64."""
 
 
 class ActivationError(RecurError):

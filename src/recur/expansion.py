@@ -21,7 +21,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
-from .algebra import PathPolynomial, StateExpansion, block_product, poly_add, poly_mul
+from .algebra import (
+    PathPolynomial, StateExpansion, block_product, poly_add, poly_mul, signed_sum
+)
 from .errors import DepthError
 from .parser import ArchitectureSpec
 
@@ -75,18 +77,16 @@ def derivative_bruteforce(
     check_depth(L, depth_cap)
     if not 0 <= j <= L:
         raise ValueError(f"wrt index must be in [0, {L}], got {j}")
-    one = PathPolynomial.one()
-    states: dict[int, dict[int, PathPolynomial]] = {0: {0: one}, j: {j: one}}
+    # Each state's coefficient of X[j]; at j = 0 the second entry wins.
+    states = {0: PathPolynomial.zero(), j: PathPolynomial.one()}
     for i in range(1, L + 1):
         if i in states:
             continue
-        acc: dict[int, PathPolynomial] = {}
+        acc = PathPolynomial.zero()
         for source, coeff in spec.instantiate_terms(i):
-            for key, poly in states[source].items():
-                contribution = poly_mul(coeff, poly)
-                acc[key] = poly_add(acc.get(key, PathPolynomial.zero()), contribution)
+            acc = poly_add(acc, poly_mul(coeff, states[source]))
         states[i] = acc
-    return states[L].get(j, PathPolynomial.zero())
+    return states[L]
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +150,21 @@ def check_structure(
 
     if kind == "widest":
         by_length: dict[int, list] = {}
-        for term in poly.terms():
-            by_length.setdefault(len(term.factors), []).append(term)
+        for factors, coeff in poly.canonical_items():
+            by_length.setdefault(len(factors), []).append((factors, coeff))
+
+        def text(terms: list) -> str:
+            return " + ".join(signed_sum([(c, block_product(f))]) for f, c in terms)
+
         for k in range(0, i + 1):
             expected_factors = tuple(range(L, L - k, -1))
             expected_text = block_product(expected_factors) or "1"
             terms = by_length.get(k, [])
-            if len(terms) != 1 or terms[0].factors != expected_factors:
-                actual_text = " + ".join(str(t) for t in terms) if terms else "absent"
-                violations.append(Violation(k, expected_text, actual_text))
+            if len(terms) != 1 or terms[0][0] != expected_factors:
+                violations.append(Violation(k, expected_text, text(terms) or "absent"))
         for k in sorted(by_length):
             if k > i:
-                violations.append(
-                    Violation(k, "absent", " + ".join(str(t) for t in by_length[k]))
-                )
+                violations.append(Violation(k, "absent", text(by_length[k])))
     else:
         counts = Counter(map(len, poly.keys()))
         for k in range(0, i + 1):

@@ -13,6 +13,7 @@ numeric call: the symbolic commands start without it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -448,12 +449,21 @@ class JacobianCheckResult:
 
 
 def relative_error(observed: np.ndarray, reference: np.ndarray) -> float:
+    """||observed - reference|| / ||reference|| (Frobenius), or the plain
+    norm of the difference when the reference is zero.
+
+    Both are first scaled by the power of two of their largest entry, so no
+    square leaves the float64 range; the scaling is exact.
+    """
     import numpy as np
 
-    scale = np.linalg.norm(reference)
-    if scale == 0.0:
-        return float(np.linalg.norm(observed - reference))
-    return float(np.linalg.norm(observed - reference) / scale)
+    diff = observed - reference
+    largest = max(float(np.abs(diff).max()), float(np.abs(reference).max()))
+    scale = math.ldexp(1.0, -math.frexp(largest)[1])
+    norm = float(np.linalg.norm(reference * scale))
+    if norm == 0.0:
+        return float(np.linalg.norm(diff * scale)) / scale
+    return float(np.linalg.norm(diff * scale)) / norm
 
 
 def check_derivative(

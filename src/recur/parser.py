@@ -356,10 +356,16 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(_SYMBOLS[ch], ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() accepts
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
+            try:
+                int(text[i:j])
+            except ValueError:  # past CPython's limit on digits
+                raise FormulaSyntaxError(
+                    f"integer literal of {j - i} digits is too long", position=i
+                ) from None
             tokens.append(Token("INT", text[i:j], i))
             i = j
             continue

@@ -235,9 +235,6 @@ class NemenyiResult:
     intervals: tuple[tuple[float, float], ...]  # r_i -+ CD/2
     overlap: tuple[tuple[bool, ...], ...]  # True unless |r_a - r_b| > CD
 
-    def significantly_different(self, a: int, b: int) -> bool:
-        return not self.overlap[a][b]
-
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,

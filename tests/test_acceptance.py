@@ -100,7 +100,8 @@ def test_criterion_3_newarch_laws():
             widest = check_structure(poly, "widest", L, j)
             crit.expect(single.passed, f"L={L} j={j}: not single-path")
             crit.expect(widest.passed, f"L={L} j={j}: not widest")
-        by_length = {len(t.factors): t.factors for t in derivative(spec, L, 0).terms()}
+        poly = derivative(spec, L, 0)
+        by_length = {len(f): f for f, _ in poly.canonical_items()}
         for k in range(1, L + 1):
             crit.expect(
                 by_length[k][: k - 1] == by_length[k - 1],

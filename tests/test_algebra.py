@@ -5,13 +5,14 @@ import pytest
 
 from recur.algebra import (
     PathPolynomial,
-    PathTerm,
+    block_product,
     census,
     json_text,
     poly_add,
     poly_mul,
     poly_neg,
     render_poly,
+    signed_sum,
 )
 
 ONE = PathPolynomial.one()
@@ -138,7 +139,7 @@ def test_constructor_rejects_bad_indices():
 
 def test_terms_iterate_in_canonical_order():
     p = PathPolynomial({(1,): 1, (2, 1): 1, (): 1, (2,): 1})
-    assert [t.factors for t in p.terms()] == [(), (2,), (1,), (2, 1)]
+    assert [f for f, _ in p.canonical_items()] == [(), (2,), (1,), (2, 1)]
 
 
 def test_render():
@@ -150,14 +151,15 @@ def test_render():
     assert render_poly(PathPolynomial({(1,): -1})) == "-W[1]"
     mixed = PathPolynomial({(): -3, (2, 1): -1, (2,): 2, (1,): 1})
     assert render_poly(mixed) == "-3 + 2*W[2] + W[1] - W[2]*W[1]"
-
-
-def test_path_term_str():
-    assert str(PathTerm(1, (3, 2))) == "W[3]*W[2]"
-    assert str(PathTerm(-1, (3,))) == "-W[3]"
-    assert str(PathTerm(2, ())) == "2"
-    assert str(PathTerm(-2, (3,))) == "-2*W[3]"
-    assert str(PathTerm(-2, ())) == "-2"
+    # One term alone, as the widest and degree messages write each term.
+    for coeff, factors, text in [
+        (1, (3, 2), "W[3]*W[2]"),
+        (-1, (3,), "-W[3]"),
+        (2, (), "2"),
+        (-2, (3,), "-2*W[3]"),
+        (-2, (), "-2"),
+    ]:
+        assert signed_sum([(coeff, block_product(factors))]) == text
 
 
 def test_polynomials_are_hashable_and_equal_by_value():
@@ -294,7 +296,6 @@ def test_canonical_order_matches_the_per_term_key():
         p = PathPolynomial(raw)
         expected = [(f, raw[f]) for f in sorted(raw, key=_old_canonical_key)]
         assert p.canonical_items() == expected
-        assert [(t.factors, t.coeff) for t in p.terms()] == expected
 
     check()
 

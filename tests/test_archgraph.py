@@ -12,7 +12,6 @@ from recur.archgraph import (
     JUNCTION,
     MAPPED,
     OUTPUT,
-    SIZE_CAP,
     TAP,
     ArchGraph,
     Edge,
@@ -154,14 +153,11 @@ def test_resnet_vs_newarch_not_isomorphic():
     assert not structural_equal(ga, gb)
 
 
-def test_size_cap():
-    small, large = build_graph(CHAIN, 99), build_graph(CHAIN, 100)
-    assert len(small.nodes) == SIZE_CAP < len(large.nodes)
-    assert structural_equal(small, small)
-    with pytest.raises(SizeError):
-        structural_equal(large, large)
-    with pytest.raises(SizeError):
-        structural_equal(small, large)
+def test_isomorphism_has_no_size_cap():
+    g = build_graph(NEWARCH, 1000)
+    assert len(g.nodes) == 3001
+    assert structural_equal(g, _shuffled(g, random.Random(5)))
+    assert not structural_equal(g, _with_sign_flipped(g, len(g.edges) // 2))
 
 
 # W[i-1] meets the absolute W[1] at X[2] and cancels there, so X[2] gets
@@ -205,6 +201,12 @@ def test_unrealizable_degree_two_coefficient():
     spec = parse("X[i] = W[i]*W[i]*X[i-1]; X[0] = input")
     with pytest.raises(UnrealizableError):
         build_graph(spec, 3)
+    spec = parse("X[0] = input; X[1] = W[1]*X[0]; X[i] = -2*W[i]*W[i-1]*X[i-1]")
+    with pytest.raises(UnrealizableError) as info:
+        build_graph(spec, 3)
+    assert str(info.value).startswith(
+        "coefficient term -2*W[2]*W[1] on X[1] in X[2] has degree 2;"
+    )
 
 
 def test_path_count_matches_unroll_census():
@@ -318,6 +320,11 @@ def test_node_lookup_and_edge_order():
     g = build_graph(NEWARCH, 6)
     with pytest.raises(KeyError):
         g.node("no-such-node")
+    for i, node_id in g.state_ids:
+        assert g.state_node(i) == node_id and g.node_state(node_id) == i
+    assert g.node_state("output") is None
+    with pytest.raises(KeyError):
+        g.state_node(7)
     for n in g.nodes:
         assert g.node(n.id) is n
         assert g.in_edges(n.id) == [e for e in g.edges if e.dst == n.id]

@@ -2,12 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import re
 import time
+import warnings
 
 import pytest
 
 from recur.builtins import BUILTIN_NAMES
 from recur.cli import main
+from recur.expansion import CHECK_KINDS
 
 NEWARCH_TEXT = (
     "X[i] = (1 + W[i])*X[i-1] - W[i-1]*X[i-2]\n"
@@ -178,6 +182,21 @@ def test_verify_rejects_meaningless_tolerance_before_any_work(capsys, tol):
     assert err.startswith(f"error: {tol[0]} must be finite")
 
 
+def _run_drawn(argv):
+    """Run drawn argv through main: it exits 0, 1 or 2 without raising or
+    warning, and prints only an error line when it exits 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:"), argv
+    else:
+        assert out.getvalue() and not err.getvalue(), argv
+
+
 def test_drawn_verify_argv_exits_zero_one_or_two_without_raising():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -215,14 +234,76 @@ def test_drawn_verify_argv_exits_zero_one_or_two_without_raising():
             argv += ["--activation", "tanh"]
         if data.draw(st.booleans(), label="json"):
             argv += ["--format", "json"]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 2), argv
-        if code == 2:
-            assert out.getvalue() == "" and err.getvalue().startswith("error:"), argv
+        _run_drawn(argv)
+
+    check()
+
+
+# Formula and table files for the drawn argv of every command: two valid
+# formulas, one with no graph, one that fails the widest check, one past
+# float64, one with a bad literal, and tables with ties, NaN and a short row.
+DRAWN_FILES = {
+    "newarch.rf": NEWARCH_TEXT,
+    "eq22.rf": EQ22_TEXT,
+    "deg2.rf": "X[0] = input; X[1] = W[1]*X[0]; X[i] = -2*W[i]*W[i-1]*X[i-1]\n",
+    "wide.rf": (
+        "X[0] = input; X[1] = (1 + W[1])*X[0];"
+        " X[i] = (1 - 2*W[i])*X[i-1] + W[i-1]*X[i-2]\n"
+    ),
+    "big.rf": "X[0] = input\nX[i] = 1" + "0" * 200 + "*X[i-1]\n",
+    "bad.rf": "X[0] = input\nX[i] = W[i]*X[i-\u00b2]\n",
+    "ties.csv": "method,a,b,c\nA,1,2,3\nB,1,2,3\nC,3,1,nan\n",
+    "short.csv": "method,a,b\nA,1\n",
+}
+
+
+def test_drawn_argv_of_every_command_exits_zero_one_or_two(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    for name, text in DRAWN_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    paths = [str(tmp_path / name) for name in DRAWN_FILES]
+    formulas = tuple(p for p in paths if p.endswith(".rf"))
+    spec = st.sampled_from(BUILTIN_NAMES + formulas)
+    depth = st.integers(-1, 7).map(lambda L: f"--depth={L}")
+
+    def spec_args(data):
+        if data.draw(st.booleans(), label="--builtin"):
+            return ["--builtin", data.draw(st.sampled_from(BUILTIN_NAMES))]
+        return [data.draw(spec, label="spec")]
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        commands = ("parse", "expand", "census", "equiv", "graph", "chain-identity")
+        command = data.draw(st.sampled_from(commands + ("stats", "verify")))
+        fmt = st.sampled_from(["text", "json"])
+        if command == "equiv":
+            argv = [command, data.draw(spec), data.draw(spec), data.draw(depth)]
+            if data.draw(st.booleans(), label="--structural"):
+                argv.append("--structural")
+        elif command == "stats":
+            tables = ("table1", "table2", *(p for p in paths if p.endswith(".csv")))
+            alpha = st.sampled_from(["0.05", "0.1", "0.2", "nan", "-1"])
+            table = data.draw(st.sampled_from(tables), label="table")
+            argv = [command, table, "--alpha", data.draw(alpha, label="alpha")]
         else:
-            assert out.getvalue() and not err.getvalue(), argv
+            argv = [command, *spec_args(data)]
+            if command != "parse":
+                argv.append(data.draw(depth))
+            if command == "census":
+                argv.append(f"--wrt={data.draw(st.integers(-1, 8))}")
+                kind = data.draw(st.sampled_from((None, *CHECK_KINDS)))
+                if kind:
+                    argv += ["--check", kind]
+            elif command == "graph":
+                fmt = st.sampled_from(["dot", "json", "text"])
+                if data.draw(st.booleans(), label="--propagation"):
+                    argv.append("--propagation")
+            elif command == "verify":
+                argv.append(f"--dim={data.draw(st.integers(1, 3))}")
+        argv += ["--format", data.draw(fmt, label="format")]
+        _run_drawn(argv)
 
     check()
 
@@ -268,9 +349,14 @@ def test_verify_coefficient_past_float64_exits_two(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(f), "-L", "3")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "float64" in err
-    # At L = 1 every coefficient, 10^200 at most, is a float64.
-    code, out, _ = run(capsys, "verify", str(f), "-L", "1")
-    assert code == 0 and out.endswith("2 checks, 2 passed\n")
+    # At L = 1 every coefficient, 10^200 at most, is a float64. Its square
+    # is not, so the error norms must scale before they square.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", str(f), "-L", "1")
+    assert (code, err) == (0, "") and out.endswith("2 checks, 2 passed\n")
+    errors = [float(e) for e in re.findall(r" error=(\S+) ", out)]
+    assert len(errors) == 2 and all(math.isfinite(e) for e in errors)
 
 
 def test_verify_tanh_rejected_for_newarch(capsys):

@@ -15,6 +15,7 @@ from recur.expansion import (
     value_equivalence_report,
     verify_chain_identity,
 )
+from recur.parser import parse
 
 RESNET = builtin_spec("resnet")
 CHAIN = builtin_spec("chain")
@@ -146,11 +147,23 @@ def test_widest_check_fails_for_resnet():
     assert not report.passed
 
 
+def test_widest_violations_list_each_signed_term():
+    spec = parse(
+        "X[0] = input; X[1] = (1 + W[1])*X[0];"
+        " X[i] = (1 - 2*W[i])*X[i-1] + W[i-1]*X[i-2]"
+    )
+    report = check_structure(derivative(spec, 3, 0), "widest", 3, 0)
+    assert [(v.length, v.expected, v.actual) for v in report.violations] == [
+        (1, "W[3]", "-2*W[3] + -W[2] + 2*W[1]"),
+        (2, "W[3]*W[2]", "4*W[3]*W[2] + -4*W[3]*W[1] + -W[2]*W[1]"),
+    ]
+
+
 def test_newarch_prefix_nesting():
     # Each longer path extends the previous one on the right.
     for L in range(2, 10):
         poly = derivative(NEWARCH, L, 0)
-        by_length = {len(t.factors): t.factors for t in poly.terms()}
+        by_length = {len(f): f for f, _ in poly.canonical_items()}
         for k in range(1, L + 1):
             assert by_length[k][: k - 1] == by_length[k - 1]
 

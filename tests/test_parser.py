@@ -282,3 +282,33 @@ def test_deep_nesting_is_a_syntax_error():
     with pytest.raises(FormulaSyntaxError) as info:
         parse(text)
     assert info.value.position == text.index("(") + MAX_NESTING
+
+
+def test_any_text_parses_or_raises_recur_error_with_a_position():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from recur.errors import RecurError
+
+    # Statements over drawn indices and factors, so that most draws reach
+    # the index and literal conversions, then any text at all.
+    long = "9" * 4301
+    index = st.sampled_from(
+        ["i", "i-1", "i-2", "i+1", "q", "0", "1", "2", "", "²", "i-²", "٣", long]
+    )
+    atom = st.builds("{}[{}]".format, st.sampled_from("XWY"), index)
+    factor = atom | st.sampled_from(["1", "-2", "²", "(1 + W[i])", "input", long])
+    term = st.lists(factor, min_size=1, max_size=2).map("*".join)
+    expr = st.lists(term, min_size=1, max_size=2).map(" - ".join)
+    statement = st.builds("{} = {}".format, atom, expr)
+    noise = st.text(st.characters(codec=None), max_size=40)
+    texts = st.lists(statement, max_size=3).map("; ".join) | noise
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(texts)
+    def check(text):
+        try:
+            assert isinstance(parse(text), ArchitectureSpec)
+        except RecurError as exc:
+            assert exc.position is not None and 0 <= exc.position <= len(text), exc
+
+    check()

@@ -29,8 +29,21 @@ from pathlib import Path
 
 BUILTINS = ("chain", "resnet", "newarch", "eq22", "appendix-ex1", "appendix-ex2")
 FORMATS = ("text", "json")
-# A formula whose derivative coefficients pass the float64 range from L = 2 on.
-FILES = {"overflow.rf": "X[0] = input\nX[i] = 1" + "0" * 200 + "*X[i-1]\n"}
+FILES = {
+    # derivative coefficients pass the float64 range from L = 2 on
+    "overflow.rf": "X[0] = input\nX[i] = 1" + "0" * 200 + "*X[i-1]\n",
+    # a degree-2 coefficient term, which has no graph
+    "deg2.rf": "X[0] = input; X[1] = W[1]*X[0]; X[i] = -2*W[i]*W[i-1]*X[i-1]\n",
+    # signed multi-term coefficients, which fail the widest check
+    "wide.rf": (
+        "X[0] = input; X[1] = (1 + W[1])*X[0];"
+        " X[i] = (1 - 2*W[i])*X[i-1] + W[i-1]*X[i-2]\n"
+    ),
+    # a superscript two, which str.isdigit accepts and int() does not
+    "superscript.rf": "X[0] = input\nX[i] = W[i]*X[i-\u00b2]\n",
+    # an integer literal past CPython's 4,300-digit conversion limit
+    "long.rf": "X[0] = input\nX[i] = 1" + "0" * 5000 + "*X[i-1]\n",
+}
 
 
 def commands() -> list[list[str]]:
@@ -60,7 +73,7 @@ def commands() -> list[list[str]]:
                 cmds.append(
                     ["equiv", name, other, "-L", "6", "--structural", "--format", fmt]
                 )
-        # L=66 reaches the 200-node isomorphism cap.
+        # L=66: newarch's graph has 199 nodes, the graphs workload's size.
         for L in (5, 66):
             for fmt in ("dot", "json", "text"):
                 for extra in ([], ["--propagation"]):
@@ -114,6 +127,15 @@ def commands() -> list[list[str]]:
         ["parse"],
         ["census", "--builtin", "not-a-builtin"],
         ["verify", "overflow.rf", "-L", "3"],
+        # the widest and degree texts, state lookups on a long graph, the
+        # norms at the float64 edge and literals that int() rejects
+        ["graph", "deg2.rf", "-L", "3"],
+        ["census", "wide.rf", "-L", "3", "--check", "widest"],
+        ["census", "wide.rf", "-L", "3", "--check", "widest", "--format", "json"],
+        ["graph", "--builtin", "appendix-ex2", "-L", "5000", "--propagation"],
+        ["verify", "overflow.rf", "-L", "1"],
+        ["parse", "superscript.rf"],
+        ["parse", "long.rf"],
     ]
     return cmds
 
