@@ -5,149 +5,88 @@ derivatives into propagation-path polynomials, compile them into
 architecture graphs, verify the symbolic algebra against exact Jacobians
 of small matrix networks, and run rank-based significance analysis on
 accuracy tables.
+
+Each public name lives in one submodule, which ``import recur`` leaves
+unloaded until the name is first read (PEP 562).
 """
 
-from .algebra import (
-    CensusBin,
-    PathPolynomial,
-    StateExpansion,
-    census,
-    poly_add,
-    poly_mul,
-    render_poly,
-)
-from .archgraph import (
-    ArchGraph,
-    StructuralReport,
-    build_graph,
-    count_paths,
-    direct_propagation_check,
-    export,
-    structural_equal,
-)
-from .builtins import BUILTIN_NAMES, builtin_spec
-from .errors import (
-    ActivationError,
-    DegenerateError,
-    DepthError,
-    FormulaSyntaxError,
-    NonAffineError,
-    NonCausalError,
-    RangeError,
-    RecurError,
-    SizeError,
-    UnrealizableError,
-)
-from .expansion import (
-    DEFAULT_DEPTH_CAP,
-    StructureReport,
-    check_structure,
-    derivative,
-    derivative_bruteforce,
-    unroll,
-    value_equivalence_report,
-    verify_chain_identity,
-)
-from .numeric import (
-    ConcreteNet,
-    JacobianCheckResult,
-    check_derivative,
-    eval_polynomial,
-    finite_diff_check,
-    forward,
-    instantiate,
-    jacobian_exact,
-)
-from .parser import (
-    ArchitectureSpec,
-    BaseCase,
-    CoefficientExpr,
-    RecursionRule,
-    RuleTerm,
-    parse,
-    parse_file,
-    render,
-)
-from .stats import (
-    AccuracyTable,
-    FriedmanGraphData,
-    FriedmanResult,
-    NemenyiResult,
-    RankMatrix,
-    betainc,
-    f_distribution_sf,
-    fixture_table,
-    friedman,
-    friedman_graph_data,
-    load_table,
-    nemenyi,
-    rank,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyTable",
-    "ActivationError",
-    "ArchGraph",
-    "ArchitectureSpec",
-    "BUILTIN_NAMES",
-    "BaseCase",
-    "CensusBin",
-    "CoefficientExpr",
-    "ConcreteNet",
-    "DEFAULT_DEPTH_CAP",
-    "DegenerateError",
-    "DepthError",
-    "FormulaSyntaxError",
-    "FriedmanGraphData",
-    "FriedmanResult",
-    "JacobianCheckResult",
-    "NemenyiResult",
-    "NonAffineError",
-    "NonCausalError",
-    "PathPolynomial",
-    "RangeError",
-    "RankMatrix",
-    "RecurError",
-    "RecursionRule",
-    "RuleTerm",
-    "SizeError",
-    "StateExpansion",
-    "StructuralReport",
-    "StructureReport",
-    "UnrealizableError",
-    "betainc",
-    "build_graph",
-    "builtin_spec",
-    "census",
-    "check_derivative",
-    "check_structure",
-    "count_paths",
-    "derivative",
-    "derivative_bruteforce",
-    "direct_propagation_check",
-    "eval_polynomial",
-    "export",
-    "f_distribution_sf",
-    "finite_diff_check",
-    "fixture_table",
-    "forward",
-    "friedman",
-    "friedman_graph_data",
-    "instantiate",
-    "jacobian_exact",
-    "load_table",
-    "nemenyi",
-    "parse",
-    "parse_file",
-    "poly_add",
-    "poly_mul",
-    "rank",
-    "render",
-    "render_poly",
-    "structural_equal",
-    "unroll",
-    "value_equivalence_report",
-    "verify_chain_identity",
-]
+# Public name -> the submodule that defines it.
+_HOMES = {
+    "CensusBin": "algebra",
+    "PathPolynomial": "algebra",
+    "StateExpansion": "algebra",
+    "census": "algebra",
+    "poly_add": "algebra",
+    "poly_mul": "algebra",
+    "render_poly": "algebra",
+    "ArchGraph": "archgraph",
+    "StructuralReport": "archgraph",
+    "build_graph": "archgraph",
+    "count_paths": "archgraph",
+    "direct_propagation_check": "archgraph",
+    "export": "archgraph",
+    "structural_equal": "archgraph",
+    "BUILTIN_NAMES": "builtins",
+    "builtin_spec": "builtins",
+    "ActivationError": "errors",
+    "DegenerateError": "errors",
+    "DepthError": "errors",
+    "FormulaSyntaxError": "errors",
+    "NonAffineError": "errors",
+    "NonCausalError": "errors",
+    "RangeError": "errors",
+    "RecurError": "errors",
+    "SizeError": "errors",
+    "UnrealizableError": "errors",
+    "DEFAULT_DEPTH_CAP": "expansion",
+    "StructureReport": "expansion",
+    "check_structure": "expansion",
+    "derivative": "expansion",
+    "derivative_bruteforce": "expansion",
+    "unroll": "expansion",
+    "value_equivalence_report": "expansion",
+    "verify_chain_identity": "expansion",
+    "ConcreteNet": "numeric",
+    "JacobianCheckResult": "numeric",
+    "check_derivative": "numeric",
+    "eval_polynomial": "numeric",
+    "finite_diff_check": "numeric",
+    "forward": "numeric",
+    "instantiate": "numeric",
+    "jacobian_exact": "numeric",
+    "ArchitectureSpec": "parser",
+    "BaseCase": "parser",
+    "CoefficientExpr": "parser",
+    "RecursionRule": "parser",
+    "RuleTerm": "parser",
+    "parse": "parser",
+    "parse_file": "parser",
+    "render": "parser",
+    "AccuracyTable": "stats",
+    "FriedmanGraphData": "stats",
+    "FriedmanResult": "stats",
+    "NemenyiResult": "stats",
+    "RankMatrix": "stats",
+    "betainc": "stats",
+    "f_distribution_sf": "stats",
+    "fixture_table": "stats",
+    "friedman": "stats",
+    "friedman_graph_data": "stats",
+    "load_table": "stats",
+    "nemenyi": "stats",
+    "rank": "stats",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{home}", __name__), name)

@@ -20,8 +20,11 @@ puts "1" first and deeper blocks before shallower ones within a length.
 
 from __future__ import annotations
 
+import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, ItemsView, KeysView, Mapping, NamedTuple
+
+from .errors import SizeError
 
 Factors = tuple[int, ...]
 
@@ -37,14 +40,24 @@ def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
     An empty body stands for the constant 1; the empty sum is "0".
     """
     parts: list[str] = []
-    for coeff, body in terms:
-        mag = abs(coeff)
-        text = str(mag) if not body else (body if mag == 1 else f"{mag}*{body}")
-        if parts:
-            parts.append(("- " if coeff < 0 else "+ ") + text)
-        else:
-            parts.append(f"-{text}" if coeff < 0 else text)
+    try:
+        for coeff, body in terms:
+            mag = abs(coeff)
+            text = str(mag) if not body else (body if mag == 1 else f"{mag}*{body}")
+            if parts:
+                parts.append(("- " if coeff < 0 else "+ ") + text)
+            else:
+                parts.append(f"-{text}" if coeff < 0 else text)
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        raise _too_long(coeff) from None
     return " ".join(parts) or "0"
+
+
+def _too_long(value: int) -> SizeError:
+    return SizeError(
+        f"an integer of {value.bit_length()} bits has more than"
+        f" {sys.get_int_max_str_digits()} decimal digits, too many to write"
+    )
 
 
 def json_text(payload) -> str:
@@ -53,9 +66,22 @@ def json_text(payload) -> str:
     Covers what recur emits: dicts with str keys, lists, tuples, str, int,
     float (NaN and infinities as json writes them), bool and None.  Any
     other value, or a non-str key, raises TypeError.  json itself falls
-    back to its pure-Python encoder whenever ``indent`` is set.
+    back to its pure-Python encoder whenever ``indent`` is set.  An int
+    past the interpreter's digit limit raises SizeError.
     """
-    return _json_value(payload, "\n", "\n")
+    try:
+        return _json_value(payload, "\n", "\n")
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        raise _too_long(_largest_int(payload)) from None
+
+
+def _largest_int(value) -> int:
+    """The largest |int| anywhere in a JSON payload (0 if none)."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return max(map(_largest_int, value), default=0)
+    return abs(value) if isinstance(value, int) else 0
 
 
 _INFINITY = float("inf")

@@ -335,7 +335,7 @@ def cmd_stats(args) -> int:
         )
         if fried.p_value is not None:
             lines.append(f"p = {fried.p_value:.6g}")
-        lines.append(f"CD = {nem.cd:.6g} (alpha = {args.alpha}, q = {nem.q_alpha})")
+        lines.append(f"CD = {nem.cd:.6g} (alpha = {args.alpha}, q = {nem.q_alpha:.6g})")
         significant = [
             f"{nem.methods[a]} vs {nem.methods[b]}"
             for a in range(ranks.k)

@@ -45,8 +45,7 @@ class RangeError(RecurError):
     """An index is outside its admissible range.
 
     Raised for W indices outside [1, lhs] and X indices below 0 in formulas,
-    and for alpha/k combinations outside the studentized-range table in the
-    ranking statistics.
+    and for a Nemenyi alpha outside (0, 1) in the ranking statistics.
     """
 
 

@@ -694,12 +694,8 @@ def parse(text: str, *, name: str = "spec") -> ArchitectureSpec:
             if stmt.is_input:
                 base_cases.append(BaseCase(index=0, is_input=True))
                 continue
-            rel, absolute = _classify(stmt.terms, stmt.pos)
-            if rel:
-                raise FormulaSyntaxError(
-                    "relative X indices are not allowed in base cases",
-                    position=stmt.pos,
-                )
+            # make_atom has already rejected every relative index here.
+            _, absolute = _classify(stmt.terms, stmt.pos)
             pairs = tuple(
                 (source, CoefficientExpr(coeffs))
                 for source, coeffs in sorted(absolute.items())

@@ -13,7 +13,8 @@ freedom.  The Nemenyi post-hoc threshold on mean-rank differences is
 
     CD = q_alpha * sqrt(k(k+1) / (6N))
 
-with q_alpha from the studentized-range table below.  Two methods differ
+with q_alpha = q(1 - alpha; k, df=inf) / sqrt(2), computed from the
+studentized range of k normals (Demsar 2006, JMLR 7).  Two methods differ
 significantly when their mean ranks differ by strictly more than CD;
 equivalently their r_i +- CD/2 intervals do not overlap.
 
@@ -30,13 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateError, RangeError
-
-# Studentized range q values divided by sqrt(2), for k = 2..10 methods.
-Q_TABLE: dict[float, tuple[float, ...]] = {
-    0.05: (1.960, 2.343, 2.569, 2.728, 2.850, 2.949, 3.031, 3.102, 3.164),
-    0.10: (1.645, 2.052, 2.291, 2.459, 2.589, 2.693, 2.780, 2.855, 2.920),
-}
-
 
 @dataclass(frozen=True)
 class AccuracyTable:
@@ -247,19 +241,59 @@ class NemenyiResult:
         }
 
 
-def _q_value(alpha: float, k: int) -> float:
-    for table_alpha, row in Q_TABLE.items():
-        if abs(alpha - table_alpha) < 1e-12:
-            if not 2 <= k <= 10:
-                raise RangeError(f"q table covers 2 <= k <= 10, got k={k}")
-            return row[k - 2]
-    raise RangeError(f"alpha must be 0.05 or 0.10, got {alpha}")
+def _normal_pdf(x: float) -> float:
+    return math.exp(-x * x / 2) / math.sqrt(2 * math.pi)
+
+
+def _normal_cdf(x: float) -> float:
+    return math.erfc(-x / math.sqrt(2)) / 2
+
+
+def nemenyi_q(k: int, alpha: float) -> float:
+    """q(1 - alpha; k, df=inf) / sqrt(2): the Nemenyi q_alpha for k methods.
+
+    The range R of k independent standard normals has
+    P(R <= q) = k * integral of phi(z) (Phi(z+q) - Phi(z))^(k-1) dz.
+    Simpson's rule with 240 intervals on [-8.5, 8.5] gives it and its
+    q-derivative, and Newton steps solve P(R <= q) = 1 - alpha, bisecting
+    whenever a step would leave the bracket.  The integral is good to about
+    1e-15 absolute, so q is good to about 1e-12 for alpha >= 1e-4, loses
+    digits as alpha shrinks below that, and stops resolving alpha near
+    1e-16, where 1 - alpha rounds to 1.
+    """
+    if not 0 < alpha < 1:  # NaN fails too
+        raise RangeError(f"alpha must be in (0, 1), got {alpha}")
+    n, h = 240, 17 / 240
+    grid = []  # (node z, Simpson weight * phi(z), Phi(z))
+    for i in range(n + 1):
+        z = -8.5 + i * h
+        weight = h / 3 * (1 if i in (0, n) else 4 if i % 2 else 2)
+        grid.append((z, weight * _normal_pdf(z), _normal_cdf(z)))
+    lo, hi, q = 0.0, 64.0, 4.0  # P(R <= 64) is 1 in double precision
+    for _ in range(100):
+        p = dp = 0.0
+        for z, w, c in grid:
+            d = _normal_cdf(z + q) - c
+            t = w * d ** (k - 2)
+            p += t * d
+            dp += t * _normal_pdf(z + q)
+        f = k * p - (1 - alpha)
+        if f < 0:
+            lo = q
+        else:
+            hi = q
+        step = q - f / (k * (k - 1) * dp) if dp else math.nan
+        if abs(step - q) <= 1e-14 * q:
+            q = step
+            break
+        q = step if lo < step < hi else (lo + hi) / 2
+    return q / math.sqrt(2)
 
 
 def nemenyi(ranks: RankMatrix, alpha: float = 0.05) -> NemenyiResult:
     """Critical difference and pairwise overlap at the given alpha."""
     k, n = ranks.k, ranks.n
-    q = _q_value(alpha, k)
+    q = nemenyi_q(k, alpha)
     cd = q * math.sqrt(k * (k + 1) / (6 * n))
     means = ranks.mean_ranks
     intervals = tuple((r - cd / 2, r + cd / 2) for r in means)

@@ -8,6 +8,7 @@ import json
 import random
 import time
 from math import comb, sqrt
+from statistics import NormalDist
 
 import pytest
 
@@ -195,8 +196,9 @@ def test_criterion_8_statistics():
 
     table1 = fixture_table("table1")
     nem = nemenyi(rank(table1), 0.05)  # k=8, N=3
-    crit.expect(abs(nem.cd - 6.062) <= 1e-9, f"CD(8,3) = {nem.cd}")
-    crit.expect(nem.q_alpha == 3.031, f"q(8) = {nem.q_alpha}")
+    # q(0.95; 8, inf) / sqrt(2) from scipy.stats.studentized_range.
+    crit.expect(abs(nem.cd - 2 * 3.030878449614413) <= 1e-12, f"CD(8,3) = {nem.cd}")
+    crit.expect(abs(nem.q_alpha - 3.030878449614413) <= 1e-12, f"q(8) = {nem.q_alpha}")
 
     two = AccuracyTable(
         methods=("A", "B"),
@@ -205,7 +207,8 @@ def test_criterion_8_statistics():
     )
     nem2 = nemenyi(rank(two), 0.05)  # k=2, N=3
     crit.expect(
-        abs(nem2.cd - 1.960 * sqrt(1 / 3)) <= 1e-9, f"CD(2,3) = {nem2.cd}"
+        abs(nem2.cd - NormalDist().inv_cdf(0.975) * sqrt(1 / 3)) <= 1e-12,
+        f"CD(2,3) = {nem2.cd}",
     )
 
     worked = AccuracyTable(

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import sys
 import time
 import warnings
 
@@ -68,7 +69,7 @@ def test_equiv_builtin_names(capsys):
 def test_stats_fixture_cd(capsys):
     code, out, _ = run(capsys, "stats", "table1", "--alpha", "0.05")
     assert code == 0
-    assert "CD = 6.062" in out
+    assert "CD = 6.06176 (alpha = 0.05, q = 3.03088)" in out
 
 
 def test_stats_graph_json(tmp_path, capsys):
@@ -78,7 +79,7 @@ def test_stats_graph_json(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out_file.read_text())
-    assert payload["cd"] == pytest.approx(6.062, abs=1e-9)
+    assert payload["cd"] == pytest.approx(2 * 3.030878449614413, abs=1e-12)
     assert payload["entries"][0]["method"] == "ResNet50s"
 
 
@@ -87,7 +88,7 @@ def test_stats_json_format(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["friedman"]["df1"] == 7
-    assert payload["nemenyi"]["cd"] == pytest.approx(6.062, abs=1e-9)
+    assert payload["nemenyi"]["cd"] == pytest.approx(2 * 3.030878449614413, abs=1e-12)
 
 
 def test_parse_prints_canonical_form(tmp_path, capsys):
@@ -357,6 +358,35 @@ def test_verify_coefficient_past_float64_exits_two(tmp_path, capsys):
     assert (code, err) == (0, "") and out.endswith("2 checks, 2 passed\n")
     errors = [float(e) for e in re.findall(r" error=(\S+) ", out)]
     assert len(errors) == 2 and all(math.isfinite(e) for e in errors)
+
+
+BIG_RULE = "X[0] = input\nX[i] = 1" + "0" * 200 + "*X[i-1]\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv, bits",
+    [
+        # At L = 22 the one coefficient is 10^4400, past 4,300 digits.
+        (BIG_RULE, ["expand", "-L", "22"], (10**4400).bit_length()),
+        # The census weight at L = 22 is that coefficient too.
+        (BIG_RULE, ["census", "-L", "22", "--format", "json"], (10**4400).bit_length()),
+        # Each literal has 4,300 digits; render writes their product.
+        ("X[0] = input\nX[i] = " + "*".join(["9" * 4300] * 2) + "*X[i-1]\n",
+         ["parse"], (int("9" * 4300) ** 2).bit_length()),
+    ],
+    ids=["expand", "census", "parse"],
+)
+def test_coefficient_past_the_digit_limit_exits_two(
+    tmp_path, capsys, text, argv, bits
+):
+    f = tmp_path / "big.rf"
+    f.write_text(text)
+    code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: an integer of {bits} bits has more than"
+        f" {sys.get_int_max_str_digits()} decimal digits, too many to write\n"
+    )
 
 
 def test_verify_tanh_rejected_for_newarch(capsys):

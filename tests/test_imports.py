@@ -1,6 +1,12 @@
-"""Only `verify` loads numpy; every other command runs without it."""
+"""The package surface, and which modules each step loads.
+
+`import recur` loads no submodule; a public name loads its home module on
+first use.  Only `verify` loads numpy; every other command runs without it.
+"""
 
 import json
+
+import pytest
 
 from conftest import run_fresh
 
@@ -63,3 +69,38 @@ def test_star_import_binds_exactly_all():
         "print(sorted(names) == sorted(recur.__all__))\n"
     )
     assert run_fresh(code).split() == ["True"]
+
+
+def test_import_recur_loads_no_submodule():
+    code = (
+        "import json, sys, recur\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('recur.'))))\n"
+    )
+    assert json.loads(run_fresh(code)) == []
+
+
+def test_each_name_is_its_home_module_attribute():
+    # Reads every name first, so a home module loads through recur itself.
+    code = (
+        "import json, sys, recur\n"
+        "wrong = []\n"
+        "for name in recur.__all__:\n"
+        "    value = getattr(recur, name)\n"
+        "    home = 'recur.' + recur._HOMES[name]\n"
+        "    if value is not getattr(sys.modules[home], name):\n"
+        "        wrong.append(name)\n"
+        "    elif getattr(value, '__module__', home) != home:\n"
+        "        wrong.append(name)\n"
+        "print(json.dumps([len(recur.__all__), wrong]))\n"
+    )
+    assert json.loads(run_fresh(code)) == [63, []]
+
+
+def test_unknown_name_raises_attribute_error():
+    import recur
+
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        recur.no_such_name
+    assert not hasattr(recur, "cli_main")
+    with pytest.raises(ImportError):
+        from recur import no_such_name  # noqa: F401

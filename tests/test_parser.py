@@ -142,6 +142,44 @@ def test_all_parse_errors_carry_positions():
         assert 0 <= err.value.position < len(text_in), text_in
 
 
+@pytest.mark.parametrize(
+    "text, message, at",
+    [
+        (
+            "X[0] = input; X[0] = X[0]; X[i] = X[i-1]",
+            "X[0] is the free input and cannot be defined",
+            "X[0] = X[0]",
+        ),
+        (
+            "X[0] = input; X[1] = X[0]; X[1] = W[1]*X[0]; X[i] = X[i-1]",
+            "duplicate definition of X[1]",
+            "X[1] = W[1]",
+        ),
+        (
+            "X[0] = input; X[i] = W[i]*X[i-1] - W[i]*X[i-1]",
+            "the rule right-hand side cancels to zero",
+            "X[i] =",
+        ),
+        (
+            "X[0] = input; X[1] = 2*X[0] - X[0] - X[0]; X[i] = X[i-1]",
+            "base case X[1] cancels to zero",
+            "X[1] =",
+        ),
+        # make_atom rejects a relative index in a base case at the index
+        (
+            "X[0] = input; X[1] = X[i-1]; X[i] = X[i-1]",
+            "relative indices are not allowed in base cases",
+            "i-1]; X[i]",
+        ),
+    ],
+)
+def test_statement_errors_pin_message_and_position(text, message, at):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse(text)
+    assert err.value.message == message
+    assert err.value.position == text.index(at)
+
+
 def test_unicode_minus_accepted():
     spec = parse("X[i] = (1+W[i])*X[i-1] − W[i-1]*X[i-2];"
                  " X[1] = (1+W[1])*X[0]; X[0] = input")

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from statistics import NormalDist
 
 import pytest
 
@@ -14,6 +15,7 @@ from recur.stats import (
     friedman,
     friedman_graph_data,
     nemenyi,
+    nemenyi_q,
     rank,
 )
 
@@ -157,31 +159,38 @@ def test_friedman_matches_bruteforce_on_random_tables():
 
 
 def test_nemenyi_critical_differences():
+    # q(0.95; 8, inf) / sqrt(2) from scipy.stats.studentized_range.
     t1 = fixture_table("table1")
     nem = nemenyi(rank(t1), 0.05)
-    assert nem.q_alpha == 3.031
-    assert nem.cd == pytest.approx(6.062, abs=1e-9)
+    assert nem.q_alpha == pytest.approx(3.030878449614413, abs=1e-12)
+    assert nem.cd == pytest.approx(2 * 3.030878449614413, abs=1e-12)
 
+    # For k = 2, q / sqrt(2) is the two-sided normal quantile.
     t = _table(["A", "B"], ["d0", "d1", "d2"], [[1, 2, 3], [4, 5, 6]])
     nem2 = nemenyi(rank(t), 0.05)
-    assert nem2.cd == pytest.approx(1.960 * math.sqrt(1 / 3), abs=1e-9)
+    z = NormalDist().inv_cdf(0.975)
+    assert nem2.cd == pytest.approx(z * math.sqrt(1 / 3), abs=1e-12)
 
 
 def test_nemenyi_alpha_ten_percent():
+    # q(0.90; 3, inf) / sqrt(2) from scipy.stats.studentized_range.
     t = _table(["A", "B", "C"], ["d"], [[1], [2], [3]])
     nem = nemenyi(rank(t), 0.10)
-    assert nem.q_alpha == 2.052
+    assert nem.q_alpha == pytest.approx(2.0522927304967755, abs=1e-12)
 
 
 def test_nemenyi_range_errors():
+    # Any k >= 2 and any alpha in (0, 1) is valid; only alpha outside fails.
     t = _table(
         [f"m{i}" for i in range(11)], ["d"], [[float(i)] for i in range(11)]
     )
-    with pytest.raises(RangeError):
-        nemenyi(rank(t), 0.05)
+    assert nemenyi(rank(t), 0.05).q_alpha > 3.164  # past the old k=10 entry
     small = _table(["A", "B"], ["d"], [[1.0], [2.0]])
-    with pytest.raises(RangeError):
-        nemenyi(rank(small), 0.03)
+    z = NormalDist().inv_cdf(1 - 0.03 / 2)
+    assert nemenyi(rank(small), 0.03).q_alpha == pytest.approx(z, abs=1e-12)
+    for alpha in (0.0, 1.0, math.nan):
+        with pytest.raises(RangeError):
+            nemenyi(rank(small), alpha)
 
 
 def test_interval_width_equals_cd():
@@ -194,12 +203,12 @@ def test_overlap_boundary_is_inclusive():
     # A distance of exactly CD is not significant (strict inequality).
     from recur.stats import RankMatrix
 
-    cd = 1.960 * math.sqrt(2 * 3 / (6 * 6))  # k=2, N=6
+    cd = nemenyi_q(2, 0.05) * math.sqrt(2 * 3 / (6 * 6))  # k=2, N=6
     at_boundary = RankMatrix(
         methods=("A", "B"),
         datasets=tuple(f"d{j}" for j in range(6)),
         ranks=((1.0,) * 6, (2.0,) * 6),
-        mean_ranks=(1.0, 1.0 + cd),
+        mean_ranks=(cd, 2 * cd),  # 2*cd - cd is exactly cd in floats
     )
     nem = nemenyi(at_boundary, 0.05)
     assert nem.cd == pytest.approx(cd, abs=1e-15)
@@ -209,7 +218,7 @@ def test_overlap_boundary_is_inclusive():
         methods=("A", "B"),
         datasets=at_boundary.datasets,
         ranks=at_boundary.ranks,
-        mean_ranks=(1.0, 1.0 + cd * (1 + 1e-9)),
+        mean_ranks=(cd, cd + cd * (1 + 1e-9)),
     )
     assert not nemenyi(beyond, 0.05).overlap[0][1]
 
@@ -303,12 +312,46 @@ def test_f_distribution_tail():
 
 
 def test_q_table_matches_studentized_range():
-    # Q_TABLE holds q(1 - alpha; k, df=inf) / sqrt(2) rounded to 3 places.
+    # nemenyi_q(k, alpha) is q(1 - alpha; k, df=inf) / sqrt(2).
     studentized_range = pytest.importorskip("scipy.stats").studentized_range
-    from recur.stats import Q_TABLE
-
-    for alpha, row in Q_TABLE.items():
-        assert len(row) == 9
-        for k, q in enumerate(row, start=2):
+    for alpha in (0.01, 0.05, 0.1, 0.2, 0.5):
+        for k in range(2, 51):
             exact = studentized_range.ppf(1 - alpha, k, math.inf) / math.sqrt(2)
-            assert q == pytest.approx(exact, abs=0.0011), (alpha, k)
+            assert nemenyi_q(k, alpha) == pytest.approx(exact, abs=1e-9), (alpha, k)
+    # The printed table this replaced, rounded to 3 places, for k = 2..10.
+    old_table = {
+        0.05: (1.960, 2.343, 2.569, 2.728, 2.850, 2.949, 3.031, 3.102, 3.164),
+        0.10: (1.645, 2.052, 2.291, 2.459, 2.589, 2.693, 2.780, 2.855, 2.920),
+    }
+    for alpha, row in old_table.items():
+        for k, q in enumerate(row, start=2):
+            assert nemenyi_q(k, alpha) == pytest.approx(q, abs=0.0011), (alpha, k)
+
+
+
+def test_f_tail_and_betainc_match_scipy():
+    # Degrees of freedom as friedman forms them from k methods and N datasets.
+    hypothesis = pytest.importorskip("hypothesis")
+    scipy_f = pytest.importorskip("scipy.stats").f
+    scipy_betainc = pytest.importorskip("scipy.special").betainc
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        st.integers(2, 60),
+        st.integers(2, 60),
+        st.floats(0, 1e5),
+        st.floats(0, 1),
+    )
+    def check(k, n, x, y):
+        df1, df2 = k - 1, (k - 1) * (n - 1)
+        # Below about 1e-250, scipy's tail drifts from the exact value (mpmath)
+        # by up to 7% while this one keeps its digits.
+        assert f_distribution_sf(x, df1, df2) == pytest.approx(
+            scipy_f.sf(x, df1, df2), rel=1e-9, abs=1e-250
+        )
+        assert betainc(df2 / 2, df1 / 2, y) == pytest.approx(
+            scipy_betainc(df2 / 2, df1 / 2, y), rel=1e-9, abs=1e-12
+        )
+
+    check()

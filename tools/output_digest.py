@@ -43,6 +43,8 @@ FILES = {
     "superscript.rf": "X[0] = input\nX[i] = W[i]*X[i-\u00b2]\n",
     # an integer literal past CPython's 4,300-digit conversion limit
     "long.rf": "X[0] = input\nX[i] = 1" + "0" * 5000 + "*X[i-1]\n",
+    # two literals within that limit whose product, which render writes, is not
+    "nines.rf": "X[0] = input\nX[i] = " + "*".join(["9" * 4300] * 2) + "*X[i-1]\n",
 }
 
 
@@ -105,8 +107,12 @@ def commands() -> list[list[str]]:
         ),
         ["stats", "table1"],
         ["stats", "table1", "--format", "json"],
-        # error paths: exit 2 with a message on stderr
+        ["stats", "table1", "--alpha", "0.01"],
         ["stats", "table2"],
+        ["stats", "table2", "--format", "json"],
+        # error paths: exit 2 with a message on stderr
+        ["stats", "table1", "--alpha", "1"],
+        ["stats", "table1", "--alpha", "nan"],
         ["chain-identity", "--builtin", "newarch", "-L", "30"],
         ["chain-identity", "--builtin", "resnet", "-L", "1"],
         ["verify", "--builtin", "newarch", "--seeds", "0"],
@@ -136,6 +142,10 @@ def commands() -> list[list[str]]:
         ["verify", "overflow.rf", "-L", "1"],
         ["parse", "superscript.rf"],
         ["parse", "long.rf"],
+        # coefficients past the 4,300-digit limit of int-to-text conversion
+        ["expand", "overflow.rf", "-L", "22"],
+        ["census", "overflow.rf", "-L", "22", "--format", "json"],
+        ["parse", "nines.rf"],
     ]
     return cmds
 
