@@ -187,8 +187,12 @@ def build_graph(spec: ArchitectureSpec, L: int) -> ArchGraph:
         raise ValueError(f"depth must be >= 1, got {L}")
     floor = _item_floor(spec, L)
     if floor > MAX_GRAPH_ITEMS:
+        try:
+            need = str(floor)
+        except ValueError:  # past the interpreter's digit limit
+            need = f"a {floor.bit_length()}-bit number of"
         raise SizeError(
-            f"graph {spec.name!r} at depth {L} needs at least {floor} nodes"
+            f"graph {spec.name!r} at depth {L} needs at least {need} nodes"
             f" plus edges, budget is {MAX_GRAPH_ITEMS}"
         )
     nodes: list[Node] = [Node("input", INPUT)]

@@ -21,6 +21,7 @@ from .errors import RecurError
 from .expansion import (
     CHECK_KINDS,
     DEFAULT_DEPTH_CAP,
+    StructureReport,
     check_depth,
     check_structure,
     derivative,
@@ -179,16 +180,10 @@ def cmd_equiv(args) -> int:
         iso = structural_equal(
             build_graph(spec_a, args.depth), build_graph(spec_b, args.depth)
         )
-        reports.append(
-            {
-                "spec": f"{spec_a.name} vs {spec_b.name}",
-                "depth": args.depth,
-                "wrt": None,
-                "check": "structural-equality",
-                "pass": iso,
-                "violations": [],
-            }
+        structural = StructureReport(
+            report.spec, args.depth, None, "structural-equality", iso
         )
+        reports.append(structural.to_dict())
         lines.append(f"structural equality: {'isomorphic' if iso else 'NOT isomorphic'}")
         failed = failed or not iso
 

@@ -58,9 +58,10 @@ class UnrealizableError(RecurError):
 
 
 class SizeError(RecurError):
-    """Input too large: a graph past the node-plus-edge budget of
-    build_graph, a matrix net to instantiate, or a path coefficient to
-    evaluate as a float64."""
+    """Input too large: a product that distributes into more terms than
+    the parser's MAX_PRODUCT_TERMS, a graph past the node-plus-edge budget
+    of build_graph, a matrix net to instantiate, a path coefficient to
+    evaluate as a float64, or an integer with too many digits to write."""
 
 
 class ActivationError(RecurError):

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .algebra import (
-    PathPolynomial, StateExpansion, block_product, poly_add, poly_mul, signed_sum
+    PathPolynomial, StateExpansion, _too_long, block_product, poly_add, poly_mul,
+    signed_sum,
 )
 from .errors import DepthError
 from .parser import ArchitectureSpec
@@ -202,14 +203,17 @@ def value_equivalence_report(
     pb = unroll(spec_b, L, depth_cap).component(0)
     violations: list[Violation] = []
     keys = pa.keys() | pb.keys() if pa != pb else ()
-    for factors in sorted(keys, key=lambda f: (len(f), f)):
-        ca = pa.coefficient(factors)
-        cb = pb.coefficient(factors)
-        if ca != cb:
-            term = block_product(factors) or "1"
-            violations.append(
-                Violation(len(factors), f"{ca}*{term} (X[0])", f"{cb}*{term}")
-            )
+    try:
+        for factors in sorted(keys, key=lambda f: (len(f), f)):
+            ca = pa.coefficient(factors)
+            cb = pb.coefficient(factors)
+            if ca != cb:
+                term = block_product(factors) or "1"
+                violations.append(
+                    Violation(len(factors), f"{ca}*{term} (X[0])", f"{cb}*{term}")
+                )
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        raise _too_long(max(abs(ca), abs(cb))) from None
     return StructureReport(
         spec=f"{spec_a.name} vs {spec_b.name}",
         depth=L,

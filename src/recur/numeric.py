@@ -130,6 +130,22 @@ class ForwardTrace:
         return self.states[i - 1]
 
 
+def _layers(net: ConcreteNet, start: np.ndarray, j: int = 0):
+    """Yield (pre-activation, state) of X[j+1..L] from X[j] = ``start``,
+    one (d,) state or n of them stacked as (n, d, 1): numpy runs the same
+    matrix-vector product on each stacked column, so each gets the same bits."""
+    import numpy as np
+
+    resnet = activated_kind(net.spec) == "resnet"
+    current = start
+    for block in net.matrices[j:]:
+        z = block @ current
+        if resnet:
+            z += current
+        current = np.tanh(z)
+        yield z, current
+
+
 def forward(net: ConcreteNet, x0: np.ndarray) -> ForwardTrace:
     """Run the tanh-activated chain or resnet with W[i] v = M[i] v.
 
@@ -143,18 +159,8 @@ def forward(net: ConcreteNet, x0: np.ndarray) -> ForwardTrace:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (net.dim,):
         raise ValueError(f"x0 must have shape ({net.dim},), got {x0.shape}")
-    kind = activated_kind(net.spec)
-    states: list[np.ndarray] = []
-    preacts: list[np.ndarray] = []
-    current = x0
-    for i in range(1, net.depth + 1):
-        z = net.matrix(i) @ current
-        if kind == "resnet":
-            z = current + z
-        current = np.tanh(z)
-        preacts.append(z)
-        states.append(current)
-    return ForwardTrace(states=tuple(states), preactivations=tuple(preacts))
+    preacts, states = zip(*_layers(net, x0))
+    return ForwardTrace(states=states, preactivations=preacts)
 
 
 # eval_polynomial batches its matmuls over chunks of at most CHUNK_ENTRIES
@@ -530,27 +536,20 @@ def finite_diff_check(
     if x0 is None:
         rng = np.random.default_rng(((net.seed or 0) % (1 << 64), 1))
         x0 = rng.uniform(-0.5, 0.5, size=d)
+    x0 = np.asarray(x0, dtype=float)
 
     trace = forward(net, x0)
     formula = _activated_product_jacobian(net, trace, j)
 
-    kind = activated_kind(net.spec)
+    # Rows k and d + k start from X[j] +- epsilon * e_k; one pass through
+    # the remaining layers ends every perturbed start.  Only the last
+    # layer's stack is kept.
     base = x0 if j == 0 else trace.state(j)
-
-    def tail(start: np.ndarray) -> np.ndarray:
-        current = start
-        for i in range(j + 1, L + 1):
-            z = net.matrix(i) @ current
-            if kind == "resnet":
-                z = current + z
-            current = np.tanh(z)
-        return current
-
-    numeric = np.zeros((d, d))
-    for k in range(d):
-        bump = np.zeros(d)
-        bump[k] = epsilon
-        numeric[:, k] = (tail(base + bump) - tail(base - bump)) / (2 * epsilon)
+    bumps = epsilon * np.eye(d)
+    starts = np.concatenate([base + bumps, base - bumps])[:, :, None]
+    for _, ends in _layers(net, starts, j):
+        pass
+    numeric = ((ends[:d, :, 0] - ends[d:, :, 0]) / (2 * epsilon)).T
 
     return JacobianCheckResult(
         spec=net.spec.name,

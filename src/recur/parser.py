@@ -33,6 +33,7 @@ from .errors import (
     NonAffineError,
     NonCausalError,
     RangeError,
+    SizeError,
 )
 
 # A coefficient atom: ("rel", c) denotes W[v-c] for the rule variable v,
@@ -46,6 +47,9 @@ ABS = "abs"
 # Deepest parenthesis nesting the recursive-descent parser accepts; each
 # level costs three Python stack frames.
 MAX_NESTING = 100
+
+# Most terms one product may distribute into: 16 factors of (1 + W[k]).
+MAX_PRODUCT_TERMS = 1 << 16
 
 
 def _atom_sort_key(atom: WAtom) -> tuple[int, int]:
@@ -520,23 +524,28 @@ class _Parser:
 
     def parse_expr(self) -> list[_Term]:
         terms: list[_Term] = []
-        sign = 1
-        tok = self.peek()
-        if tok.kind in ("PLUS", "MINUS"):
+        op = self.peek()  # an optional unary sign, then the sign of each term
+        if op.kind in ("PLUS", "MINUS"):
             self.advance()
-            sign = -1 if tok.kind == "MINUS" else 1
-        terms.extend(_scale(self.parse_product(), sign))
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance()
-            sign = -1 if op.kind == "MINUS" else 1
-            terms.extend(_scale(self.parse_product(), sign))
-        return terms
+        while True:
+            product = self.parse_product()
+            terms += [(-c, a) for c, a in product] if op.kind == "MINUS" else product
+            op = self.peek()
+            if op.kind not in ("PLUS", "MINUS"):
+                return terms
+            self.advance()
 
     def parse_product(self) -> list[_Term]:
         value = self.parse_factor()
         while self.peek().kind == "STAR":
-            self.advance()
+            star = self.advance()
             rhs = self.parse_factor()
+            if len(value) * len(rhs) > MAX_PRODUCT_TERMS:
+                raise SizeError(
+                    f"product distributes into {len(value) * len(rhs)} terms,"
+                    f" cap is {MAX_PRODUCT_TERMS}",
+                    position=star.pos,
+                )
             value = [
                 (ca * cb, aa + ab) for ca, aa in value for cb, ab in rhs
             ]
@@ -617,14 +626,9 @@ class _Parser:
         return _WorkAtom(sym, ABS, index, pos)
 
 
-def _scale(terms: list[_Term], sign: int) -> list[_Term]:
-    if sign == 1:
-        return terms
-    return [(-c, atoms) for c, atoms in terms]
-
-
 def _classify(terms: list[_Term], stmt_pos: int):
-    """Split distributed terms into per-source coefficient dicts."""
+    """Split distributed terms into lag -> and absolute source ->
+    CoefficientExpr dicts, leaving out each coefficient that cancels."""
     rel: dict[int, dict[WKey, int]] = {}
     absolute: dict[int, dict[WKey, int]] = {}
     for coeff, atoms in terms:
@@ -646,7 +650,10 @@ def _classify(terms: list[_Term], stmt_pos: int):
         bucket = rel if x.mode == REL else absolute
         slot = bucket.setdefault(x.value, {})
         slot[key] = slot.get(key, 0) + coeff
-    return rel, absolute
+    return tuple(
+        {s: e for s, c in bucket.items() if not (e := CoefficientExpr(c)).is_zero()}
+        for bucket in (rel, absolute)
+    )
 
 
 def parse(text: str, *, name: str = "spec") -> ArchitectureSpec:
@@ -669,15 +676,8 @@ def parse(text: str, *, name: str = "spec") -> ArchitectureSpec:
                     "only one recursion rule per spec", position=stmt.pos
                 )
             rel, absolute = _classify(stmt.terms, stmt.pos)
-            terms: list[RuleTerm] = []
-            for lag, coeffs in rel.items():
-                expr = CoefficientExpr(coeffs)
-                if not expr.is_zero():
-                    terms.append(RuleTerm(coeff=expr, lag=lag))
-            for source, coeffs in absolute.items():
-                expr = CoefficientExpr(coeffs)
-                if not expr.is_zero():
-                    terms.append(RuleTerm(coeff=expr, source=source))
+            terms = [RuleTerm(coeff=e, lag=lag) for lag, e in rel.items()]
+            terms += [RuleTerm(coeff=e, source=s) for s, e in absolute.items()]
             if not terms:
                 raise FormulaSyntaxError(
                     "the rule right-hand side cancels to zero", position=stmt.pos
@@ -696,11 +696,7 @@ def parse(text: str, *, name: str = "spec") -> ArchitectureSpec:
                 continue
             # make_atom has already rejected every relative index here.
             _, absolute = _classify(stmt.terms, stmt.pos)
-            pairs = tuple(
-                (source, CoefficientExpr(coeffs))
-                for source, coeffs in sorted(absolute.items())
-                if not CoefficientExpr(coeffs).is_zero()
-            )
+            pairs = tuple(absolute.items())  # BaseCase sorts them by source
             if not pairs:
                 raise FormulaSyntaxError(
                     f"base case X[{index}] cancels to zero", position=stmt.pos

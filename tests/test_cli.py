@@ -146,6 +146,34 @@ def test_graph_propagation_report(capsys):
     assert all(p["cross_layer_sources"] == [0] for p in payload["pairs"])
 
 
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("newarch", [
+            "graph: newarch  depth: 4",
+            "  X[1] -> X[2]: direct identity yes",
+            "  X[2] -> X[3]: direct identity yes",
+            "  X[3] -> X[4]: direct identity yes",
+            "all pairs direct: yes",
+        ]),
+        ("eq22", [
+            "graph: eq22  depth: 4",
+            "  X[1] -> X[2]: direct identity no; cross-layer identity from [0]",
+            "  X[2] -> X[3]: direct identity no; cross-layer identity from [0]",
+            "  X[3] -> X[4]: direct identity no; cross-layer identity from [0]",
+            "all pairs direct: no",
+        ]),
+    ],
+)
+def test_graph_propagation_text(capsys, name, expected):
+    code, out, err = run(
+        capsys, "graph", "--builtin", name, "-L", "4", "--propagation",
+        "--format", "text",
+    )
+    assert (code, err) == (0, "")
+    assert out == "\n".join(expected) + "\n"
+
+
 def test_verify_affine(capsys):
     code, out, _ = run(
         capsys, "verify", "--builtin", "newarch",
@@ -361,6 +389,9 @@ def test_verify_coefficient_past_float64_exits_two(tmp_path, capsys):
 
 
 BIG_RULE = "X[0] = input\nX[i] = 1" + "0" * 200 + "*X[i-1]\n"
+# Each literal has 4,300 digits, the most int() reads; their product has more.
+NINES_RULE = "X[0] = input\nX[i] = " + "*".join(["9" * 4300] * 2) + "*X[i-1]\n"
+NINES = int("9" * 4300) ** 2
 
 
 @pytest.mark.parametrize(
@@ -370,11 +401,12 @@ BIG_RULE = "X[0] = input\nX[i] = 1" + "0" * 200 + "*X[i-1]\n"
         (BIG_RULE, ["expand", "-L", "22"], (10**4400).bit_length()),
         # The census weight at L = 22 is that coefficient too.
         (BIG_RULE, ["census", "-L", "22", "--format", "json"], (10**4400).bit_length()),
-        # Each literal has 4,300 digits; render writes their product.
-        ("X[0] = input\nX[i] = " + "*".join(["9" * 4300] * 2) + "*X[i-1]\n",
-         ["parse"], (int("9" * 4300) ** 2).bit_length()),
+        # render writes the product of the two literals.
+        (NINES_RULE, ["parse"], NINES.bit_length()),
+        # The report writes X[2]'s coefficient, NINES^2, against resnet's 1.
+        (NINES_RULE, ["equiv", "resnet", "-L", "2"], (NINES**2).bit_length()),
     ],
-    ids=["expand", "census", "parse"],
+    ids=["expand", "census", "parse", "equiv"],
 )
 def test_coefficient_past_the_digit_limit_exits_two(
     tmp_path, capsys, text, argv, bits
@@ -386,6 +418,29 @@ def test_coefficient_past_the_digit_limit_exits_two(
     assert err == (
         f"error: an integer of {bits} bits has more than"
         f" {sys.get_int_max_str_digits()} decimal digits, too many to write\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--format", "dot"],
+        ["--format", "json"],
+        ["--format", "text"],
+        ["--propagation"],
+        ["--propagation", "--format", "json"],
+    ],
+)
+def test_graph_floor_past_the_digit_limit_exits_two(tmp_path, capsys, extra):
+    f = tmp_path / "nines.rf"
+    f.write_text(NINES_RULE)
+    code, out, err = run(capsys, "graph", str(f), "-L", "2", *extra)
+    assert (code, out) == (2, "")
+    # The floor, NINES edges at X[2] plus five items, is written as its size.
+    assert err == (
+        f"error: graph 'nines' at depth 2 needs at least a"
+        f" {(NINES + 5).bit_length()}-bit number of nodes plus edges,"
+        " budget is 1048576\n"
     )
 
 

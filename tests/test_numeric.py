@@ -460,6 +460,49 @@ def test_chain_product_formula_is_explicit_gprime_chain():
     assert np.allclose(_activated_product_jacobian(net, trace, 0), expected, atol=0)
 
 
+def _finite_diff_error_by_column(net, j, epsilon, x0):
+    """finite_diff_check's error, rerunning the tail once per +- column."""
+    from recur.numeric import _activated_product_jacobian, relative_error
+
+    trace = forward(net, x0)
+    base = np.asarray(x0, dtype=float) if j == 0 else trace.state(j)
+
+    def tail(current):
+        for i in range(j + 1, net.depth + 1):
+            z = net.matrix(i) @ current
+            if net.spec.name == "resnet":
+                z = current + z
+            current = np.tanh(z)
+        return current
+
+    d = net.dim
+    numeric = np.zeros((d, d))
+    for k in range(d):
+        bump = np.zeros(d)
+        bump[k] = epsilon
+        numeric[:, k] = (tail(base + bump) - tail(base - bump)) / (2 * epsilon)
+    return relative_error(numeric, _activated_product_jacobian(net, trace, j))
+
+
+@pytest.mark.parametrize("spec", [CHAIN, RESNET], ids=["chain", "resnet"])
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_finite_diff_matches_a_column_by_column_reference(spec, d):
+    L = 5
+    for seed in (0, 3):
+        net = instantiate(spec, L, d, seed=seed, activation="tanh")
+        rng = np.random.default_rng((seed, 1))
+        x0 = rng.uniform(-0.5, 0.5, size=d)  # the start finite_diff_check draws
+        for j in range(L):
+            res = finite_diff_check(net, j)
+            assert res.error == _finite_diff_error_by_column(net, j, 1e-5, x0), j
+            res = finite_diff_check(net, j, epsilon=1e-3, x0=x0)
+            assert res.error == _finite_diff_error_by_column(net, j, 1e-3, x0), j
+        # A list start is read as a float array, at j = 0 as well.
+        listed = [0.25 * (-1) ** k for k in range(d)]
+        res = finite_diff_check(net, 0, x0=listed)
+        assert res.error == _finite_diff_error_by_column(net, 0, 1e-5, listed)
+
+
 def test_finite_diff_requires_activation_and_valid_epsilon():
     plain = instantiate(RESNET, 3, 2, seed=0)
     with pytest.raises(ActivationError):

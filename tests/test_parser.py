@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,9 +10,11 @@ from recur.errors import (
     NonAffineError,
     NonCausalError,
     RangeError,
+    SizeError,
 )
 from recur.parser import (
     MAX_NESTING,
+    MAX_PRODUCT_TERMS,
     ArchitectureSpec,
     BaseCase,
     CoefficientExpr,
@@ -320,6 +323,28 @@ def test_deep_nesting_is_a_syntax_error():
     with pytest.raises(FormulaSyntaxError) as info:
         parse(text)
     assert info.value.position == text.index("(") + MAX_NESTING
+
+
+def test_product_past_the_term_cap_fails_at_its_star():
+    # n factors of (1 + W[i]) distribute into 2^n terms; the cap is 2^16.
+    assert MAX_PRODUCT_TERMS == 1 << 16
+
+    def text(n):
+        return "X[i] = " + "*".join(["(1 + W[i])"] * n) + "*X[i-1]; X[0] = input"
+
+    # The 2^16 distributed terms collect into binomial coefficients.
+    assert sum(parse(text(16)).rule.terms[0].coeff.terms.values()) == 1 << 16
+    over = text(17)
+    start = time.perf_counter()
+    with pytest.raises(SizeError) as info:
+        parse(over)
+    assert time.perf_counter() - start < 1.0
+    # The 16th star, the one that joins the 17th factor.
+    stars = [k for k, ch in enumerate(over) if ch == "*"]
+    assert info.value.position == stars[15]
+    assert info.value.message == (
+        f"product distributes into {1 << 17} terms, cap is {1 << 16}"
+    )
 
 
 def test_any_text_parses_or_raises_recur_error_with_a_position():

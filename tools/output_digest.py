@@ -45,6 +45,10 @@ FILES = {
     "long.rf": "X[0] = input\nX[i] = 1" + "0" * 5000 + "*X[i-1]\n",
     # two literals within that limit whose product, which render writes, is not
     "nines.rf": "X[0] = input\nX[i] = " + "*".join(["9" * 4300] * 2) + "*X[i-1]\n",
+    # a product that distributes into 2^17 terms, past the parser's cap
+    "product17.rf": (
+        "X[0] = input\nX[i] = " + "*".join(["(1 + W[i])"] * 17) + "*X[i-1]\n"
+    ),
 }
 
 
@@ -146,6 +150,15 @@ def commands() -> list[list[str]]:
         ["expand", "overflow.rf", "-L", "22"],
         ["census", "overflow.rf", "-L", "22", "--format", "json"],
         ["parse", "nines.rf"],
+        # a graph floor and equivalence coefficients past that limit
+        *(
+            ["graph", "nines.rf", "-L", "2", "--format", fmt, *extra]
+            for fmt in ("dot", "json", "text")
+            for extra in ([], ["--propagation"])
+        ),
+        ["equiv", "nines.rf", "resnet", "-L", "2"],
+        ["equiv", "nines.rf", "resnet", "-L", "2", "--format", "json"],
+        ["parse", "product17.rf"],
     ]
     return cmds
 
