@@ -58,10 +58,11 @@ class UnrealizableError(RecurError):
 
 
 class SizeError(RecurError):
-    """Input too large: a product that distributes into more terms than
-    the parser's MAX_PRODUCT_TERMS, a graph past the node-plus-edge budget
-    of build_graph, a matrix net to instantiate, a path coefficient to
-    evaluate as a float64, or an integer with too many digits to write."""
+    """Input too large: a product, or a sum of products, that distributes
+    into more terms than the parser's MAX_PRODUCT_TERMS, a graph past the
+    node-plus-edge budget of build_graph, a matrix net to instantiate, a
+    path coefficient to evaluate as a float64, or an integer with too many
+    digits to write."""
 
 
 class ActivationError(RecurError):

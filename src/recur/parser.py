@@ -24,7 +24,8 @@ rightmost position).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
 
 from .algebra import PathPolynomial, signed_sum
@@ -48,7 +49,7 @@ ABS = "abs"
 # level costs three Python stack frames.
 MAX_NESTING = 100
 
-# Most terms one product may distribute into: 16 factors of (1 + W[k]).
+# Most terms a product, or a sum of products, may distribute into: 2^16.
 MAX_PRODUCT_TERMS = 1 << 16
 
 
@@ -165,7 +166,9 @@ class RecursionRule:
     def __post_init__(self) -> None:
         if not self.terms:
             raise ValueError("a recursion rule needs at least one term")
-        object.__setattr__(self, "terms", _sort_rule_terms(self.terms))
+        # Relative terms by lag, then absolute terms by source.
+        terms = sorted(self.terms, key=lambda t: (t.lag is None, t.lag or t.source))
+        object.__setattr__(self, "terms", tuple(terms))
         lags = [t.lag for t in self.terms if t.lag is not None]
         sources = [t.source for t in self.terms if t.source is not None]
         if len(set(lags)) != len(lags) or len(set(sources)) != len(sources):
@@ -174,12 +177,6 @@ class RecursionRule:
     @property
     def max_lag(self) -> int:
         return max((t.lag for t in self.terms if t.lag is not None), default=0)
-
-
-def _sort_rule_terms(terms: tuple[RuleTerm, ...]) -> tuple[RuleTerm, ...]:
-    rel = sorted((t for t in terms if t.lag is not None), key=lambda t: t.lag)
-    absolute = sorted((t for t in terms if t.source is not None), key=lambda t: t.source)
-    return tuple(rel) + tuple(absolute)
 
 
 @dataclass(frozen=True)
@@ -233,10 +230,8 @@ class ArchitectureSpec:
         return self.base_cases[-1].index + 1
 
     def base_case(self, index: int) -> BaseCase | None:
-        for base in self.base_cases:
-            if base.index == index:
-                return base
-        return None
+        # validate() makes the base cases exactly X[0], X[1], ... in order.
+        return self.base_cases[index] if 0 <= index < len(self.base_cases) else None
 
     def instantiate_terms(self, i: int) -> list[tuple[int, PathPolynomial]]:
         """Dependencies of state i as (source index, coefficient polynomial)."""
@@ -244,8 +239,6 @@ class ArchitectureSpec:
             return []
         base = self.base_case(i)
         if base is not None:
-            if base.is_input:
-                return []
             return [(src, coeff.instantiate(None)) for src, coeff in base.terms]
         pairs = []
         for term in self.rule.terms:
@@ -325,62 +318,45 @@ class Token(NamedTuple):
 
 
 _SYMBOLS = {
-    "[": "LBRACK",
-    "]": "RBRACK",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "=": "EQUALS",
+    "[": ("LBRACK", "["),
+    "]": ("RBRACK", "]"),
+    "(": ("LPAREN", "("),
+    ")": ("RPAREN", ")"),
+    "+": ("PLUS", "+"),
+    "-": ("MINUS", "-"),
+    "−": ("MINUS", "-"),  # unicode minus, read as '-'
+    "*": ("STAR", "*"),
+    "=": ("EQUALS", "="),
 }
+
+# Blanks and comments match no group.  \d is exactly str.isdecimal, the
+# digits int() accepts, and \w is exactly str.isalnum plus "_".
+_TOKEN = re.compile(
+    r"[ \t\r]+|#[^\n]*|(?P<SEP>[\n;])|(?P<INT>\d+)|(?P<NAME>\w+)"
+    r"|(?P<SYM>[][()+\-*=\u2212])"
+)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n" or ch == ";":
-            tokens.append(Token("SEP", ch, i))
-            i += 1
-            continue
-        if ch == "−":  # unicode minus, treated like '-'
-            tokens.append(Token("MINUS", "-", i))
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(_SYMBOLS[ch], ch, i))
-            i += 1
-            continue
-        if ch.isdecimal():  # exactly the digits int() accepts
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
+    pos, n = 0, len(text)
+    while pos < n:
+        ch, m = text[pos], _TOKEN.match(text, pos)
+        if not m or m.lastgroup == "NAME" and not (ch.isalpha() or ch == "_"):
+            raise FormulaSyntaxError(f"unexpected character {ch!r}", position=pos)
+        kind, value = m.lastgroup, m.group()
+        if kind == "INT":
             try:
-                int(text[i:j])
+                int(value)
             except ValueError:  # past CPython's limit on digits
                 raise FormulaSyntaxError(
-                    f"integer literal of {j - i} digits is too long", position=i
+                    f"integer literal of {len(value)} digits is too long", position=pos
                 ) from None
-            tokens.append(Token("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], i))
-            i = j
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", position=i)
+        elif kind == "SYM":
+            kind, value = _SYMBOLS[value]
+        if kind:
+            tokens.append(Token(kind, value, pos))
+        pos = m.end()
     tokens.append(Token("EOF", "", n))
     return tokens
 
@@ -399,19 +375,12 @@ class _WorkAtom(NamedTuple):
 
 _Term = tuple[int, tuple[_WorkAtom, ...]]
 
-
-@dataclass
-class _Statement:
-    pos: int
-    lhs_kind: str  # "rule" or "base"
-    lhs_value: object  # variable name (str) or state index (int)
-    is_input: bool = False
-    terms: list[_Term] = field(default_factory=list)
+# (position, rule variable or base-case index, terms or None for X[0] = input)
+_Statement = tuple[int, "str | int", "list[_Term] | None"]
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = tokenize(text)
         self.i = 0
         self.nesting = 0
@@ -439,16 +408,15 @@ class _Parser:
             )
         return self.advance()
 
-    def skip_separators(self) -> None:
-        while self.peek().kind == "SEP":
-            self.advance()
-
     # -- statements ------------------------------------------------------
 
     def parse_statements(self) -> list[_Statement]:
         statements = []
-        self.skip_separators()
-        while self.peek().kind != "EOF":
+        while True:
+            while self.peek().kind == "SEP":
+                self.advance()
+            if self.peek().kind == "EOF":
+                return statements
             statements.append(self.parse_statement())
             tok = self.peek()
             if tok.kind not in ("SEP", "EOF"):
@@ -456,8 +424,6 @@ class _Parser:
                     f"expected end of statement, found {tok.value!r}",
                     position=tok.pos,
                 )
-            self.skip_separators()
-        return statements
 
     def parse_statement(self) -> _Statement:
         start = self.peek()
@@ -466,59 +432,52 @@ class _Parser:
             raise FormulaSyntaxError(
                 f"statements define X states, found {name.value!r}", position=name.pos
             )
-        self.expect("LBRACK", "'['")
-        idx = self.parse_index()
-        self.expect("RBRACK", "']'")
+        var, value, pos = self.parse_index()
         self.expect("EQUALS", "'='")
-
-        if idx[0] == REL:
-            var, offset, pos = idx[1], idx[2], idx[3]
-            if offset != 0:
+        self.context_var = var
+        self.context_base = None if var else value
+        if var:
+            if value != 0:
                 raise FormulaSyntaxError(
                     "the rule left-hand side must be a bare X[var]", position=pos
                 )
-            stmt = _Statement(pos=start.pos, lhs_kind="rule", lhs_value=var)
-            self.context_var = var
-            self.context_base = None
-        else:
-            index = idx[1]
-            stmt = _Statement(pos=start.pos, lhs_kind="base", lhs_value=index)
-            self.context_var = None
-            self.context_base = index
-            tok = self.peek()
-            if tok.kind == "NAME" and tok.value == "input":
-                self.advance()
-                if index != 0:
-                    raise FormulaSyntaxError(
-                        "only X[0] may be declared as the input", position=tok.pos
-                    )
-                stmt.is_input = True
-                return stmt
-            if index == 0:
+            return start.pos, var, self.parse_expr()
+        tok = self.peek()
+        if tok.kind == "NAME" and tok.value == "input":
+            self.advance()
+            if value != 0:
                 raise FormulaSyntaxError(
-                    "X[0] is the free input and cannot be defined", position=start.pos
+                    "only X[0] may be declared as the input", position=tok.pos
                 )
-        stmt.terms = self.parse_expr()
-        return stmt
+            return start.pos, 0, None
+        if value == 0:
+            raise FormulaSyntaxError(
+                "X[0] is the free input and cannot be defined", position=start.pos
+            )
+        return start.pos, value, self.parse_expr()
 
-    def parse_index(self):
+    def parse_index(self) -> tuple[str | None, int, int]:
+        """Read "[v-c]" as (v, c, position) and "[k]" as (None, k, position)."""
+        self.expect("LBRACK", "'['")
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            return (ABS, int(tok.value), None, tok.pos)
-        if tok.kind == "NAME":
+            var, value = None, int(tok.value)
+        elif tok.kind == "NAME":
             self.advance()
-            offset = 0
+            var, value = tok.value, 0
             nxt = self.peek()
             if nxt.kind in ("PLUS", "MINUS"):
                 self.advance()
                 num = self.expect("INT", "an integer offset")
-                offset = int(num.value) if nxt.kind == "MINUS" else -int(num.value)
-            return (REL, tok.value, offset, tok.pos)
-        raise FormulaSyntaxError(
-            f"expected an index, found {tok.value or 'end of input'!r}",
-            position=tok.pos,
-        )
+                value = int(num.value) if nxt.kind == "MINUS" else -int(num.value)
+        else:
+            raise FormulaSyntaxError(
+                f"expected an index, found {tok.value or 'end of input'!r}",
+                position=tok.pos,
+            )
+        self.expect("RBRACK", "']'")
+        return var, value, tok.pos
 
     # -- expressions -------------------------------------------------------
 
@@ -529,6 +488,12 @@ class _Parser:
             self.advance()
         while True:
             product = self.parse_product()
+            if len(terms) + len(product) > MAX_PRODUCT_TERMS:
+                raise SizeError(
+                    f"expression distributes into {len(terms) + len(product)} terms,"
+                    f" cap is {MAX_PRODUCT_TERMS}",
+                    position=op.pos,
+                )
             terms += [(-c, a) for c, a in product] if op.kind == "MINUS" else product
             op = self.peek()
             if op.kind not in ("PLUS", "MINUS"):
@@ -546,9 +511,7 @@ class _Parser:
                     f" cap is {MAX_PRODUCT_TERMS}",
                     position=star.pos,
                 )
-            value = [
-                (ca * cb, aa + ab) for ca, aa in value for cb, ab in rhs
-            ]
+            value = [(ca * cb, aa + ab) for ca, aa in value for cb, ab in rhs]
         return value
 
     def parse_factor(self) -> list[_Term]:
@@ -569,11 +532,7 @@ class _Parser:
             return inner
         if tok.kind == "NAME" and tok.value in ("W", "X"):
             self.advance()
-            self.expect("LBRACK", "'['")
-            idx = self.parse_index()
-            close = self.expect("RBRACK", "']'")
-            atom = self.make_atom(tok.value, idx)
-            return [(1, (atom,))]
+            return [(1, (self.make_atom(tok.value, *self.parse_index()),))]
         if tok.kind == "NAME" and tok.value == "input":
             raise FormulaSyntaxError(
                 "'input' may only stand alone in 'X[0] = input'", position=tok.pos
@@ -583,10 +542,8 @@ class _Parser:
             position=tok.pos,
         )
 
-    def make_atom(self, sym: str, idx) -> _WorkAtom:
-        kind, a, b, pos = idx
-        if kind == REL:
-            var, offset = a, b
+    def make_atom(self, sym: str, var: str | None, value: int, pos: int) -> _WorkAtom:
+        if var:
             if self.context_var is None:
                 raise FormulaSyntaxError(
                     "relative indices are not allowed in base cases", position=pos
@@ -597,33 +554,26 @@ class _Parser:
                     f" {self.context_var!r})",
                     position=pos,
                 )
-            if sym == "X":
-                if offset < 1:
-                    raise NonCausalError(
-                        "X reference must be strictly earlier than the defined state",
-                        position=pos,
-                    )
-            else:
-                if offset < 0:
-                    raise RangeError(
-                        "W index exceeds the defined state index", position=pos
-                    )
-            return _WorkAtom(sym, REL, offset, pos)
-        index = a
-        if sym == "W":
-            if index < 1:
-                raise RangeError("W indices start at 1", position=pos)
-            if self.context_base is not None and index > self.context_base:
-                raise RangeError(
-                    f"W[{index}] outside [1, {self.context_base}]", position=pos
-                )
-        else:
-            if self.context_base is not None and index >= self.context_base:
+            if sym == "X" and value < 1:
                 raise NonCausalError(
-                    f"X[{index}] is not earlier than X[{self.context_base}]",
+                    "X reference must be strictly earlier than the defined state",
                     position=pos,
                 )
-        return _WorkAtom(sym, ABS, index, pos)
+            if sym == "W" and value < 0:
+                raise RangeError(
+                    "W index exceeds the defined state index", position=pos
+                )
+            return _WorkAtom(sym, REL, value, pos)
+        base = self.context_base
+        if sym == "W" and value < 1:
+            raise RangeError("W indices start at 1", position=pos)
+        if sym == "W" and base is not None and value > base:
+            raise RangeError(f"W[{value}] outside [1, {base}]", position=pos)
+        if sym == "X" and base is not None and value >= base:
+            raise NonCausalError(
+                f"X[{value}] is not earlier than X[{base}]", position=pos
+            )
+        return _WorkAtom(sym, ABS, value, pos)
 
 
 def _classify(terms: list[_Term], stmt_pos: int):
@@ -661,55 +611,50 @@ def parse(text: str, *, name: str = "spec") -> ArchitectureSpec:
 
     ``name`` is metadata the DSL itself does not carry.
     """
-    parser = _Parser(text)
-    statements = parser.parse_statements()
-
     rule: RecursionRule | None = None
     rule_pos = 0
-    base_cases: list[BaseCase] = []
-    seen_bases: set[int] = set()
-
-    for stmt in statements:
-        if stmt.lhs_kind == "rule":
+    base_cases: dict[int, BaseCase] = {}
+    for pos, lhs, terms in _Parser(text).parse_statements():
+        if isinstance(lhs, str):
             if rule is not None:
                 raise FormulaSyntaxError(
-                    "only one recursion rule per spec", position=stmt.pos
+                    "only one recursion rule per spec", position=pos
                 )
-            rel, absolute = _classify(stmt.terms, stmt.pos)
-            terms = [RuleTerm(coeff=e, lag=lag) for lag, e in rel.items()]
-            terms += [RuleTerm(coeff=e, source=s) for s, e in absolute.items()]
-            if not terms:
+            rel, absolute = _classify(terms, pos)
+            rule_terms = [RuleTerm(coeff=e, lag=lag) for lag, e in rel.items()]
+            rule_terms += [RuleTerm(coeff=e, source=s) for s, e in absolute.items()]
+            if not rule_terms:
                 raise FormulaSyntaxError(
-                    "the rule right-hand side cancels to zero", position=stmt.pos
+                    "the rule right-hand side cancels to zero", position=pos
                 )
-            rule = RecursionRule(index_var=str(stmt.lhs_value), terms=tuple(terms))
-            rule_pos = stmt.pos
-        else:
-            index = int(stmt.lhs_value)
-            if index in seen_bases:
-                raise FormulaSyntaxError(
-                    f"duplicate definition of X[{index}]", position=stmt.pos
-                )
-            seen_bases.add(index)
-            if stmt.is_input:
-                base_cases.append(BaseCase(index=0, is_input=True))
-                continue
-            # make_atom has already rejected every relative index here.
-            _, absolute = _classify(stmt.terms, stmt.pos)
-            pairs = tuple(absolute.items())  # BaseCase sorts them by source
-            if not pairs:
-                raise FormulaSyntaxError(
-                    f"base case X[{index}] cancels to zero", position=stmt.pos
-                )
-            base_cases.append(BaseCase(index=index, terms=pairs))
+            rule = RecursionRule(index_var=lhs, terms=tuple(rule_terms))
+            rule_pos = pos
+            continue
+        if lhs in base_cases:
+            raise FormulaSyntaxError(
+                f"duplicate definition of X[{lhs}]", position=pos
+            )
+        if terms is None:
+            base_cases[0] = BaseCase(index=0, is_input=True)
+            continue
+        # make_atom has already rejected every relative index here.
+        _, absolute = _classify(terms, pos)
+        if not absolute:
+            raise FormulaSyntaxError(
+                f"base case X[{lhs}] cancels to zero", position=pos
+            )
+        # BaseCase sorts the pairs by source.
+        base_cases[lhs] = BaseCase(index=lhs, terms=tuple(absolute.items()))
 
     if rule is None:
         raise FormulaSyntaxError("no recursion rule found", position=0)
-    if not any(b.is_input for b in base_cases):
+    if 0 not in base_cases:
         raise FormulaSyntaxError("missing 'X[0] = input' declaration", position=0)
 
     try:
-        return ArchitectureSpec(rule=rule, base_cases=tuple(base_cases), name=name)
+        return ArchitectureSpec(
+            rule=rule, base_cases=tuple(base_cases.values()), name=name
+        )
     except (RangeError, NonCausalError, FormulaSyntaxError) as exc:
         if exc.position is None:
             exc.position = rule_pos

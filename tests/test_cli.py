@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import re
 import sys
 import time
@@ -10,9 +11,11 @@ import warnings
 
 import pytest
 
+from conftest import random_affine_spec
 from recur.builtins import BUILTIN_NAMES
 from recur.cli import main
 from recur.expansion import CHECK_KINDS
+from recur.parser import render
 
 NEWARCH_TEXT = (
     "X[i] = (1 + W[i])*X[i-1] - W[i-1]*X[i-2]\n"
@@ -264,6 +267,28 @@ def test_drawn_verify_argv_exits_zero_one_or_two_without_raising():
         if data.draw(st.booleans(), label="json"):
             argv += ["--format", "json"]
         _run_drawn(argv)
+
+    check()
+
+
+def test_verify_passes_on_drawn_formula_files(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "drawn.rf"
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(0, 2**32), st.integers(1, 7))
+    def check(seed, L):
+        path.write_text(render(random_affine_spec(random.Random(seed))))
+        argv = ["verify", str(path), "-L", str(L), "-d", "3", "--seeds", "2",
+                "--format", "json"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        report = json.loads(out.getvalue())
+        assert code == 0 and report["pass"], argv
+        assert len(report["checks"]) == 2 * (L + 1)
+        assert all(r["pass"] for r in report["checks"]), argv
 
     check()
 
@@ -522,6 +547,28 @@ def test_stdout_matches_pinned_digest(capsys, argv, code, digest):
     got_code, out, _ = run(capsys, *argv)
     assert got_code == code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# One command per subcommand, on builtins; census and equiv fail their checks
+# (exit 1).
+OUT_COMMANDS = [
+    ("parse", "--builtin", "newarch", "--format", "json"),
+    ("expand", "--builtin", "resnet", "-L", "3"),
+    ("census", "--builtin", "newarch", "-L", "5", "--check", "binomial"),
+    ("equiv", "newarch", "eq22", "-L", "6", "--structural"),
+    ("graph", "--builtin", "newarch", "-L", "4", "--format", "dot"),
+    ("verify", "--builtin", "resnet", "-L", "3", "-d", "2", "--format", "json"),
+    ("chain-identity", "--builtin", "newarch", "-L", "4"),
+    ("stats", "table1"),
+]
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=[a[0] for a in OUT_COMMANDS])
+def test_out_writes_exactly_what_stdout_shows(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target))[:2] == (code, "")
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 def test_byte_identical_across_processes(tmp_path):

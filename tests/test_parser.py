@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -22,6 +23,7 @@ from recur.parser import (
     RuleTerm,
     parse,
     render,
+    tokenize,
 )
 
 
@@ -345,6 +347,72 @@ def test_product_past_the_term_cap_fails_at_its_star():
     assert info.value.message == (
         f"product distributes into {1 << 17} terms, cap is {1 << 16}"
     )
+
+
+def test_sum_past_the_term_cap_fails_at_its_sign():
+    def text(products, factors):
+        product = "*".join(["(1 + W[i])"] * factors) + "*X[i-1]"
+        return "X[i] = " + " + ".join([product] * products) + "; X[0] = input"
+
+    def joins(t):  # the '+' in front of each product after the first
+        return [m.end() - 2 for m in re.finditer(r"X\[i-1\] \+ ", t)]
+
+    # Two 15-factor products together hold exactly the 2^16 terms of the cap.
+    assert sum(parse(text(2, 15)).rule.terms[0].coeff.terms.values()) == 1 << 16
+    over = text(3, 15)
+    with pytest.raises(SizeError) as info:
+        parse(over)
+    assert info.value.position == joins(over)[1]
+    assert info.value.message == (
+        f"expression distributes into {3 << 15} terms, cap is {1 << 16}"
+    )
+    # Sixteen-factor products fail at the first '+', however many follow.
+    for products in (2, 10):
+        over = text(products, 16)
+        with pytest.raises(SizeError) as info:
+            parse(over)
+        assert info.value.position == joins(over)[0]
+        assert info.value.message == (
+            f"expression distributes into {1 << 17} terms, cap is {1 << 16}"
+        )
+
+
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        ("a\u00b2", [("NAME", "a\u00b2", 0)]),  # a superscript two inside a name
+        ("\u0663", [("INT", "\u0663", 0)]),  # an Arabic-Indic three
+        ("12ab", [("INT", "12", 0), ("NAME", "ab", 2)]),
+        (
+            "W[i\u22121]",  # a unicode minus
+            [
+                ("NAME", "W", 0), ("LBRACK", "[", 1), ("NAME", "i", 2),
+                ("MINUS", "-", 3), ("INT", "1", 4), ("RBRACK", "]", 5),
+            ],
+        ),
+        ("#x\n;", [("SEP", "\n", 2), ("SEP", ";", 3)]),
+        ("\r\t ", []),
+    ],
+)
+def test_tokens_of_tricky_characters(text, tokens):
+    assert tokenize(text) == [*tokens, ("EOF", "", len(text))]
+
+
+@pytest.mark.parametrize(
+    "text, message, at",
+    [
+        ("\u00b2", "unexpected character '\u00b2'", 0),  # superscript two
+        ("\u00bd", "unexpected character '\u00bd'", 0),  # vulgar fraction one half
+        ("\u2177", "unexpected character '\u2177'", 0),  # small roman numeral eight
+        ("\f", "unexpected character '\\x0c'", 0),
+        ("i\u0301", "unexpected character '\u0301'", 1),  # a combining acute
+        ("9" * 4301, "integer literal of 4301 digits is too long", 0),
+    ],
+)
+def test_tokenizer_rejects_tricky_characters(text, message, at):
+    with pytest.raises(FormulaSyntaxError) as info:
+        tokenize(text)
+    assert (info.value.message, info.value.position) == (message, at)
 
 
 def test_any_text_parses_or_raises_recur_error_with_a_position():

@@ -29,6 +29,52 @@ from pathlib import Path
 
 BUILTINS = ("chain", "resnet", "newarch", "eq22", "appendix-ex1", "appendix-ex2")
 FORMATS = ("text", "json")
+_IN = "X[0] = input\n"
+_RULE = "X[i] = X[i-1]\n"
+# One formula for each error that parsing text can raise, besides the
+# superscript, long and product17 files below.
+PARSE_ERRORS = {
+    # _Parser: syntax
+    "expect.rf": _IN + "X[i] W[i]*X[i-1]\n",
+    "end.rf": _IN + "X[i] = W[i]*X[i-1] X[i-2]\n",
+    "not-x.rf": _IN + "Y[i] = W[i]*X[i-1]\n",
+    "lhs-offset.rf": _IN + "X[i-1] = W[i]*X[i-2]\n",
+    "input-1.rf": _IN + "X[1] = input\n" + _RULE,
+    "define-0.rf": _IN + "X[0] = X[0]\n" + _RULE,
+    "index.rf": _IN + "X[i] = W[*]*X[i-1]\n",
+    "nesting.rf": _IN + "X[i] = " + "(" * 101 + "W[i]*X[i-1]" + ")" * 101 + "\n",
+    "input-factor.rf": _IN + "X[i] = input*X[i-1]\n",
+    "factor.rf": _IN + "X[i] = W[i]*\n",
+    # three products of 15 factors: each under the cap, their sum over it
+    "sum15.rf": (
+        _IN + "X[i] = " + " + ".join(["*".join(["(1 + W[i])"] * 15) + "*X[i-1]"] * 3)
+        + "\n"
+    ),
+    # _Parser.make_atom: index context, causality and W ranges
+    "rel-base.rf": _IN + "X[1] = X[i-1]\n" + _RULE,
+    "unknown-var.rf": _IN + "X[i] = W[j]*X[i-1]\n",
+    "x-self.rf": _IN + "X[i] = X[i]\n",
+    "w-ahead.rf": _IN + "X[i] = W[i+1]*X[i-1]\n",
+    "w-0.rf": _IN + "X[i] = W[0]*X[i-1]\n",
+    "w-base.rf": _IN + "X[1] = W[2]*X[0]\n" + _RULE,
+    "x-base.rf": _IN + "X[1] = X[1]\n" + _RULE,
+    # _classify: affinity
+    "no-x.rf": _IN + "X[i] = W[i]\n",
+    "x-left.rf": _IN + "X[i] = X[i-1]*W[i]\n",
+    # parse: statements
+    "two-rules.rf": _IN + _RULE + "X[i] = W[i]*X[i-1]\n",
+    "rule-zero.rf": _IN + "X[i] = X[i-1] - X[i-1]\n",
+    "duplicate.rf": _IN + "X[1] = X[0]\nX[1] = W[1]*X[0]\n" + _RULE,
+    "base-zero.rf": _IN + "X[1] = X[0] - X[0]\n" + _RULE,
+    "no-rule.rf": _IN,
+    "no-input.rf": "X[i] = W[i]*X[i-1]\n",
+    # ArchitectureSpec.validate
+    "gap.rf": _IN + "X[2] = X[0]\n" + _RULE,
+    "max-lag.rf": _IN + "X[i] = X[i-2]\n",
+    "rule-source.rf": _IN + "X[i] = X[i-1] + X[1]\n",
+    "w-rel-low.rf": _IN + "X[i] = W[i-1]*X[i-1]\n",
+    "w-abs-high.rf": _IN + "X[i] = W[2]*X[i-1]\n",
+}
 FILES = {
     # derivative coefficients pass the float64 range from L = 2 on
     "overflow.rf": "X[0] = input\nX[i] = 1" + "0" * 200 + "*X[i-1]\n",
@@ -49,6 +95,7 @@ FILES = {
     "product17.rf": (
         "X[0] = input\nX[i] = " + "*".join(["(1 + W[i])"] * 17) + "*X[i-1]\n"
     ),
+    **PARSE_ERRORS,
 }
 
 
@@ -159,6 +206,7 @@ def commands() -> list[list[str]]:
         ["equiv", "nines.rf", "resnet", "-L", "2"],
         ["equiv", "nines.rf", "resnet", "-L", "2", "--format", "json"],
         ["parse", "product17.rf"],
+        *(["parse", name] for name in PARSE_ERRORS),
     ]
     return cmds
 
