@@ -1,19 +1,24 @@
-"""Exact noncommutative polynomial algebra over block symbols.
+r"""Exact noncommutative polynomial algebra over block symbols.
 
 A path polynomial is a finite integer combination of ordered products of
-block symbols W[i].  Each product is stored as a tuple of block indices,
-leftmost first, where the leftmost factor is the block applied last (the
-one closest to the network output):
+block symbols W[i].  Each product is stored as a word: a str with one code
+point per block index, chr(i), leftmost first, where the leftmost factor is
+the block applied last (the one closest to the network output):
 
-  1 + W[3] + W[3]*W[2]   ->   {(): 1, (3,): 1, (3, 2): 1}
+  1 + W[3] + W[3]*W[2]   ->   {"": 1, "\x03": 1, "\x03\x02": 1}
 
-The empty tuple is the identity term "1".  The zero polynomial stores no
+The empty word is the identity term "1".  The zero polynomial stores no
 terms.  Coefficients are plain Python ints, so equality checks are exact;
-multiplication concatenates factor tuples and never reorders them.
+multiplication concatenates words and never reorders them.  Code points
+compare as the indices do, and a str caches its hash, so words sort and
+hash like index tuples at a fraction of the cost.  Indices in the surrogate
+range are code points like any other: encode a word with "surrogatepass".
+The constructors and ``coefficient``/``coefficients`` speak int sequences;
+``keys``, ``items`` and ``canonical_items`` hand out words.
 
-Canonical term order (used for rendering and iteration) is ascending
-factor-sequence length, then lexicographically descending indices, which
-puts "1" first and deeper blocks before shallower ones within a length.
+Canonical term order (used for rendering and iteration) is ascending word
+length, then lexicographically descending indices, which puts "1" first
+and deeper blocks before shallower ones within a length.
 
 ``json_text`` is the one writer of recur's indented JSON output.
 """
@@ -21,17 +26,41 @@ puts "1" first and deeper blocks before shallower ones within a length.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, ItemsView, KeysView, Mapping, NamedTuple
+from typing import Iterable, ItemsView, KeysView, Mapping, NamedTuple, Sequence
 
 from .errors import SizeError
 
-Factors = tuple[int, ...]
+# One code point per block index, leftmost factor first.
+Word = str
 
 
-def block_product(factors: Iterable[int]) -> str:
+def _word(factors: Sequence[int]) -> Word:
+    """The word of a factor sequence; SizeError for an index past a code point."""
+    try:
+        return "".join(map(chr, factors))
+    except (ValueError, OverflowError):
+        raise SizeError(
+            f"block index {max(factors)} is past {sys.maxunicode}, the largest"
+            " a path word can hold"
+        ) from None
+
+
+class _BlockTexts(dict):
+    """str.translate table from code point i to "W[i]*", filled on first use."""
+
+    def __missing__(self, i: int) -> str:
+        text = self[i] = f"W[{i}]*"
+        return text
+
+
+_BLOCK_TEXTS = _BlockTexts()
+
+
+def block_product(word: Word) -> str:
     """The product text "W[3]*W[2]"; empty for the identity term."""
-    return "*".join(f"W[{i}]" for i in factors)
+    return word.translate(_BLOCK_TEXTS)[:-1]
 
 
 def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
@@ -161,21 +190,22 @@ class PathPolynomial:
     # terms, unset until the first evaluation.
     __slots__ = ("_terms", "_schedule")
 
-    def __init__(self, terms: Mapping[Factors, int] | None = None):
-        normalized: dict[Factors, int] = {}
+    def __init__(self, terms: Mapping[Iterable[int], int] | None = None):
+        normalized: dict[Word, int] = {}
         if terms:
             for factors, coeff in terms.items():
                 key = tuple(factors)
-                if any(i < 1 for i in key):
+                if min(key, default=1) < 1:
                     raise ValueError(f"block index must be >= 1 in {key}")
+                word = _word(key)
                 if coeff:
-                    normalized[key] = coeff
+                    normalized[word] = coeff
         object.__setattr__(self, "_terms", normalized)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, terms: dict[Factors, int]) -> "PathPolynomial":
+    def _trusted(cls, terms: dict[Word, int]) -> "PathPolynomial":
         """Adopt a dict already known to hold valid keys and nonzero coefficients.
 
         For results built from valid operands: no per-key checks and no copy,
@@ -201,23 +231,26 @@ class PathPolynomial:
     # -- inspection ---------------------------------------------------
 
     @property
-    def coefficients(self) -> dict[Factors, int]:
-        """Copy of the factor-sequence -> coefficient map."""
-        return dict(self._terms)
+    def coefficients(self) -> dict[tuple[int, ...], int]:
+        """The factor-sequence -> coefficient map, as index tuples."""
+        return {tuple(map(ord, w)): c for w, c in self._terms.items()}
 
-    def keys(self) -> KeysView[Factors]:
-        """Read-only view of the factor sequences, in insertion order."""
+    def keys(self) -> KeysView[Word]:
+        """Read-only view of the words, in insertion order."""
         return self._terms.keys()
 
-    def items(self) -> ItemsView[Factors, int]:
-        """Read-only view of the (factors, coeff) pairs, in insertion order."""
+    def items(self) -> ItemsView[Word, int]:
+        """Read-only view of the (word, coeff) pairs, in insertion order."""
         return self._terms.items()
 
     def coefficient(self, factors: Iterable[int]) -> int:
-        return self._terms.get(tuple(factors), 0)
+        try:
+            return self._terms.get("".join(map(chr, factors)), 0)
+        except (ValueError, OverflowError):  # no code point, so no such term
+            return 0
 
-    def canonical_items(self) -> list[tuple[Factors, int]]:
-        """The (factors, coeff) pairs in canonical order.
+    def canonical_items(self) -> list[tuple[Word, int]]:
+        """The (word, coeff) pairs in canonical order.
 
         Keys are distinct, so sorting them descending and then, stably, by
         length gives the canonical order from two C-level sorts.
@@ -272,6 +305,8 @@ def poly_add(a: PathPolynomial, b: PathPolynomial) -> PathPolynomial:
         return b
     if not b._terms:
         return a
+    if a._terms.keys().isdisjoint(b._terms.keys()):
+        return PathPolynomial._trusted({**a._terms, **b._terms})
     out = dict(a._terms)
     for factors, coeff in b._terms.items():
         total = out.get(factors, 0) + coeff
@@ -289,17 +324,21 @@ def poly_neg(a: PathPolynomial) -> PathPolynomial:
 def poly_mul(a: PathPolynomial, b: PathPolynomial) -> PathPolynomial:
     """Distributive noncommutative product.
 
-    Factor sequences concatenate as (factors of a) + (factors of b): the
-    left operand is the later stage, so its blocks end up closer to the
-    output.  Coefficients multiply; those that cancel to zero are dropped.
+    Words concatenate as (word of a) + (word of b): the left operand is the
+    later stage, so its blocks end up closer to the output.  Coefficients
+    multiply; those that cancel to zero are dropped.  The products are built
+    a-outer, b-inner, and a word that repeats keeps its first place.
     """
-    out: dict[Factors, int] = {}
-    for fa, ca in a._terms.items():
-        for fb, cb in b._terms.items():
-            key = fa + fb
-            out[key] = out.get(key, 0) + ca * cb
-    if 0 in out.values():
-        out = {f: c for f, c in out.items() if c}
+    ta, tb = a._terms, b._terms
+    keys = [fa + fb for fa in ta for fb in tb]
+    coeffs = [ca * cb for ca in ta.values() for cb in tb.values()]
+    out = dict(zip(keys, coeffs))
+    if len(out) != len(keys):  # a word repeats: accumulate in order
+        out = {}
+        for key, coeff in zip(keys, coeffs):
+            out[key] = out.get(key, 0) + coeff
+        if 0 in out.values():
+            out = {f: c for f, c in out.items() if c}
     return PathPolynomial._trusted(out)
 
 
@@ -316,18 +355,20 @@ def census(p: PathPolynomial) -> dict[int, CensusBin]:
     Returns a map length -> (number of distinct terms, sum of |coeff|),
     with lengths in ascending order.  The zero polynomial yields {}.
     """
-    counts: dict[int, int] = {}
-    weights: dict[int, int] = {}
-    for factors, coeff in p._terms.items():
-        k = len(factors)
-        counts[k] = counts.get(k, 0) + 1
-        weights[k] = weights.get(k, 0) + abs(coeff)
+    terms = p._terms
+    counts = Counter(map(len, terms))
+    weights = counts
+    if not {1, -1}.issuperset(terms.values()):
+        weights = {}
+        for word, coeff in terms.items():
+            k = len(word)
+            weights[k] = weights.get(k, 0) + abs(coeff)
     return {k: CensusBin(counts[k], weights[k]) for k in sorted(counts)}
 
 
 def render_poly(p: PathPolynomial) -> str:
     """Canonical text form: terms joined by " + "/" - ", identity as "1"."""
-    return signed_sum((c, block_product(f)) for f, c in p.canonical_items())
+    return signed_sum((c, block_product(w)) for w, c in p.canonical_items())
 
 
 class StateExpansion:

@@ -208,10 +208,10 @@ def build_graph(spec: ArchitectureSpec, L: int) -> ArchGraph:
 
         for source, coeff in spec.instantiate_terms(i):
             source_node = state_ids[source]
-            for factors, c in coeff.canonical_items():
-                degree = len(factors)
+            for word, c in coeff.canonical_items():
+                degree = len(word)
                 if degree >= 2:
-                    term = signed_sum([(c, block_product(factors))])
+                    term = signed_sum([(c, block_product(word))])
                     raise UnrealizableError(
                         f"coefficient term {term} on X[{source}] in X[{i}] has"
                         f" degree {degree}; no single-block wiring exists"
@@ -220,7 +220,7 @@ def build_graph(spec: ArchitectureSpec, L: int) -> ArchGraph:
                 if degree == 0:
                     origin, label = source_node, IDENTITY
                 else:
-                    k = factors[0]
+                    k = ord(word[0])
                     if k == i and k not in block_input:
                         nodes.append(Node(f"block{k}", BLOCK, block=k))
                         block_input[k] = source

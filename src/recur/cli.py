@@ -104,8 +104,8 @@ def _component_json(j: int, poly: PathPolynomial) -> dict:
     terms = poly.canonical_items()  # sorted once, for both the text and the list
     return {
         "state": j,
-        "polynomial": signed_sum((c, block_product(f)) for f, c in terms),
-        "terms": [{"coeff": c, "factors": list(f)} for f, c in terms],
+        "polynomial": signed_sum((c, block_product(w)) for w, c in terms),
+        "terms": [{"coeff": c, "factors": list(map(ord, w))} for w, c in terms],
     }
 
 

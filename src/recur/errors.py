@@ -45,7 +45,7 @@ class RangeError(RecurError):
     """An index is outside its admissible range.
 
     Raised for W indices outside [1, lhs] and X indices below 0 in formulas,
-    and for a Nemenyi alpha outside (0, 1) in the ranking statistics.
+    and for a Nemenyi alpha outside [1e-10, 1) in the ranking statistics.
     """
 
 
@@ -58,11 +58,11 @@ class UnrealizableError(RecurError):
 
 
 class SizeError(RecurError):
-    """Input too large: a product, or a sum of products, that distributes
-    into more terms than the parser's MAX_PRODUCT_TERMS, a graph past the
-    node-plus-edge budget of build_graph, a matrix net to instantiate, a
-    path coefficient to evaluate as a float64, or an integer with too many
-    digits to write."""
+    """Input too large: a product, a sum of products, or a whole text that
+    holds more distributed terms than the parser's MAX_PRODUCT_TERMS, a
+    block index past the last code point, a graph past the node-plus-edge
+    budget of build_graph, a matrix net to instantiate, a path coefficient
+    to evaluate as a float64, or an integer with too many digits to write."""
 
 
 class ActivationError(RecurError):

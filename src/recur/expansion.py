@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .algebra import (
-    PathPolynomial, StateExpansion, _too_long, block_product, poly_add, poly_mul,
-    signed_sum,
+    PathPolynomial, StateExpansion, _too_long, _word, block_product, poly_add,
+    poly_mul, signed_sum,
 )
 from .errors import DepthError
 from .parser import ArchitectureSpec
@@ -60,15 +60,17 @@ def derivative(
     check_depth(L, depth_cap)
     if not 0 <= j <= L:
         raise ValueError(f"wrt index must be in [0, {L}], got {j}")
-    f: dict[int, PathPolynomial] = {i: PathPolynomial.zero() for i in range(0, L + 1)}
-    f[L] = PathPolynomial.one()
-    for i in range(L, 0, -1):
-        if f[i].is_zero():
+    # The polynomials pushed so far, by state; states below j take none.
+    zero = PathPolynomial.zero()
+    f: dict[int, PathPolynomial] = {L: PathPolynomial.one()}
+    for i in range(L, j, -1):
+        pushed = f.get(i)
+        if not pushed:
             continue
         for source, coeff in spec.instantiate_terms(i):
             if source >= j:
-                f[source] = poly_add(f[source], poly_mul(f[i], coeff))
-    return f[j]
+                f[source] = poly_add(f.get(source, zero), poly_mul(pushed, coeff))
+    return f.get(j, zero)
 
 
 def derivative_bruteforce(
@@ -151,18 +153,20 @@ def check_structure(
 
     if kind == "widest":
         by_length: dict[int, list] = {}
-        for factors, coeff in poly.canonical_items():
-            by_length.setdefault(len(factors), []).append((factors, coeff))
+        for word, coeff in poly.canonical_items():
+            by_length.setdefault(len(word), []).append((word, coeff))
 
         def text(terms: list) -> str:
-            return " + ".join(signed_sum([(c, block_product(f))]) for f, c in terms)
+            return " + ".join(signed_sum([(c, block_product(w))]) for w, c in terms)
 
+        widest = _word(range(L, j, -1))  # W[L]*W[L-1]*...*W[j+1]
         for k in range(0, i + 1):
-            expected_factors = tuple(range(L, L - k, -1))
-            expected_text = block_product(expected_factors) or "1"
+            expected = widest[:k]
             terms = by_length.get(k, [])
-            if len(terms) != 1 or terms[0][0] != expected_factors:
-                violations.append(Violation(k, expected_text, text(terms) or "absent"))
+            if len(terms) != 1 or terms[0][0] != expected:
+                violations.append(
+                    Violation(k, block_product(expected) or "1", text(terms) or "absent")
+                )
         for k in sorted(by_length):
             if k > i:
                 violations.append(Violation(k, "absent", text(by_length[k])))
@@ -202,15 +206,15 @@ def value_equivalence_report(
     pa = unroll(spec_a, L, depth_cap).component(0)
     pb = unroll(spec_b, L, depth_cap).component(0)
     violations: list[Violation] = []
-    keys = pa.keys() | pb.keys() if pa != pb else ()
+    ta, tb = (dict(pa.items()), dict(pb.items())) if pa != pb else ({}, {})
     try:
-        for factors in sorted(keys, key=lambda f: (len(f), f)):
-            ca = pa.coefficient(factors)
-            cb = pb.coefficient(factors)
+        for word in sorted(ta.keys() | tb.keys(), key=lambda w: (len(w), w)):
+            ca = ta.get(word, 0)
+            cb = tb.get(word, 0)
             if ca != cb:
-                term = block_product(factors) or "1"
+                term = block_product(word) or "1"
                 violations.append(
-                    Violation(len(factors), f"{ca}*{term} (X[0])", f"{cb}*{term}")
+                    Violation(len(word), f"{ca}*{term} (X[0])", f"{cb}*{term}")
                 )
     except ValueError:  # str() of an int past the interpreter's digit limit
         raise _too_long(max(abs(ca), abs(cb))) from None

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .algebra import Factors, PathPolynomial
+from .algebra import PathPolynomial
 from .builtins import activated_kind
 from .errors import ActivationError, SizeError
 from .parser import ArchitectureSpec
@@ -204,7 +204,7 @@ def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
     chunks: list[tuple[int, int]] = []
     steps: list[tuple[int, int]] = []
     parents: list[int] = []
-    blocks: list[int] = []  # block indices, 1-based
+    blocks: list[str] = []  # block indices as code points, decoded once at the end
     ends: list[int] = []
     most = 0  # most nodes in a chunk
     # The open chunk, per level: its nodes' parents and blocks.  A node is
@@ -230,15 +230,15 @@ def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
         ends.extend(row(level, node) for level, node in term_ends)
         chunks.append((len(term_ends), len(level_blocks)))
 
-    previous: Factors = ()
-    for factors in poly.keys():
+    previous = ""
+    for word in poly.keys():
         shared = 0
-        for a, b in zip(previous, factors):
+        for a, b in zip(previous, word):
             if a != b:
                 break
             shared += 1
-        previous = factors
-        length = len(factors)
+        previous = word
+        length = len(word)
         if term_ends and (
             len(term_ends) == size or nodes + length - shared > NODES_PER_TERM * size
         ):
@@ -253,7 +253,7 @@ def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
         for level in range(shared, length):
             level_parents[level].append(node)
             made = level_blocks[level]
-            made.append(factors[level])
+            made.append(word[level])
             node = len(made) - 1
             path.append(node)
         nodes += length - shared
@@ -265,14 +265,16 @@ def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
     def intp(values: list[int]) -> np.ndarray:
         return np.array(values, dtype=np.intp)
 
+    codes = "".join(blocks).encode("utf-32-le", "surrogatepass")
+    indices = np.frombuffer(codes, dtype=np.uint32).astype(np.intp)
     return _Schedule(
         size,
         1 + most,
-        max(blocks, default=0),
+        ord(max(blocks, default="\0")),
         chunks,
         steps,
         intp(parents),
-        intp(blocks) - 1,
+        indices - 1,
         intp(ends),
         np.array([_coefficient(c) for _, c in poly.items()]).reshape(-1, 1, 1),
     )
@@ -313,12 +315,12 @@ def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
     if schedule is not None:
         top = schedule.top
     else:
-        top = max(map(max, filter(None, poly.keys())), default=0)
+        top = ord(max(map(max, filter(None, poly.keys())), default="\0"))
     if top > net.depth:
         # The first block out of range, in term order, raises IndexError.
-        for factors in poly.keys():
-            for index in factors:
-                net.matrix(index)
+        for word in poly.keys():
+            for code in word:
+                net.matrix(ord(code))
     if schedule is None or schedule.size != size:
         schedule = poly._schedule = _schedule(poly, size)
     stack = net.stack
@@ -365,19 +367,19 @@ def _eval_term_by_term(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
 
     d = net.dim
     total = np.zeros((d, d))
-    previous: Factors = ()
+    previous = ""
     prefix: list[np.ndarray] = []  # prefix[k]: product of previous[: k + 1]
-    for factors, coeff in poly.items():
+    for word, coeff in poly.items():
         shared = 0
-        for a, b in zip(previous, factors):
+        for a, b in zip(previous, word):
             if a != b:
                 break
             shared += 1
         del prefix[shared:]
-        for index in factors[shared:]:
-            block = net.matrix(index)
+        for code in word[shared:]:
+            block = net.matrix(ord(code))
             prefix.append(prefix[-1] @ block if prefix else block)
-        previous = factors
+        previous = word
         total += _coefficient(coeff) * (prefix[-1] if prefix else np.eye(d))
     return total
 

@@ -50,6 +50,9 @@ ABS = "abs"
 MAX_NESTING = 100
 
 # Most terms a product, or a sum of products, may distribute into: 2^16.
+# The same cap bounds the terms a text holds: those of its finished
+# statements plus those of the open sums in parentheses, or plus the
+# statement's own sum at each of that sum's signs.
 MAX_PRODUCT_TERMS = 1 << 16
 
 
@@ -384,6 +387,8 @@ class _Parser:
         self.tokens = tokenize(text)
         self.i = 0
         self.nesting = 0
+        # Terms of the finished statements and of the open sums in parentheses.
+        self.held = 0
         # Set per statement: the rule's index variable, or the base-case index.
         self.context_var: str | None = None
         self.context_base: int | None = None
@@ -417,7 +422,8 @@ class _Parser:
                 self.advance()
             if self.peek().kind == "EOF":
                 return statements
-            statements.append(self.parse_statement())
+            statements.append(statement := self.parse_statement())
+            self.held += len(statement[2] or ())
             tok = self.peek()
             if tok.kind not in ("SEP", "EOF"):
                 raise FormulaSyntaxError(
@@ -494,6 +500,17 @@ class _Parser:
                     f" cap is {MAX_PRODUCT_TERMS}",
                     position=op.pos,
                 )
+            if self.nesting:
+                self.held += len(product)
+                held = self.held
+            else:
+                held = self.held + len(terms) + len(product)
+            if held > MAX_PRODUCT_TERMS:
+                raise SizeError(
+                    f"formula holds {held} distributed terms, cap is"
+                    f" {MAX_PRODUCT_TERMS}",
+                    position=op.pos,
+                )
             terms += [(-c, a) for c, a in product] if op.kind == "MINUS" else product
             op = self.peek()
             if op.kind not in ("PLUS", "MINUS"):
@@ -529,6 +546,7 @@ class _Parser:
             inner = self.parse_expr()
             self.expect("RPAREN", "')'")
             self.nesting -= 1
+            self.held -= len(inner)  # a closed sum is a factor now
             return inner
         if tok.kind == "NAME" and tok.value in ("W", "X"):
             self.advance()

@@ -249,6 +249,10 @@ def _normal_cdf(x: float) -> float:
     return math.erfc(-x / math.sqrt(2)) / 2
 
 
+# Smallest alpha nemenyi_q solves for.
+MIN_ALPHA = 1e-10
+
+
 def nemenyi_q(k: int, alpha: float) -> float:
     """q(1 - alpha; k, df=inf) / sqrt(2): the Nemenyi q_alpha for k methods.
 
@@ -257,12 +261,17 @@ def nemenyi_q(k: int, alpha: float) -> float:
     Simpson's rule with 240 intervals on [-8.5, 8.5] gives it and its
     q-derivative, and Newton steps solve P(R <= q) = 1 - alpha, bisecting
     whenever a step would leave the bracket.  The integral is good to about
-    1e-15 absolute, so q is good to about 1e-12 for alpha >= 1e-4, loses
-    digits as alpha shrinks below that, and stops resolving alpha near
-    1e-16, where 1 - alpha rounds to 1.
+    1e-15 absolute, so q is good to about 1e-12 for alpha >= 1e-4 and loses
+    digits as alpha shrinks below that: about 1e-7 relative at MIN_ALPHA,
+    more below it, and none left near 1e-16, where 1 - alpha rounds to 1.
+    An alpha below MIN_ALPHA raises RangeError.
     """
     if not 0 < alpha < 1:  # NaN fails too
         raise RangeError(f"alpha must be in (0, 1), got {alpha}")
+    if alpha < MIN_ALPHA:
+        raise RangeError(
+            f"alpha {alpha} is below {MIN_ALPHA:g}, where q is no longer resolved"
+        )
     n, h = 240, 17 / 240
     grid = []  # (node z, Simpson weight * phi(z), Phi(z))
     for i in range(n + 1):

@@ -14,6 +14,7 @@ from recur.algebra import (
     render_poly,
     signed_sum,
 )
+from recur.errors import SizeError
 
 ONE = PathPolynomial.one()
 ZERO = PathPolynomial.zero()
@@ -21,6 +22,11 @@ ZERO = PathPolynomial.zero()
 
 def W(i):
     return PathPolynomial.block(i)
+
+
+def indices(word):
+    """The block indices of a stored word."""
+    return tuple(map(ord, word))
 
 
 def test_add_cancellation():
@@ -137,9 +143,27 @@ def test_constructor_rejects_bad_indices():
         PathPolynomial({(0,): 1})
 
 
+def test_words_hold_every_code_point_and_no_index_past_the_last():
+    # Surrogate code points are indices like any other: order, text, round trip.
+    raw = {(0xDFFF,): 1, (0xD800, 0xD7FF): -2, (0xE000,): 3, (0x10FFFF,): 1}
+    p = PathPolynomial(raw)
+    assert p.coefficients == raw
+    assert p.coefficient((0xD800, 0xD7FF)) == -2
+    assert [indices(w) for w, _ in p.canonical_items()] == [
+        (0x10FFFF,), (0xE000,), (0xDFFF,), (0xD800, 0xD7FF),
+    ]
+    assert render_poly(p) == (
+        "W[1114111] + 3*W[57344] + W[57343] - 2*W[55296]*W[55295]"
+    )
+    for index in (0x110000, 1 << 80):
+        with pytest.raises(SizeError, match=f"block index {index} is past 1114111"):
+            PathPolynomial.block(index)
+        assert p.coefficient((index,)) == 0
+
+
 def test_terms_iterate_in_canonical_order():
     p = PathPolynomial({(1,): 1, (2, 1): 1, (): 1, (2,): 1})
-    assert [f for f, _ in p.canonical_items()] == [(), (2,), (1,), (2, 1)]
+    assert [indices(w) for w, _ in p.canonical_items()] == [(), (2,), (1,), (2, 1)]
 
 
 def test_render():
@@ -152,14 +176,14 @@ def test_render():
     mixed = PathPolynomial({(): -3, (2, 1): -1, (2,): 2, (1,): 1})
     assert render_poly(mixed) == "-3 + 2*W[2] + W[1] - W[2]*W[1]"
     # One term alone, as the widest and degree messages write each term.
-    for coeff, factors, text in [
-        (1, (3, 2), "W[3]*W[2]"),
-        (-1, (3,), "-W[3]"),
-        (2, (), "2"),
-        (-2, (3,), "-2*W[3]"),
-        (-2, (), "-2"),
+    for coeff, word, text in [
+        (1, "\x03\x02", "W[3]*W[2]"),
+        (-1, "\x03", "-W[3]"),
+        (2, "", "2"),
+        (-2, "\x03", "-2*W[3]"),
+        (-2, "", "-2"),
     ]:
-        assert signed_sum([(coeff, block_product(factors))]) == text
+        assert signed_sum([(coeff, block_product(word))]) == text
 
 
 def test_polynomials_are_hashable_and_equal_by_value():
@@ -181,42 +205,63 @@ def _hypothesis():
     return hypothesis, st.dictionaries(factors, st.integers(-3, 3), max_size=6)
 
 
-def _naive_add(a, b):
-    out = a.coefficients
-    for factors, coeff in b.coefficients.items():
-        out[factors] = out.get(factors, 0) + coeff
-    return PathPolynomial(out)
+# The loops poly_add, poly_mul and census ran before their bulk forms.
 
 
-def _naive_mul(a, b):
+def _reference_add(a, b):
+    out = dict(a.items())
+    for word, coeff in b.items():
+        total = out.get(word, 0) + coeff
+        if total:
+            out[word] = total
+        else:
+            out.pop(word, None)
+    return out
+
+
+def _reference_mul(a, b):
     out = {}
-    for fa, ca in a.coefficients.items():
-        for fb, cb in b.coefficients.items():
-            out[fa + fb] = out.get(fa + fb, 0) + ca * cb
-    return PathPolynomial(out)
+    for fa, ca in a.items():
+        for fb, cb in b.items():
+            key = fa + fb
+            out[key] = out.get(key, 0) + ca * cb
+    return {w: c for w, c in out.items() if c}
 
 
-def _same_terms(p, q):
-    # Equal coefficients, stored in the same order, and no zero kept.
-    assert list(p.coefficients.items()) == list(q.coefficients.items())
-    assert 0 not in p.coefficients.values()
+def _reference_census(p):
+    counts, weights = {}, {}
+    for word, coeff in p.items():
+        k = len(word)
+        counts[k] = counts.get(k, 0) + 1
+        weights[k] = weights.get(k, 0) + abs(coeff)
+    return {k: (counts[k], weights[k]) for k in sorted(counts)}
 
 
 def test_operations_match_naive_reference():
     hypothesis, terms = _hypothesis()
     st = hypothesis.strategies
+    # Every prefix of a drawn word is a term too, the empty word included,
+    # so products share prefixes and, over three indices, repeat words.
+    prefixed = terms.map(
+        lambda raw: {**{f[:k]: 1 for f in raw for k in range(len(f))}, **raw}
+    )
 
     @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(terms, terms, st.data())
+    @hypothesis.given(prefixed, prefixed, st.data())
     def check(raw_a, raw_b, data):
         a = PathPolynomial(raw_a)
         # Negate part of a into b so that sums cancel term by term.
         cancel = data.draw(st.sets(st.sampled_from(sorted(raw_a) or [()])))
         b = PathPolynomial({**raw_b, **{f: -a.coefficient(f) for f in cancel}})
-        _same_terms(poly_add(a, b), _naive_add(a, b))
-        _same_terms(poly_mul(a, b), _naive_mul(a, b))
-        _same_terms(poly_mul(b, a), _naive_mul(b, a))
-        _same_terms(poly_neg(a), PathPolynomial({f: -c for f, c in raw_a.items()}))
+        signs = PathPolynomial({f: 1 if c > 0 else -1 for f, c in raw_b.items() if c})
+        # In insertion order, not just as equal dicts.
+        for p, q in ((a, b), (b, a), (a, a), (a, signs), (a, poly_neg(a))):
+            assert list(poly_add(p, q).items()) == list(_reference_add(p, q).items())
+            assert list(poly_mul(p, q).items()) == list(_reference_mul(p, q).items())
+        for p in (a, b, signs, poly_mul(a, b), poly_mul(signs, signs)):
+            assert list(census(p).items()) == list(_reference_census(p).items())
+        negated = PathPolynomial({f: -c for f, c in raw_a.items()})
+        assert list(poly_neg(a).items()) == list(negated.items())
         assert poly_add(a, poly_neg(a)).is_zero()
 
     check()
@@ -269,9 +314,9 @@ def test_constructor_rejects_index_below_one():
 def test_keys_and_items_are_views_in_insertion_order():
     raw = {(2,): 1, (): -1, (1, 2): 3}
     p = PathPolynomial(raw)
-    assert list(p.keys()) == list(raw)
-    assert list(p.items()) == list(raw.items())
-    assert p.keys() | {(5,)} == {(2,), (), (1, 2), (5,)}
+    assert list(map(indices, p.keys())) == list(raw)
+    assert [(indices(w), c) for w, c in p.items()] == list(raw.items())
+    assert p.keys() | {"\x05"} == {"\x02", "", "\x01\x02", "\x05"}
 
 
 def _old_canonical_key(factors):
@@ -295,7 +340,7 @@ def test_canonical_order_matches_the_per_term_key():
         raw = {**{f[:k]: 1 for f in raw for k in range(len(f))}, **raw}
         p = PathPolynomial(raw)
         expected = [(f, raw[f]) for f in sorted(raw, key=_old_canonical_key)]
-        assert p.canonical_items() == expected
+        assert [(indices(w), c) for w, c in p.canonical_items()] == expected
 
     check()
 

@@ -519,6 +519,52 @@ def test_depth_cap_env(monkeypatch, capsys):
     assert code == 0
 
 
+def test_stats_alpha_below_the_smallest_exits_two(capsys):
+    code, out, err = run(capsys, "stats", "table1", "--alpha", "1e-11")
+    assert (code, out) == (2, "")
+    assert "alpha 1e-11 is below 1e-10" in err
+
+
+def test_block_indices_in_the_surrogate_range_render_and_evaluate(
+    monkeypatch, capsys
+):
+    # W[55296..57343] are the surrogate code points 0xD800..0xDFFF in a word.
+    monkeypatch.setenv("RECUR_DEPTH_CAP", "60000")
+    code, out, _ = run(
+        capsys, "census", "--builtin", "chain", "-L", "55300", "-j", "55299"
+    )
+    assert code == 0 and "census {1: 1}" in out
+    code, out, _ = run(
+        capsys, "census", "--builtin", "resnet", "-L", "55300", "-j", "55294",
+        "--check", "widest", "--format", "json",
+    )
+    assert code == 1
+    violations = json.loads(out)["check"]["violations"]
+    assert [v["length"] for v in violations] == [1, 2, 3, 4, 5]
+    assert violations[0]["actual"] == " + ".join(
+        f"W[{i}]" for i in range(55300, 55294, -1)
+    )
+    assert violations[-1]["expected"] == "*".join(
+        f"W[{i}]" for i in range(55300, 55295, -1)
+    )
+    # 32 terms go through the chunked schedule, 8 term by term.
+    for j in ("55295", "55297"):
+        code, out, _ = run(
+            capsys, "verify", "--builtin", "resnet", "-L", "55300", "-j", j,
+            "-d", "2",
+        )
+        assert code == 0 and out.endswith("1 checks, 1 passed\n")
+
+
+def test_block_index_past_the_last_code_point_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("RECUR_DEPTH_CAP", "1114112")
+    code, out, err = run(
+        capsys, "census", "--builtin", "chain", "-L", "1114112", "-j", "1114111"
+    )
+    assert (code, out) == (2, "")
+    assert "block index 1114112 is past 1114111" in err
+
+
 def test_byte_identical_output(capsys):
     args = ("census", "--builtin", "resnet", "--depth", "6", "--wrt", "1",
             "--format", "json")

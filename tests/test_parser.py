@@ -377,6 +377,46 @@ def test_sum_past_the_term_cap_fails_at_its_sign():
         )
 
 
+def test_terms_held_across_a_text_keep_to_the_cap():
+    # 16 factors of (1 + W) distribute into 2^16 terms, the whole cap.
+    def product(w, x):
+        return "*".join([f"(1 + {w})"] * 16) + f"*{x}"
+
+    def after(text, n):  # the 1 of the first "(1 + W" after n products
+        pos = 0
+        for _ in range(n):
+            pos = text.index("*X[", pos) + 1
+        return text.index("(1 + W", pos) + 1
+
+    # A sum in parentheses that holds the cap leaves no room for a sum
+    # nested in it, and a finished statement at the cap none for the next.
+    nested = (
+        "X[i] = " + " + (".join([product("W[i]", "X[i-1]")] * 9) + ")" * 8
+        + "; X[0] = input"
+    )
+    statements = "".join(
+        f"X[{k}] = {product('W[1]', f'X[{k - 1}]')}\n" for k in range(1, 5)
+    ) + "X[0] = input\nX[i] = X[i-1]\n"
+    for text, position in ((nested, after(nested, 2)), (statements, after(statements, 1))):
+        with pytest.raises(SizeError) as info:
+            parse(text)
+        assert info.value.position == position
+        assert info.value.message == (
+            f"formula holds {(1 << 16) + 1} distributed terms, cap is {1 << 16}"
+        )
+    # A flat statement after one at the cap fails at its first term.
+    flat = statements.split("\n")[0] + "\nX[2] = W[1]*X[1] + X[1]\nX[0] = input\nX[i] = X[i-1]"
+    with pytest.raises(SizeError) as info:
+        parse(flat)
+    assert info.value.position == flat.index("W[1]*X[1]")
+    assert info.value.message == (
+        f"formula holds {(1 << 16) + 1} distributed terms, cap is {1 << 16}"
+    )
+    # A closed sum is a factor, no longer held: the 16 sums inside one
+    # product at the cap leave room for it.
+    assert parse(product("W[i]", "X[i-1]").join(["X[i] = ", "; X[0] = input"]))
+
+
 @pytest.mark.parametrize(
     "text, tokens",
     [

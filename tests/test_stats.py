@@ -8,6 +8,7 @@ import pytest
 from recur.cli import main
 from recur.errors import DegenerateError, RangeError
 from recur.stats import (
+    MIN_ALPHA,
     AccuracyTable,
     betainc,
     f_distribution_sf,
@@ -327,6 +328,15 @@ def test_q_table_matches_studentized_range():
         for k, q in enumerate(row, start=2):
             assert nemenyi_q(k, alpha) == pytest.approx(q, abs=0.0011), (alpha, k)
 
+
+def test_nemenyi_q_holds_to_scipy_down_to_the_smallest_alpha():
+    studentized_range = pytest.importorskip("scipy.stats").studentized_range
+    for k in range(2, 51):
+        exact = studentized_range.isf(MIN_ALPHA, k, math.inf) / math.sqrt(2)
+        assert nemenyi_q(k, MIN_ALPHA) == pytest.approx(exact, rel=1e-6), k
+    for alpha in (MIN_ALPHA / 10, 1e-17):
+        with pytest.raises(RangeError, match="below 1e-10"):
+            nemenyi_q(2, alpha)
 
 
 def test_f_tail_and_betainc_match_scipy():

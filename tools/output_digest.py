@@ -12,9 +12,10 @@ byte, so a change that should not alter output is checked with::
 
 ``--root`` names the checkout whose ``src/recur`` is imported (default:
 the one holding this script).  A command argument that names one of
-``FILES`` is run on that formula, written to a temporary directory; an
-exception that escapes ``main`` is digested by its type name in place of
-the exit code.
+``FILES`` is run on that formula, written to a temporary directory;
+leading ``NAME=value`` words set environment variables for that command
+alone; an exception that escapes ``main`` is digested by its type name in
+place of the exit code.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 BUILTINS = ("chain", "resnet", "newarch", "eq22", "appendix-ex1", "appendix-ex2")
 FORMATS = ("text", "json")
@@ -94,6 +97,16 @@ FILES = {
     # a product that distributes into 2^17 terms, past the parser's cap
     "product17.rf": (
         "X[0] = input\nX[i] = " + "*".join(["(1 + W[i])"] * 17) + "*X[i-1]\n"
+    ),
+    # sums nested 8 deep and four statements, each part at the cap
+    "nested16.rf": (
+        "X[0] = input\nX[i] = "
+        + " + (".join(["*".join(["(1 + W[i])"] * 16) + "*X[i-1]"] * 9)
+        + ")" * 8 + "\n"
+    ),
+    "statements16.rf": "X[0] = input\nX[i] = X[i-1]\n" + "".join(
+        f"X[{k}] = " + "*".join(["(1 + W[1])"] * 16) + f"*X[{k - 1}]\n"
+        for k in range(1, 5)
     ),
     **PARSE_ERRORS,
 }
@@ -207,15 +220,37 @@ def commands() -> list[list[str]]:
         ["equiv", "nines.rf", "resnet", "-L", "2", "--format", "json"],
         ["parse", "product17.rf"],
         *(["parse", name] for name in PARSE_ERRORS),
+        ["parse", "nested16.rf"],
+        ["parse", "statements16.rf"],
+        ["stats", "table1", "--alpha", "1e-11"],
+        # block indices in the surrogate range, then one past the last code point
+        *(
+            ["RECUR_DEPTH_CAP=60000", *argv]
+            for argv in (
+                ["census", "--builtin", "newarch", "-L", "55300", "-j", "55294",
+                 "--check", "widest", "--format", "json"],
+                ["verify", "--builtin", "resnet", "-L", "55300", "-j", "55295",
+                 "-d", "2", "--format", "json"],
+                ["verify", "--builtin", "resnet", "-L", "55300", "-j", "55297",
+                 "-d", "2", "--format", "json"],
+            )
+        ),
+        ["RECUR_DEPTH_CAP=1114112", "census", "--builtin", "chain", "-L",
+         "1114112", "-j", "1114111"],
     ]
     return cmds
 
 
 def run(main, argv: list[str]) -> str:
+    env = {}
+    while "=" in argv[0]:
+        name, value = argv.pop(0).split("=", 1)
+        env[name] = value
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            with mock.patch.dict(os.environ, env):
+                code = main(argv)
         except Exception as exc:
             code = type(exc).__name__
     blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode("utf-8")
