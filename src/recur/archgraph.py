@@ -27,8 +27,8 @@ Subtraction is a sign on an edge, not a node kind.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import PathPolynomial, block_product, json_text, signed_sum
 from .errors import SizeError, UnrealizableError
@@ -47,8 +47,7 @@ MAPPED = "mapped"
 MAX_GRAPH_ITEMS = 1 << 20
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     kind: str
     block: int | None = None
@@ -57,8 +56,7 @@ class Node:
         return {"id": self.id, "kind": self.kind, "block": self.block}
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     sign: int
@@ -68,7 +66,6 @@ class Edge:
         return {"from": self.src, "to": self.dst, "sign": self.sign, "label": self.label}
 
 
-@dataclass(frozen=True)
 class ArchGraph:
     """A compiled architecture.
 
@@ -77,30 +74,44 @@ class ArchGraph:
     construction metadata and is not part of the exported schema.
     """
 
-    name: str
-    depth: int
-    nodes: tuple[Node, ...]
-    edges: tuple[Edge, ...]
-    state_ids: tuple[tuple[int, str], ...]
-
-    def __post_init__(self) -> None:
-        ids = [n.id for n in self.nodes]
+    def __init__(
+        self,
+        name: str,
+        depth: int,
+        nodes: tuple[Node, ...],
+        edges: tuple[Edge, ...],
+        state_ids: tuple[tuple[int, str], ...],
+    ) -> None:
+        self.name = name
+        self.depth = depth
+        self.nodes = nodes
+        self.edges = edges
+        self.state_ids = state_ids
+        ids = [n.id for n in nodes]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node ids")
         known = set(ids)
-        for e in self.edges:
+        for e in edges:
             if e.src not in known or e.dst not in known:
                 raise ValueError(f"edge {e.src}->{e.dst} references unknown nodes")
-        if sum(1 for n in self.nodes if n.kind == INPUT) != 1:
+        if sum(1 for n in nodes if n.kind == INPUT) != 1:
             raise ValueError("graph must have exactly one input node")
-        if sum(1 for n in self.nodes if n.kind == OUTPUT) != 1:
+        if sum(1 for n in nodes if n.kind == OUTPUT) != 1:
             raise ValueError("graph must have exactly one output node")
         _toposort(self)  # raises on cycles
 
-    # The lookup indexes are built on first use and kept (cached_property
-    # writes the instance __dict__, which a frozen dataclass permits).  They
-    # are not built at construction: graphs that are only compared or
-    # exported would carry them for nothing.
+    def _fields(self) -> tuple:
+        return self.name, self.depth, self.nodes, self.edges, self.state_ids
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ArchGraph):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    # The lookup indexes are built on first use and kept in the instance
+    # __dict__, where cached_property stores them.  They are not built at
+    # construction: graphs that are only compared or exported would carry
+    # them for nothing.
 
     @cached_property
     def _nodes_by_id(self) -> dict[str, Node]:
@@ -262,8 +273,7 @@ def build_graph(spec: ArchitectureSpec, L: int) -> ArchGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairReport:
+class PairReport(NamedTuple):
     """Identity-edge connectivity between states i-1 and i."""
 
     prev: int
@@ -279,12 +289,11 @@ class PairReport:
         }
 
 
-@dataclass(frozen=True)
-class StructuralReport:
+class StructuralReport(NamedTuple):
     """direct_propagation_check output for every consecutive block pair."""
 
     graph: str
-    entries: tuple[PairReport, ...] = field(default_factory=tuple)
+    entries: tuple[PairReport, ...] = ()
 
     @property
     def all_direct(self) -> bool:

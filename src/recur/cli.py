@@ -132,7 +132,9 @@ def cmd_census(args) -> int:
     histogram = census(poly)
     report = None
     if args.check:
-        report = check_structure(poly, args.check, args.depth, args.wrt, spec.name)
+        report = check_structure(
+            poly, args.check, args.depth, args.wrt, spec.name, histogram
+        )
 
     if args.format == "json":
         payload = {

@@ -17,13 +17,12 @@ makes X[0] the only free input, so X[L] is its derivative times X[0].
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from .algebra import (
-    PathPolynomial, StateExpansion, _too_long, _word, block_product, poly_add,
-    poly_mul, signed_sum,
+    CensusBin, PathPolynomial, StateExpansion, _too_long, _word, block_product,
+    census, poly_add, poly_mul, signed_sum,
 )
 from .errors import DepthError
 from .parser import ArchitectureSpec
@@ -99,8 +98,7 @@ def derivative_bruteforce(
 CHECK_KINDS = ("binomial", "single-path", "widest")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     length: int
     expected: object
     actual: object
@@ -109,8 +107,7 @@ class Violation:
         return {"length": self.length, "expected": self.expected, "actual": self.actual}
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Outcome of one structural claim about a derivative polynomial."""
 
     spec: str
@@ -118,7 +115,7 @@ class StructureReport:
     wrt: int | None
     check: str
     passed: bool
-    violations: tuple[Violation, ...] = field(default_factory=tuple)
+    violations: tuple[Violation, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -132,12 +129,18 @@ class StructureReport:
 
 
 def check_structure(
-    poly: PathPolynomial, kind: str, L: int, j: int, spec_name: str = ""
+    poly: PathPolynomial,
+    kind: str,
+    L: int,
+    j: int,
+    spec_name: str = "",
+    histogram: dict[int, CensusBin] | None = None,
 ) -> StructureReport:
     """Check a path-structure claim about derivative(spec, L, j).
 
     Violations are data, not errors: the report lists each failed length
-    with the expected and observed values.
+    with the expected and observed values.  ``histogram`` is census(poly),
+    for a caller that has it already.
 
     kind="binomial":    the count of length-k paths is C(L-j, k).
     kind="single-path": exactly one path per length 0..L-j.
@@ -171,7 +174,9 @@ def check_structure(
             if k > i:
                 violations.append(Violation(k, "absent", text(by_length[k])))
     else:
-        counts = Counter(map(len, poly.keys()))
+        if histogram is None:
+            histogram = census(poly)
+        counts = {k: b.count for k, b in histogram.items()}
         for k in range(0, i + 1):
             expected = comb(i, k) if kind == "binomial" else 1
             actual = counts.get(k, 0)

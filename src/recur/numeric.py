@@ -14,7 +14,6 @@ numeric call: the symbolic commands start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .algebra import PathPolynomial
@@ -26,7 +25,6 @@ from .parser import ArchitectureSpec
 MAX_MATRIX_ENTRIES = 1 << 25
 
 
-@dataclass(frozen=True)
 class ConcreteNet:
     """One matrix realization of a spec at a fixed depth and width.
 
@@ -37,39 +35,42 @@ class ConcreteNet:
     caller cannot change the blocks behind the net's back.
     """
 
-    spec: ArchitectureSpec
-    matrices: tuple[np.ndarray, ...]  # matrices[i-1] realizes W[i]
-    activation: str | None = None
-    seed: int | None = None
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
-    # i -> instantiate_terms(i) with the coefficients evaluated, filled by
-    # jacobian_exact: the blocks are read-only, so these never go stale.
-    _coefficients: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    __slots__ = ("spec", "matrices", "activation", "seed", "stack", "_coefficients")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        spec: ArchitectureSpec,
+        matrices,
+        activation: str | None = None,
+        seed: int | None = None,
+    ) -> None:
         import numpy as np
 
-        d = np.shape(self.matrices[0])[0]
-        if any(np.shape(m) != (d, d) for m in self.matrices):
+        d = np.shape(matrices[0])[0]
+        if any(np.shape(m) != (d, d) for m in matrices):
             raise ValueError("all block matrices must share one square shape")
-        stack = np.asarray(self.matrices, dtype=float)
-        if stack is self.matrices and (stack.flags.writeable or stack.base is not None):
+        stack = np.asarray(matrices, dtype=float)
+        if stack is matrices and (stack.flags.writeable or stack.base is not None):
             stack = stack.copy()
         if not np.all(np.isfinite(stack)):
             raise ValueError("block matrices must be finite")
         stack.flags.writeable = False
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "matrices", tuple(stack))
-        if self.activation is not None:
-            if self.activation != "tanh":
-                raise ValueError(f"unsupported activation {self.activation!r}")
-            if activated_kind(self.spec) is None:
+        if activation is not None:
+            if activation != "tanh":
+                raise ValueError(f"unsupported activation {activation!r}")
+            if activated_kind(spec) is None:
                 raise ActivationError(
                     "tanh is only defined for the built-in chain and resnet"
                     " recursions"
                 )
+        self.spec = spec
+        self.stack = stack
+        self.matrices = tuple(stack)  # matrices[i-1] realizes W[i]
+        self.activation = activation
+        self.seed = seed
+        # i -> instantiate_terms(i) with the coefficients evaluated, filled by
+        # jacobian_exact: the blocks are read-only, so these never go stale.
+        self._coefficients = {}
 
     @property
     def depth(self) -> int:
@@ -117,8 +118,7 @@ def instantiate(
     return ConcreteNet(spec=spec, matrices=stack, activation=activation, seed=seed)
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
+class ForwardTrace(NamedTuple):
     """States X[1..L] of one tanh forward pass and their pre-activations."""
 
     states: tuple[np.ndarray, ...]
@@ -406,7 +406,7 @@ def jacobian_exact(net: ConcreteNet, j: int) -> np.ndarray:
     evaluated = net._coefficients
     # Matrices the memo may still take: the net and the kept coefficients
     # stay within MAX_MATRIX_ENTRIES, the bound instantiate puts on the net.
-    room =MAX_MATRIX_ENTRIES // (d * d) - L - sum(map(len, evaluated.values()))
+    room = MAX_MATRIX_ENTRIES // (d * d) - L - sum(map(len, evaluated.values()))
     for i in range(j + 1, L + 1):
         terms = evaluated.get(i)
         kept = terms is not None
@@ -425,8 +425,7 @@ def jacobian_exact(net: ConcreteNet, j: int) -> np.ndarray:
     return sensitivities[L]
 
 
-@dataclass(frozen=True)
-class JacobianCheckResult:
+class JacobianCheckResult(NamedTuple):
     """Relative Frobenius error of one Jacobian comparison."""
 
     spec: str
@@ -543,15 +542,21 @@ def finite_diff_check(
     trace = forward(net, x0)
     formula = _activated_product_jacobian(net, trace, j)
 
-    # Rows k and d + k start from X[j] +- epsilon * e_k; one pass through
-    # the remaining layers ends every perturbed start.  Only the last
-    # layer's stack is kept.
+    # Column k of the Jacobian starts from X[j] +- epsilon * e_k.  The
+    # columns go through the remaining layers in blocks of n: rows r and
+    # n + r of a block's stack are the starts of its r-th column, and only
+    # the last layer's stack is kept.  A stack holds at most CHUNK_ENTRIES
+    # entries, so every d <= 64 is one block.
     base = x0 if j == 0 else trace.state(j)
-    bumps = epsilon * np.eye(d)
-    starts = np.concatenate([base + bumps, base - bumps])[:, :, None]
-    for _, ends in _layers(net, starts, j):
-        pass
-    numeric = ((ends[:d, :, 0] - ends[d:, :, 0]) / (2 * epsilon)).T
+    numeric = np.empty((d, d))
+    width = max(1, CHUNK_ENTRIES // (2 * d))
+    for k in range(0, d, width):
+        n = min(width, d - k)
+        bumps = epsilon * np.eye(n, d, k)
+        starts = np.concatenate([base + bumps, base - bumps])[:, :, None]
+        for _, ends in _layers(net, starts, j):
+            pass
+        numeric[:, k : k + n] = ((ends[:n, :, 0] - ends[n:, :, 0]) / (2 * epsilon)).T
 
     return JacobianCheckResult(
         spec=net.spec.name,

@@ -25,10 +25,9 @@ rightmost position).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
 
-from .algebra import PathPolynomial, signed_sum
+from .algebra import PathPolynomial, Word, _word, signed_sum
 from .errors import (
     FormulaSyntaxError,
     NonAffineError,
@@ -94,21 +93,16 @@ class CoefficientExpr:
     def instantiate(self, at_index: int | None) -> PathPolynomial:
         """Resolve atoms to concrete block indices for the state X[at_index].
 
-        Relative atoms require at_index; absolute atoms never do.
+        Relative atoms require at_index; absolute atoms never do.  The
+        validator keeps every resolved index >= 1.
         """
-        out: dict[tuple[int, ...], int] = {}
+        out: dict[Word, int] = {}
         for atoms, coeff in self._terms.items():
-            factors = []
-            for kind, value in atoms:
-                if kind == REL:
-                    if at_index is None:
-                        raise ValueError("relative W atom without a defining index")
-                    factors.append(at_index - value)
-                else:
-                    factors.append(value)
-            key = tuple(factors)
-            out[key] = out.get(key, 0) + coeff
-        return PathPolynomial(out)
+            word = _word([at_index - v if kind == REL else v for kind, v in atoms])
+            out[word] = out.get(word, 0) + coeff
+        if 0 in out.values():
+            out = {w: c for w, c in out.items() if c}
+        return PathPolynomial._trusted(out)
 
     def render(self, var: str) -> str:
         """Canonical text, e.g. "1 + W[i]" or "-W[i-1]"."""
@@ -138,92 +132,120 @@ def _render_watom(atom: WAtom, var: str) -> str:
     return f"W[{var}-{value}]"
 
 
-@dataclass(frozen=True)
-class RuleTerm:
+# Each spec class is a NamedTuple, immutable and compared and hashed by
+# value (builtin_spec hands one instance to every caller); the public
+# subclass's __new__ checks and normalizes the fields.
+
+
+class _RuleTerm(NamedTuple):
+    coeff: CoefficientExpr
+    lag: int | None
+    source: int | None
+
+
+class RuleTerm(_RuleTerm):
     """One summand of the recursion rule: coeff * X[source].
 
     Exactly one of ``lag`` (relative source X[v-lag], lag >= 1) and
     ``source`` (absolute source X[source]) is set.
     """
 
-    coeff: CoefficientExpr
-    lag: int | None = None
-    source: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.lag is None) == (self.source is None):
+    def __new__(
+        cls, coeff: CoefficientExpr, lag: int | None = None, source: int | None = None
+    ) -> "RuleTerm":
+        if (lag is None) == (source is None):
             raise ValueError("exactly one of lag/source must be set")
-        if self.lag is not None and self.lag < 1:
-            raise ValueError(f"lag must be >= 1, got {self.lag}")
-        if self.source is not None and self.source < 0:
-            raise ValueError(f"source must be >= 0, got {self.source}")
+        if lag is not None and lag < 1:
+            raise ValueError(f"lag must be >= 1, got {lag}")
+        if source is not None and source < 0:
+            raise ValueError(f"source must be >= 0, got {source}")
+        return tuple.__new__(cls, (coeff, lag, source))
 
 
-@dataclass(frozen=True)
-class RecursionRule:
-    """The uniform recursion X[v] = sum of coeff * X[earlier]."""
-
+class _RecursionRule(NamedTuple):
     index_var: str
     terms: tuple[RuleTerm, ...]
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+
+class RecursionRule(_RecursionRule):
+    """The uniform recursion X[v] = sum of coeff * X[earlier]."""
+
+    __slots__ = ()
+
+    def __new__(cls, index_var: str, terms: tuple[RuleTerm, ...]) -> "RecursionRule":
+        if not terms:
             raise ValueError("a recursion rule needs at least one term")
         # Relative terms by lag, then absolute terms by source.
-        terms = sorted(self.terms, key=lambda t: (t.lag is None, t.lag or t.source))
-        object.__setattr__(self, "terms", tuple(terms))
-        lags = [t.lag for t in self.terms if t.lag is not None]
-        sources = [t.source for t in self.terms if t.source is not None]
+        terms = tuple(sorted(terms, key=lambda t: (t.lag is None, t.lag or t.source)))
+        lags = [t.lag for t in terms if t.lag is not None]
+        sources = [t.source for t in terms if t.source is not None]
         if len(set(lags)) != len(lags) or len(set(sources)) != len(sources):
             raise ValueError("duplicate sources in rule terms")
+        return tuple.__new__(cls, (index_var, terms))
 
     @property
     def max_lag(self) -> int:
         return max((t.lag for t in self.terms if t.lag is not None), default=0)
 
 
-@dataclass(frozen=True)
-class BaseCase:
+class _BaseCase(NamedTuple):
+    index: int
+    terms: tuple[tuple[int, CoefficientExpr], ...]
+    is_input: bool
+
+
+class BaseCase(_BaseCase):
     """An explicitly defined low state, or the free-input declaration."""
 
-    index: int
-    terms: tuple[tuple[int, CoefficientExpr], ...] = ()
-    is_input: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
+    def __new__(
+        cls,
+        index: int,
+        terms: tuple[tuple[int, CoefficientExpr], ...] = (),
+        is_input: bool = False,
+    ) -> "BaseCase":
+        if index < 0:
             raise ValueError("base-case index must be >= 0")
-        if self.is_input:
-            if self.terms:
+        if is_input:
+            if terms:
                 raise ValueError("the input declaration carries no expression")
-            return
-        if not self.terms:
-            raise ValueError(f"base case X[{self.index}] has no terms")
+            return tuple.__new__(cls, (index, terms, is_input))
+        if not terms:
+            raise ValueError(f"base case X[{index}] has no terms")
         cleaned = []
-        for source, coeff in sorted(self.terms, key=lambda t: t[0]):
+        for source, coeff in sorted(terms, key=lambda t: t[0]):
             if any(kind == REL for kind, _ in coeff.atoms()):
                 raise ValueError("base-case coefficients must use absolute W indices")
             if not coeff.is_zero():
                 cleaned.append((source, coeff))
-        object.__setattr__(self, "terms", tuple(cleaned))
+        return tuple.__new__(cls, (index, tuple(cleaned), is_input))
 
 
-@dataclass(frozen=True)
-class ArchitectureSpec:
-    """A validated recursion rule with its base cases.
-
-    ``name`` is presentation metadata: :func:`render` does not emit it.
-    """
-
+class _ArchitectureSpec(NamedTuple):
     rule: RecursionRule
     base_cases: tuple[BaseCase, ...]
-    name: str = "spec"
+    name: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "base_cases", tuple(sorted(self.base_cases, key=lambda b: b.index))
-        )
-        self.validate()
+
+class ArchitectureSpec(_ArchitectureSpec):
+    """A validated recursion rule with its base cases.
+
+    ``name`` is presentation metadata: :func:`render` does not emit it, but
+    ``==`` compares it.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, rule: RecursionRule, base_cases: tuple[BaseCase, ...], name: str = "spec"
+    ) -> "ArchitectureSpec":
+        base_cases = tuple(sorted(base_cases, key=lambda b: b.index))
+        spec = tuple.__new__(cls, (rule, base_cases, name))
+        spec.validate()
+        return spec
 
     # -- structure ------------------------------------------------------
 

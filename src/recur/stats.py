@@ -27,35 +27,45 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DegenerateError, RangeError
 
-@dataclass(frozen=True)
-class AccuracyTable:
-    """k methods x N datasets of accuracy percentages."""
 
+class _AccuracyTable(NamedTuple):
     methods: tuple[str, ...]
     datasets: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]  # values[method][dataset]
 
-    def __post_init__(self) -> None:
-        k, n = len(self.methods), len(self.datasets)
+
+class AccuracyTable(_AccuracyTable):
+    """k methods x N datasets of accuracy percentages."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        methods: tuple[str, ...],
+        datasets: tuple[str, ...],
+        values: tuple[tuple[float, ...], ...],
+    ) -> "AccuracyTable":
+        k, n = len(methods), len(datasets)
         if k < 2:
             raise ValueError(f"need at least 2 methods, got {k}")
         if n < 1:
             raise ValueError("need at least 1 dataset")
-        if len(set(self.methods)) != k:
+        if len(set(methods)) != k:
             raise ValueError("duplicate method names")
-        if len(set(self.datasets)) != n:
+        if len(set(datasets)) != n:
             raise ValueError("duplicate dataset names")
-        if len(self.values) != k or any(len(row) != n for row in self.values):
+        if len(values) != k or any(len(row) != n for row in values):
             raise ValueError(f"values must be {k}x{n}")
-        for row in self.values:
+        for row in values:
             for v in row:
                 if not math.isfinite(v):
                     raise ValueError("accuracies must be finite")
+        return tuple.__new__(cls, (methods, datasets, values))
 
     @property
     def k(self) -> int:
@@ -104,8 +114,7 @@ def fixture_table(name: str) -> AccuracyTable:
     return AccuracyTable.from_csv(resource.read_text(encoding="utf-8"))
 
 
-@dataclass(frozen=True)
-class RankMatrix:
+class RankMatrix(NamedTuple):
     """Per-dataset ranks (1 = best) and per-method mean ranks.
 
     Every rank is a half-integer, so the float representation is exact.
@@ -168,8 +177,7 @@ def rank(table: AccuracyTable) -> RankMatrix:
     )
 
 
-@dataclass(frozen=True)
-class FriedmanResult:
+class FriedmanResult(NamedTuple):
     tau_chi2: float
     tau_f: float
     df1: int
@@ -219,8 +227,7 @@ def friedman(ranks: RankMatrix) -> FriedmanResult:
     )
 
 
-@dataclass(frozen=True)
-class NemenyiResult:
+class NemenyiResult(NamedTuple):
     alpha: float
     q_alpha: float
     cd: float
@@ -320,8 +327,7 @@ def nemenyi(ranks: RankMatrix, alpha: float = 0.05) -> NemenyiResult:
     )
 
 
-@dataclass(frozen=True)
-class FriedmanGraphData:
+class FriedmanGraphData(NamedTuple):
     """Plot-ready mean ranks with intervals, best (lowest) rank first."""
 
     cd: float
@@ -400,25 +406,31 @@ def _betacf(a: float, b: float, x: float) -> float:
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
-def betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b) for a, b > 0."""
+def betainc(a: float, b: float, x: float, xc: float | None = None) -> float:
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0.
+
+    ``xc`` is 1 - x, for a caller that can form it without cancellation:
+    near x = 1 the difference 1.0 - x keeps few of its digits.
+    """
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
+    if xc is None:
+        xc = 1.0 - x
     if x <= 0.0:
         return 0.0
-    if x >= 1.0:
+    if xc <= 0.0:
         return 1.0
     ln_front = (
         math.lgamma(a + b)
         - math.lgamma(a)
         - math.lgamma(b)
         + a * math.log(x)
-        + b * math.log(1.0 - x)
+        + b * math.log(xc)
     )
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    return 1.0 - front * _betacf(b, a, xc) / b
 
 
 def f_distribution_sf(x: float, df1: int, df2: int) -> float:
@@ -427,4 +439,7 @@ def f_distribution_sf(x: float, df1: int, df2: int) -> float:
         raise ValueError("degrees of freedom must be >= 1")
     if x <= 0.0:
         return 1.0
-    return betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * x))
+    u = df1 * x
+    # 1 - y for y = df2 / (df2 + u): 1.0 - y loses digits only as y nears 1.
+    xc = u / (df2 + u) if u < df2 else None
+    return betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + u), xc)

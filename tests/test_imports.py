@@ -2,6 +2,8 @@
 
 `import recur` loads no submodule; a public name loads its home module on
 first use.  Only `verify` loads numpy; every other command runs without it.
+No step loads `dataclasses` or `inspect`: recur's records are NamedTuples
+and small classes, which generate no code at import.
 """
 
 import json
@@ -40,6 +42,36 @@ def test_symbolic_commands_never_load_numpy():
     loaded = json.loads(run_fresh(PROBE.replace("COMMANDS", repr(NUMPY_FREE))))
     assert len(loaded) == len(NUMPY_FREE) + 2
     assert not any(loaded.values()), loaded
+
+
+def test_import_cli_loads_no_code_generating_modules():
+    code = (
+        "import json, sys, recur.cli\n"
+        "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))\n"
+    )
+    assert json.loads(run_fresh(code)) == []
+
+
+def test_shared_specs_cannot_be_changed():
+    from recur.builtins import builtin_spec
+    from recur.parser import render
+
+    spec = builtin_spec("newarch")
+    text = render(spec)
+    rule, term, base = spec.rule, spec.rule.terms[0], spec.base_cases[1]
+    for record, field in (
+        (spec, "name"), (spec, "rule"), (spec, "base_cases"),
+        (rule, "index_var"), (rule, "terms"),
+        (term, "coeff"), (term, "lag"), (term, "source"),
+        (base, "index"), (base, "terms"), (base, "is_input"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    for record in (spec, rule, term, base):
+        with pytest.raises(AttributeError):
+            record.extra = None  # no instance __dict__ either
+    assert builtin_spec("newarch") is spec
+    assert render(spec) == text
 
 
 def test_verify_loads_numpy_and_passes():

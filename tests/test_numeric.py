@@ -503,6 +503,42 @@ def test_finite_diff_matches_a_column_by_column_reference(spec, d):
         assert res.error == _finite_diff_error_by_column(net, 0, 1e-5, listed)
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_finite_diff_in_blocks_of_columns_matches_the_reference(monkeypatch, width):
+    d, L = 16, 4  # at width 3 the last block holds one column
+    monkeypatch.setattr(numeric, "CHUNK_ENTRIES", 2 * d * width)
+    x0 = np.random.default_rng((5, 1)).uniform(-0.5, 0.5, size=d)
+    for spec in (CHAIN, RESNET):
+        net = instantiate(spec, L, d, seed=5, activation="tanh")
+        for j in range(L):
+            res = finite_diff_check(net, j)
+            assert res.error == _finite_diff_error_by_column(net, j, 1e-5, x0), j
+
+
+def test_finite_diff_memory_does_not_grow_with_the_perturbed_starts():
+    # The perturbed starts go through in blocks of columns, so the product
+    # formula's d x d matrices set the peak; one (2d, d, 1) stack of starts
+    # would add about 5 d**2 floats, 40 MB at d = 1000.
+    import tracemalloc
+
+    from recur.numeric import _activated_product_jacobian
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    d = 1000
+    net = instantiate(RESNET, 1, d, seed=0, activation="tanh")
+    x0 = np.full(d, 0.25)
+    formula = peak(lambda: _activated_product_jacobian(net, forward(net, x0), 0))
+    check = peak(lambda: finite_diff_check(net, 0, x0=x0))
+    assert check <= formula + 4 * numeric.CHUNK_ENTRIES * 8, (formula, check)
+
+
 def test_finite_diff_requires_activation_and_valid_epsilon():
     plain = instantiate(RESNET, 3, 2, seed=0)
     with pytest.raises(ActivationError):

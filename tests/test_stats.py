@@ -305,8 +305,9 @@ def test_betainc_against_closed_forms():
 
 def test_f_distribution_tail():
     assert f_distribution_sf(3.0, 2, 2) == pytest.approx(0.25, abs=1e-12)
-    # F(1,1): P(F > x) = 1 - 2/pi * atan(sqrt(x))
-    for x in (0.5, 1.0, 4.0):
+    # F(1,1): P(F > x) = 1 - 2/pi * atan(sqrt(x)), also where 1 / (1 + x)
+    # rounds to 1.
+    for x in (0.5, 1.0, 4.0, 1e-15, 6.1e-17):
         expected = 1 - 2 / math.pi * math.atan(math.sqrt(x))
         assert f_distribution_sf(x, 1, 1) == pytest.approx(expected, abs=1e-12)
     assert f_distribution_sf(0.0, 3, 7) == 1.0
@@ -342,9 +343,19 @@ def test_nemenyi_q_holds_to_scipy_down_to_the_smallest_alpha():
 def test_f_tail_and_betainc_match_scipy():
     # Degrees of freedom as friedman forms them from k methods and N datasets.
     hypothesis = pytest.importorskip("hypothesis")
-    scipy_f = pytest.importorskip("scipy.stats").f
+    mpmath = pytest.importorskip("mpmath")
     scipy_betainc = pytest.importorskip("scipy.special").betainc
     st = hypothesis.strategies
+
+    def exact_sf(x, df1, df2):
+        # P(F > x) in 40 digits.  scipy's F tail forms df2 / (df2 + df1 x)
+        # in float64, which near x = 0 keeps few digits of the tail's
+        # distance from 1 (at k = n = 2 and x = 6.1e-17 it is 4.5e-9 off),
+        # and below about 1e-250 it drifts by up to 7%.
+        with mpmath.workdps(40):
+            y = mpmath.mpf(df2) / (df2 + df1 * mpmath.mpf(x))
+            a, b = mpmath.mpf(df2) / 2, mpmath.mpf(df1) / 2
+            return float(mpmath.betainc(a, b, 0, y, regularized=True))
 
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(
@@ -355,10 +366,8 @@ def test_f_tail_and_betainc_match_scipy():
     )
     def check(k, n, x, y):
         df1, df2 = k - 1, (k - 1) * (n - 1)
-        # Below about 1e-250, scipy's tail drifts from the exact value (mpmath)
-        # by up to 7% while this one keeps its digits.
         assert f_distribution_sf(x, df1, df2) == pytest.approx(
-            scipy_f.sf(x, df1, df2), rel=1e-9, abs=1e-250
+            exact_sf(x, df1, df2), rel=1e-9, abs=1e-250
         )
         assert betainc(df2 / 2, df1 / 2, y) == pytest.approx(
             scipy_betainc(df2 / 2, df1 / 2, y), rel=1e-9, abs=1e-12
