@@ -14,6 +14,7 @@ numeric call: the symbolic commands start without it.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import PathPolynomial
@@ -164,26 +165,33 @@ def forward(net: ConcreteNet, x0: np.ndarray) -> ForwardTrace:
 
 
 # eval_polynomial batches its matmuls over chunks of at most CHUNK_ENTRIES
-# // d**2 consecutive terms and NODES_PER_TERM times as many prefix
-# products, so its working memory stays a small multiple of CHUNK_ENTRIES
-# float64 entries (64 KB), plus one matrix per factor of the longest term,
-# whatever the number of terms.  Batching pays from about MIN_CHUNK_TERMS
-# terms a chunk: measured against the term-by-term loop, it broke even at
-# about 10 terms a polynomial (d = 4..16) and 13 terms a chunk (d = 25).
-# With fewer terms (small polynomials, d >= 27) the terms go one by one.
+# // d**2 consecutive terms and NODES_PER_TERM times as many products, so its
+# working memory stays a small multiple of CHUNK_ENTRIES float64 entries
+# (64 KB), plus one matrix per factor of the longest term, whatever the
+# number of terms.  The products of a chunk are counted as if each term
+# shared only the prefix of the term before it; the chunk's prefix trie
+# never holds more.  Batching pays from about MIN_CHUNK_TERMS terms a chunk:
+# measured against the term-by-term loop, it broke even at about 10 terms a
+# polynomial (d = 4..16) and 13 terms a chunk (d = 25).  With fewer terms
+# (small polynomials, d >= 27) the terms go one by one.
 CHUNK_ENTRIES = 1 << 13
 NODES_PER_TERM = 4
 MIN_CHUNK_TERMS = 12
+# _schedule reads the terms in groups of about GROUP_CELLS code points
+# (terms x (1 + longest term)), or of one chunk where that is more, so its
+# temporaries do not grow with the number of terms.
+GROUP_CELLS = 1 << 14
 
 
 class _Schedule(NamedTuple):
     """How eval_polynomial computes one polynomial's terms, chunk by chunk.
 
-    Each chunk is a prefix trie of its terms: a term reuses the prefix
-    products it shares with the term before it in the chunk and adds one
-    product (a node) per further factor.  Row 0 of the product buffer holds
-    the identity and the rows after it a chunk's nodes, level by level
-    (level = factors - 1), so that one batched matmul computes a level.
+    Each chunk is the prefix trie of its terms: one product (a node) per
+    distinct non-empty prefix, which extends the node of the prefix one
+    factor shorter, so a term reuses every prefix product it shares with
+    any term of its chunk.  Row 0 of the product buffer holds the identity
+    and the rows after it a chunk's nodes, level by level (level = factors
+    - 1), so that one batched matmul computes a level.
     """
 
     size: int  # most terms in a chunk
@@ -197,86 +205,117 @@ class _Schedule(NamedTuple):
     coeffs: np.ndarray  # per term: float64 coefficient, shape (1, 1)
 
 
-def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
-    """Lay out ``poly``'s chunks in one pass over its terms."""
+def _codes(words: list[str], lengths: np.ndarray) -> np.ndarray:
+    """``words`` as the rows of one big-endian uint32 array, so that rows
+    compare as bytes in the order the words compare: column 0 is left for a
+    sort key, then come each word's block indices, padded with 0 (which no
+    block index takes) to the longest word, and to one column at least."""
     import numpy as np
 
+    width = int(lengths.max(initial=1))
+    text = "".join(words).encode("utf-32-be", "surrogatepass")
+    codes = np.zeros((len(words), 1 + width), ">u4")
+    codes[:, 1:][np.arange(width) < lengths[:, None]] = np.frombuffer(text, ">u4")
+    return codes
+
+
+def _shared(codes: np.ndarray) -> np.ndarray:
+    """Per row of ``codes`` after the first, the length of the prefix its
+    word shares with the word of the row before it, or -1 where the two rows
+    differ in column 0.  No two rows are equal."""
+    return (codes[1:] != codes[:-1]).argmax(axis=1) - 1
+
+
+def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
+    """Cut ``poly``'s terms into chunks and lay out each chunk's trie."""
+    import numpy as np
+
+    words = list(poly.keys())
+    n = len(words)
+    lengths = np.fromiter(map(len, words), np.intp, n)
+    # Terms are read in groups that start a chunk and hold at least one
+    # whole chunk; the chunks that end in a group are laid out together.
+    step = max(size + 1, GROUP_CELLS // (1 + int(lengths.max(initial=0))))
     chunks: list[tuple[int, int]] = []
     steps: list[tuple[int, int]] = []
-    parents: list[int] = []
-    blocks: list[str] = []  # block indices as code points, decoded once at the end
-    ends: list[int] = []
+    layouts = [np.empty((2, 0), np.intp)]  # per group: its nodes' parents, blocks
+    ends = np.empty(n, np.intp)
     most = 0  # most nodes in a chunk
-    # The open chunk, per level: its nodes' parents and blocks.  A node is
-    # its index in its level, or -1 for the identity.
-    level_parents: list[list[int]] = []
-    level_blocks: list[list[int]] = []
-    term_ends: list[tuple[int, int]] = []  # (level, node) of each term
-    nodes = 0
-    path: list[int] = []  # per level, the previous term's node
+    low = 0
+    while low < n:
+        high = min(n, low + step)
+        codes = _codes(words[low:high], lengths[low:high])
+        # A chunk from term a takes the terms after it while it holds at
+        # most size terms and NODES_PER_TERM * size products: all of a's,
+        # and those each later term adds to the term before it.
+        added = lengths[low:high].copy()
+        added[1:] -= _shared(codes)
+        total = np.cumsum(added)
+        stop = np.searchsorted(
+            total, total + (NODES_PER_TERM * size - lengths[low:high]), "right"
+        )
+        cuts = [0]
+        while cuts[-1] < high - low:
+            a = cuts[-1]
+            b = max(a + 1, min(int(stop[a]), a + size))
+            if b == high - low and high < n:
+                break  # the chunk may go on past the group
+            cuts.append(b)
+        high = low + cuts[-1]
+        sizes = np.diff(cuts)
+        codes = codes[: high - low]
+        codes[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
+        # Sorted by chunk and then by code point, each term shares its
+        # longest prefix within its chunk with the term before it; the
+        # first term of a chunk shares -1.
+        order = np.argsort(codes.view(f"V{codes.itemsize * codes.shape[1]}").ravel())
+        codes = codes[order]
+        shared = np.zeros(high - low, np.intp)
+        shared[1:] = _shared(codes)
+        new = (codes[:, 1:] != 0) & (np.arange(codes.shape[1] - 1) >= shared[:, None])
+        # made[k, l]: how many nodes the terms up to k make at level l;
+        # upto: that many at the end of each chunk; counts: each chunk's own.
+        made = np.cumsum(new, axis=0)
+        upto = made[np.cumsum(sizes) - 1]
+        counts = np.diff(upto, axis=0, prepend=0)
+        # prefix[k, l + 1] is the row of the last node made at level l up to
+        # term k, in its chunk's buffer: that of term k's prefix of l + 1
+        # factors.  prefix[k, 0] is the identity's row.
+        prefix = np.zeros(codes.shape, np.intp)
+        offsets = np.cumsum(counts, axis=1) - upto
+        prefix[:, 1:] = made + np.repeat(offsets, sizes, axis=0)
+        per_chunk = counts.sum(axis=1)
+        # Each new node's index among the group's nodes, chunk by chunk.
+        at = np.repeat(np.cumsum(per_chunk) - per_chunk - 1, sizes)[:, None]
+        at = (at + prefix[:, 1:])[new]
+        layout = np.empty((2, len(at)), np.intp)
+        layout[0, at] = prefix[:, :-1][new]
+        layout[1, at] = codes[:, 1:][new]
+        layouts.append(layout)
+        ends[low + order] = prefix[np.arange(high - low), lengths[low + order]]
+        for terms, level_counts in zip(sizes.tolist(), counts.tolist()):
+            levels = len(level_counts) - level_counts.count(0)
+            chunks.append((terms, levels))
+            steps.extend(zip(range(levels), level_counts))
+        most = max(most, int(per_chunk.max()))
+        low = high
 
-    def close() -> None:
-        first_row = [1]
-        for made in level_blocks:
-            first_row.append(first_row[-1] + len(made))
-
-        def row(level: int, node: int) -> int:
-            return 0 if node < 0 else first_row[level] + node
-
-        for level, made in enumerate(level_blocks):
-            parents.extend(row(level - 1, node) for node in level_parents[level])
-            blocks.extend(made)
-            steps.append((level, len(made)))
-        ends.extend(row(level, node) for level, node in term_ends)
-        chunks.append((len(term_ends), len(level_blocks)))
-
-    previous = ""
-    for word in poly.keys():
-        shared = 0
-        for a, b in zip(previous, word):
-            if a != b:
-                break
-            shared += 1
-        previous = word
-        length = len(word)
-        if term_ends and (
-            len(term_ends) == size or nodes + length - shared > NODES_PER_TERM * size
-        ):
-            close()
-            level_parents, level_blocks, term_ends, path = [], [], [], []
-            nodes = shared = 0
-        del path[shared:]
-        while len(level_blocks) < length:
-            level_parents.append([])
-            level_blocks.append([])
-        node = path[-1] if shared else -1
-        for level in range(shared, length):
-            level_parents[level].append(node)
-            made = level_blocks[level]
-            made.append(word[level])
-            node = len(made) - 1
-            path.append(node)
-        nodes += length - shared
-        most = max(most, nodes)
-        term_ends.append((length - 1, node))
-    if term_ends:
-        close()
-
-    def intp(values: list[int]) -> np.ndarray:
-        return np.array(values, dtype=np.intp)
-
-    codes = "".join(blocks).encode("utf-32-le", "surrogatepass")
-    indices = np.frombuffer(codes, dtype=np.uint32).astype(np.intp)
+    parents, blocks = np.concatenate(layouts, axis=1)
+    blocks -= 1  # stack indices
+    try:
+        coeffs = np.fromiter(map(itemgetter(1), poly.items()), float, n)
+    except OverflowError:
+        coeffs = np.array([_coefficient(coeff) for _, coeff in poly.items()])
     return _Schedule(
         size,
         1 + most,
-        ord(max(blocks, default="\0")),
+        int(blocks.max(initial=-1)) + 1,
         chunks,
         steps,
-        intp(parents),
-        indices - 1,
-        intp(ends),
-        np.array([_coefficient(c) for _, c in poly.items()]).reshape(-1, 1, 1),
+        parents,
+        blocks,
+        ends,
+        coeffs.reshape(-1, 1, 1),
     )
 
 
@@ -498,6 +537,9 @@ def _activated_product_jacobian(
 
     chain:  diag(g'(z_L)) M_L * ... * diag(g'(z_{j+1})) M_{j+1}
     resnet: the same with (I + M_i) in place of M_i.
+
+    Each diag(g') scales the rows of the factor after it, which gives the
+    same bits as the d x d product with the diagonal matrix.
     """
     import numpy as np
 
@@ -507,9 +549,9 @@ def _activated_product_jacobian(
     product = np.eye(d)
     for i in range(net.depth, j, -1):
         z = trace.preactivations[i - 1]
-        gprime = np.diag(1.0 - np.tanh(z) ** 2)
+        gprime = 1.0 - np.tanh(z) ** 2
         inner = net.matrix(i) if kind == "chain" else eye + net.matrix(i)
-        product = product @ (gprime @ inner)
+        product = product @ (gprime[:, None] * inner)
     return product
 
 

@@ -1,4 +1,5 @@
 import itertools
+import os.path
 
 import numpy as np
 import pytest
@@ -370,6 +371,104 @@ def test_eval_polynomial_matches_naive_in_small_chunks(monkeypatch):
     check()
 
 
+def _chunk_words(poly, schedule):
+    """The words of each chunk of ``schedule``, in insertion order."""
+    words, start = list(poly.keys()), 0
+    for terms, _ in schedule.chunks:
+        yield words[start : start + terms]
+        start += terms
+
+
+def _prefixes(words):
+    return {word[:k] for word in words for k in range(1, len(word) + 1)}
+
+
+def test_schedule_lays_out_one_full_prefix_trie_per_chunk(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # Chains of extensions in drawn key orders, cut into chunks of 1 to 9
+    # terms and 1 to 4 products a term, laid out in groups of one chunk or
+    # of all of them.
+    factors = st.lists(st.integers(1, 4), max_size=5).map(tuple)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        st.lists(
+            st.tuples(factors, st.lists(st.integers(1, 4), max_size=4)),
+            min_size=1,
+            max_size=10,
+        ),
+        st.integers(1, 9),
+        st.integers(1, 4),
+        st.sampled_from([1, numeric.GROUP_CELLS]),
+        st.data(),
+    )
+    def check(chains, size, nodes, cells, data):
+        keys = []
+        for base, tail in chains:
+            keys += [base + tuple(tail[:k]) for k in range(len(tail) + 1)]
+        keys = list(dict.fromkeys(keys))
+        if data.draw(st.booleans()):
+            keys = data.draw(st.permutations(keys))
+        poly = PathPolynomial({f: 1 for f in keys})
+        monkeypatch.setattr(numeric, "NODES_PER_TERM", nodes)
+        monkeypatch.setattr(numeric, "GROUP_CELLS", cells)
+        schedule = numeric._schedule(poly, size)
+        steps = iter(schedule.steps)
+        chunks = zip(_chunk_words(poly, schedule), schedule.chunks)
+        for words, (terms, levels) in chunks:
+            # The cut: at most size terms and, counting for each term the
+            # products past the prefix it shares with the term before it,
+            # at most nodes * size products, unless the chunk is one term.
+            assert terms <= size
+            added = len(words[0]) + sum(
+                len(b) - len(os.path.commonprefix([a, b]))
+                for a, b in zip(words, words[1:])
+            )
+            assert terms == 1 or added <= nodes * size
+            made = [next(steps) for _ in range(levels)]
+            assert [level for level, _ in made] == list(range(levels))
+            assert sum(count for _, count in made) == len(_prefixes(words))
+        assert next(steps, None) is None
+        assert sum(terms for terms, _ in schedule.chunks) == len(poly)
+
+    check()
+
+
+def test_schedule_shares_prefixes_across_a_chunk():
+    # appendix-ex2's terms share their prefixes with terms further back:
+    # one trie per chunk makes 11,091 products at d = 16, against 14,169
+    # when each term reuses only the prefix of the term before it.
+    spec = builtin_spec("appendix-ex2")
+    size = numeric.CHUNK_ENTRIES // 16**2
+    nodes = 0
+    for j in range(9):  # the polynomials of 12 terms or more
+        poly = derivative(spec, 14, j)
+        schedule = numeric._schedule(poly, size)
+        assert len(schedule.parents) == sum(
+            map(len, map(_prefixes, _chunk_words(poly, schedule)))
+        )
+        assert schedule.rows <= 1 + numeric.NODES_PER_TERM * size
+        nodes += len(schedule.parents)
+    assert nodes < 11_500
+
+
+def test_schedule_memory_stays_bounded_on_many_terms():
+    # 65,536 terms in chunks of 512 (d = 4): the schedule keeps about 2.2 MB
+    # and building it peaks near 5 MB, the words and one group's
+    # temporaries included.
+    import tracemalloc
+
+    poly = derivative(RESNET, 16, 0)
+    tracemalloc.start()
+    try:
+        numeric._schedule(poly, numeric.CHUNK_ENTRIES // 4**2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17_000_000, peak
+
+
 def test_eval_polynomial_adds_scalars_in_term_order():
     # In term order each 1.0 rounds away against 2**53; numpy sums a
     # contiguous axis pairwise, which keeps them.
@@ -458,6 +557,30 @@ def test_chain_product_formula_is_explicit_gprime_chain():
         @ np.diag(1 - np.tanh(z1) ** 2) @ net.matrix(1)
     )
     assert np.allclose(_activated_product_jacobian(net, trace, 0), expected, atol=0)
+
+
+@pytest.mark.parametrize("spec", [CHAIN, RESNET], ids=["chain", "resnet"])
+def test_product_formula_scales_rows_as_the_diagonal_product_does(spec):
+    from recur.numeric import _activated_product_jacobian
+
+    def with_diagonals(net, trace, j):
+        product = np.eye(net.dim)
+        for i in range(net.depth, j, -1):
+            gprime = np.diag(1.0 - np.tanh(trace.preactivations[i - 1]) ** 2)
+            inner = net.matrix(i) if spec is CHAIN else np.eye(net.dim) + net.matrix(i)
+            product = product @ (gprime @ inner)
+        return product
+
+    for d in (1, 2, 3, 16, 33):
+        for L in (1, 3, 6):
+            for seed in range(2):
+                net = instantiate(spec, L, d, seed=seed, activation="tanh")
+                x0 = np.random.default_rng((seed, 1)).uniform(-0.5, 0.5, size=d)
+                trace = forward(net, x0)
+                for j in range(L):
+                    got = _activated_product_jacobian(net, trace, j)
+                    want = with_diagonals(net, trace, j)
+                    assert got.tobytes() == want.tobytes(), (d, L, seed, j)
 
 
 def _finite_diff_error_by_column(net, j, epsilon, x0):

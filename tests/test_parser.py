@@ -176,6 +176,26 @@ def test_all_parse_errors_carry_positions():
             "relative indices are not allowed in base cases",
             "i-1]; X[i]",
         ),
+        (
+            "X[0] = input\nX[i] = W[i]*X[i-1] X[i-2]\n",
+            "expected end of statement, found 'X'",
+            "X[i-2]",
+        ),
+        (
+            "X[0] = input\nX[i-1] = W[i]*X[i-2]\n",
+            "the rule left-hand side must be a bare X[var]",
+            "i-1] =",
+        ),
+        (
+            "X[0] = input\nX[1] = input\nX[i] = X[i-1]\n",
+            "only X[0] may be declared as the input",
+            "input\nX[i]",
+        ),
+        (
+            "X[0] = input\nX[i] = input*X[i-1]\n",
+            "'input' may only stand alone in 'X[0] = input'",
+            "input*",
+        ),
     ],
 )
 def test_statement_errors_pin_message_and_position(text, message, at):

@@ -169,6 +169,13 @@ def commands() -> list[list[str]]:
             ["verify", "--builtin", "newarch", "-L", "8", "-d", d, "--format", "json"]
             for d in ("24", "28")
         ),
+        # chunks of 512 terms over 987 and 2,584 long terms that share
+        # little with the term before them
+        *(
+            ["verify", "--builtin", name, "-L", L, "-d", "4", "--seeds", "2",
+             "--format", "json"]
+            for name, L in (("appendix-ex1", "14"), ("appendix-ex2", "16"))
+        ),
         ["stats", "table1"],
         ["stats", "table1", "--format", "json"],
         ["stats", "table1", "--alpha", "0.01"],
