@@ -30,7 +30,7 @@ from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
-from .algebra import PathPolynomial, block_product, json_text, signed_sum
+from .algebra import block_product, json_text, signed_sum
 from .errors import SizeError, UnrealizableError
 from .parser import ArchitectureSpec
 
@@ -452,49 +452,6 @@ def count_paths(g: ArchGraph) -> int:
             paths[e.dst] += paths[nid]
     (output,) = [n.id for n in g.nodes if n.kind == OUTPUT]
     return paths[output]
-
-
-def recover_terms(g: ArchGraph) -> dict[int, list[tuple[int, PathPolynomial]]]:
-    """Re-derive each state's affine dependencies from the wiring.
-
-    The inverse of build_graph for graphs whose mapped edges all run
-    through block or tap nodes; a bare mapped edge has no recoverable
-    block index and raises ValueError.
-    """
-    block_input: dict[int, int] = {}
-    for n in g.nodes:
-        if n.kind != BLOCK:
-            continue
-        feeds = [s for e in g.in_edges(n.id) if (s := g.node_state(e.src)) is not None]
-        if len(feeds) != 1:
-            raise ValueError(f"block node {n.id} must have exactly one data edge")
-        block_input[n.block] = feeds[0]
-
-    out: dict[int, list[tuple[int, PathPolynomial]]] = {}
-    for i in range(1, g.depth + 1):
-        acc: dict[int, dict[tuple[int, ...], int]] = {}
-        for e in g.in_edges(g.state_node(i)):
-            src_node = g.node(e.src)
-            if src_node.kind in (INPUT, JUNCTION):
-                if e.label != IDENTITY:
-                    raise ValueError(
-                        f"mapped edge {e.src}->{e.dst} carries no block index"
-                    )
-                source = g.node_state(e.src)
-                key: tuple[int, ...] = ()
-            elif src_node.kind in (BLOCK, TAP):
-                source = block_input[src_node.block]
-                key = (src_node.block,)
-            else:
-                raise ValueError(f"unexpected edge source kind {src_node.kind}")
-            slot = acc.setdefault(source, {})
-            slot[key] = slot.get(key, 0) + e.sign
-        out[i] = [
-            (source, PathPolynomial(terms))
-            for source, terms in sorted(acc.items())
-            if any(terms.values())
-        ]
-    return out
 
 
 # ---------------------------------------------------------------------------

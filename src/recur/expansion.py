@@ -11,7 +11,7 @@ state with respect to an earlier one:
     the queried state as a free symbol and reads off its coefficient.
 
 For affine formulas the two must agree exactly; the test suite leans on
-that equivalence.  ``unroll`` is the forward route at j = 0: the validator
+that equivalence.  ``unroll`` is the forward route at j = 0: ``parse``
 makes X[0] the only free input, so X[L] is its derivative times X[0].
 """
 

@@ -93,8 +93,8 @@ class CoefficientExpr:
     def instantiate(self, at_index: int | None) -> PathPolynomial:
         """Resolve atoms to concrete block indices for the state X[at_index].
 
-        Relative atoms require at_index; absolute atoms never do.  The
-        validator keeps every resolved index >= 1.
+        Relative atoms require at_index; absolute atoms never do.  ``parse``
+        keeps every resolved index >= 1.
         """
         out: dict[Word, int] = {}
         for atoms, coeff in self._terms.items():
@@ -132,122 +132,54 @@ def _render_watom(atom: WAtom, var: str) -> str:
     return f"W[{var}-{value}]"
 
 
-# Each spec class is a NamedTuple, immutable and compared and hashed by
-# value (builtin_spec hands one instance to every caller); the public
-# subclass's __new__ checks and normalizes the fields.
+# Each spec class is a plain NamedTuple, immutable and compared and hashed
+# by value (builtin_spec hands one instance to every caller).  Only parse
+# checks a spec; it also puts the fields in their canonical order.
 
 
-class _RuleTerm(NamedTuple):
-    coeff: CoefficientExpr
-    lag: int | None
-    source: int | None
-
-
-class RuleTerm(_RuleTerm):
+class RuleTerm(NamedTuple):
     """One summand of the recursion rule: coeff * X[source].
 
     Exactly one of ``lag`` (relative source X[v-lag], lag >= 1) and
     ``source`` (absolute source X[source]) is set.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls, coeff: CoefficientExpr, lag: int | None = None, source: int | None = None
-    ) -> "RuleTerm":
-        if (lag is None) == (source is None):
-            raise ValueError("exactly one of lag/source must be set")
-        if lag is not None and lag < 1:
-            raise ValueError(f"lag must be >= 1, got {lag}")
-        if source is not None and source < 0:
-            raise ValueError(f"source must be >= 0, got {source}")
-        return tuple.__new__(cls, (coeff, lag, source))
+    coeff: CoefficientExpr
+    lag: int | None = None
+    source: int | None = None
 
 
-class _RecursionRule(NamedTuple):
+class RecursionRule(NamedTuple):
+    """The uniform recursion X[v] = sum of coeff * X[earlier]: relative
+    terms by lag, then absolute terms by source."""
+
     index_var: str
     terms: tuple[RuleTerm, ...]
-
-
-class RecursionRule(_RecursionRule):
-    """The uniform recursion X[v] = sum of coeff * X[earlier]."""
-
-    __slots__ = ()
-
-    def __new__(cls, index_var: str, terms: tuple[RuleTerm, ...]) -> "RecursionRule":
-        if not terms:
-            raise ValueError("a recursion rule needs at least one term")
-        # Relative terms by lag, then absolute terms by source.
-        terms = tuple(sorted(terms, key=lambda t: (t.lag is None, t.lag or t.source)))
-        lags = [t.lag for t in terms if t.lag is not None]
-        sources = [t.source for t in terms if t.source is not None]
-        if len(set(lags)) != len(lags) or len(set(sources)) != len(sources):
-            raise ValueError("duplicate sources in rule terms")
-        return tuple.__new__(cls, (index_var, terms))
 
     @property
     def max_lag(self) -> int:
         return max((t.lag for t in self.terms if t.lag is not None), default=0)
 
 
-class _BaseCase(NamedTuple):
+class BaseCase(NamedTuple):
+    """An explicitly defined low state, with its (source, coefficient) pairs
+    by source, or the free-input declaration."""
+
     index: int
-    terms: tuple[tuple[int, CoefficientExpr], ...]
-    is_input: bool
+    terms: tuple[tuple[int, CoefficientExpr], ...] = ()
+    is_input: bool = False
 
 
-class BaseCase(_BaseCase):
-    """An explicitly defined low state, or the free-input declaration."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        index: int,
-        terms: tuple[tuple[int, CoefficientExpr], ...] = (),
-        is_input: bool = False,
-    ) -> "BaseCase":
-        if index < 0:
-            raise ValueError("base-case index must be >= 0")
-        if is_input:
-            if terms:
-                raise ValueError("the input declaration carries no expression")
-            return tuple.__new__(cls, (index, terms, is_input))
-        if not terms:
-            raise ValueError(f"base case X[{index}] has no terms")
-        cleaned = []
-        for source, coeff in sorted(terms, key=lambda t: t[0]):
-            if any(kind == REL for kind, _ in coeff.atoms()):
-                raise ValueError("base-case coefficients must use absolute W indices")
-            if not coeff.is_zero():
-                cleaned.append((source, coeff))
-        return tuple.__new__(cls, (index, tuple(cleaned), is_input))
-
-
-class _ArchitectureSpec(NamedTuple):
-    rule: RecursionRule
-    base_cases: tuple[BaseCase, ...]
-    name: str
-
-
-class ArchitectureSpec(_ArchitectureSpec):
-    """A validated recursion rule with its base cases.
+class ArchitectureSpec(NamedTuple):
+    """A recursion rule with its base cases, X[0], X[1], ... in order.
 
     ``name`` is presentation metadata: :func:`render` does not emit it, but
     ``==`` compares it.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls, rule: RecursionRule, base_cases: tuple[BaseCase, ...], name: str = "spec"
-    ) -> "ArchitectureSpec":
-        base_cases = tuple(sorted(base_cases, key=lambda b: b.index))
-        spec = tuple.__new__(cls, (rule, base_cases, name))
-        spec.validate()
-        return spec
-
-    # -- structure ------------------------------------------------------
+    rule: RecursionRule
+    base_cases: tuple[BaseCase, ...]
+    name: str = "spec"
 
     @property
     def first_rule_index(self) -> int:
@@ -255,7 +187,6 @@ class ArchitectureSpec(_ArchitectureSpec):
         return self.base_cases[-1].index + 1
 
     def base_case(self, index: int) -> BaseCase | None:
-        # validate() makes the base cases exactly X[0], X[1], ... in order.
         return self.base_cases[index] if 0 <= index < len(self.base_cases) else None
 
     def instantiate_terms(self, i: int) -> list[tuple[int, PathPolynomial]]:
@@ -278,57 +209,6 @@ class ArchitectureSpec(_ArchitectureSpec):
             self.rule.terms == other.rule.terms
             and self.base_cases == other.base_cases
         )
-
-    # -- validation -------------------------------------------------------
-
-    def validate(self) -> None:
-        if not self.base_cases:
-            raise FormulaSyntaxError("missing base cases (need at least X[0] = input)")
-        indices = [b.index for b in self.base_cases]
-        if len(set(indices)) != len(indices):
-            raise FormulaSyntaxError("duplicate base-case indices")
-        if indices != list(range(len(indices))):
-            raise FormulaSyntaxError(
-                "base cases must cover a contiguous range starting at X[0]"
-            )
-        for base in self.base_cases:
-            if base.is_input != (base.index == 0):
-                raise FormulaSyntaxError("X[0], and only X[0], is the free input")
-            for source, coeff in base.terms:
-                if not 0 <= source < base.index:
-                    raise NonCausalError(
-                        f"base case X[{base.index}] references X[{source}]"
-                    )
-                for kind, value in coeff.atoms():
-                    if kind == ABS and not 1 <= value <= base.index:
-                        raise RangeError(
-                            f"W[{value}] outside [1, {base.index}] in base case"
-                            f" X[{base.index}]"
-                        )
-        i_min = self.first_rule_index
-        var = self.rule.index_var
-        if self.rule.max_lag > i_min:
-            raise RangeError(
-                f"rule references X[{var}-{self.rule.max_lag}], which is"
-                f" negative at the first rule state X[{i_min}]"
-            )
-        for term in self.rule.terms:
-            if term.source is not None and term.source >= i_min:
-                raise NonCausalError(
-                    f"rule references X[{term.source}], which the rule itself"
-                    f" defines (first rule state is X[{i_min}])"
-                )
-            for kind, value in term.coeff.atoms():
-                if kind == REL and value > i_min - 1:
-                    raise RangeError(
-                        f"W[{var}-{value}] falls below W[1] at the first rule"
-                        f" state X[{i_min}]"
-                    )
-                if kind == ABS and not 1 <= value <= i_min:
-                    raise RangeError(
-                        f"W[{value}] outside [1, {i_min}] for the first rule"
-                        f" state X[{i_min}]"
-                    )
 
 
 # ---------------------------------------------------------------------------
@@ -646,14 +526,21 @@ def _classify(terms: list[_Term], stmt_pos: int):
     )
 
 
+def _first_at(terms: list[_Term], atom: tuple[str, str, int]) -> int:
+    """Position of the index of the first (sym, mode, value) atom in terms."""
+    return min(a.pos for _, atoms in terms for a in atoms if a[:3] == atom)
+
+
 def parse(text: str, *, name: str = "spec") -> ArchitectureSpec:
-    """Parse DSL text into an ArchitectureSpec.
+    """Parse DSL text into an ArchitectureSpec, the one checked way to build
+    one: each error carries the position of its atom or statement.
 
     ``name`` is metadata the DSL itself does not carry.
     """
     rule: RecursionRule | None = None
-    rule_pos = 0
-    base_cases: dict[int, BaseCase] = {}
+    distributed: list[_Term] = []  # the rule's terms as read, for positions
+    # base-case index -> (statement position, base case)
+    base_cases: dict[int, tuple[int, BaseCase]] = {}
     for pos, lhs, terms in _Parser(text).parse_statements():
         if isinstance(lhs, str):
             if rule is not None:
@@ -661,21 +548,20 @@ def parse(text: str, *, name: str = "spec") -> ArchitectureSpec:
                     "only one recursion rule per spec", position=pos
                 )
             rel, absolute = _classify(terms, pos)
-            rule_terms = [RuleTerm(coeff=e, lag=lag) for lag, e in rel.items()]
-            rule_terms += [RuleTerm(coeff=e, source=s) for s, e in absolute.items()]
+            rule_terms = [RuleTerm(e, lag=lag) for lag, e in sorted(rel.items())]
+            rule_terms += [RuleTerm(e, source=s) for s, e in sorted(absolute.items())]
             if not rule_terms:
                 raise FormulaSyntaxError(
                     "the rule right-hand side cancels to zero", position=pos
                 )
-            rule = RecursionRule(index_var=lhs, terms=tuple(rule_terms))
-            rule_pos = pos
+            rule, distributed = RecursionRule(lhs, tuple(rule_terms)), terms
             continue
         if lhs in base_cases:
             raise FormulaSyntaxError(
                 f"duplicate definition of X[{lhs}]", position=pos
             )
         if terms is None:
-            base_cases[0] = BaseCase(index=0, is_input=True)
+            base_cases[0] = pos, BaseCase(0, is_input=True)
             continue
         # make_atom has already rejected every relative index here.
         _, absolute = _classify(terms, pos)
@@ -683,22 +569,51 @@ def parse(text: str, *, name: str = "spec") -> ArchitectureSpec:
             raise FormulaSyntaxError(
                 f"base case X[{lhs}] cancels to zero", position=pos
             )
-        # BaseCase sorts the pairs by source.
-        base_cases[lhs] = BaseCase(index=lhs, terms=tuple(absolute.items()))
+        base_cases[lhs] = pos, BaseCase(lhs, tuple(sorted(absolute.items())))
 
     if rule is None:
         raise FormulaSyntaxError("no recursion rule found", position=0)
     if 0 not in base_cases:
         raise FormulaSyntaxError("missing 'X[0] = input' declaration", position=0)
+    for rank, index in enumerate(sorted(base_cases)):
+        if index != rank:
+            raise FormulaSyntaxError(
+                "base cases must cover a contiguous range starting at X[0]",
+                position=base_cases[index][0],
+            )
 
-    try:
-        return ArchitectureSpec(
-            rule=rule, base_cases=tuple(base_cases.values()), name=name
+    # The rule at its first state, on the atoms that survive cancellation.
+    i_min, var = len(base_cases), rule.index_var
+    if rule.max_lag > i_min:
+        raise RangeError(
+            f"rule references X[{var}-{rule.max_lag}], which is"
+            f" negative at the first rule state X[{i_min}]",
+            position=_first_at(distributed, ("X", REL, rule.max_lag)),
         )
-    except (RangeError, NonCausalError, FormulaSyntaxError) as exc:
-        if exc.position is None:
-            exc.position = rule_pos
-        raise
+    for term in rule.terms:
+        if term.source is not None and term.source >= i_min:
+            raise NonCausalError(
+                f"rule references X[{term.source}], which the rule itself"
+                f" defines (first rule state is X[{i_min}])",
+                position=_first_at(distributed, ("X", ABS, term.source)),
+            )
+        # make_atom keeps relative offsets >= 0 and absolute indices >= 1.
+        for kind, value in term.coeff.atoms():
+            if kind == REL and value > i_min - 1:
+                raise RangeError(
+                    f"W[{var}-{value}] falls below W[1] at the first rule"
+                    f" state X[{i_min}]",
+                    position=_first_at(distributed, ("W", REL, value)),
+                )
+            if kind == ABS and value > i_min:
+                raise RangeError(
+                    f"W[{value}] outside [1, {i_min}] for the first rule"
+                    f" state X[{i_min}]",
+                    position=_first_at(distributed, ("W", ABS, value)),
+                )
+    return ArchitectureSpec(
+        rule, tuple(base_cases[k][1] for k in range(i_min)), name
+    )
 
 
 def parse_file(path) -> ArchitectureSpec:
@@ -731,7 +646,7 @@ def render(spec: ArchitectureSpec) -> str:
         for t in spec.rule.terms
     )
     lines = [f"X[{var}] = {rule}"]
-    for base in sorted(spec.base_cases, key=lambda b: -b.index):
+    for base in reversed(spec.base_cases):
         if base.is_input:
             lines.append("X[0] = input")
         else:

@@ -1,5 +1,6 @@
-"""Shared helpers: random spec generators with reproducible seeds, and a
-fresh interpreter for checks that depend on what a process has imported."""
+"""Shared helpers: random spec generators with reproducible seeds, the
+graph-to-terms oracle, and a fresh interpreter for checks that depend on
+what a process has imported."""
 
 from __future__ import annotations
 
@@ -9,12 +10,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+from recur.algebra import PathPolynomial
+from recur.archgraph import BLOCK, IDENTITY, INPUT, JUNCTION, TAP, ArchGraph
 from recur.parser import (
     ArchitectureSpec,
     BaseCase,
     CoefficientExpr,
     RecursionRule,
     RuleTerm,
+    parse,
+    render,
 )
 
 INDEX_VARS = ("i", "q", "n", "m")
@@ -87,11 +92,11 @@ def random_affine_spec(rng: random.Random, max_lag_cap: int = 3) -> Architecture
         terms.append(
             RuleTerm(coeff=_random_abs_coeff(rng, i_min), source=rng.randrange(i_min))
         )
-    return ArchitectureSpec(
+    drawn = ArchitectureSpec(
         rule=RecursionRule(index_var=rng.choice(INDEX_VARS), terms=tuple(terms)),
         base_cases=tuple(base_cases),
-        name="random",
     )
+    return parse(render(drawn), name="random")
 
 
 def random_realizable_spec(rng: random.Random, max_lag_cap: int = 3) -> ArchitectureSpec:
@@ -137,8 +142,51 @@ def random_realizable_spec(rng: random.Random, max_lag_cap: int = 3) -> Architec
                 source=rng.randrange(i_min),
             )
         )
-    return ArchitectureSpec(
+    drawn = ArchitectureSpec(
         rule=RecursionRule(index_var=rng.choice(INDEX_VARS), terms=tuple(terms)),
         base_cases=tuple(base_cases),
-        name="random-realizable",
     )
+    return parse(render(drawn), name="random-realizable")
+
+
+def recover_terms(g: ArchGraph) -> dict[int, list[tuple[int, PathPolynomial]]]:
+    """Re-derive each state's affine dependencies from the wiring.
+
+    The inverse of build_graph for graphs whose mapped edges all run
+    through block or tap nodes; a bare mapped edge has no recoverable
+    block index and raises ValueError.
+    """
+    block_input: dict[int, int] = {}
+    for n in g.nodes:
+        if n.kind != BLOCK:
+            continue
+        feeds = [s for e in g.in_edges(n.id) if (s := g.node_state(e.src)) is not None]
+        if len(feeds) != 1:
+            raise ValueError(f"block node {n.id} must have exactly one data edge")
+        block_input[n.block] = feeds[0]
+
+    out: dict[int, list[tuple[int, PathPolynomial]]] = {}
+    for i in range(1, g.depth + 1):
+        acc: dict[int, dict[tuple[int, ...], int]] = {}
+        for e in g.in_edges(g.state_node(i)):
+            src_node = g.node(e.src)
+            if src_node.kind in (INPUT, JUNCTION):
+                if e.label != IDENTITY:
+                    raise ValueError(
+                        f"mapped edge {e.src}->{e.dst} carries no block index"
+                    )
+                source = g.node_state(e.src)
+                key: tuple[int, ...] = ()
+            elif src_node.kind in (BLOCK, TAP):
+                source = block_input[src_node.block]
+                key = (src_node.block,)
+            else:
+                raise ValueError(f"unexpected edge source kind {src_node.kind}")
+            slot = acc.setdefault(source, {})
+            slot[key] = slot.get(key, 0) + e.sign
+        out[i] = [
+            (source, PathPolynomial(terms))
+            for source, terms in sorted(acc.items())
+            if any(terms.values())
+        ]
+    return out

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_realizable_spec
+from conftest import random_realizable_spec, recover_terms
 from recur import archgraph
 from recur.archgraph import (
     BLOCK,
@@ -20,7 +20,6 @@ from recur.archgraph import (
     count_paths,
     direct_propagation_check,
     export,
-    recover_terms,
     structural_equal,
 )
 from recur.builtins import BUILTIN_NAMES, builtin_spec

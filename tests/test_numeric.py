@@ -541,7 +541,8 @@ def test_finite_diff_zero_matrices_formula_is_gprime_product():
     expected = np.diag(1 - np.tanh(z2) ** 2) @ np.diag(1 - np.tanh(z1) ** 2)
     from recur.numeric import _activated_product_jacobian
 
-    assert np.allclose(_activated_product_jacobian(net, trace, 0), expected, atol=0)
+    got = _activated_product_jacobian(net, trace, 0)
+    assert np.allclose(got, expected, rtol=1e-13, atol=0)
 
 
 def test_chain_product_formula_is_explicit_gprime_chain():
@@ -556,7 +557,8 @@ def test_chain_product_formula_is_explicit_gprime_chain():
         @ np.diag(1 - np.tanh(z2) ** 2) @ net.matrix(2)
         @ np.diag(1 - np.tanh(z1) ** 2) @ net.matrix(1)
     )
-    assert np.allclose(_activated_product_jacobian(net, trace, 0), expected, atol=0)
+    got = _activated_product_jacobian(net, trace, 0)
+    assert np.allclose(got, expected, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("spec", [CHAIN, RESNET], ids=["chain", "resnet"])

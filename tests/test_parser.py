@@ -17,10 +17,7 @@ from recur.parser import (
     MAX_NESTING,
     MAX_PRODUCT_TERMS,
     ArchitectureSpec,
-    BaseCase,
     CoefficientExpr,
-    RecursionRule,
-    RuleTerm,
     parse,
     render,
     tokenize,
@@ -196,6 +193,17 @@ def test_all_parse_errors_carry_positions():
             "'input' may only stand alone in 'X[0] = input'",
             "input*",
         ),
+        ("X[0] = input\nX[i] W[i]*X[i-1]\n", "expected '=', found 'W'", "W[i]"),
+        (
+            "X[0] = input\nX[i] = W[*]*X[i-1]\n",
+            "expected an index, found '*'",
+            "*]",
+        ),
+        (
+            "X[0] = input\nX[i] = W[j]*X[i-1]\n",
+            "unknown index variable 'j' (rule variable is 'i')",
+            "j]",
+        ),
     ],
 )
 def test_statement_errors_pin_message_and_position(text, message, at):
@@ -203,6 +211,77 @@ def test_statement_errors_pin_message_and_position(text, message, at):
         parse(text)
     assert err.value.message == message
     assert err.value.position == text.index(at)
+
+
+@pytest.mark.parametrize(
+    "text, error, message, at",
+    [
+        # a gap, at the first base case past it
+        (
+            "X[0] = input\nX[2] = X[0]\nX[i] = X[i-1]\n",
+            FormulaSyntaxError,
+            "base cases must cover a contiguous range starting at X[0]",
+            "X[2]",
+        ),
+        # the rule's checks at its first state, at the index of the atom
+        (
+            "X[0] = input\nX[i] = X[i-2]\n",
+            RangeError,
+            "rule references X[i-2], which is negative at the first rule state X[1]",
+            "i-2]",
+        ),
+        (  # two occurrences: the first
+            "X[0] = input\nX[i] = X[i-2] + W[i]*X[i-2]\n",
+            RangeError,
+            "rule references X[i-2], which is negative at the first rule state X[1]",
+            "i-2]",
+        ),
+        (
+            "X[0] = input\nX[i] = X[i-1] + X[1]\n",
+            NonCausalError,
+            "rule references X[1], which the rule itself defines"
+            " (first rule state is X[1])",
+            "1]\n",
+        ),
+        (
+            "X[0] = input\nX[i] = W[i-1]*X[i-1]\n",
+            RangeError,
+            "W[i-1] falls below W[1] at the first rule state X[1]",
+            "i-1]*",
+        ),
+        (
+            "X[0] = input\nX[i] = W[2]*X[i-1]\n",
+            RangeError,
+            "W[2] outside [1, 1] for the first rule state X[1]",
+            "2]",
+        ),
+        # the rule before the base cases that set its first state
+        (
+            "X[i] = W[i]*X[i-1] + W[3]*X[i-2]; X[1] = W[1]*X[0]; X[0] = input",
+            RangeError,
+            "W[3] outside [1, 2] for the first rule state X[2]",
+            "3]",
+        ),
+    ],
+)
+def test_whole_spec_errors_pin_class_message_and_position(text, error, message, at):
+    with pytest.raises(error) as err:
+        parse(text)
+    assert type(err.value) is error
+    assert err.value.message == message
+    assert err.value.position == text.index(at)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "X[i] = X[i-1] + W[7]*X[i-1] - W[7]*X[i-1]; X[0] = input",
+        "X[i] = X[i-1] + X[i-2] - X[i-2]; X[0] = input",
+        "X[i] = X[i-1] + X[3] - X[3]; X[0] = input",
+    ],
+)
+def test_whole_spec_checks_skip_atoms_that_cancel(text):
+    assert render(parse(text)) == "X[i] = X[i-1]\nX[0] = input\n"
 
 
 def test_unicode_minus_accepted():
@@ -297,21 +376,6 @@ def test_instantiate_terms_for_rule_and_base():
     deps1 = dict(spec.instantiate_terms(1))
     assert deps1[0].coefficients == {(): 1, (1,): 1}
     assert spec.instantiate_terms(0) == []
-
-
-def test_direct_construction_validates():
-    with pytest.raises(FormulaSyntaxError):
-        ArchitectureSpec(
-            rule=RecursionRule("i", (RuleTerm(coeff=CoefficientExpr({(): 1}), lag=1),)),
-            base_cases=(),
-        )
-    with pytest.raises(RangeError):
-        ArchitectureSpec(
-            rule=RecursionRule(
-                "i", (RuleTerm(coeff=CoefficientExpr({(("rel", 2),): 1}), lag=1),)
-            ),
-            base_cases=(BaseCase(0, is_input=True),),
-        )
 
 
 def test_base_case_valid_ranges():

@@ -35,7 +35,7 @@ FORMATS = ("text", "json")
 _IN = "X[0] = input\n"
 _RULE = "X[i] = X[i-1]\n"
 # One formula for each error that parsing text can raise, besides the
-# superscript, long and product17 files below.
+# superscript, long and product17 files below, and three that parse.
 PARSE_ERRORS = {
     # _Parser: syntax
     "expect.rf": _IN + "X[i] W[i]*X[i-1]\n",
@@ -71,12 +71,17 @@ PARSE_ERRORS = {
     "base-zero.rf": _IN + "X[1] = X[0] - X[0]\n" + _RULE,
     "no-rule.rf": _IN,
     "no-input.rf": "X[i] = W[i]*X[i-1]\n",
-    # ArchitectureSpec.validate
+    # parse: base cases without a gap, then the rule at its first state
     "gap.rf": _IN + "X[2] = X[0]\n" + _RULE,
     "max-lag.rf": _IN + "X[i] = X[i-2]\n",
     "rule-source.rf": _IN + "X[i] = X[i-1] + X[1]\n",
     "w-rel-low.rf": _IN + "X[i] = W[i-1]*X[i-1]\n",
     "w-abs-high.rf": _IN + "X[i] = W[2]*X[i-1]\n",
+    "rule-first.rf": "X[i] = W[i]*X[i-1] + W[3]*X[i-2]\nX[1] = W[1]*X[0]\n" + _IN,
+    # ... and three that parse, since the atom each would reject cancels
+    "cancel-w.rf": _IN + "X[i] = X[i-1] + W[7]*X[i-1] - W[7]*X[i-1]\n",
+    "cancel-lag.rf": _IN + "X[i] = X[i-1] + X[i-2] - X[i-2]\n",
+    "cancel-source.rf": _IN + "X[i] = X[i-1] + X[3] - X[3]\n",
 }
 FILES = {
     # derivative coefficients pass the float64 range from L = 2 on
