@@ -8,6 +8,7 @@ Text output is for humans; JSON output is the stable surface.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -367,6 +368,17 @@ def _add_common(sub: argparse.ArgumentParser, fmt_choices=("text", "json")) -> N
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """A new parser for recur's command line.
+
+    ``main`` builds one on its first call and reuses it for every later call
+    in the process (``_arg_parser``): parsing leaves no state on it, and
+    argparse makes a new formatter, sized by ``COLUMNS`` at that moment,
+    whenever it prints help, usage or an error.  Each subcommand's default
+    ``func`` is its ``cmd_*`` function as defined at import; those look up
+    the module's globals when they run, so patching a global of
+    ``recur.cli`` (``verify_chain_identity``, say) still takes effect, while
+    patching a ``cmd_*`` function itself does not.
+    """
     parser = argparse.ArgumentParser(
         prog="recur",
         description="recursion-formula architecture toolkit",
@@ -457,10 +469,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_arg_parser = functools.cache(build_arg_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _arg_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

@@ -173,10 +173,18 @@ def forward(net: ConcreteNet, x0: np.ndarray) -> ForwardTrace:
 # never holds more.  Batching pays from about MIN_CHUNK_TERMS terms a chunk:
 # measured against the term-by-term loop, it broke even at about 10 terms a
 # polynomial (d = 4..16) and 13 terms a chunk (d = 25).  With fewer terms
-# (small polynomials, d >= 27) the terms go one by one.
+# (small polynomials, d >= 27) the terms go one by one, and no schedule is
+# made.  Each batched matmul costs a fixed amount, one per level of each
+# chunk, so a schedule pays only when its levels hold at least
+# MIN_NODES_PER_LEVEL products on average.  Chains such as newarch's, each
+# term extending the one before, make one product a level and go one by one:
+# at L = 12, d = 16 (13 terms) 0.10 ms batched against 0.08 term by term,
+# while appendix-ex1's 13 terms at L = 5 make 2.4 a level and take 0.065 ms
+# batched against 0.09.
 CHUNK_ENTRIES = 1 << 13
 NODES_PER_TERM = 4
 MIN_CHUNK_TERMS = 12
+MIN_NODES_PER_LEVEL = 2
 # _schedule reads the terms in groups of about GROUP_CELLS code points
 # (terms x (1 + longest term)), or of one chunk where that is more, so its
 # temporaries do not grow with the number of terms.
@@ -341,8 +349,9 @@ def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
     into the running total.  Every product is the same left-to-right chain
     and the sum runs in term order, so the result is bit-identical to
     evaluating the terms one by one, as is done when a chunk would hold
-    fewer than MIN_CHUNK_TERMS terms.  The schedule depends only on the
-    terms and the chunk size, so it is kept on ``poly`` and reused.
+    fewer than MIN_CHUNK_TERMS terms, or the schedule's levels fewer than
+    MIN_NODES_PER_LEVEL products on average.  The schedule depends only on
+    the terms and the chunk size, so it is kept on ``poly`` and reused.
     """
     import numpy as np
 
@@ -362,6 +371,8 @@ def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
                 net.matrix(ord(code))
     if schedule is None or schedule.size != size:
         schedule = poly._schedule = _schedule(poly, size)
+    if len(schedule.parents) < MIN_NODES_PER_LEVEL * len(schedule.steps):
+        return _eval_term_by_term(poly, net)
     stack = net.stack
     parents, blocks, ends, coeffs = (
         schedule.parents, schedule.blocks, schedule.ends, schedule.coeffs

@@ -26,15 +26,21 @@ INDEX_VARS = ("i", "q", "n", "m")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_fresh(code: str) -> str:
-    """Run ``code`` in a new interpreter with this checkout's ``src`` first on
-    the path; return its stdout, failing on a non-zero exit."""
+def fresh_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``,
+    for a new interpreter that must import this ``recur``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter with this checkout's ``src`` first on
+    the path; return its stdout, failing on a non-zero exit."""
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, env=fresh_env()
     )
     assert done.returncode == 0, done.stderr
     return done.stdout

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -11,9 +12,10 @@ import warnings
 
 import pytest
 
-from conftest import random_affine_spec
+from conftest import fresh_env, random_affine_spec
+from recur import __version__
 from recur.builtins import BUILTIN_NAMES
-from recur.cli import main
+from recur.cli import build_arg_parser, main
 from recur.expansion import CHECK_KINDS
 from recur.parser import render
 
@@ -619,12 +621,12 @@ def test_out_writes_exactly_what_stdout_shows(tmp_path, capsys, argv):
 
 def test_byte_identical_across_processes(tmp_path):
     import subprocess
-    import sys
 
     args = [sys.executable, "-m", "recur.cli", "graph", "--builtin", "newarch",
             "--depth", "4", "--format", "json"]
-    first = subprocess.run(args, capture_output=True, check=True)
-    second = subprocess.run(args, capture_output=True, check=True)
+    env = fresh_env()
+    first = subprocess.run(args, capture_output=True, check=True, env=env)
+    second = subprocess.run(args, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
 
 
@@ -652,3 +654,63 @@ def test_invalid_values_exit_two(capsys):
     code, _, err = run(capsys, "verify", "--builtin", "chain",
                        "-L", "1", "--dim", "1000000")
     assert code == 2 and "error:" in err
+
+
+# Run forward and then reversed, each pass on one new parser that main
+# reuses: each command must give the same (code, stdout, stderr) both
+# times, so nothing a call leaves on the parser (a flag's value, a chosen
+# subcommand, an error) can reach a later call.
+REUSE_COMMANDS = [
+    ("parse", "--builtin", "newarch", "--format", "json"),
+    ("expand", "--builtin", "resnet", "-L", "3"),
+    ("census", "--builtin", "resnet", "-L", "4", "--check", "binomial"),
+    ("census", "--builtin", "resnet", "-L", "4"),
+    ("equiv", "newarch", "eq22", "-L", "5", "--structural"),
+    ("equiv", "newarch", "eq22", "-L", "5"),
+    ("graph", "--builtin", "newarch", "-L", "3", "--propagation"),
+    ("graph", "--builtin", "newarch", "-L", "3"),
+    ("verify", "--builtin", "resnet", "-L", "3", "-d", "2", "--wrt", "2"),
+    ("verify", "--builtin", "resnet", "-L", "3", "-d", "2"),
+    ("chain-identity", "--builtin", "newarch", "-L", "4", "--format", "json"),
+    ("chain-identity", "--builtin", "newarch", "-L", "4"),
+    ("stats", "table1", "--alpha", "0.1"),
+    ("stats", "table1"),
+    ("census", "--builtin", "not-a-builtin"),
+    ("verify", "--help"),
+    ("--help",),
+    ("--version",),
+    ("expand", "--builtin", "newarch", "-L", "4", "--out", "OUT"),
+    ("expand", "--builtin", "newarch", "-L", "4"),
+]
+
+
+def test_parser_reuse_leaks_nothing_between_calls(monkeypatch, tmp_path, capsys):
+    import recur.cli
+
+    target = str(tmp_path / "out.txt")
+    commands = [[target if a == "OUT" else a for a in argv] for argv in REUSE_COMMANDS]
+
+    def one_pass(order):
+        monkeypatch.setattr(recur.cli, "_arg_parser", functools.cache(build_arg_parser))
+        return [run(capsys, *argv) for argv in order]
+
+    forward = one_pass(commands)
+    backward = one_pass(commands[::-1])[::-1]
+    for argv, there, back in zip(commands, forward, backward):
+        assert there == back, argv
+    codes = [code for code, _, _ in forward]
+    assert codes == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
+    assert forward[-2][1:] == ("", "")
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == forward[-1][1]
+    assert forward[-3][1] == f"recur {__version__}\n"
+
+
+def test_help_wraps_to_columns_at_each_call(monkeypatch, capsys):
+    helps = []
+    for columns in ("60", "150"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = run(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out == build_arg_parser().format_help()
+        helps.append(out)
+    assert helps[0] != helps[1]

@@ -44,6 +44,31 @@ def test_symbolic_commands_never_load_numpy():
     assert not any(loaded.values()), loaded
 
 
+def test_parser_is_built_once_on_the_first_main_call():
+    # Counts every ArgumentParser made: the top-level one has prog "recur",
+    # each subcommand's "recur <name>".
+    code = (
+        "import argparse, contextlib, io, json\n"
+        "progs = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    progs.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import recur.cli\n"
+        "made = [len(progs)]\n"
+        "for argv in (['parse', '--builtin', 'newarch'], ['--version']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        recur.cli.main(argv)\n"
+        "    made.append(len(progs))\n"
+        "print(json.dumps([made, progs.count('recur')]))\n"
+    )
+    (at_import, first, second), tops = json.loads(run_fresh(code))
+    assert at_import == 0
+    assert first > 1 and second == first
+    assert tops == 1
+
+
 def test_import_cli_loads_no_code_generating_modules():
     code = (
         "import json, sys, recur.cli\n"

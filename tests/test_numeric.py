@@ -337,6 +337,7 @@ def test_eval_polynomial_matches_naive_in_small_chunks(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     monkeypatch.setattr(numeric, "MIN_CHUNK_TERMS", 1)
+    monkeypatch.setattr(numeric, "MIN_NODES_PER_LEVEL", 1)
     # Chains of extensions, as poly_mul builds them, cut into chunks of 1 to
     # 5 terms and 1 to 4 new products a term: chunk boundaries fall inside
     # shared prefixes.
@@ -369,6 +370,28 @@ def test_eval_polynomial_matches_naive_in_small_chunks(monkeypatch):
         assert np.array_equal(eval_polynomial(poly, net), _naive_eval(poly, net))
 
     check()
+
+
+@pytest.mark.parametrize(
+    "name, L, batched",
+    [("newarch", 12, False), ("eq22", 14, False), ("appendix-ex1", 5, True),
+     ("resnet", 4, True)],
+)
+def test_chains_go_term_by_term(monkeypatch, name, L, batched):
+    # newarch's and eq22's 13 and 15 terms each extend the one before: their
+    # schedules make one product a level, so the terms go one by one.
+    spec = builtin_spec(name)
+    poly = derivative(spec, L, 0)
+    net = instantiate(spec, L, 16, seed=2)
+    assert len(poly) >= numeric.MIN_CHUNK_TERMS
+    calls = []
+    one_by_one = numeric._eval_term_by_term
+    monkeypatch.setattr(
+        numeric, "_eval_term_by_term", lambda *args: calls.append(1) or one_by_one(*args)
+    )
+    for _ in range(2):  # making the schedule, then reusing it
+        assert np.array_equal(eval_polynomial(poly, net), _naive_eval(poly, net))
+    assert calls == ([] if batched else [1, 1])
 
 
 def _chunk_words(poly, schedule):
