@@ -20,7 +20,10 @@ Canonical term order (used for rendering and iteration) is ascending word
 length, then lexicographically descending indices, which puts "1" first
 and deeper blocks before shallower ones within a length.
 
-``json_text`` is the one writer of recur's indented JSON output.
+``json_text`` is the one writer of recur's indented JSON output.  Its one
+value type of its own, ``PathTerms``, holds (word, coeff) pairs and is
+written as the list of ``{"coeff", "factors"}`` dicts they stand for,
+without building those dicts.
 """
 
 from __future__ import annotations
@@ -47,15 +50,23 @@ def _word(factors: Sequence[int]) -> Word:
         ) from None
 
 
-class _BlockTexts(dict):
-    """str.translate table from code point i to "W[i]*", filled on first use."""
+class _IntTexts(dict):
+    """Map from int i to prefix + str(i) + suffix, filled on first use.
+
+    Keyed by code point, it is a str.translate table.
+    """
+
+    __slots__ = ("_prefix", "_suffix")
+
+    def __init__(self, prefix: str, suffix: str = "") -> None:
+        self._prefix, self._suffix = prefix, suffix
 
     def __missing__(self, i: int) -> str:
-        text = self[i] = f"W[{i}]*"
+        text = self[i] = f"{self._prefix}{i}{self._suffix}"
         return text
 
 
-_BLOCK_TEXTS = _BlockTexts()
+_BLOCK_TEXTS = _IntTexts("W[", "]*")
 
 
 def block_product(word: Word) -> str:
@@ -89,14 +100,22 @@ def _too_long(value: int) -> SizeError:
     )
 
 
+class PathTerms(tuple):
+    """(word, coeff) pairs, which ``json_text`` writes as the list
+    ``[{"coeff": coeff, "factors": list(map(ord, word))}, ...]``."""
+
+    __slots__ = ()
+
+
 def json_text(payload) -> str:
     """``json.dumps(payload, indent=2) + "\n"``, built with C-speed joins.
 
     Covers what recur emits: dicts with str keys, lists, tuples, str, int,
-    float (NaN and infinities as json writes them), bool and None.  Any
-    other value, or a non-str key, raises TypeError.  json itself falls
-    back to its pure-Python encoder whenever ``indent`` is set.  An int
-    past the interpreter's digit limit raises SizeError.
+    float (NaN and infinities as json writes them), bool, None and
+    PathTerms, written as the dicts and lists they stand for.  Any other
+    value, or a non-str key, raises TypeError.  json itself falls back to
+    its pure-Python encoder whenever ``indent`` is set.  An int past the
+    interpreter's digit limit raises SizeError.
     """
     try:
         return _json_value(payload, "\n", "\n")
@@ -127,6 +146,31 @@ def _json_float(value: float) -> str:
     return float.__repr__(value)
 
 
+def _terms_json(terms: PathTerms, newline: str, tail: str) -> str:
+    """The text of a PathTerms list, then ``tail``.
+
+    Each factors list is one translate of its word, through a table that
+    writes ",<newline and indent>i" for code point i; the text up to the
+    factors is made once per distinct coefficient, and the list is one
+    join.
+    """
+    if not terms:
+        return "[]" + tail
+    inner = newline + "  "
+    key = inner + "  "
+    table = _IntTexts("," + key + "  ")
+    heads = _IntTexts("{" + key + '"coeff": ', "," + key + '"factors": [')
+    close = key + "]" + inner + "}"
+    empty = "]" + inner + "}"
+    parts = [  # [1:] drops the comma before the first factor
+        heads[c] + (w.translate(table)[1:] + close if w else empty)
+        for w, c in terms
+    ]
+    parts[0] = "[" + inner + parts[0]
+    parts[-1] += newline + "]" + tail
+    return ("," + inner).join(parts)
+
+
 def _json_value(value, newline: str, tail: str = "") -> str:
     """The text of ``value``, then ``tail``.
 
@@ -151,6 +195,8 @@ def _json_value(value, newline: str, tail: str = "") -> str:
         parts[0] = "{" + inner + parts[0]
         parts[-1] += newline + "}" + tail
         return ("," + inner).join(parts)
+    if type(value) is PathTerms:
+        return _terms_json(value, newline, tail)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]" + tail

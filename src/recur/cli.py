@@ -15,7 +15,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .algebra import PathPolynomial, block_product, census, json_text, signed_sum
+from .algebra import (
+    PathPolynomial, PathTerms, block_product, census, json_text, signed_sum
+)
 from .archgraph import build_graph, direct_propagation_check, export, structural_equal
 from .builtins import BUILTIN_NAMES, builtin_spec
 from .errors import RecurError
@@ -106,7 +108,7 @@ def _component_json(j: int, poly: PathPolynomial) -> dict:
     return {
         "state": j,
         "polynomial": signed_sum((c, block_product(w)) for w, c in terms),
-        "terms": [{"coeff": c, "factors": list(map(ord, w))} for w, c in terms],
+        "terms": PathTerms(terms),
     }
 
 
@@ -384,7 +386,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="recursion-formula architecture toolkit",
     )
     parser.add_argument("--version", action="version", version=f"recur {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     p = subs.add_parser("parse", help="parse a formula and print its canonical form")
     _add_spec_arguments(p)

@@ -60,10 +60,12 @@ def derivative(
     if not 0 <= j <= L:
         raise ValueError(f"wrt index must be in [0, {L}], got {j}")
     # The polynomials pushed so far, by state; states below j take none.
+    # A state's polynomial leaves f when the loop pushes it on, so none is
+    # kept to the end.
     zero = PathPolynomial.zero()
     f: dict[int, PathPolynomial] = {L: PathPolynomial.one()}
     for i in range(L, j, -1):
-        pushed = f.get(i)
+        pushed = f.pop(i, None)
         if not pushed:
             continue
         for source, coeff in spec.instantiate_terms(i):

@@ -434,7 +434,9 @@ def _eval_term_by_term(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
     return total
 
 
-def jacobian_exact(net: ConcreteNet, j: int) -> np.ndarray:
+def jacobian_exact(
+    net: ConcreteNet, j: int, *, magnitude: bool = False
+) -> np.ndarray:
     """Exact Jacobian dX[L]/dX[j] by propagating basis vectors.
 
     Works directly on the affine recursion and never touches the path
@@ -442,6 +444,11 @@ def jacobian_exact(net: ConcreteNet, j: int) -> np.ndarray:
     The evaluated coefficients of each state stay on ``net`` while they fit
     beside it in MAX_MATRIX_ENTRIES, so a sweep over every j evaluates them
     once; a state whose coefficients do not fit evaluates them one at a time.
+
+    With ``magnitude``, the same propagation runs on |W| for every block and
+    |c| for every integer coefficient: entrywise, the result bounds each
+    product and partial sum that makes the Jacobian, so it sizes the
+    Jacobian's rounding error.
     """
     import numpy as np
 
@@ -452,6 +459,8 @@ def jacobian_exact(net: ConcreteNet, j: int) -> np.ndarray:
         raise ValueError(f"wrt index must be in [0, {L}], got {j}")
     if j == L:
         return np.eye(d)
+    if magnitude:  # a net of its own, so its memo holds only |c| terms
+        net = ConcreteNet(net.spec, np.abs(net.stack))
     sensitivities: dict[int, np.ndarray] = {j: np.eye(d)}
     evaluated = net._coefficients
     # Matrices the memo may still take: the net and the kept coefficients
@@ -462,6 +471,11 @@ def jacobian_exact(net: ConcreteNet, j: int) -> np.ndarray:
         kept = terms is not None
         if not kept:
             terms = net.spec.instantiate_terms(i)
+            if magnitude:
+                terms = [
+                    (s, PathPolynomial._trusted({w: abs(c) for w, c in p.items()}))
+                    for s, p in terms
+                ]
             if len(terms) <= room:
                 terms = [(source, eval_polynomial(coeff, net)) for source, coeff in terms]
                 evaluated[i], kept = terms, True
@@ -505,9 +519,11 @@ class JacobianCheckResult(NamedTuple):
         }
 
 
-def relative_error(observed: np.ndarray, reference: np.ndarray) -> float:
-    """||observed - reference|| / ||reference|| (Frobenius), or the plain
-    norm of the difference when the reference is zero.
+def relative_error(
+    observed: np.ndarray, reference: np.ndarray, size: np.ndarray | None = None
+) -> float:
+    """||observed - reference|| / ||size|| (Frobenius), or the plain norm of
+    the difference when ``size`` is zero; ``size`` defaults to the reference.
 
     Both are first scaled by the power of two of their largest entry, so no
     square leaves the float64 range; the scaling is exact.
@@ -515,9 +531,11 @@ def relative_error(observed: np.ndarray, reference: np.ndarray) -> float:
     import numpy as np
 
     diff = observed - reference
-    largest = max(float(np.abs(diff).max()), float(np.abs(reference).max()))
+    if size is None:
+        size = reference
+    largest = max(float(np.abs(diff).max()), float(np.abs(size).max()))
     scale = math.ldexp(1.0, -math.frexp(largest)[1])
-    norm = float(np.linalg.norm(reference * scale))
+    norm = float(np.linalg.norm(size * scale))
     if norm == 0.0:
         return float(np.linalg.norm(diff * scale)) / scale
     return float(np.linalg.norm(diff * scale)) / norm
@@ -526,9 +544,15 @@ def relative_error(observed: np.ndarray, reference: np.ndarray) -> float:
 def check_derivative(
     net: ConcreteNet, poly: PathPolynomial, j: int, tol: float = 1e-10
 ) -> JacobianCheckResult:
-    """Compare eval_polynomial(poly) against the basis-propagation Jacobian."""
+    """Compare eval_polynomial(poly) against the basis-propagation Jacobian.
+
+    A zero polynomial has no relative error: the reference, which rounding
+    may leave a few ulps off zero, is measured against the magnitude of the
+    propagation that made it.
+    """
     observed = eval_polynomial(poly, net)
     reference = jacobian_exact(net, j)
+    size = None if poly else jacobian_exact(net, j, magnitude=True)
     return JacobianCheckResult(
         spec=net.spec.name,
         L=net.depth,
@@ -536,7 +560,7 @@ def check_derivative(
         d=net.dim,
         seed=net.seed,
         activation=None,
-        error=relative_error(observed, reference),
+        error=relative_error(observed, reference, size),
         tol=tol,
     )
 

@@ -1,10 +1,12 @@
 import json
 import random
+import sys
 
 import pytest
 
 from recur.algebra import (
     PathPolynomial,
+    PathTerms,
     block_product,
     census,
     json_text,
@@ -374,6 +376,58 @@ def test_json_text_matches_json_dumps():
         assert json_text(value) == json.dumps(value, indent=2) + "\n"
 
     check()
+
+
+def _terms_payload(pairs):
+    """The dicts and lists a PathTerms of ``pairs`` stands for."""
+    return [{"coeff": c, "factors": list(map(ord, w))} for w, c in pairs]
+
+
+def test_json_text_writes_path_terms_as_their_dicts():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    index = (
+        st.integers(1, 127)
+        | st.integers(128, 0xD7FF)
+        | st.integers(0xD800, 0xDFFF)  # lone surrogates
+        | st.integers(0x10000, 0x10FFFF)
+    )
+    word = st.lists(index, max_size=5).map(lambda f: "".join(map(chr, f)))
+    coeff = (
+        st.sampled_from([1, -1])
+        | st.integers(-(10**6), 10**6).filter(bool)
+        | st.integers(10**300, 10**1000)
+        | st.integers(-(10**1000), -(10**300))
+    )
+    # Distinct words, as a polynomial's; the identity term is the empty word.
+    pairs = st.dictionaries(word, coeff, max_size=6).map(lambda d: list(d.items()))
+    # Each level puts the value first, between siblings or last in a dict
+    # or a list; expand's payload nests the terms three levels deep.
+    level = st.tuples(st.sampled_from([list, dict]), st.integers(0, 2))
+
+    def wrap(value, levels):
+        for kind, place in levels:
+            members = [7, "s", {"k": [None]}]
+            members.insert(place, value)
+            value = members if kind is list else dict(zip("abcd", members))
+        return value
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(pairs, st.lists(level, max_size=3))
+    def check(pairs, levels):
+        text = json_text(wrap(PathTerms(pairs), levels))
+        expected = json.dumps(wrap(_terms_payload(pairs), levels), indent=2)
+        assert text == expected + "\n"
+
+    check()
+    assert json_text({"terms": PathTerms()}) == '{\n  "terms": []\n}\n'
+
+
+def test_json_text_path_terms_past_the_digit_limit_raise_size_error():
+    big = 10 ** (sys.get_int_max_str_digits() + 1)
+    terms = PathTerms([("", 1), ("\x02", -big), ("\x02\x01", 3)])
+    with pytest.raises(SizeError, match=f"^an integer of {big.bit_length()} bits"):
+        json_text({"components": [{"state": 0, "terms": terms}]})
 
 
 @pytest.mark.parametrize("key", [1, 1.5, True, None, (1,)])

@@ -295,6 +295,26 @@ def test_verify_passes_on_drawn_formula_files(tmp_path):
     check()
 
 
+def test_verify_passes_a_derivative_that_cancels_to_zero(tmp_path, capsys):
+    # random_affine_spec(random.Random(5370)).  dX[5]/dX[0] cancels to the
+    # zero polynomial, while the basis propagation leaves a rounding residue
+    # of about 4e-16, which has no relative error to measure against.
+    f = tmp_path / "cancel.rf"
+    f.write_text(
+        "X[0] = input\n"
+        "X[1] = 3*X[0]\n"
+        "X[2] = (-2*W[2] - 2*W[1])*X[0] - W[1]*X[1]\n"
+        "X[n] = -X[n-1] + X[n-3] + 2*X[0]\n"
+    )
+    code, out, _ = run(capsys, "census", str(f), "-L", "5", "--format", "json")
+    assert (code, json.loads(out)["census"]) == (0, {})
+    argv = ["verify", str(f), "-L", "5", "-d", "3", "--seeds", "2", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    checks = json.loads(out)["checks"]
+    assert (code, err, len(checks)) == (0, "", 12)
+    assert all(c["pass"] and c["error"] < 1e-15 for c in checks), checks
+
+
 # Formula and table files for the drawn argv of every command: two valid
 # formulas, one with no graph, one that fails the widest check, one past
 # float64, one with a bad literal, and tables with ties, NaN and a short row.
@@ -426,6 +446,11 @@ NINES = int("9" * 4300) ** 2
     [
         # At L = 22 the one coefficient is 10^4400, past 4,300 digits.
         (BIG_RULE, ["expand", "-L", "22"], (10**4400).bit_length()),
+        (
+            BIG_RULE,
+            ["expand", "-L", "22", "--format", "json"],
+            (10**4400).bit_length(),
+        ),
         # The census weight at L = 22 is that coefficient too.
         (BIG_RULE, ["census", "-L", "22", "--format", "json"], (10**4400).bit_length()),
         # render writes the product of the two literals.
@@ -433,7 +458,7 @@ NINES = int("9" * 4300) ** 2
         # The report writes X[2]'s coefficient, NINES^2, against resnet's 1.
         (NINES_RULE, ["equiv", "resnet", "-L", "2"], (NINES**2).bit_length()),
     ],
-    ids=["expand", "census", "parse", "equiv"],
+    ids=["expand", "expand-json", "census", "parse", "equiv"],
 )
 def test_coefficient_past_the_digit_limit_exits_two(
     tmp_path, capsys, text, argv, bits
@@ -714,3 +739,4 @@ def test_help_wraps_to_columns_at_each_call(monkeypatch, capsys):
         assert out == build_arg_parser().format_help()
         helps.append(out)
     assert helps[0] != helps[1]
+    assert max(map(len, helps[0].splitlines())) <= 60, helps[0]

@@ -235,6 +235,12 @@ def commands() -> list[list[str]]:
         ["parse", "nested16.rf"],
         ["parse", "statements16.rf"],
         ["stats", "table1", "--alpha", "1e-11"],
+        # expanded terms with negative, non-unit and multi-digit coefficients,
+        # one of 601 digits, and block indices of 128 and above
+        ["expand", "wide.rf", "-L", "8", "--format", "json"],
+        ["expand", "overflow.rf", "-L", "3", "--format", "json"],
+        ["RECUR_DEPTH_CAP=130", "expand", "--builtin", "newarch", "-L", "129",
+         "--format", "json"],
         # block indices in the surrogate range, then one past the last code point
         *(
             ["RECUR_DEPTH_CAP=60000", *argv]
