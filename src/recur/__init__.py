@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 _HOMES = {
     "CensusBin": "algebra",
     "PathPolynomial": "algebra",
-    "StateExpansion": "algebra",
     "census": "algebra",
     "poly_add": "algebra",
     "poly_mul": "algebra",
@@ -43,10 +42,11 @@ _HOMES = {
     "SizeError": "errors",
     "UnrealizableError": "errors",
     "DEFAULT_DEPTH_CAP": "expansion",
+    "StateExpansion": "expansion",
     "StructureReport": "expansion",
     "check_structure": "expansion",
     "derivative": "expansion",
-    "derivative_bruteforce": "expansion",
+    "derivatives": "expansion",
     "unroll": "expansion",
     "value_equivalence_report": "expansion",
     "verify_chain_identity": "expansion",

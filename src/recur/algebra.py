@@ -372,12 +372,22 @@ def poly_mul(a: PathPolynomial, b: PathPolynomial) -> PathPolynomial:
 
     Words concatenate as (word of a) + (word of b): the left operand is the
     later stage, so its blocks end up closer to the output.  Coefficients
-    multiply; those that cancel to zero are dropped.  The products are built
-    a-outer, b-inner, and a word that repeats keeps its first place.
+    multiply; those that cancel to zero are dropped.  The products are
+    ordered a-outer, b-inner, and a word that repeats keeps its first place.
+    The longer operand's loop runs innermost: when b is the shorter, each of
+    its terms fills every m-th slot with one slice, m being len(b).
     """
     ta, tb = a._terms, b._terms
-    keys = [fa + fb for fa in ta for fb in tb]
-    coeffs = [ca * cb for ca in ta.values() for cb in tb.values()]
+    m = len(tb)
+    if m < len(ta):
+        n = len(ta) * m
+        keys, coeffs = [None] * n, [None] * n
+        for k, (fb, cb) in enumerate(tb.items()):
+            keys[k::m] = [fa + fb for fa in ta]
+            coeffs[k::m] = [ca * cb for ca in ta.values()]
+    else:
+        keys = [fa + fb for fa in ta for fb in tb]
+        coeffs = [ca * cb for ca in ta.values() for cb in tb.values()]
     out = dict(zip(keys, coeffs))
     if len(out) != len(keys):  # a word repeats: accumulate in order
         out = {}
@@ -415,32 +425,3 @@ def census(p: PathPolynomial) -> dict[int, CensusBin]:
 def render_poly(p: PathPolynomial) -> str:
     """Canonical text form: terms joined by " + "/" - ", identity as "1"."""
     return signed_sum((c, block_product(w)) for w, c in p.canonical_items())
-
-
-class StateExpansion:
-    """A state written over free input states: X_L = sum_j P_j * X_j."""
-
-    __slots__ = ("_components",)
-
-    def __init__(self, components: Mapping[int, PathPolynomial]):
-        self._components = {
-            j: p for j, p in sorted(components.items()) if not p.is_zero()
-        }
-
-    @property
-    def components(self) -> dict[int, PathPolynomial]:
-        return dict(self._components)
-
-    def component(self, j: int) -> PathPolynomial:
-        return self._components.get(j, PathPolynomial.zero())
-
-    def __str__(self) -> str:
-        if not self._components:
-            return "0"
-        parts = []
-        for j, poly in self._components.items():
-            parts.append(f"({render_poly(poly)})*X[{j}]")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"StateExpansion({self._components!r})"

@@ -28,6 +28,7 @@ from .expansion import (
     check_depth,
     check_structure,
     derivative,
+    derivatives,
     unroll,
     value_equivalence_report,
     verify_chain_identity,
@@ -247,8 +248,10 @@ def cmd_verify(args) -> int:
                     finite_diff_check(net, j, epsilon=args.eps, tol=args.fd_tol)
                 )
     else:
-        wrts = [args.wrt] if args.wrt is not None else list(range(0, L + 1))
-        polys = {j: derivative(spec, L, j, cap) for j in wrts}
+        wrts = range(0, L + 1) if args.wrt is None else range(args.wrt, args.wrt + 1)
+        polys = {}
+        if wrts:  # one backward pass from L gives every j down to the lowest
+            polys = {j: p for j, p in derivatives(spec, L, wrts.start, cap) if j in wrts}
         for seed in seeds:
             net = instantiate(spec, L, d, seed)
             for j in wrts:
@@ -360,7 +363,9 @@ def _add_spec_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--builtin",
         choices=BUILTIN_NAMES,
-        help="use a named built-in formula instead of a file",
+        metavar="NAME",
+        help="use a named built-in formula instead of a file: "
+        + ", ".join(BUILTIN_NAMES),
     )
 
 

@@ -1,28 +1,28 @@
-"""Unrolling and derivative expansion of recursion formulas.
+"""Derivative expansion of recursion formulas.
 
-Two independent routes produce the derivative polynomial of the final
-state with respect to an earlier one:
+``derivatives`` runs the backward recurrence, the one expansion route:
+starting from the identity at the final state, each state's polynomial is
+pushed to the states it depends on, multiplying its dependency coefficient
+on the right (deeper blocks stay on the left).  A state's polynomial is
+complete when the loop reaches it, so one pass yields d X[L]/d X[i] for
+every i from L down.  ``derivative`` reads one j off that pass, and
+``unroll`` reads j = 0: ``parse`` makes X[0] the only free input, so X[L]
+is its derivative times X[0].
 
-  * ``derivative`` runs the backward recurrence: starting from the
-    identity at the final state, each state's polynomial is pushed to the
-    states it depends on, multiplying its dependency coefficient on the
-    right (deeper blocks stay on the left).
-  * ``derivative_bruteforce`` unrolls the recursion forward while holding
-    the queried state as a free symbol and reads off its coefficient.
-
-For affine formulas the two must agree exactly; the test suite leans on
-that equivalence.  ``unroll`` is the forward route at j = 0: ``parse``
-makes X[0] the only free input, so X[L] is its derivative times X[0].
+The test suite keeps an independent forward oracle (``tests/conftest.py``)
+that unrolls the recursion with the queried state held free; for affine
+formulas the two must agree exactly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import comb
 from typing import NamedTuple
 
 from .algebra import (
-    CensusBin, PathPolynomial, StateExpansion, _too_long, _word, block_product,
-    census, poly_add, poly_mul, signed_sum,
+    CensusBin, PathPolynomial, _too_long, _word, block_product, census, poly_add,
+    poly_mul, signed_sum,
 )
 from .errors import DepthError
 from .parser import ArchitectureSpec
@@ -41,56 +41,66 @@ def check_depth(L: int, depth_cap: int) -> None:
         )
 
 
-def unroll(
-    spec: ArchitectureSpec, L: int, depth_cap: int = DEFAULT_DEPTH_CAP
-) -> StateExpansion:
-    """Express X[L] over the free input X[0], substituting all base cases."""
-    return StateExpansion({0: derivative_bruteforce(spec, L, 0, depth_cap)})
+def derivatives(
+    spec: ArchitectureSpec, L: int, stop: int = 0, depth_cap: int = DEFAULT_DEPTH_CAP
+) -> Iterator[tuple[int, PathPolynomial]]:
+    """Yield (i, d X[L]/d X[i]) for i = L down to ``stop``, in one pass.
+
+    W symbols are treated as constants: a coefficient like W[i-1] carries
+    no derivative of its own, it is the block Jacobian itself.  The
+    polynomial at i does not depend on ``stop``, in items or in their order.
+    """
+    check_depth(L, depth_cap)
+    if not 0 <= stop <= L:
+        raise ValueError(f"wrt index must be in [0, {L}], got {stop}")
+    # The polynomials pushed so far, by state; states below stop take none.
+    # A state's polynomial leaves f when the loop reaches it and is yielded
+    # before it is pushed on, so a caller that drops it keeps none to the end.
+    zero = PathPolynomial.zero()
+    f: dict[int, PathPolynomial] = {L: PathPolynomial.one()}
+    for i in range(L, stop, -1):
+        pushed = f.pop(i, zero)
+        yield i, pushed
+        if not pushed:
+            continue
+        for source, coeff in spec.instantiate_terms(i):
+            if source >= stop:
+                f[source] = poly_add(f.get(source, zero), poly_mul(pushed, coeff))
+    yield stop, f.pop(stop, zero)
 
 
 def derivative(
     spec: ArchitectureSpec, L: int, j: int, depth_cap: int = DEFAULT_DEPTH_CAP
 ) -> PathPolynomial:
-    """Derivative of X[L] with respect to X[j] via the backward recurrence.
+    """Derivative of X[L] with respect to X[j]: the last of ``derivatives``."""
+    for _, poly in derivatives(spec, L, j, depth_cap):
+        pass
+    return poly
 
-    W symbols are treated as constants: a coefficient like W[i-1] carries
-    no derivative of its own, it is the block Jacobian itself.
+
+class StateExpansion:
+    """X[L] over the free input: ``components`` maps 0 to the polynomial of
+    X[0], and is empty when that polynomial is zero."""
+
+    __slots__ = ("components",)
+
+    def __init__(self, poly: PathPolynomial):
+        self.components = {0: poly} if poly else {}
+
+    def __str__(self) -> str:
+        return f"({self.components[0]})*X[0]" if self.components else "0"
+
+
+def unroll(
+    spec: ArchitectureSpec, L: int, depth_cap: int = DEFAULT_DEPTH_CAP
+) -> StateExpansion:
+    """Express X[L] over the free input X[0], substituting all base cases.
+
+    This is ``derivative(spec, L, 0)``; it stays as a function of its own
+    because the benchmark's per-layer tracer wraps it by name and reads
+    ``components`` (the ``expansion.unroll_*`` metrics).
     """
-    check_depth(L, depth_cap)
-    if not 0 <= j <= L:
-        raise ValueError(f"wrt index must be in [0, {L}], got {j}")
-    # The polynomials pushed so far, by state; states below j take none.
-    # A state's polynomial leaves f when the loop pushes it on, so none is
-    # kept to the end.
-    zero = PathPolynomial.zero()
-    f: dict[int, PathPolynomial] = {L: PathPolynomial.one()}
-    for i in range(L, j, -1):
-        pushed = f.pop(i, None)
-        if not pushed:
-            continue
-        for source, coeff in spec.instantiate_terms(i):
-            if source >= j:
-                f[source] = poly_add(f.get(source, zero), poly_mul(pushed, coeff))
-    return f.get(j, zero)
-
-
-def derivative_bruteforce(
-    spec: ArchitectureSpec, L: int, j: int, depth_cap: int = DEFAULT_DEPTH_CAP
-) -> PathPolynomial:
-    """Independent oracle: unroll forward with X[j] held free."""
-    check_depth(L, depth_cap)
-    if not 0 <= j <= L:
-        raise ValueError(f"wrt index must be in [0, {L}], got {j}")
-    # Each state's coefficient of X[j]; at j = 0 the second entry wins.
-    states = {0: PathPolynomial.zero(), j: PathPolynomial.one()}
-    for i in range(1, L + 1):
-        if i in states:
-            continue
-        acc = PathPolynomial.zero()
-        for source, coeff in spec.instantiate_terms(i):
-            acc = poly_add(acc, poly_mul(coeff, states[source]))
-        states[i] = acc
-    return states[L]
+    return StateExpansion(derivative(spec, L, 0, depth_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +220,8 @@ def value_equivalence_report(
     depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> StructureReport:
     """Term-by-term comparison of the two unrolled expansions."""
-    pa = unroll(spec_a, L, depth_cap).component(0)
-    pb = unroll(spec_b, L, depth_cap).component(0)
+    pa = derivative(spec_a, L, 0, depth_cap)
+    pb = derivative(spec_b, L, 0, depth_cap)
     violations: list[Violation] = []
     ta, tb = (dict(pa.items()), dict(pb.items())) if pa != pb else ({}, {})
     try:
@@ -245,10 +255,7 @@ def verify_chain_identity(
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    lhs = derivative(spec, m, m - 2, depth_cap)
+    d = dict(derivatives(spec, m, m - 2, depth_cap))
     one_plus_w = poly_add(PathPolynomial.one(), PathPolynomial.block(m - 1))
-    rhs = poly_add(
-        poly_mul(derivative(spec, m, m - 1, depth_cap), one_plus_w),
-        -PathPolynomial.block(m - 1),
-    )
-    return lhs == rhs
+    rhs = poly_add(poly_mul(d[m - 1], one_plus_w), -PathPolynomial.block(m - 1))
+    return d[m - 2] == rhs

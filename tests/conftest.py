@@ -1,6 +1,6 @@
 """Shared helpers: random spec generators with reproducible seeds, the
-graph-to-terms oracle, and a fresh interpreter for checks that depend on
-what a process has imported."""
+forward derivative oracle, the graph-to-terms oracle, and a fresh
+interpreter for checks that depend on what a process has imported."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from recur.algebra import PathPolynomial
+from recur.algebra import PathPolynomial, poly_add, poly_mul
 from recur.archgraph import BLOCK, IDENTITY, INPUT, JUNCTION, TAP, ArchGraph
 from recur.parser import (
     ArchitectureSpec,
@@ -196,3 +196,20 @@ def recover_terms(g: ArchGraph) -> dict[int, list[tuple[int, PathPolynomial]]]:
             if any(terms.values())
         ]
     return out
+
+
+def derivative_bruteforce(spec: ArchitectureSpec, L: int, j: int) -> PathPolynomial:
+    """Independent oracle for ``derivative``: unroll the recursion forward
+    with X[j] held free and read off its coefficient in X[L]."""
+    if not 0 <= j <= L:
+        raise ValueError(f"wrt index must be in [0, {L}], got {j}")
+    # Each state's coefficient of X[j]; at j = 0 the second entry wins.
+    states = {0: PathPolynomial.zero(), j: PathPolynomial.one()}
+    for i in range(1, L + 1):
+        if i in states:
+            continue
+        acc = PathPolynomial.zero()
+        for source, coeff in spec.instantiate_terms(i):
+            acc = poly_add(acc, poly_mul(coeff, states[source]))
+        states[i] = acc
+    return states[L]

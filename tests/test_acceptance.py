@@ -12,7 +12,7 @@ from statistics import NormalDist
 
 import pytest
 
-from conftest import random_affine_spec
+from conftest import derivative_bruteforce, random_affine_spec
 from recur.algebra import PathPolynomial, census, poly_add, poly_mul
 from recur.archgraph import build_graph, direct_propagation_check, export, structural_equal
 from recur.builtins import builtin_spec
@@ -20,8 +20,6 @@ from recur.errors import DegenerateError
 from recur.expansion import (
     check_structure,
     derivative,
-    derivative_bruteforce,
-    unroll,
     value_equivalence_report,
     verify_chain_identity,
 )

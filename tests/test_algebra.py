@@ -269,10 +269,42 @@ def test_operations_match_naive_reference():
     check()
 
 
+@pytest.mark.parametrize("shape", ["longer-left", "equal", "longer-right"])
+def test_mul_keeps_a_outer_b_inner_order(shape):
+    # A shorter right operand is built one slice per right term; the items
+    # and their order must match the a-outer, b-inner loops.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # 15 words over two indices: products repeat often.
+    words = st.lists(st.integers(1, 2), max_size=3).map(tuple)
+
+    def poly(n):
+        coeffs = st.sampled_from((-2, -1, 1, 2))
+        terms = st.dictionaries(words, coeffs, min_size=n, max_size=n)
+        return terms.map(PathPolynomial)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.integers(0, 5), st.integers(1, 4), st.data())
+    def check(n, gap, data):
+        na, nb = {
+            "longer-left": (n + gap, n), "equal": (n, n), "longer-right": (n, n + gap)
+        }[shape]
+        a, b = data.draw(poly(na)), data.draw(poly(nb))
+        assert list(poly_mul(a, b).items()) == list(_reference_mul(a, b).items())
+
+    check()
+
+
 def test_mul_drops_cancelled_terms():
     # (1 + W1)*(W1 - 1) = W1*W1 - 1: the two W1 products cancel.
     product = poly_mul(poly_add(ONE, W(1)), poly_add(W(1), -ONE))
     assert product.coefficients == {(): -1, (1, 1): 1}
+    # The same with a longer left operand, built one slice per right term:
+    # W1*W1 still follows the constant, as the a-outer loop places it.
+    product = poly_mul(poly_add(poly_add(ONE, W(1)), W(2)), poly_add(W(1), -ONE))
+    assert list(product.coefficients.items()) == [
+        ((), -1), ((1, 1), 1), ((2, 1), 1), ((2,), -1)
+    ]
 
 
 def test_add_zero_is_identity_and_isolated():

@@ -24,7 +24,7 @@ from recur.archgraph import (
 )
 from recur.builtins import BUILTIN_NAMES, builtin_spec
 from recur.errors import SizeError, UnrealizableError
-from recur.expansion import unroll, value_equivalence_report
+from recur.expansion import derivative, value_equivalence_report
 from recur.parser import parse
 
 RESNET = builtin_spec("resnet")
@@ -212,7 +212,7 @@ def test_path_count_matches_unroll_census():
     for L in range(1, 9):
         g = build_graph(RESNET, L)
         assert count_paths(g) == 2**L
-        total_terms = len(unroll(RESNET, L).component(0))
+        total_terms = len(derivative(RESNET, L, 0))
         assert count_paths(g) == total_terms
 
 

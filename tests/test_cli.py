@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -730,13 +731,20 @@ def test_parser_reuse_leaks_nothing_between_calls(monkeypatch, tmp_path, capsys)
     assert forward[-3][1] == f"recur {__version__}\n"
 
 
+def _command_parsers(parser):
+    """The parser itself under (), then each subcommand's under its name."""
+    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {(): parser, **{(name,): p for name, p in subs.choices.items()}}
+
+
 def test_help_wraps_to_columns_at_each_call(monkeypatch, capsys):
-    helps = []
-    for columns in ("60", "150"):
-        monkeypatch.setenv("COLUMNS", columns)
-        code, out, err = run(capsys, "--help")
-        assert (code, err) == (0, "")
-        assert out == build_arg_parser().format_help()
-        helps.append(out)
-    assert helps[0] != helps[1]
-    assert max(map(len, helps[0].splitlines())) <= 60, helps[0]
+    for argv in _command_parsers(build_arg_parser()):
+        helps = []
+        for columns in ("60", "150"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, err = run(capsys, *argv, "--help")
+            assert (code, err) == (0, ""), argv
+            assert out == _command_parsers(build_arg_parser())[argv].format_help()
+            helps.append(out)
+        assert helps[0] != helps[1], argv
+        assert max(map(len, helps[0].splitlines())) <= 60, helps[0]

@@ -3,19 +3,19 @@ from math import comb
 
 import pytest
 
-from conftest import random_affine_spec
+from conftest import derivative_bruteforce, random_affine_spec
 from recur.algebra import PathPolynomial, census, poly_add, poly_mul
 from recur.builtins import builtin_spec
 from recur.errors import DepthError
 from recur.expansion import (
     check_structure,
     derivative,
-    derivative_bruteforce,
+    derivatives,
     unroll,
     value_equivalence_report,
     verify_chain_identity,
 )
-from recur.parser import parse
+from recur.parser import parse, render
 
 RESNET = builtin_spec("resnet")
 CHAIN = builtin_spec("chain")
@@ -26,7 +26,7 @@ EQ22 = builtin_spec("eq22")
 def test_unroll_resnet_depth_two():
     expansion = unroll(RESNET, 2)
     assert set(expansion.components) == {0}
-    assert expansion.component(0).coefficients == {
+    assert expansion.components[0].coefficients == {
         (): 1,
         (2,): 1,
         (1,): 1,
@@ -36,21 +36,30 @@ def test_unroll_resnet_depth_two():
 
 def test_unroll_chain_single_term():
     expansion = unroll(CHAIN, 3)
-    assert expansion.component(0).coefficients == {(3, 2, 1): 1}
+    assert expansion.components[0].coefficients == {(3, 2, 1): 1}
 
 
 def test_unroll_newarch_base():
     expansion = unroll(NEWARCH, 1)
-    assert expansion.component(0).coefficients == {(): 1, (1,): 1}
+    assert expansion.components[0].coefficients == {(): 1, (1,): 1}
 
 
 def test_unroll_newarch_telescopes_to_single_paths():
     # X_L = 1 + W_L + W_L W_{L-1} + ... + W_L...W_1, one term per length.
     for L in range(1, 8):
-        poly = unroll(NEWARCH, L).component(0)
+        poly = unroll(NEWARCH, L).components[0]
         assert {k: b.count for k, b in census(poly).items()} == {
             k: 1 for k in range(L + 1)
         }
+
+
+def test_unroll_of_a_state_that_cancels_to_zero():
+    # derivative(spec, 5, 0) of this drawn formula is exactly zero.
+    spec = random_affine_spec(random.Random(5370))
+    assert derivative(spec, 5, 0).is_zero()
+    expansion = unroll(spec, 5)
+    assert expansion.components == {}
+    assert str(expansion) == "0"
 
 
 def test_derivative_resnet_counts():
@@ -72,7 +81,9 @@ def test_derivative_newarch_single_paths():
 def test_derivative_drops_each_state_once_pushed():
     # appendix-ex2 at L = 20: 17,711 terms.  Keeping every pushed state to
     # the end peaked at 2.16 times what the result holds, dropping each
-    # once pushed at 1.54 times.
+    # once pushed at 1.54 times.  ``derivatives`` yields a state before it
+    # pushes it on; yielding it after, while ``derivative`` still holds the
+    # state before, peaked at 1.78 times.
     import tracemalloc
 
     spec = builtin_spec("appendix-ex2")
@@ -84,7 +95,7 @@ def test_derivative_drops_each_state_once_pushed():
     finally:
         tracemalloc.stop()
     assert len(poly) == 17711
-    assert peak <= 1.8 * held, (held, peak)
+    assert peak <= 1.7 * held, (held, peak)
 
 
 def test_derivative_at_final_state_is_identity():
@@ -119,13 +130,45 @@ def test_bruteforce_matches_backward_on_random_specs():
             assert derivative(spec, L, j) == derivative_bruteforce(spec, L, j)
 
 
+def _one_pass_and_per_j(spec, L, stop):
+    one_pass = [(i, list(p.items())) for i, p in derivatives(spec, L, stop)]
+    per_j = [(i, list(derivative(spec, L, i).items())) for i in range(L, stop - 1, -1)]
+    return one_pass, per_j
+
+
+def test_one_pass_equals_per_j_derivative_on_builtins():
+    # Items and insertion order: verify sums its floats in that order.
+    for name in ("chain", "resnet", "newarch", "eq22", "appendix-ex1", "appendix-ex2"):
+        spec = builtin_spec(name)
+        for L in (1, 2, 5, 9, 12):
+            for stop in range(0, L + 1):
+                one_pass, per_j = _one_pass_and_per_j(spec, L, stop)
+                assert one_pass == per_j, (name, L, stop)
+
+
+def test_one_pass_equals_per_j_derivative_on_random_specs():
+    rng = random.Random(4242)
+    for _ in range(60):
+        spec = random_affine_spec(rng)
+        L = rng.randint(max(1, spec.first_rule_index), 8)
+        for stop in range(0, L + 1):
+            one_pass, per_j = _one_pass_and_per_j(spec, L, stop)
+            assert one_pass == per_j, (render(spec), L, stop)
+
+
+@pytest.mark.parametrize("stop", [-1, 5])
+def test_one_pass_rejects_a_stop_out_of_range(stop):
+    with pytest.raises(ValueError, match="wrt index must be in"):
+        next(derivatives(RESNET, 4, stop))
+
+
 def test_depth_cap():
     with pytest.raises(DepthError):
         unroll(RESNET, 25)
     with pytest.raises(DepthError):
         derivative(RESNET, 30, 0)
     # The cap is configurable.
-    longest = max(map(len, unroll(CHAIN, 25, depth_cap=30).component(0).coefficients))
+    longest = max(map(len, derivative(CHAIN, 25, 0, depth_cap=30).coefficients))
     assert longest == 25
 
 

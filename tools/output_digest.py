@@ -162,6 +162,12 @@ def commands() -> list[list[str]]:
             ["census", "--builtin", name, "-L", "20", "--format", "json"]
             for name in ("appendix-ex1", "appendix-ex2")
         ),
+        # shapes whose terms the backward and forward expansion routes build
+        # in different insertion orders: the output must not show which ran
+        ["expand", "--builtin", "appendix-ex2", "-L", "12", "--format", "json"],
+        ["equiv", "appendix-ex1", "appendix-ex2", "-L", "10"],
+        ["equiv", "appendix-ex1", "appendix-ex2", "-L", "10", "--format", "json"],
+        ["chain-identity", "--builtin", "appendix-ex1", "-L", "16"],
         # the verify workload's widest shapes, then a width with 14-term
         # chunks and one verified term by term
         *(
@@ -194,6 +200,7 @@ def commands() -> list[list[str]]:
         ["verify", "--builtin", "newarch", "--seeds", "0"],
         ["verify", "--builtin", "resnet", "--dim", "0"],
         ["verify", "--builtin", "resnet", "-L", "30", "--dim", "0"],
+        ["verify", "--builtin", "resnet", "-L", "-1", "--dim", "0"],
         ["verify", "--builtin", "newarch", "--activation", "tanh"],
         ["verify", "--builtin", "resnet", "--tol", "nan"],
         ["verify", "--builtin", "resnet", "--tol", "-1"],
