@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, numeric
 from .algebra import (
     PathPolynomial, PathTerms, block_product, census, json_text, signed_sum
 )
@@ -252,10 +252,13 @@ def cmd_verify(args) -> int:
         polys = {}
         if wrts:  # one backward pass from L gives every j down to the lowest
             polys = {j: p for j, p in derivatives(spec, L, wrts.start, cap) if j in wrts}
-        for seed in seeds:
-            net = instantiate(spec, L, d, seed)
-            for j in wrts:
-                results.append(check_derivative(net, polys[j], j, tol=args.tol))
+        # Each group of seeds is one stacked net within the matrix cap.
+        group = max(1, numeric.MAX_MATRIX_ENTRIES // max(1, L * d * d))
+        for start in range(0, len(seeds), group):
+            net = instantiate(spec, L, d, seeds[start : start + group])
+            checks = [check_derivative(net, polys[j], j, tol=args.tol) for j in wrts]
+            for per_seed in zip(*checks):
+                results += per_seed
 
     all_pass = all(r.passed for r in results)
     if args.format == "json":

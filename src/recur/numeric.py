@@ -6,6 +6,14 @@ an exact Jacobian obtained by propagating basis vectors through the affine
 recursion, and a central-difference Jacobian for the activated built-in
 chains.  tanh is the activation (smooth, so central differences behave).
 
+A net drawn for one seed holds its blocks as an (L, d, d) stack.  A net
+drawn for a group of S seeds holds them as one (L, S, d, d) stack, the
+seed axis after the depth axis, and eval_polynomial and jacobian_exact then
+return one (S, d, d) array: each numpy step runs once for every seed, and
+each seed's matrices carry the same bits as a net of its own.
+CHUNK_ENTRIES bounds one batched step over the whole stack, and
+MAX_MATRIX_ENTRIES the whole stack with what jacobian_exact keeps beside it.
+
 Each function imports numpy in its body, so importing this module (as
 ``recur`` and ``recur.cli`` do) leaves numpy unloaded until the first
 numeric call: the symbolic commands start without it.
@@ -15,25 +23,28 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .algebra import PathPolynomial
 from .builtins import activated_kind
 from .errors import ActivationError, SizeError
 from .parser import ArchitectureSpec
 
-# L * d * d float64 entries instantiate may allocate: 256 MB.
+# S * L * d * d float64 entries instantiate may allocate: 256 MB.
 MAX_MATRIX_ENTRIES = 1 << 25
 
 
 class ConcreteNet:
-    """One matrix realization of a spec at a fixed depth and width.
+    """One matrix realization of a spec at a fixed depth and width, for one
+    seed or for a group of them.
 
-    ``matrices`` may be given as d x d arrays or as one (L, d, d) array.  The
-    net keeps them as one read-only float64 ``stack``, and ``matrices``
-    holds views of its rows.  An (L, d, d) float64 array is copied unless it
-    is read-only and owns its data, as ``instantiate`` hands it over, so a
-    caller cannot change the blocks behind the net's back.
+    ``matrices`` may be given as d x d (or S x d x d) arrays or as one
+    (L, d, d) (or (L, S, d, d)) array.  The net keeps them as one read-only
+    float64 ``stack``, and ``matrices`` holds views of its rows.  Such an
+    array is copied unless it is read-only and owns its data, as
+    ``instantiate`` hands it over, so a caller cannot change the blocks
+    behind the net's back.  A stacked net's ``seed`` is the tuple of its
+    seeds; it takes no activation.
     """
 
     __slots__ = ("spec", "matrices", "activation", "seed", "stack", "_coefficients")
@@ -43,12 +54,16 @@ class ConcreteNet:
         spec: ArchitectureSpec,
         matrices,
         activation: str | None = None,
-        seed: int | None = None,
+        seed: int | tuple[int, ...] | None = None,
     ) -> None:
         import numpy as np
 
-        d = np.shape(matrices[0])[0]
-        if any(np.shape(m) != (d, d) for m in matrices):
+        shape = np.shape(matrices[0])
+        if (
+            len(shape) not in (2, 3)
+            or shape[-1] != shape[-2]
+            or any(np.shape(m) != shape for m in matrices)
+        ):
             raise ValueError("all block matrices must share one square shape")
         stack = np.asarray(matrices, dtype=float)
         if stack is matrices and (stack.flags.writeable or stack.base is not None):
@@ -59,6 +74,8 @@ class ConcreteNet:
         if activation is not None:
             if activation != "tanh":
                 raise ValueError(f"unsupported activation {activation!r}")
+            if stack.ndim == 4:
+                raise ValueError("an activated net takes one seed")
             if activated_kind(spec) is None:
                 raise ActivationError(
                     "tanh is only defined for the built-in chain and resnet"
@@ -79,10 +96,10 @@ class ConcreteNet:
 
     @property
     def dim(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.stack.shape[-1]
 
     def matrix(self, index: int) -> np.ndarray:
-        """The matrix realizing W[index] (1-based)."""
+        """The matrix realizing W[index] (1-based), one per seed if stacked."""
         if not 1 <= index <= self.depth:
             raise IndexError(f"block index {index} outside [1, {self.depth}]")
         return self.matrices[index - 1]
@@ -92,14 +109,16 @@ def instantiate(
     spec: ArchitectureSpec,
     L: int,
     d: int,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
     activation: str | None = None,
 ) -> ConcreteNet:
     """Draw block matrices i.i.d. uniform on [-0.5, 0.5], scaled by 1/sqrt(d).
 
     Deterministic for a given seed; the scaling keeps products of (1 + W)
-    factors well conditioned at the depths used for verification.  Raises
-    SizeError, before allocating, when L * d * d exceeds MAX_MATRIX_ENTRIES.
+    factors well conditioned at the depths used for verification.  A
+    sequence of S seeds draws an (L, S, d, d) net whose seed s holds the
+    doubles the net of seed s alone holds.  Raises SizeError, before
+    allocating, when S * L * d * d exceeds MAX_MATRIX_ENTRIES.
     """
     import numpy as np
 
@@ -107,16 +126,23 @@ def instantiate(
         raise ValueError(f"dimension must be >= 1, got {d}")
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
-    if L * d * d > MAX_MATRIX_ENTRIES:
+    single = isinstance(seed, int)
+    seeds = (seed,) if single else tuple(seed)
+    S = len(seeds)
+    if S * L * d * d > MAX_MATRIX_ENTRIES:
+        count = "L * d * d" if S == 1 else f"{S} seeds * L * d * d"
         raise SizeError(
-            f"L * d * d = {L * d * d} matrix entries, cap is {MAX_MATRIX_ENTRIES}"
+            f"{count} = {S * L * d * d} matrix entries, cap is {MAX_MATRIX_ENTRIES}"
         )
-    rng = np.random.default_rng(seed % (1 << 64))
-    # One draw of L * d * d values gives the same doubles as L draws of d * d.
-    stack = rng.uniform(-0.5, 0.5, size=(L, d, d))
+    stack = np.empty((L, d, d) if single else (L, S, d, d))
+    for s, each in enumerate(seeds):
+        # One draw of L * d * d values gives the same doubles as L draws of d * d.
+        rng = np.random.default_rng(each % (1 << 64))
+        stack.reshape(L, S, d, d)[:, s] = rng.uniform(-0.5, 0.5, size=(L, d, d))
     stack /= np.sqrt(d)
     stack.flags.writeable = False
-    return ConcreteNet(spec=spec, matrices=stack, activation=activation, seed=seed)
+    seed = seed if single else seeds
+    return ConcreteNet(spec, stack, activation, seed)
 
 
 class ForwardTrace(NamedTuple):
@@ -165,25 +191,28 @@ def forward(net: ConcreteNet, x0: np.ndarray) -> ForwardTrace:
 
 
 # eval_polynomial batches its matmuls over chunks of at most CHUNK_ENTRIES
-# // d**2 consecutive terms and NODES_PER_TERM times as many products, so its
-# working memory stays a small multiple of CHUNK_ENTRIES float64 entries
-# (64 KB), plus one matrix per factor of the longest term, whatever the
-# number of terms.  The products of a chunk are counted as if each term
-# shared only the prefix of the term before it; the chunk's prefix trie
-# never holds more.  Batching pays from about MIN_CHUNK_TERMS terms a chunk:
-# measured against the term-by-term loop, it broke even at about 10 terms a
-# polynomial (d = 4..16) and 13 terms a chunk (d = 25).  With fewer terms
-# (small polynomials, d >= 27) the terms go one by one, and no schedule is
-# made.  Each batched matmul costs a fixed amount, one per level of each
-# chunk, so a schedule pays only when its levels hold at least
-# MIN_NODES_PER_LEVEL products on average.  Chains such as newarch's, each
-# term extending the one before, make one product a level and go one by one:
-# at L = 12, d = 16 (13 terms) 0.10 ms batched against 0.08 term by term,
-# while appendix-ex1's 13 terms at L = 5 make 2.4 a level and take 0.065 ms
-# batched against 0.09.
-CHUNK_ENTRIES = 1 << 13
+# // (S * d**2) consecutive terms and NODES_PER_TERM times as many products,
+# S the net's seeds: one batched step holds at most CHUNK_ENTRIES float64
+# entries (256 KB) over the whole stack.  Its working memory stays a small
+# multiple of that, plus one matrix per seed and factor of the longest term,
+# whatever the number of terms or seeds.  The products of a chunk are
+# counted as if each term shared only the prefix of the term before it; the
+# chunk's prefix trie never holds more.  On verify's linear sweep at 3 seeds
+# (every j, d = 4..16), 2**15 entries a step took 150 ms against 242 ms for
+# 2**13 per seed.  Batching pays from about MIN_CHUNK_TERMS terms a chunk:
+# the term-by-term loop runs each product once for every seed too, and 24
+# against 12 took the same sweep at d = 24..32 from 48 to 40 ms, d = 4..16
+# unchanged.  With fewer terms (small polynomials, S * d**2 > 1365) the
+# terms go one by one, and no schedule is made.  Each batched matmul costs a
+# fixed amount, one per level of each chunk, so a schedule pays only when
+# its levels hold at least MIN_NODES_PER_LEVEL products on average.  Chains
+# such as newarch's, each term extending the one before, make one product a
+# level and go one by one: at L = 24, d = 16 (25 terms) 0.165 ms batched
+# against 0.130 term by term, while appendix-ex1's 34 terms at L = 7 make
+# 4.7 a level and take 0.134 ms batched against 0.335.
+CHUNK_ENTRIES = 1 << 15
 NODES_PER_TERM = 4
-MIN_CHUNK_TERMS = 12
+MIN_CHUNK_TERMS = 24
 MIN_NODES_PER_LEVEL = 2
 # _schedule reads the terms in groups of about GROUP_CELLS code points
 # (terms x (1 + longest term)), or of one chunk where that is more, so its
@@ -210,7 +239,7 @@ class _Schedule(NamedTuple):
     parents: np.ndarray  # per node: row of the node it extends
     blocks: np.ndarray  # per node: stack index of its last factor
     ends: np.ndarray  # per term: row of its product
-    coeffs: np.ndarray  # per term: float64 coefficient, shape (1, 1)
+    coeffs: np.ndarray  # per term: float64 coefficient, shape (1, 1, 1)
 
 
 def _codes(words: list[str], lengths: np.ndarray) -> np.ndarray:
@@ -323,7 +352,7 @@ def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
         parents,
         blocks,
         ends,
-        coeffs.reshape(-1, 1, 1),
+        coeffs.reshape(-1, 1, 1, 1),
     )
 
 
@@ -339,24 +368,29 @@ def _coefficient(coeff: int) -> float:
 
 
 def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
-    """Evaluate a path polynomial as a d x d matrix.
+    """Evaluate a path polynomial as a d x d matrix, or as one per seed,
+    (S, d, d), on a stacked net.
 
     Factors multiply in listed order (leftmost factor leftmost in the
     product); the identity term contributes the identity matrix.
 
     Terms are cut, in insertion order, into chunks (see _Schedule).  A
     chunk costs one batched matmul per prefix length and one ordered sum
-    into the running total.  Every product is the same left-to-right chain
-    and the sum runs in term order, so the result is bit-identical to
-    evaluating the terms one by one, as is done when a chunk would hold
-    fewer than MIN_CHUNK_TERMS terms, or the schedule's levels fewer than
+    into the running total, each over every seed of the net.  Every product
+    is the same left-to-right chain and the sum runs in term order, so the
+    result is bit-identical to evaluating the terms one by one, for one
+    seed at a time, as is done when a chunk would hold fewer than
+    MIN_CHUNK_TERMS terms, or the schedule's levels fewer than
     MIN_NODES_PER_LEVEL products on average.  The schedule depends only on
     the terms and the chunk size, so it is kept on ``poly`` and reused.
     """
     import numpy as np
 
+    shape = net.stack.shape[1:]
     d = net.dim
-    size = CHUNK_ENTRIES // (d * d)
+    # The same loop serves both shapes: a one-seed net is a stack of S = 1.
+    stack = net.stack.reshape(net.depth, -1, d, d)
+    size = CHUNK_ENTRIES // stack[0].size
     if min(size, len(poly)) < MIN_CHUNK_TERMS:
         return _eval_term_by_term(poly, net)
     schedule = getattr(poly, "_schedule", None)
@@ -373,16 +407,15 @@ def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
         schedule = poly._schedule = _schedule(poly, size)
     if len(schedule.parents) < MIN_NODES_PER_LEVEL * len(schedule.steps):
         return _eval_term_by_term(poly, net)
-    stack = net.stack
     parents, blocks, ends, coeffs = (
         schedule.parents, schedule.blocks, schedule.ends, schedule.coeffs
     )
-    products = np.empty((schedule.rows, d, d))
+    products = np.empty((schedule.rows, *stack.shape[1:]))
     products[0] = np.eye(d)
     # Row 0 holds the running total.  The zero pad column keeps the inner
     # loop of add.reduce off axis 0, so it adds the rows in order even at
     # d = 1, where numpy would otherwise sum a contiguous axis pairwise.
-    weighted = np.zeros((min(size, len(poly)) + 1, d, d + 1))
+    weighted = np.zeros((min(size, len(poly)) + 1, len(stack[0]), d, d + 1))
     steps = iter(schedule.steps)
     node = end = 0
     for terms, levels in schedule.chunks:
@@ -403,11 +436,11 @@ def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
         np.multiply(
             coeffs[end : end + terms],
             products[ends[end : end + terms]],
-            out=weighted[1 : terms + 1, :, :d],
+            out=weighted[1 : terms + 1, ..., :d],
         )
         end += terms
         weighted[0] = np.add.reduce(weighted[: terms + 1], axis=0)
-    return weighted[0, :, :d].copy()
+    return weighted[0, ..., :d].reshape(shape).copy()
 
 
 def _eval_term_by_term(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
@@ -416,7 +449,7 @@ def _eval_term_by_term(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
     import numpy as np
 
     d = net.dim
-    total = np.zeros((d, d))
+    total = np.zeros(net.stack.shape[1:])
     previous = ""
     prefix: list[np.ndarray] = []  # prefix[k]: product of previous[: k + 1]
     for word, coeff in poly.items():
@@ -437,7 +470,8 @@ def _eval_term_by_term(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
 def jacobian_exact(
     net: ConcreteNet, j: int, *, magnitude: bool = False
 ) -> np.ndarray:
-    """Exact Jacobian dX[L]/dX[j] by propagating basis vectors.
+    """Exact Jacobian dX[L]/dX[j] by propagating basis vectors, one per
+    seed, (S, d, d), on a stacked net.
 
     Works directly on the affine recursion and never touches the path
     polynomials, so it is an independent reference for eval_polynomial.
@@ -454,18 +488,20 @@ def jacobian_exact(
 
     if net.activation is not None:
         raise ActivationError("jacobian_exact requires an unactivated net")
-    L, d = net.depth, net.dim
+    L, shape = net.depth, net.stack.shape[1:]
     if not 0 <= j <= L:
         raise ValueError(f"wrt index must be in [0, {L}], got {j}")
+    eye = np.broadcast_to(np.eye(net.dim), shape).copy()
     if j == L:
-        return np.eye(d)
+        return eye
     if magnitude:  # a net of its own, so its memo holds only |c| terms
         net = ConcreteNet(net.spec, np.abs(net.stack))
-    sensitivities: dict[int, np.ndarray] = {j: np.eye(d)}
+    sensitivities: dict[int, np.ndarray] = {j: eye}
     evaluated = net._coefficients
-    # Matrices the memo may still take: the net and the kept coefficients
-    # stay within MAX_MATRIX_ENTRIES, the bound instantiate puts on the net.
-    room = MAX_MATRIX_ENTRIES // (d * d) - L - sum(map(len, evaluated.values()))
+    # Matrices (one per seed each) the memo may still take: the net and the
+    # kept coefficients stay within MAX_MATRIX_ENTRIES, the bound
+    # instantiate puts on the net.
+    room = MAX_MATRIX_ENTRIES // eye.size - L - sum(map(len, evaluated.values()))
     for i in range(j + 1, L + 1):
         terms = evaluated.get(i)
         kept = terms is not None
@@ -480,7 +516,7 @@ def jacobian_exact(
                 terms = [(source, eval_polynomial(coeff, net)) for source, coeff in terms]
                 evaluated[i], kept = terms, True
                 room -= len(terms)
-        acc = np.zeros((d, d))
+        acc = np.zeros(shape)
         for source, coeff in terms:
             if source in sensitivities:
                 matrix = coeff if kept else eval_polynomial(coeff, net)
@@ -543,26 +579,36 @@ def relative_error(
 
 def check_derivative(
     net: ConcreteNet, poly: PathPolynomial, j: int, tol: float = 1e-10
-) -> JacobianCheckResult:
-    """Compare eval_polynomial(poly) against the basis-propagation Jacobian.
+) -> JacobianCheckResult | tuple[JacobianCheckResult, ...]:
+    """Compare eval_polynomial(poly) against the basis-propagation Jacobian:
+    one result, or one per seed, in seed order, on a stacked net.
 
     A zero polynomial has no relative error: the reference, which rounding
     may leave a few ulps off zero, is measured against the magnitude of the
     propagation that made it.
     """
-    observed = eval_polynomial(poly, net)
-    reference = jacobian_exact(net, j)
-    size = None if poly else jacobian_exact(net, j, magnitude=True)
-    return JacobianCheckResult(
-        spec=net.spec.name,
-        L=net.depth,
-        j=j,
-        d=net.dim,
-        seed=net.seed,
-        activation=None,
-        error=relative_error(observed, reference, size),
-        tol=tol,
+    d = net.dim
+    observed = eval_polynomial(poly, net).reshape(-1, d, d)
+    reference = jacobian_exact(net, j).reshape(-1, d, d)
+    sizes = [None] * len(observed)
+    if not poly:
+        sizes = jacobian_exact(net, j, magnitude=True).reshape(-1, d, d)
+    stacked = net.stack.ndim == 4
+    seeds = net.seed if stacked and net.seed else [net.seed] * len(observed)
+    results = tuple(
+        JacobianCheckResult(
+            spec=net.spec.name,
+            L=net.depth,
+            j=j,
+            d=d,
+            seed=seed,
+            activation=None,
+            error=relative_error(*errors),
+            tol=tol,
+        )
+        for seed, *errors in zip(seeds, observed, reference, sizes)
     )
+    return results if stacked else results[0]
 
 
 def _activated_product_jacobian(
@@ -623,8 +669,13 @@ def finite_diff_check(
     # columns go through the remaining layers in blocks of n: rows r and
     # n + r of a block's stack are the starts of its r-th column, and only
     # the last layer's stack is kept.  A stack holds at most CHUNK_ENTRIES
-    # entries, so every d <= 64 is one block.
+    # entries, so every d <= 128 is one block.
     base = x0 if j == 0 else trace.state(j)
+    if np.any(base + epsilon == base) or np.any(base - epsilon == base):
+        raise ValueError(
+            f"epsilon {epsilon:g} is below the spacing of X[{j}]: a bumped"
+            " coordinate rounds back to its start"
+        )
     numeric = np.empty((d, d))
     width = max(1, CHUNK_ENTRIES // (2 * d))
     for k in range(0, d, width):

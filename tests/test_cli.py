@@ -14,7 +14,8 @@ import warnings
 import pytest
 
 from conftest import fresh_env, random_affine_spec
-from recur import __version__
+import recur.cli
+from recur import __version__, numeric
 from recur.builtins import BUILTIN_NAMES
 from recur.cli import build_arg_parser, main
 from recur.expansion import CHECK_KINDS
@@ -187,6 +188,35 @@ def test_verify_affine(capsys):
     )
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_output_is_the_same_when_seeds_split_into_groups(
+    monkeypatch, capsys, fmt
+):
+    argv = ["verify", "--builtin", "appendix-ex2", "-L", "6", "-d", "4",
+            "--seeds", "5", "--seed", "9", "--format", fmt]
+    whole = run(capsys, *argv)
+    groups = []
+    stacked = recur.cli.instantiate
+    monkeypatch.setattr(
+        recur.cli, "instantiate", lambda *a: groups.append(a[3]) or stacked(*a)
+    )
+    # Room for two seeds at L * d * d = 96: groups of 2, 2 and 1.
+    monkeypatch.setattr(numeric, "MAX_MATRIX_ENTRIES", 2 * 96)
+    assert run(capsys, *argv) == whole
+    assert whole[0] == 0 and whole[2] == ""
+    assert groups == [[9, 10], [11, 12], [13]]
+
+
+def test_verify_rejects_an_epsilon_below_the_spacing_of_x(capsys):
+    # X[j] +- 1e-300 rounds back to X[j], so every difference would read 0.
+    code, out, err = run(
+        capsys, "verify", "--builtin", "resnet", "-L", "2", "-d", "2",
+        "--activation", "tanh", "--eps", "1e-300",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: epsilon 1e-300 is below the spacing of X[0]")
 
 
 def test_verify_tanh(capsys):
@@ -423,9 +453,10 @@ def test_verify_coefficient_past_float64_exits_two(tmp_path, capsys):
     f = tmp_path / "big.rf"
     f.write_text("X[0] = input\nX[i] = 1" + "0" * 200 + "*X[i-1]\n")
     # At L = 3 the derivative's coefficient is 10^600.
-    code, out, err = run(capsys, "verify", str(f), "-L", "3")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "float64" in err
+    for seeds in ("1", "3"):  # one net, then one stack of three seeds
+        code, out, err = run(capsys, "verify", str(f), "-L", "3", "--seeds", seeds)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "float64" in err
     # At L = 1 every coefficient, 10^200 at most, is a float64. Its square
     # is not, so the error norms must scale before they square.
     with warnings.catch_warnings():

@@ -1,9 +1,11 @@
 import itertools
 import os.path
+import random
 
 import numpy as np
 import pytest
 
+from conftest import random_affine_spec
 from recur import numeric
 from recur.algebra import PathPolynomial
 from recur.builtins import builtin_spec
@@ -81,6 +83,28 @@ def test_instantiate_range_scaled_by_sqrt_dim():
 def test_instantiate_rejects_oversized_nets_before_allocating(L, d):
     with pytest.raises(SizeError):
         instantiate(CHAIN, L, d)
+
+
+def test_instantiate_stacks_each_seeds_own_doubles():
+    seeds = (7, 8, 2**64 + 9)
+    net = instantiate(RESNET, 3, 4, seed=list(seeds))
+    assert net.stack.shape == (3, 3, 4, 4) and net.matrix(1).shape == (3, 4, 4)
+    assert (net.seed, net.depth, net.dim) == (seeds, 3, 4)
+    for s, seed in enumerate(seeds):
+        assert np.array_equal(net.stack[:, s], instantiate(RESNET, 3, 4, seed).stack)
+    with pytest.raises(ValueError):
+        net.stack[0, 0, 0, 0] = 1.0
+
+
+def test_instantiate_bounds_the_whole_stack_before_allocating():
+    # One seed fits, 33 of them do not (34,603,008 entries).
+    instantiate(CHAIN, 1, 1024, seed=[0])
+    with pytest.raises(SizeError, match=r"^33 seeds \* L \* d \* d = 34603008 "):
+        instantiate(CHAIN, 1, 1024, seed=range(33))
+    with pytest.raises(SizeError, match=r"^L \* d \* d = 1000000000000 matrix"):
+        instantiate(CHAIN, 1, 1_000_000, seed=[0])
+    with pytest.raises(ValueError, match="one seed"):
+        instantiate(RESNET, 3, 2, seed=[1, 2], activation="tanh")
 
 
 def test_activation_guard():
@@ -163,15 +187,22 @@ def test_jacobian_exact_keeps_coefficients_within_the_matrix_budget(
     monkeypatch, spec
 ):
     L, d = 7, 3
-    expected = [jacobian_exact(instantiate(spec, L, d, seed=2), j) for j in range(L + 1)]
-    # Room for the net alone keeps nothing; room for L more matrices keeps at
-    # most L coefficients, whatever the number of terms a state has.
-    for budget, room in ((L * d * d, 0), (2 * L * d * d, L)):
-        monkeypatch.setattr(numeric, "MAX_MATRIX_ENTRIES", budget)
-        net = instantiate(spec, L, d, seed=2)
-        for j in range(L, -1, -1):
-            assert np.array_equal(jacobian_exact(net, j), expected[j]), (budget, j)
-            assert sum(map(len, net._coefficients.values())) <= room
+    groups = {2: 1, (2, 5, 6): 3}  # seeds -> S
+    expected = {
+        seeds: [jacobian_exact(instantiate(spec, L, d, seed=seeds), j) for j in range(L + 1)]
+        for seeds in groups
+    }
+    # Room for the net alone keeps nothing; room for L more matrices (one per
+    # seed each) keeps at most L coefficients, whatever the number of terms a
+    # state has.
+    for seeds, S in groups.items():
+        for budget, room in ((S * L * d * d, 0), (2 * S * L * d * d, L)):
+            monkeypatch.setattr(numeric, "MAX_MATRIX_ENTRIES", budget)
+            net = instantiate(spec, L, d, seed=seeds)
+            for j in range(L, -1, -1):
+                got = jacobian_exact(net, j)
+                assert np.array_equal(got, expected[seeds][j]), (seeds, budget, j)
+                assert sum(map(len, net._coefficients.values())) <= room
 
 
 def test_jacobian_exact_rejects_activated_net():
@@ -204,9 +235,9 @@ def test_eval_polynomial_index_error():
 
 @pytest.mark.parametrize("d", [2, 23, 91])
 def test_eval_polynomial_index_error_after_a_deeper_net(d):
-    # One chunk of 16 terms at d = 2, two at d = 23, term by term at d = 91;
-    # the schedule made on a depth-3 net is reused on a depth-2 net.
-    short = [f for k in (1, 2, 3) for f in itertools.product((2, 1), repeat=k)]
+    # One chunk of 32 terms at d = 2 and 23, term by term at d = 91; the
+    # schedule made on a depth-3 net is reused on a depth-2 net.
+    short = [f for k in (1, 2, 3, 4) for f in itertools.product((2, 1), repeat=k)]
     poly = PathPolynomial({f: 1 for f in short + [(2, 3), (3, 1)]})
     eval_polynomial(poly, instantiate(CHAIN, 3, d, seed=0))
     with pytest.raises(IndexError, match=r"^block index 3 outside \[1, 2\]$"):
@@ -216,10 +247,10 @@ def test_eval_polynomial_index_error_after_a_deeper_net(d):
 def test_eval_polynomial_memory_does_not_grow_with_terms():
     import tracemalloc
 
-    def peak(name, L):
+    def peak(name, L, seed, d=16):
         spec = builtin_spec(name)
         poly = derivative(spec, L, 0)
-        net = instantiate(spec, L, 16, seed=1)
+        net = instantiate(spec, L, d, seed=seed)
         eval_polynomial(poly, net)  # makes and keeps the schedule
         tracemalloc.start()
         try:
@@ -229,18 +260,22 @@ def test_eval_polynomial_memory_does_not_grow_with_terms():
             tracemalloc.stop()
 
     budget = numeric.CHUNK_ENTRIES * 8  # bytes
-    small, large = peak("resnet", 8), peak("resnet", 16)  # 256 and 65,536 terms
-    assert large <= min(2 * small, 10 * budget), (small, large)
-    # Long terms that share few prefixes make several products each.
-    assert peak("appendix-ex2", 14) <= 10 * budget
+    # One seed, and stacks of 3 and 16 seeds (16 x 4 x 4: 128-term chunks):
+    # a step holds CHUNK_ENTRIES entries over the whole stack.
+    for seed, d in ((1, 16), ([1, 2, 3], 16), (list(range(16)), 4)):
+        small = peak("resnet", 8, seed, d)  # 256 terms
+        large = peak("resnet", 16, seed, d)  # 65,536 terms
+        assert large <= min(2 * small, 10 * budget), (seed, small, large)
+        # Long terms that share few prefixes make several products each.
+        assert peak("appendix-ex2", 14, seed, d) <= 10 * budget, seed
 
 
 def test_eval_term_by_term_memory_does_not_grow_with_terms():
     import tracemalloc
 
-    def peak(L):
+    def peak(L, seed):
         poly = derivative(RESNET, L, 0)
-        net = instantiate(RESNET, L, 16, seed=1)
+        net = instantiate(RESNET, L, 16, seed=seed)
         tracemalloc.start()
         try:
             numeric._eval_term_by_term(poly, net)
@@ -249,15 +284,16 @@ def test_eval_term_by_term_memory_does_not_grow_with_terms():
             tracemalloc.stop()
 
     # 256 and 65,536 terms: only the L prefix products grow, not a copy of
-    # the terms (2.66 MB at L = 16).
-    small, large = peak(8), peak(16)
-    assert large <= 4 * small, (small, large)
+    # the terms (2.66 MB at L = 16), for one seed or a stack of them.
+    for seed in (1, [1, 2, 3]):
+        small, large = peak(8, seed), peak(16, seed)
+        assert large <= 4 * small, (seed, small, large)
 
 
 @pytest.mark.parametrize("d", [2, 91])
 def test_eval_polynomial_rejects_coefficients_past_float64(d):
-    # 14 terms: one chunk at d = 2, term by term at d = 91.
-    terms = [f for k in (1, 2, 3) for f in itertools.product((2, 1), repeat=k)]
+    # 31 terms: one chunk at d = 2, term by term at d = 91.
+    terms = [f for k in (1, 2, 3, 4) for f in itertools.product((2, 1), repeat=k)]
     poly = PathPolynomial({**{f: 1 for f in terms}, (1, 1, 2): 10**400})
     with pytest.raises(SizeError, match="float64"):
         eval_polynomial(poly, instantiate(CHAIN, 2, d, seed=0))
@@ -323,14 +359,18 @@ def test_eval_polynomial_matches_naive_on_derivatives(name):
 
 @pytest.mark.parametrize("name, L", [("resnet", 12), ("appendix-ex2", 14)])
 def test_eval_polynomial_matches_naive_over_many_chunks(name, L):
-    # At d = 16 a chunk holds 32 terms: resnet at L = 12 has 4,096 terms that
-    # share long prefixes, appendix-ex2 at L = 14 long terms that share few.
+    # At d = 16 and three seeds a chunk holds 42 terms: resnet at L = 12 has
+    # 4,096 terms that share long prefixes, appendix-ex2 at L = 14 610 long
+    # terms that share few.
     spec = builtin_spec(name)
     poly = derivative(spec, L, 0)
-    assert len(poly) > 10 * numeric.CHUNK_ENTRIES // 16**2
+    assert len(poly) > 10 * numeric.CHUNK_ENTRIES // (3 * 16**2)
     for d in (8, 16):
-        net = instantiate(spec, L, d, seed=11)
-        assert np.array_equal(eval_polynomial(poly, net), _naive_eval(poly, net))
+        nets = [instantiate(spec, L, d, seed=seed) for seed in (11, 12, 13)]
+        assert np.array_equal(eval_polynomial(poly, nets[0]), _naive_eval(poly, nets[0]))
+        stacked = eval_polynomial(poly, instantiate(spec, L, d, seed=[11, 12, 13]))
+        for s, net in enumerate(nets):
+            assert np.array_equal(stacked[s], _naive_eval(poly, net)), s
 
 
 def test_eval_polynomial_matches_naive_in_small_chunks(monkeypatch):
@@ -374,11 +414,11 @@ def test_eval_polynomial_matches_naive_in_small_chunks(monkeypatch):
 
 @pytest.mark.parametrize(
     "name, L, batched",
-    [("newarch", 12, False), ("eq22", 14, False), ("appendix-ex1", 5, True),
-     ("resnet", 4, True)],
+    [("newarch", 24, False), ("eq22", 24, False), ("appendix-ex1", 7, True),
+     ("resnet", 5, True)],
 )
 def test_chains_go_term_by_term(monkeypatch, name, L, batched):
-    # newarch's and eq22's 13 and 15 terms each extend the one before: their
+    # newarch's and eq22's 25 terms each extend the one before: their
     # schedules make one product a level, so the terms go one by one.
     spec = builtin_spec(name)
     poly = derivative(spec, L, 0)
@@ -501,6 +541,73 @@ def test_eval_polynomial_adds_scalars_in_term_order():
     pairwise = np.add.reduce(np.array((0.0,) + values).reshape(-1, 1, 1), axis=0)
     assert pairwise[0, 0] != 2.0**53
     assert eval_polynomial(poly, net)[0, 0] == 2.0**53 == _naive_eval(poly, net)[0, 0]
+
+
+def _specs_for_stacking():
+    rng = random.Random(2024)
+    drawn = [random_affine_spec(rng) for _ in range(12)]
+    return [(builtin_spec(name), 8) for name in ALL_BUILTINS] + [
+        (spec, rng.randint(max(1, spec.first_rule_index), 7)) for spec in drawn
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 30])
+def test_stacked_net_is_bit_identical_to_each_seed_alone(monkeypatch, d):
+    # d = 1 sums through the pad column; d = 30 at three seeds (12-term
+    # chunks) goes term by term, as do newarch's chains at every width.
+    one_by_one, calls, paths = numeric._eval_term_by_term, [], []
+    monkeypatch.setattr(
+        numeric, "_eval_term_by_term", lambda *args: calls.append(1) or one_by_one(*args)
+    )
+    seeds = [3, 4, 5]
+    for spec, L in _specs_for_stacking():
+        stacked = instantiate(spec, L, d, seed=seeds)
+        alone = [instantiate(spec, L, d, seed=seed) for seed in seeds]
+        for j in range(L + 1):
+            poly = derivative(spec, L, j)
+            del calls[:]
+            got = eval_polynomial(poly, stacked)
+            paths.append(bool(calls))  # term by term, or chunked
+            assert got.shape == (3, d, d)
+            exact = jacobian_exact(stacked, j)
+            size = jacobian_exact(stacked, j, magnitude=True)
+            for s, net in enumerate(alone):
+                where = (spec.name, L, j, seeds[s])
+                assert np.array_equal(got[s], eval_polynomial(poly, net)), where
+                assert np.array_equal(exact[s], jacobian_exact(net, j)), where
+                one = jacobian_exact(net, j, magnitude=True)
+                assert np.array_equal(size[s], one), where
+            assert check_derivative(stacked, poly, j) == tuple(
+                check_derivative(net, poly, j) for net in alone
+            )
+    assert all(paths) if d == 30 else (True in paths and False in paths)
+
+
+def test_stacked_zero_polynomial_is_measured_per_seed():
+    # random_affine_spec(random.Random(5370)): dX[5]/dX[0] cancels to zero.
+    spec = random_affine_spec(random.Random(5370))
+    poly = derivative(spec, 5, 0)
+    assert poly.is_zero()
+    stacked = instantiate(spec, 5, 3, seed=[0, 1])
+    results = check_derivative(stacked, poly, 0)
+    assert results == tuple(
+        check_derivative(instantiate(spec, 5, 3, seed=seed), poly, 0) for seed in (0, 1)
+    )
+    assert [r.seed for r in results] == [0, 1] and all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("d", [2, 91])
+def test_stacked_net_raises_what_each_seed_raises(d):
+    # 31 and 33 terms: one chunk at d = 2, term by term at d = 91.
+    terms = [f for k in (1, 2, 3, 4) for f in itertools.product((2, 1), repeat=k)]
+    net = instantiate(CHAIN, 2, d, seed=[0, 1, 2])
+    big = PathPolynomial({**{f: 1 for f in terms}, (1, 1, 2): 10**400, (2,) * 5: 1})
+    with pytest.raises(SizeError, match="float64"):
+        eval_polynomial(big, net)
+    # The first block out of range, in term order, raises.
+    wide = PathPolynomial({f: 1 for f in terms + [(2, 3), (4, 1), (3, 1)]})
+    with pytest.raises(IndexError, match=r"^block index 3 outside \[1, 2\]$"):
+        eval_polynomial(wide, net)
 
 
 def test_derivative_matches_exact_jacobian():
@@ -694,6 +801,15 @@ def test_finite_diff_requires_activation_and_valid_epsilon():
     net = instantiate(RESNET, 3, 2, seed=0, activation="tanh")
     with pytest.raises(ValueError):
         finite_diff_check(net, 0, epsilon=0.5)
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_finite_diff_rejects_a_bump_that_rounds_back_to_its_start(j):
+    net = instantiate(RESNET, 3, 2, seed=0, activation="tanh")
+    with pytest.raises(ValueError, match=rf"spacing of X\[{j}\]"):
+        finite_diff_check(net, j, epsilon=1e-300)
+    # A bump that stays apart from a zero coordinate is fine.
+    assert finite_diff_check(net, j, epsilon=1e-5, x0=np.zeros(2)).passed
 
 
 def test_check_result_serialization():

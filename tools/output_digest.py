@@ -180,6 +180,22 @@ def commands() -> list[list[str]]:
             ["verify", "--builtin", "newarch", "-L", "8", "-d", d, "--format", "json"]
             for d in ("24", "28")
         ),
+        # seeds stacked in one net: five of them, a 1 x 1 stack, one j, and
+        # a width that goes term by term
+        *(
+            ["verify", "--builtin", "resnet", "-L", "8", "-d", "4", "--seeds", "5"]
+            + fmt
+            for fmt in ([], ["--format", "json"])
+        ),
+        ["verify", "--builtin", "appendix-ex2", "-L", "10", "-d", "1", "--seeds", "3",
+         "--format", "json"],
+        ["verify", "--builtin", "appendix-ex1", "-L", "10", "-j", "3", "--seeds", "4",
+         "--format", "json"],
+        ["verify", "--builtin", "resnet", "-L", "6", "-d", "32", "--seeds", "2",
+         "--format", "json"],
+        # a bump that rounds back to X[j]: exit 2, not a failed check
+        ["verify", "--builtin", "resnet", "-L", "2", "-d", "2", "--activation", "tanh",
+         "--eps", "1e-300"],
         # chunks of 512 terms over 987 and 2,584 long terms that share
         # little with the term before them
         *(
