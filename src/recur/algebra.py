@@ -232,9 +232,7 @@ def _json_value(value, newline: str, tail: str = "") -> str:
 class PathPolynomial:
     """Immutable integer-weighted sum of ordered block-symbol products."""
 
-    # _schedule: numeric.eval_polynomial's evaluation schedule for these
-    # terms, unset until the first evaluation.
-    __slots__ = ("_terms", "_schedule")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Iterable[int], int] | None = None):
         normalized: dict[Word, int] = {}
@@ -383,8 +381,9 @@ def poly_mul(a: PathPolynomial, b: PathPolynomial) -> PathPolynomial:
         n = len(ta) * m
         keys, coeffs = [None] * n, [None] * n
         for k, (fb, cb) in enumerate(tb.items()):
-            keys[k::m] = [fa + fb for fa in ta]
-            coeffs[k::m] = [ca * cb for ca in ta.values()]
+            # The identity word and a unit coefficient copy a's own.
+            keys[k::m] = [fa + fb for fa in ta] if fb else ta
+            coeffs[k::m] = [ca * cb for ca in ta.values()] if cb != 1 else ta.values()
     else:
         keys = [fa + fb for fa in ta for fb in tb]
         coeffs = [ca * cb for ca in ta.values() for cb in tb.values()]

@@ -33,7 +33,7 @@ from .expansion import (
     value_equivalence_report,
     verify_chain_identity,
 )
-from .numeric import check_derivative, finite_diff_check, instantiate
+from .numeric import check_derivatives, finite_diff_checks, instantiate
 from .parser import ArchitectureSpec, parse_file, render
 from .stats import (
     fixture_table,
@@ -243,20 +243,18 @@ def cmd_verify(args) -> int:
         wrts = [args.wrt] if args.wrt is not None else list(range(0, L))
         for seed in seeds:
             net = instantiate(spec, L, d, seed, activation="tanh")
-            for j in wrts:
-                results.append(
-                    finite_diff_check(net, j, epsilon=args.eps, tol=args.fd_tol)
-                )
+            results += finite_diff_checks(net, wrts, epsilon=args.eps, tol=args.fd_tol)
     else:
         wrts = range(0, L + 1) if args.wrt is None else range(args.wrt, args.wrt + 1)
         polys = {}
         if wrts:  # one backward pass from L gives every j down to the lowest
             polys = {j: p for j, p in derivatives(spec, L, wrts.start, cap) if j in wrts}
-        # Each group of seeds is one stacked net within the matrix cap.
-        group = max(1, numeric.MAX_MATRIX_ENTRIES // max(1, L * d * d))
+        # Each group of seeds is one stacked net that, with one running total
+        # per j, stays within the matrix cap.
+        group = max(1, numeric.MAX_MATRIX_ENTRIES // max(1, (L + len(wrts)) * d * d))
         for start in range(0, len(seeds), group):
             net = instantiate(spec, L, d, seeds[start : start + group])
-            checks = [check_derivative(net, polys[j], j, tol=args.tol) for j in wrts]
+            checks = check_derivatives(net, {j: polys[j] for j in wrts}, tol=args.tol)
             for per_seed in zip(*checks):
                 results += per_seed
 

@@ -22,8 +22,9 @@ numeric call: the symbolic commands start without it.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import PathPolynomial
 from .builtins import activated_kind
@@ -190,30 +191,29 @@ def forward(net: ConcreteNet, x0: np.ndarray) -> ForwardTrace:
     return ForwardTrace(states=states, preactivations=preacts)
 
 
-# eval_polynomial batches its matmuls over chunks of at most CHUNK_ENTRIES
-# // (S * d**2) consecutive terms and NODES_PER_TERM times as many products,
-# S the net's seeds: one batched step holds at most CHUNK_ENTRIES float64
-# entries (256 KB) over the whole stack.  Its working memory stays a small
-# multiple of that, plus one matrix per seed and factor of the longest term,
-# whatever the number of terms or seeds.  The products of a chunk are
-# counted as if each term shared only the prefix of the term before it; the
-# chunk's prefix trie never holds more.  On verify's linear sweep at 3 seeds
-# (every j, d = 4..16), 2**15 entries a step took 150 ms against 242 ms for
-# 2**13 per seed.  Batching pays from about MIN_CHUNK_TERMS terms a chunk:
-# the term-by-term loop runs each product once for every seed too, and 24
-# against 12 took the same sweep at d = 24..32 from 48 to 40 ms, d = 4..16
-# unchanged.  With fewer terms (small polynomials, S * d**2 > 1365) the
-# terms go one by one, and no schedule is made.  Each batched matmul costs a
-# fixed amount, one per level of each chunk, so a schedule pays only when
-# its levels hold at least MIN_NODES_PER_LEVEL products on average.  Chains
-# such as newarch's, each term extending the one before, make one product a
-# level and go one by one: at L = 24, d = 16 (25 terms) 0.165 ms batched
-# against 0.130 term by term, while appendix-ex1's 34 terms at L = 7 make
-# 4.7 a level and take 0.134 ms batched against 0.335.
+# eval_polynomials evaluates the polynomials of a sweep together, in chunks
+# of at most CHUNK_ENTRIES // (S * d**2) terms and NODES_PER_TERM times as
+# many products, S the net's seeds: one batched step holds at most
+# CHUNK_ENTRIES float64 entries (256 KB) over the whole stack.  Its working
+# memory stays a small multiple of that, plus one matrix per seed and
+# factor of the longest term and one running total per seed and
+# polynomial, whatever the number of terms or seeds.  The products of a
+# chunk are counted as if each term shared only the prefix of the term
+# before it; the chunk's prefix trie never holds more.  On verify's linear
+# sweep at 3 seeds (every j, d = 4..16), 2**15 entries a step took 150 ms
+# against 242 ms for 2**13 per seed.  Batching pays from about
+# MIN_CHUNK_TERMS terms a chunk: the term-by-term loop runs each product
+# once for every seed too, and 24 against 12 took the same sweep at
+# d = 24..32 from 48 to 40 ms, d = 4..16 unchanged.  With fewer terms (small
+# sweeps, S * d**2 > 1365) the terms go one by one, and no schedule is made.
+# Each batched matmul costs a fixed amount, one per level of each chunk, so
+# a schedule pays only when its levels hold at least MIN_NODES_PER_LEVEL
+# products on average.  Chains such as newarch's, each term extending the
+# one before, make one product a level and go one by one.
 CHUNK_ENTRIES = 1 << 15
 NODES_PER_TERM = 4
 MIN_CHUNK_TERMS = 24
-MIN_NODES_PER_LEVEL = 2
+MIN_SWEEP_TERMS = 64
 # _schedule reads the terms in groups of about GROUP_CELLS code points
 # (terms x (1 + longest term)), or of one chunk where that is more, so its
 # temporaries do not grow with the number of terms.
@@ -221,25 +221,33 @@ GROUP_CELLS = 1 << 14
 
 
 class _Schedule(NamedTuple):
-    """How eval_polynomial computes one polynomial's terms, chunk by chunk.
+    """How eval_polynomials computes the terms of a sweep, chunk by chunk.
 
-    Each chunk is the prefix trie of its terms: one product (a node) per
-    distinct non-empty prefix, which extends the node of the prefix one
-    factor shorter, so a term reuses every prefix product it shares with
-    any term of its chunk.  Row 0 of the product buffer holds the identity
-    and the rows after it a chunk's nodes, level by level (level = factors
-    - 1), so that one batched matmul computes a level.
+    The terms go in sweep order: for k < K, slice k of every polynomial in
+    turn, where slice k of a polynomial of n terms is its terms [k*n/K,
+    (k+1)*n/K) and K is the fewest chunks the terms fill.  Slice k of one
+    polynomial is then about where slice k of the next one is, and
+    verify's sweeps share most of their words there.  A chunk is a run of
+    terms in sweep order.  Each chunk is the prefix trie of its terms: one
+    product (a node) per distinct non-empty prefix, which extends the node
+    of the prefix one factor shorter, so a term reuses every prefix product
+    it shares with any term of its chunk, of any polynomial.  Row 0 of the
+    product buffer holds the identity and the rows after it a chunk's
+    nodes, level by level (level = factors - 1), so that one batched matmul
+    computes a level.  A piece is a run of one polynomial's terms within a
+    chunk: each is added to that polynomial's total in one ordered sum.
     """
 
     size: int  # most terms in a chunk
     rows: int  # rows of the product buffer
     top: int  # largest block index
-    chunks: list[tuple[int, int]]  # (terms, levels)
+    chunks: list[tuple[int, int, int]]  # (terms, levels, pieces)
     steps: list[tuple[int, int]]  # per level of each chunk: (level, nodes)
+    pieces: list[tuple[int, int]]  # per piece of each chunk: (polynomial, terms)
     parents: np.ndarray  # per node: row of the node it extends
     blocks: np.ndarray  # per node: stack index of its last factor
-    ends: np.ndarray  # per term: row of its product
-    coeffs: np.ndarray  # per term: float64 coefficient, shape (1, 1, 1)
+    ends: np.ndarray  # per term, in sweep order: row of its product
+    coeffs: np.ndarray  # per term, in sweep order: float64 coefficient, (n, 1)
 
 
 def _codes(words: list[str], lengths: np.ndarray) -> np.ndarray:
@@ -259,100 +267,149 @@ def _codes(words: list[str], lengths: np.ndarray) -> np.ndarray:
 def _shared(codes: np.ndarray) -> np.ndarray:
     """Per row of ``codes`` after the first, the length of the prefix its
     word shares with the word of the row before it, or -1 where the two rows
-    differ in column 0.  No two rows are equal."""
-    return (codes[1:] != codes[:-1]).argmax(axis=1) - 1
-
-
-def _schedule(poly: PathPolynomial, size: int) -> _Schedule:
-    """Cut ``poly``'s terms into chunks and lay out each chunk's trie."""
+    differ in column 0.  A row equal to the one before it shares all its
+    columns but the first, at least its whole word."""
     import numpy as np
 
-    words = list(poly.keys())
-    n = len(words)
+    differ = codes[1:] != codes[:-1]
+    return np.where(differ.any(axis=1), differ.argmax(axis=1), differ.shape[1]) - 1
+
+
+def _tries(codes: np.ndarray, sizes: np.ndarray):
+    """Lay out the prefix trie of each chunk of ``codes``' rows, chunks of
+    ``sizes`` rows in turn: the rows sorted by chunk and then by code point
+    (``rank``, the rows in that order), which level each row makes a node at
+    (``new``), and the nodes each chunk makes at each level (``counts``)."""
+    import numpy as np
+
+    codes[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
+    # Sorted by chunk and then by code point, each term shares its longest
+    # prefix within its chunk with the term before it; the first term of a
+    # chunk shares -1.
+    rank = np.argsort(codes.view(f"V{codes.itemsize * codes.shape[1]}").ravel())
+    ranked = codes[rank]
+    shared = np.zeros(len(codes), np.intp)
+    shared[1:] = _shared(ranked)
+    new = (ranked[:, 1:] != 0) & (np.arange(codes.shape[1] - 1) >= shared[:, None])
+    # made[k, l]: how many nodes the terms up to k make at level l; upto:
+    # that many at the end of each chunk; counts: each chunk's own.
+    made = np.cumsum(new, axis=0)
+    upto = made[np.cumsum(sizes) - 1]
+    counts = np.diff(upto, axis=0, prepend=0)
+    return rank, ranked, new, made, upto, counts
+
+
+def _schedule(polys: Sequence[PathPolynomial], size: int) -> _Schedule:
+    """Put the terms of ``polys`` in sweep order, cut them into chunks and
+    lay out each chunk's trie."""
+    import numpy as np
+
+    counts = np.fromiter(map(len, polys), np.intp, len(polys))
+    n = int(counts.sum())
+    # Term t of polynomial p, of n_p terms, is in slice ceil((t+1) K / n_p) - 1.
+    poly = np.repeat(np.arange(len(polys)), counts)
+    term = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    own = counts[poly]
+    key = ((term + 1) * -(-n // size) + own - 1) // own - 1
+    # A slice holds n / K <= size terms on average, and at most one more
+    # for each polynomial.
+    most_terms = size + len(polys)
+    key *= len(polys)
+    key += poly
+    order = np.argsort(key, kind="stable")
+    key = key[order] // len(polys)
+    poly = poly[order]
+    flat = list(chain.from_iterable(p.keys() for p in polys))
+    words = list(map(flat.__getitem__, order.tolist()))
     lengths = np.fromiter(map(len, words), np.intp, n)
-    # Terms are read in groups that start a chunk and hold at least one
-    # whole chunk; the chunks that end in a group are laid out together.
-    step = max(size + 1, GROUP_CELLS // (1 + int(lengths.max(initial=0))))
-    chunks: list[tuple[int, int]] = []
+    edges = np.append(np.flatnonzero(np.diff(key, prepend=-1)), n)  # of slices
+    # Slices are laid out in groups of about GROUP_CELLS code points.
+    step = max(1, GROUP_CELLS // (1 + int(lengths.max(initial=0))))
+    chunks: list[tuple[int, int, int]] = []
     steps: list[tuple[int, int]] = []
+    pieces: list[tuple[int, int]] = []
     layouts = [np.empty((2, 0), np.intp)]  # per group: its nodes' parents, blocks
     ends = np.empty(n, np.intp)
     most = 0  # most nodes in a chunk
     low = 0
     while low < n:
-        high = min(n, low + step)
+        high = int(edges[min(len(edges) - 1, np.searchsorted(edges, low + step))])
         codes = _codes(words[low:high], lengths[low:high])
-        # A chunk from term a takes the terms after it while it holds at
-        # most size terms and NODES_PER_TERM * size products: all of a's,
-        # and those each later term adds to the term before it.
-        added = lengths[low:high].copy()
-        added[1:] -= _shared(codes)
-        total = np.cumsum(added)
-        stop = np.searchsorted(
-            total, total + (NODES_PER_TERM * size - lengths[low:high]), "right"
-        )
-        cuts = [0]
-        while cuts[-1] < high - low:
-            a = cuts[-1]
-            b = max(a + 1, min(int(stop[a]), a + size))
-            if b == high - low and high < n:
-                break  # the chunk may go on past the group
-            cuts.append(b)
-        high = low + cuts[-1]
+        cuts = edges[(edges >= low) & (edges <= high)] - low
+        rank, ranked, new, made, upto, counts = _tries(codes, np.diff(cuts))
+        over = counts.sum(axis=1) > NODES_PER_TERM * most_terms
+        if over.any():
+            # A slice of too many products is cut as if each term shared
+            # only the prefix of the term before it: from term a, a chunk
+            # takes the terms after it while it holds at most
+            # NODES_PER_TERM * most_terms products, all of a's and those
+            # each later term adds to the term before it.
+            codes[:, 0] = 0
+            added = lengths[low:high].copy()
+            added[1:] -= np.minimum(_shared(codes), added[1:])
+            total = np.cumsum(added)
+            stop = np.searchsorted(
+                total, total + (NODES_PER_TERM * most_terms - lengths[low:high]), "right"
+            )
+            recut = [0]
+            for b, split in zip(cuts[1:].tolist(), over.tolist()):
+                while split and recut[-1] < b:
+                    recut.append(min(b, max(recut[-1] + 1, int(stop[recut[-1]]))))
+                if not split:
+                    recut.append(b)
+            cuts = np.array(recut)
+            rank, ranked, new, made, upto, counts = _tries(codes, np.diff(cuts))
         sizes = np.diff(cuts)
-        codes = codes[: high - low]
-        codes[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
-        # Sorted by chunk and then by code point, each term shares its
-        # longest prefix within its chunk with the term before it; the
-        # first term of a chunk shares -1.
-        order = np.argsort(codes.view(f"V{codes.itemsize * codes.shape[1]}").ravel())
-        codes = codes[order]
-        shared = np.zeros(high - low, np.intp)
-        shared[1:] = _shared(codes)
-        new = (codes[:, 1:] != 0) & (np.arange(codes.shape[1] - 1) >= shared[:, None])
-        # made[k, l]: how many nodes the terms up to k make at level l;
-        # upto: that many at the end of each chunk; counts: each chunk's own.
-        made = np.cumsum(new, axis=0)
-        upto = made[np.cumsum(sizes) - 1]
-        counts = np.diff(upto, axis=0, prepend=0)
+        # A piece starts with each chunk and wherever the polynomial changes.
+        owner = poly[low:high]
+        first = np.ones(high - low, bool)
+        first[1:] = owner[1:] != owner[:-1]
+        first[cuts[:-1]] = True
+        starts = np.flatnonzero(first)
+        owned = np.diff(np.searchsorted(starts, cuts))
+        pieces += zip(owner[starts].tolist(), np.diff(starts, append=high - low).tolist())
         # prefix[k, l + 1] is the row of the last node made at level l up to
         # term k, in its chunk's buffer: that of term k's prefix of l + 1
         # factors.  prefix[k, 0] is the identity's row.
-        prefix = np.zeros(codes.shape, np.intp)
+        prefix = np.zeros(ranked.shape, np.intp)
         offsets = np.cumsum(counts, axis=1) - upto
         prefix[:, 1:] = made + np.repeat(offsets, sizes, axis=0)
-        per_chunk = counts.sum(axis=1)
+        nodes = counts.sum(axis=1)
         # Each new node's index among the group's nodes, chunk by chunk.
-        at = np.repeat(np.cumsum(per_chunk) - per_chunk - 1, sizes)[:, None]
+        at = np.repeat(np.cumsum(nodes) - nodes - 1, sizes)[:, None]
         at = (at + prefix[:, 1:])[new]
         layout = np.empty((2, len(at)), np.intp)
         layout[0, at] = prefix[:, :-1][new]
-        layout[1, at] = codes[:, 1:][new]
+        layout[1, at] = ranked[:, 1:][new]
         layouts.append(layout)
-        ends[low + order] = prefix[np.arange(high - low), lengths[low + order]]
-        for terms, level_counts in zip(sizes.tolist(), counts.tolist()):
+        ends[low + rank] = prefix[np.arange(high - low), lengths[low + rank]]
+        for terms, level_counts, parts in zip(
+            sizes.tolist(), counts.tolist(), owned.tolist()
+        ):
             levels = len(level_counts) - level_counts.count(0)
-            chunks.append((terms, levels))
+            chunks.append((terms, levels, parts))
             steps.extend(zip(range(levels), level_counts))
-        most = max(most, int(per_chunk.max()))
+        most = max(most, int(nodes.max()))
         low = high
 
     parents, blocks = np.concatenate(layouts, axis=1)
     blocks -= 1  # stack indices
+    items = list(map(itemgetter(1), chain.from_iterable(p.items() for p in polys)))
     try:
-        coeffs = np.fromiter(map(itemgetter(1), poly.items()), float, n)
+        coeffs = np.fromiter(items, float, n)
     except OverflowError:
-        coeffs = np.array([_coefficient(coeff) for _, coeff in poly.items()])
+        coeffs = np.array([_coefficient(coeff) for coeff in items])
     return _Schedule(
-        size,
+        max(terms for terms, _, _ in chunks),
         1 + most,
         int(blocks.max(initial=-1)) + 1,
         chunks,
         steps,
+        pieces,
         parents,
         blocks,
         ends,
-        coeffs.reshape(-1, 1, 1, 1),
+        coeffs[order].reshape(-1, 1),
     )
 
 
@@ -367,22 +424,25 @@ def _coefficient(coeff: int) -> float:
         ) from None
 
 
-def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
-    """Evaluate a path polynomial as a d x d matrix, or as one per seed,
-    (S, d, d), on a stacked net.
+def eval_polynomials(
+    polys: Sequence[PathPolynomial], net: ConcreteNet
+) -> list[np.ndarray]:
+    """Evaluate each path polynomial of a sweep as a d x d matrix, or as one
+    per seed, (S, d, d), on a stacked net.
 
     Factors multiply in listed order (leftmost factor leftmost in the
     product); the identity term contributes the identity matrix.
 
-    Terms are cut, in insertion order, into chunks (see _Schedule).  A
-    chunk costs one batched matmul per prefix length and one ordered sum
-    into the running total, each over every seed of the net.  Every product
-    is the same left-to-right chain and the sum runs in term order, so the
-    result is bit-identical to evaluating the terms one by one, for one
-    seed at a time, as is done when a chunk would hold fewer than
-    MIN_CHUNK_TERMS terms, or the schedule's levels fewer than
-    MIN_NODES_PER_LEVEL products on average.  The schedule depends only on
-    the terms and the chunk size, so it is kept on ``poly`` and reused.
+    The terms of all the polynomials are cut into chunks (see _Schedule).
+    A chunk costs one batched matmul per prefix length and one ordered sum
+    per piece into its polynomial's running total, each over every seed of
+    the net.  Every product is the same left-to-right chain and each sum
+    runs in its polynomial's term order, so each result is bit-identical to
+    evaluating that polynomial's terms one by one, for one seed at a time,
+    as is done when a chunk would hold fewer than MIN_CHUNK_TERMS terms, or
+    the schedule's levels fewer than MIN_NODES_PER_LEVEL products on
+    average.  A block past the net's depth raises the first IndexError in
+    (polynomial, term) order.
     """
     import numpy as np
 
@@ -390,35 +450,30 @@ def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
     d = net.dim
     # The same loop serves both shapes: a one-seed net is a stack of S = 1.
     stack = net.stack.reshape(net.depth, -1, d, d)
-    size = CHUNK_ENTRIES // stack[0].size
-    if min(size, len(poly)) < MIN_CHUNK_TERMS:
-        return _eval_term_by_term(poly, net)
-    schedule = getattr(poly, "_schedule", None)
-    if schedule is not None:
-        top = schedule.top
-    else:
-        top = ord(max(map(max, filter(None, poly.keys())), default="\0"))
-    if top > net.depth:
-        # The first block out of range, in term order, raises IndexError.
-        for word in poly.keys():
-            for code in word:
-                net.matrix(ord(code))
-    if schedule is None or schedule.size != size:
-        schedule = poly._schedule = _schedule(poly, size)
-    if len(schedule.parents) < MIN_NODES_PER_LEVEL * len(schedule.steps):
-        return _eval_term_by_term(poly, net)
+    m = stack[0].size
+    size = CHUNK_ENTRIES // m
+    n = sum(map(len, polys))
+    if size < MIN_CHUNK_TERMS or n < MIN_SWEEP_TERMS or _one_chain(polys):
+        return _eval_term_by_term(polys, net)
+    schedule = _schedule(polys, size)
+    if schedule.top > net.depth:  # the loop raises in (polynomial, term) order
+        return _eval_term_by_term(polys, net)
     parents, blocks, ends, coeffs = (
         schedule.parents, schedule.blocks, schedule.ends, schedule.coeffs
     )
     products = np.empty((schedule.rows, *stack.shape[1:]))
     products[0] = np.eye(d)
-    # Row 0 holds the running total.  The zero pad column keeps the inner
-    # loop of add.reduce off axis 0, so it adds the rows in order even at
-    # d = 1, where numpy would otherwise sum a contiguous axis pairwise.
-    weighted = np.zeros((min(size, len(poly)) + 1, len(stack[0]), d, d + 1))
-    steps = iter(schedule.steps)
+    flat = products.reshape(schedule.rows, m)
+    # Each row holds one term's weighted product and a zero pad entry,
+    # which keeps the inner loop of add.reduce off axis 0, so it adds the
+    # rows in order even at S * d * d = 1, where numpy would otherwise sum a
+    # contiguous axis pairwise.  A piece's sum starts from its running
+    # total, copied into the row before the piece's first term.
+    weighted = np.zeros((schedule.size + 1, m + 1))
+    totals = np.zeros((len(polys), m + 1))
+    steps, pieces = iter(schedule.steps), iter(schedule.pieces)
     node = end = 0
-    for terms, levels in schedule.chunks:
+    for terms, levels, owned in schedule.chunks:
         row = 1
         for _ in range(levels):
             level, count = next(steps)
@@ -435,36 +490,65 @@ def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
             row += count
         np.multiply(
             coeffs[end : end + terms],
-            products[ends[end : end + terms]],
-            out=weighted[1 : terms + 1, ..., :d],
+            flat[ends[end : end + terms]],
+            out=weighted[1 : terms + 1, :m],
         )
         end += terms
-        weighted[0] = np.add.reduce(weighted[: terms + 1], axis=0)
-    return weighted[0, ..., :d].reshape(shape).copy()
+        row = 1
+        for _ in range(owned):
+            p, count = next(pieces)
+            weighted[row - 1] = totals[p]
+            np.add.reduce(weighted[row - 1 : row + count], axis=0, out=totals[p])
+            row += count
+    return [total[:m].reshape(shape) for total in totals]
 
 
-def _eval_term_by_term(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
-    """eval_polynomial one term at a time, each reusing the prefix products
-    it shares with the term before it."""
+def eval_polynomial(poly: PathPolynomial, net: ConcreteNet) -> np.ndarray:
+    """eval_polynomials of the one polynomial ``poly``: a d x d matrix, or
+    one per seed, (S, d, d), on a stacked net."""
+    return eval_polynomials([poly], net)[0]
+
+
+def _one_chain(polys: Sequence[PathPolynomial]) -> bool:
+    """Whether every word of ``polys`` is a prefix of one of them, so that
+    their trie is one chain of one product a level."""
+    longest = ""
+    for poly in polys:
+        for word in poly.keys():
+            if not longest.startswith(word):
+                if not word.startswith(longest):
+                    return False
+                longest = word
+    return True
+
+
+def _eval_term_by_term(
+    polys: Sequence[PathPolynomial], net: ConcreteNet
+) -> list[np.ndarray]:
+    """eval_polynomials one term at a time, in (polynomial, term) order,
+    each reusing the prefix products it shares with the term before it."""
     import numpy as np
 
     d = net.dim
-    total = np.zeros(net.stack.shape[1:])
+    totals = []
     previous = ""
     prefix: list[np.ndarray] = []  # prefix[k]: product of previous[: k + 1]
-    for word, coeff in poly.items():
-        shared = 0
-        for a, b in zip(previous, word):
-            if a != b:
-                break
-            shared += 1
-        del prefix[shared:]
-        for code in word[shared:]:
-            block = net.matrix(ord(code))
-            prefix.append(prefix[-1] @ block if prefix else block)
-        previous = word
-        total += _coefficient(coeff) * (prefix[-1] if prefix else np.eye(d))
-    return total
+    for poly in polys:
+        total = np.zeros(net.stack.shape[1:])
+        for word, coeff in poly.items():
+            shared = 0
+            for a, b in zip(previous, word):
+                if a != b:
+                    break
+                shared += 1
+            del prefix[shared:]
+            for code in word[shared:]:
+                block = net.matrix(ord(code))
+                prefix.append(prefix[-1] @ block if prefix else block)
+            previous = word
+            total += _coefficient(coeff) * (prefix[-1] if prefix else np.eye(d))
+        totals.append(total)
+    return totals
 
 
 def jacobian_exact(
@@ -577,44 +661,55 @@ def relative_error(
     return float(np.linalg.norm(diff * scale)) / norm
 
 
-def check_derivative(
-    net: ConcreteNet, poly: PathPolynomial, j: int, tol: float = 1e-10
-) -> JacobianCheckResult | tuple[JacobianCheckResult, ...]:
-    """Compare eval_polynomial(poly) against the basis-propagation Jacobian:
-    one result, or one per seed, in seed order, on a stacked net.
+def check_derivatives(
+    net: ConcreteNet, polys: Mapping[int, PathPolynomial], tol: float = 1e-10
+) -> list[JacobianCheckResult | tuple[JacobianCheckResult, ...]]:
+    """Compare each polynomial ``polys[j]`` against the basis-propagation
+    Jacobian of X[j], in the order of ``polys``: one result per j, or one
+    per seed, in seed order, on a stacked net.  eval_polynomials evaluates
+    the polynomials together.
 
     A zero polynomial has no relative error: the reference, which rounding
     may leave a few ulps off zero, is measured against the magnitude of the
     propagation that made it.
     """
     d = net.dim
-    observed = eval_polynomial(poly, net).reshape(-1, d, d)
-    reference = jacobian_exact(net, j).reshape(-1, d, d)
-    sizes = [None] * len(observed)
-    if not poly:
-        sizes = jacobian_exact(net, j, magnitude=True).reshape(-1, d, d)
     stacked = net.stack.ndim == 4
-    seeds = net.seed if stacked and net.seed else [net.seed] * len(observed)
-    results = tuple(
-        JacobianCheckResult(
-            spec=net.spec.name,
-            L=net.depth,
-            j=j,
-            d=d,
-            seed=seed,
-            activation=None,
-            error=relative_error(*errors),
-            tol=tol,
+    S = net.stack.shape[1] if stacked else 1
+    seeds = net.seed if stacked and net.seed else [net.seed] * S
+    checks = []
+    for (j, poly), observed in zip(polys.items(), eval_polynomials(list(polys.values()), net)):
+        reference = jacobian_exact(net, j).reshape(-1, d, d)
+        sizes = [None] * S
+        if not poly:
+            sizes = jacobian_exact(net, j, magnitude=True).reshape(-1, d, d)
+        results = tuple(
+            JacobianCheckResult(
+                spec=net.spec.name,
+                L=net.depth,
+                j=j,
+                d=d,
+                seed=seed,
+                activation=None,
+                error=relative_error(*errors),
+                tol=tol,
+            )
+            for seed, *errors in zip(seeds, observed.reshape(-1, d, d), reference, sizes)
         )
-        for seed, *errors in zip(seeds, observed, reference, sizes)
-    )
-    return results if stacked else results[0]
+        checks.append(results if stacked else results[0])
+    return checks
 
 
-def _activated_product_jacobian(
-    net: ConcreteNet, trace: ForwardTrace, j: int
-) -> np.ndarray:
-    """The activated chain/resnet product formula with captured g' factors.
+def check_derivative(
+    net: ConcreteNet, poly: PathPolynomial, j: int, tol: float = 1e-10
+) -> JacobianCheckResult | tuple[JacobianCheckResult, ...]:
+    """check_derivatives of the one polynomial ``poly`` against X[j]."""
+    return check_derivatives(net, {j: poly}, tol)[0]
+
+
+def _activated_products(net: ConcreteNet, trace: ForwardTrace, stop: int = 0):
+    """Yield (j, the activated product formula of dX[L]/dX[j]) for j = L - 1
+    down to ``stop``, each extending the one before by one factor.
 
     chain:  diag(g'(z_L)) M_L * ... * diag(g'(z_{j+1})) M_{j+1}
     resnet: the same with (I + M_i) in place of M_i.
@@ -624,16 +719,94 @@ def _activated_product_jacobian(
     """
     import numpy as np
 
-    kind = activated_kind(net.spec)
-    d = net.dim
-    eye = np.eye(d)
-    product = np.eye(d)
-    for i in range(net.depth, j, -1):
-        z = trace.preactivations[i - 1]
-        gprime = 1.0 - np.tanh(z) ** 2
-        inner = net.matrix(i) if kind == "chain" else eye + net.matrix(i)
-        product = product @ (gprime[:, None] * inner)
+    chain = activated_kind(net.spec) == "chain"
+    product = np.eye(net.dim)
+    for i in range(net.depth, stop, -1):
+        gprime = 1.0 - np.tanh(trace.preactivations[i - 1]) ** 2
+        block = net.matrix(i)
+        product = product @ (gprime[:, None] * (block if chain else np.eye(net.dim) + block))
+        yield i - 1, product
+
+
+def _activated_product_jacobian(
+    net: ConcreteNet, trace: ForwardTrace, j: int
+) -> np.ndarray:
+    """The activated product formula of dX[L]/dX[j] (see _activated_products)."""
+    for _, product in _activated_products(net, trace, j):
+        pass
     return product
+
+
+def finite_diff_checks(
+    net: ConcreteNet,
+    wrts: Sequence[int],
+    epsilon: float = 1e-5,
+    x0: np.ndarray | None = None,
+    tol: float = 1e-4,
+) -> list[JacobianCheckResult]:
+    """Central-difference Jacobian vs the activated product formula, one
+    result for each j of ``wrts``, in that order.
+
+    Only defined for tanh-activated built-in chains (lag-1 recursions), so
+    perturbing X[j] and rerunning the tail of the recursion is well posed.
+    One forward pass serves every j, and each product formula extends the
+    one for the j after it, which gives the bits of a product of its own.
+    """
+    import numpy as np
+
+    if net.activation != "tanh":
+        raise ActivationError("finite_diff_check requires a tanh-activated net")
+    if not 0.0 < epsilon <= 1e-2:
+        raise ValueError(f"epsilon must be in (0, 1e-2], got {epsilon}")
+    L, d = net.depth, net.dim
+    for j in wrts:
+        if not 0 <= j < L:
+            raise ValueError(f"wrt index must be in [0, {L - 1}], got {j}")
+    if x0 is None:
+        rng = np.random.default_rng(((net.seed or 0) % (1 << 64), 1))
+        x0 = rng.uniform(-0.5, 0.5, size=d)
+    x0 = np.asarray(x0, dtype=float)
+
+    trace = forward(net, x0)
+    bases = {j: x0 if j == 0 else trace.state(j) for j in wrts}
+    for j, base in bases.items():
+        if np.any(base + epsilon == base) or np.any(base - epsilon == base):
+            raise ValueError(
+                f"epsilon {epsilon:g} is below the spacing of X[{j}]: a bumped"
+                " coordinate rounds back to its start"
+            )
+    # Column k of the Jacobian starts from X[j] +- epsilon * e_k.  The
+    # columns go through the remaining layers in blocks of n: rows r and
+    # n + r of a block's stack are the starts of its r-th column, and only
+    # the last layer's stack is kept.  A stack holds at most CHUNK_ENTRIES
+    # entries, so every d <= 128 is one block.
+    width = max(1, CHUNK_ENTRIES // (2 * d))
+    errors = {}
+    for j, formula in _activated_products(net, trace, min(bases, default=L)):
+        if j not in bases:
+            continue
+        numeric = np.empty((d, d))
+        for k in range(0, d, width):
+            n = min(width, d - k)
+            bumps = epsilon * np.eye(n, d, k)
+            starts = np.concatenate([bases[j] + bumps, bases[j] - bumps])[:, :, None]
+            for _, ends in _layers(net, starts, j):
+                pass
+            numeric[:, k : k + n] = ((ends[:n, :, 0] - ends[n:, :, 0]) / (2 * epsilon)).T
+        errors[j] = relative_error(numeric, formula)
+    return [
+        JacobianCheckResult(
+            spec=net.spec.name,
+            L=L,
+            j=j,
+            d=d,
+            seed=net.seed,
+            activation="tanh",
+            error=errors[j],
+            tol=tol,
+        )
+        for j in wrts
+    ]
 
 
 def finite_diff_check(
@@ -643,56 +816,5 @@ def finite_diff_check(
     x0: np.ndarray | None = None,
     tol: float = 1e-4,
 ) -> JacobianCheckResult:
-    """Central-difference Jacobian vs the activated product formula.
-
-    Only defined for tanh-activated built-in chains (lag-1 recursions), so
-    perturbing X[j] and rerunning the tail of the recursion is well posed.
-    """
-    import numpy as np
-
-    if net.activation != "tanh":
-        raise ActivationError("finite_diff_check requires a tanh-activated net")
-    if not 0.0 < epsilon <= 1e-2:
-        raise ValueError(f"epsilon must be in (0, 1e-2], got {epsilon}")
-    L, d = net.depth, net.dim
-    if not 0 <= j < L:
-        raise ValueError(f"wrt index must be in [0, {L - 1}], got {j}")
-    if x0 is None:
-        rng = np.random.default_rng(((net.seed or 0) % (1 << 64), 1))
-        x0 = rng.uniform(-0.5, 0.5, size=d)
-    x0 = np.asarray(x0, dtype=float)
-
-    trace = forward(net, x0)
-    formula = _activated_product_jacobian(net, trace, j)
-
-    # Column k of the Jacobian starts from X[j] +- epsilon * e_k.  The
-    # columns go through the remaining layers in blocks of n: rows r and
-    # n + r of a block's stack are the starts of its r-th column, and only
-    # the last layer's stack is kept.  A stack holds at most CHUNK_ENTRIES
-    # entries, so every d <= 128 is one block.
-    base = x0 if j == 0 else trace.state(j)
-    if np.any(base + epsilon == base) or np.any(base - epsilon == base):
-        raise ValueError(
-            f"epsilon {epsilon:g} is below the spacing of X[{j}]: a bumped"
-            " coordinate rounds back to its start"
-        )
-    numeric = np.empty((d, d))
-    width = max(1, CHUNK_ENTRIES // (2 * d))
-    for k in range(0, d, width):
-        n = min(width, d - k)
-        bumps = epsilon * np.eye(n, d, k)
-        starts = np.concatenate([base + bumps, base - bumps])[:, :, None]
-        for _, ends in _layers(net, starts, j):
-            pass
-        numeric[:, k : k + n] = ((ends[:n, :, 0] - ends[n:, :, 0]) / (2 * epsilon)).T
-
-    return JacobianCheckResult(
-        spec=net.spec.name,
-        L=L,
-        j=j,
-        d=d,
-        seed=net.seed,
-        activation="tanh",
-        error=relative_error(numeric, formula),
-        tol=tol,
-    )
+    """finite_diff_checks of the one index ``j``."""
+    return finite_diff_checks(net, [j], epsilon, x0, tol)[0]

@@ -202,8 +202,9 @@ def test_verify_output_is_the_same_when_seeds_split_into_groups(
     monkeypatch.setattr(
         recur.cli, "instantiate", lambda *a: groups.append(a[3]) or stacked(*a)
     )
-    # Room for two seeds at L * d * d = 96: groups of 2, 2 and 1.
-    monkeypatch.setattr(numeric, "MAX_MATRIX_ENTRIES", 2 * 96)
+    # Room for two seeds at (L + 7) * d * d = 208, the net and a running
+    # total for each of the 7 j: groups of 2, 2 and 1.
+    monkeypatch.setattr(numeric, "MAX_MATRIX_ENTRIES", 2 * 208)
     assert run(capsys, *argv) == whole
     assert whole[0] == 0 and whole[2] == ""
     assert groups == [[9, 10], [11, 12], [13]]

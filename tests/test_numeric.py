@@ -235,68 +235,101 @@ def test_eval_polynomial_index_error():
 
 @pytest.mark.parametrize("d", [2, 23, 91])
 def test_eval_polynomial_index_error_after_a_deeper_net(d):
-    # One chunk of 32 terms at d = 2 and 23, term by term at d = 91; the
-    # schedule made on a depth-3 net is reused on a depth-2 net.
-    short = [f for k in (1, 2, 3, 4) for f in itertools.product((2, 1), repeat=k)]
+    # 64 terms: one chunk at d = 2 and two at d = 23, term by term at d = 91;
+    # what evaluates on a depth-3 net raises on a depth-2 net.
+    short = [f for k in (1, 2, 3, 4, 5) for f in itertools.product((2, 1), repeat=k)]
     poly = PathPolynomial({f: 1 for f in short + [(2, 3), (3, 1)]})
     eval_polynomial(poly, instantiate(CHAIN, 3, d, seed=0))
     with pytest.raises(IndexError, match=r"^block index 3 outside \[1, 2\]$"):
         eval_polynomial(poly, instantiate(CHAIN, 2, d, seed=0))
 
 
-def test_eval_polynomial_memory_does_not_grow_with_terms():
+def test_eval_polynomial_memory_does_not_grow_with_terms(monkeypatch):
     import tracemalloc
 
-    def peak(name, L, seed, d=16):
+    def peak(name, L, seed, d=16, sweep=False):
+        # The schedule is made first and handed over, so the peak is the
+        # evaluation's own; test_schedule_memory_stays_bounded_on_many_terms
+        # bounds the schedule's.
         spec = builtin_spec(name)
-        poly = derivative(spec, L, 0)
+        polys = [derivative(spec, L, j) for j in range(L + 1 if sweep else 1)]
         net = instantiate(spec, L, d, seed=seed)
-        eval_polynomial(poly, net)  # makes and keeps the schedule
+        schedule = numeric._schedule(polys, numeric.CHUNK_ENTRIES // net.stack[0].size)
+        monkeypatch.setattr(numeric, "_schedule", lambda *args: schedule)
         tracemalloc.start()
         try:
-            eval_polynomial(poly, net)
+            numeric.eval_polynomials(polys, net)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            monkeypatch.undo()
 
     budget = numeric.CHUNK_ENTRIES * 8  # bytes
     # One seed, and stacks of 3 and 16 seeds (16 x 4 x 4: 128-term chunks):
-    # a step holds CHUNK_ENTRIES entries over the whole stack.
+    # a step holds CHUNK_ENTRIES entries over the whole stack.  A sweep adds
+    # one running total per polynomial and seed, and each of its chunks may
+    # hold one more term per polynomial.
     for seed, d in ((1, 16), ([1, 2, 3], 16), (list(range(16)), 4)):
-        small = peak("resnet", 8, seed, d)  # 256 terms
-        large = peak("resnet", 16, seed, d)  # 65,536 terms
-        assert large <= min(2 * small, 10 * budget), (seed, small, large)
-        # Long terms that share few prefixes make several products each.
-        assert peak("appendix-ex2", 14, seed, d) <= 10 * budget, seed
+        for sweep in (False, True):
+            totals = 17 * 16 * d * d * 8 if sweep else 0  # 17 polynomials at L = 16
+            small = peak("resnet", 8, seed, d, sweep)  # 256 terms, 511 in the sweep
+            large = peak("resnet", 16, seed, d, sweep)  # 65,536 and 131,071
+            assert large <= min(2 * small, 10 * budget) + totals, (seed, sweep, small, large)
+            # Long terms that share few prefixes make several products each.
+            assert peak("appendix-ex2", 14, seed, d, sweep) <= 10 * budget + totals, seed
 
 
 def test_eval_term_by_term_memory_does_not_grow_with_terms():
     import tracemalloc
 
-    def peak(L, seed):
-        poly = derivative(RESNET, L, 0)
+    def peak(L, seed, sweep):
+        polys = [derivative(RESNET, L, j) for j in range(L + 1 if sweep else 1)]
         net = instantiate(RESNET, L, 16, seed=seed)
         tracemalloc.start()
         try:
-            numeric._eval_term_by_term(poly, net)
+            numeric._eval_term_by_term(polys, net)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     # 256 and 65,536 terms: only the L prefix products grow, not a copy of
-    # the terms (2.66 MB at L = 16), for one seed or a stack of them.
+    # the terms (2.66 MB at L = 16), for one seed or a stack of them; a
+    # sweep adds one total per polynomial.
     for seed in (1, [1, 2, 3]):
-        small, large = peak(8, seed), peak(16, seed)
-        assert large <= 4 * small, (seed, small, large)
+        for sweep in (False, True):
+            small, large = peak(8, seed, sweep), peak(16, seed, sweep)
+            assert large <= 4 * small, (seed, sweep, small, large)
+
+
+# 126 words of up to six factors over W[1] and W[2].
+SHORT_WORDS = [f for k in range(1, 7) for f in itertools.product((2, 1), repeat=k)]
 
 
 @pytest.mark.parametrize("d", [2, 91])
 def test_eval_polynomial_rejects_coefficients_past_float64(d):
-    # 31 terms: one chunk at d = 2, term by term at d = 91.
-    terms = [f for k in (1, 2, 3, 4) for f in itertools.product((2, 1), repeat=k)]
-    poly = PathPolynomial({**{f: 1 for f in terms}, (1, 1, 2): 10**400})
+    # 126 terms: one chunk at d = 2, term by term at d = 91; in a sweep the
+    # coefficient may be in any polynomial.
+    poly = PathPolynomial({**{f: 1 for f in SHORT_WORDS}, (1, 1, 2): 10**400})
+    net = instantiate(CHAIN, 2, d, seed=0)
     with pytest.raises(SizeError, match="float64"):
-        eval_polynomial(poly, instantiate(CHAIN, 2, d, seed=0))
+        eval_polynomial(poly, net)
+    fine = PathPolynomial({f: 1 for f in SHORT_WORDS})
+    with pytest.raises(SizeError, match="float64"):
+        numeric.eval_polynomials([fine, poly, fine], net)
+
+
+@pytest.mark.parametrize("d", [2, 91])
+def test_eval_polynomials_raise_the_first_index_error_in_polynomial_order(d):
+    # In sweep order W[4] of the second polynomial's first term comes before
+    # W[3] of the first polynomial's last term; the first polynomial's
+    # error is the one raised, as if each were evaluated in turn.
+    net = instantiate(CHAIN, 2, d, seed=0)
+    first = PathPolynomial({**{f: 1 for f in SHORT_WORDS}, (2, 3): 1})
+    second = PathPolynomial({(4, 1): 1, **{f: 1 for f in SHORT_WORDS}})
+    with pytest.raises(IndexError, match=r"^block index 3 outside \[1, 2\]$"):
+        numeric.eval_polynomials([first, second], net)
+    with pytest.raises(IndexError, match=r"^block index 4 outside \[1, 2\]$"):
+        numeric.eval_polynomials([second, first], net)
 
 
 def _naive_eval(poly, net):
@@ -360,54 +393,70 @@ def test_eval_polynomial_matches_naive_on_derivatives(name):
 @pytest.mark.parametrize("name, L", [("resnet", 12), ("appendix-ex2", 14)])
 def test_eval_polynomial_matches_naive_over_many_chunks(name, L):
     # At d = 16 and three seeds a chunk holds 42 terms: resnet at L = 12 has
-    # 4,096 terms that share long prefixes, appendix-ex2 at L = 14 610 long
-    # terms that share few.
+    # 4,096 terms that share long prefixes, appendix-ex2 at L = 14 987 long
+    # terms that share few, and their sweeps 8,191 and 1,973.
     spec = builtin_spec(name)
-    poly = derivative(spec, L, 0)
+    polys = [derivative(spec, L, j) for j in range(L + 1)]
+    poly = polys[0]
     assert len(poly) > 10 * numeric.CHUNK_ENTRIES // (3 * 16**2)
     for d in (8, 16):
         nets = [instantiate(spec, L, d, seed=seed) for seed in (11, 12, 13)]
         assert np.array_equal(eval_polynomial(poly, nets[0]), _naive_eval(poly, nets[0]))
-        stacked = eval_polynomial(poly, instantiate(spec, L, d, seed=[11, 12, 13]))
+        stacked = instantiate(spec, L, d, seed=[11, 12, 13])
+        got = eval_polynomial(poly, stacked)
         for s, net in enumerate(nets):
-            assert np.array_equal(stacked[s], _naive_eval(poly, net)), s
+            assert np.array_equal(got[s], _naive_eval(poly, net)), s
+        for j, got in enumerate(numeric.eval_polynomials(polys, stacked)):
+            for s, net in enumerate(nets):
+                assert np.array_equal(got[s], _naive_eval(polys[j], net)), (d, j, s)
+
+
+def _chains(draws):
+    """Keys of chains of extensions, as poly_mul builds them, each drawn
+    as (base, extension)."""
+    keys = []
+    for base, tail in draws:
+        keys += [base + tuple(tail[:k]) for k in range(len(tail) + 1)]
+    return list(dict.fromkeys(keys))
 
 
 def test_eval_polynomial_matches_naive_in_small_chunks(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     monkeypatch.setattr(numeric, "MIN_CHUNK_TERMS", 1)
-    monkeypatch.setattr(numeric, "MIN_NODES_PER_LEVEL", 1)
-    # Chains of extensions, as poly_mul builds them, cut into chunks of 1 to
-    # 5 terms and 1 to 4 new products a term: chunk boundaries fall inside
-    # shared prefixes.
+    monkeypatch.setattr(numeric, "MIN_SWEEP_TERMS", 1)
+    # Sweeps of one to four polynomials of chains of extensions, which
+    # share words, cut into chunks of 1 to 5 terms and 1 to 4 new products
+    # a term: chunk boundaries fall inside shared prefixes.
     factors = st.lists(st.integers(1, 3), max_size=5).map(tuple)
+    chains = st.lists(
+        st.tuples(factors, st.lists(st.integers(1, 3), max_size=4)), max_size=10
+    )
 
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(
-        st.lists(
-            st.tuples(factors, st.lists(st.integers(1, 3), max_size=4)),
-            max_size=10,
-        ),
+        st.lists(chains, min_size=1, max_size=4),
         st.integers(1, 3),
         st.integers(1, 5),
         st.integers(1, 4),
         st.integers(0, 2**32),
         st.data(),
     )
-    def check(chains, d, chunk, nodes, seed, data):
-        keys = []
-        for base, tail in chains:
-            keys += [base + tuple(tail[:k]) for k in range(len(tail) + 1)]
-        keys = list(dict.fromkeys(keys))
-        if data.draw(st.booleans()):
-            keys = data.draw(st.permutations(keys))
-        coeffs = st.integers(-3, 3).filter(bool)
-        poly = PathPolynomial({f: data.draw(coeffs) for f in keys})
+    def check(sweep, d, chunk, nodes, seed, data):
+        polys = []
+        for draws in sweep:
+            keys = _chains(draws)
+            if data.draw(st.booleans()):
+                keys = data.draw(st.permutations(keys))
+            coeffs = st.integers(-3, 3).filter(bool)
+            polys.append(PathPolynomial({f: data.draw(coeffs) for f in keys}))
         monkeypatch.setattr(numeric, "CHUNK_ENTRIES", chunk * d * d)
         monkeypatch.setattr(numeric, "NODES_PER_TERM", nodes)
         net = instantiate(CHAIN, 3, d, seed=seed)
-        assert np.array_equal(eval_polynomial(poly, net), _naive_eval(poly, net))
+        got = numeric.eval_polynomials(polys, net)
+        assert len(got) == len(polys)
+        for poly, matrix in zip(polys, got):
+            assert np.array_equal(matrix, _naive_eval(poly, net))
 
     check()
 
@@ -418,28 +467,44 @@ def test_eval_polynomial_matches_naive_in_small_chunks(monkeypatch):
      ("resnet", 5, True)],
 )
 def test_chains_go_term_by_term(monkeypatch, name, L, batched):
-    # newarch's and eq22's 25 terms each extend the one before: their
-    # schedules make one product a level, so the terms go one by one.
+    # Every word of newarch's and eq22's sweeps is a prefix of the longest:
+    # their trie is one chain, one product a level, so the terms go one by
+    # one, whatever their number.  appendix-ex1's and resnet's tries branch.
+    monkeypatch.setattr(numeric, "MIN_SWEEP_TERMS", 1)
     spec = builtin_spec(name)
-    poly = derivative(spec, L, 0)
+    polys = [derivative(spec, L, j) for j in range(L + 1)]
     net = instantiate(spec, L, 16, seed=2)
-    assert len(poly) >= numeric.MIN_CHUNK_TERMS
     calls = []
     one_by_one = numeric._eval_term_by_term
     monkeypatch.setattr(
         numeric, "_eval_term_by_term", lambda *args: calls.append(1) or one_by_one(*args)
     )
-    for _ in range(2):  # making the schedule, then reusing it
-        assert np.array_equal(eval_polynomial(poly, net), _naive_eval(poly, net))
-    assert calls == ([] if batched else [1, 1])
+    got = numeric.eval_polynomials(polys, net)
+    for poly, matrix in zip(polys, got):
+        assert np.array_equal(matrix, _naive_eval(poly, net))
+    assert calls == ([] if batched else [1])
 
 
-def _chunk_words(poly, schedule):
-    """The words of each chunk of ``schedule``, in insertion order."""
-    words, start = list(poly.keys()), 0
-    for terms, _ in schedule.chunks:
-        yield words[start : start + terms]
-        start += terms
+def _sweep(polys, size):
+    """(polynomial, word) of each term in sweep order: for each of the K
+    slices, the terms [k*n/K, (k+1)*n/K) of every polynomial in turn, K the
+    fewest chunks of size terms that hold them all."""
+    K = -(-sum(map(len, polys)) // size)
+    words = [list(poly.keys()) for poly in polys]
+    return [
+        (p, k, word)
+        for k in range(K)
+        for p, these in enumerate(words)
+        for word in these[k * len(these) // K : (k + 1) * len(these) // K]
+    ]
+
+
+def _chunk_terms(polys, schedule, size):
+    """The (polynomial, slice, word) terms of each chunk of ``schedule``."""
+    terms, start = _sweep(polys, size), 0
+    for count, _, _ in schedule.chunks:
+        yield terms[start : start + count]
+        start += count
 
 
 def _prefixes(words):
@@ -449,71 +514,73 @@ def _prefixes(words):
 def test_schedule_lays_out_one_full_prefix_trie_per_chunk(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    # Chains of extensions in drawn key orders, cut into chunks of 1 to 9
-    # terms and 1 to 4 products a term, laid out in groups of one chunk or
-    # of all of them.
+    # Sweeps of chains of extensions in drawn key orders, cut into chunks of
+    # 1 to 9 terms and 1 to 4 products a term, laid out in groups of one
+    # slice or of all of them.
     factors = st.lists(st.integers(1, 4), max_size=5).map(tuple)
+    chains = st.lists(
+        st.tuples(factors, st.lists(st.integers(1, 4), max_size=4)),
+        min_size=1,
+        max_size=10,
+    )
 
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(
-        st.lists(
-            st.tuples(factors, st.lists(st.integers(1, 4), max_size=4)),
-            min_size=1,
-            max_size=10,
-        ),
+        st.lists(chains, min_size=1, max_size=4),
         st.integers(1, 9),
         st.integers(1, 4),
         st.sampled_from([1, numeric.GROUP_CELLS]),
         st.data(),
     )
-    def check(chains, size, nodes, cells, data):
-        keys = []
-        for base, tail in chains:
-            keys += [base + tuple(tail[:k]) for k in range(len(tail) + 1)]
-        keys = list(dict.fromkeys(keys))
-        if data.draw(st.booleans()):
-            keys = data.draw(st.permutations(keys))
-        poly = PathPolynomial({f: 1 for f in keys})
+    def check(sweep, size, nodes, cells, data):
+        polys = []
+        for draws in sweep:
+            keys = _chains(draws)
+            if data.draw(st.booleans()):
+                keys = data.draw(st.permutations(keys))
+            polys.append(PathPolynomial({f: 1 for f in keys}))
         monkeypatch.setattr(numeric, "NODES_PER_TERM", nodes)
         monkeypatch.setattr(numeric, "GROUP_CELLS", cells)
-        schedule = numeric._schedule(poly, size)
-        steps = iter(schedule.steps)
-        chunks = zip(_chunk_words(poly, schedule), schedule.chunks)
-        for words, (terms, levels) in chunks:
-            # The cut: at most size terms and, counting for each term the
-            # products past the prefix it shares with the term before it,
-            # at most nodes * size products, unless the chunk is one term.
-            assert terms <= size
-            added = len(words[0]) + sum(
-                len(b) - len(os.path.commonprefix([a, b]))
-                for a, b in zip(words, words[1:])
-            )
-            assert terms == 1 or added <= nodes * size
+        schedule = numeric._schedule(polys, size)
+        steps, pieces = iter(schedule.steps), iter(schedule.pieces)
+        budget = size + len(polys)
+        for terms, (count, levels, owned) in zip(
+            _chunk_terms(polys, schedule, size), schedule.chunks
+        ):
+            # The cut: a chunk is a slice, or a part of one that holds at
+            # most nodes * budget products, unless it is one term.
+            words = [word for _, _, word in terms]
+            assert len({k for _, k, _ in terms}) == 1
+            assert count <= budget
+            assert count == 1 or len(_prefixes(words)) <= nodes * budget
             made = [next(steps) for _ in range(levels)]
             assert [level for level, _ in made] == list(range(levels))
-            assert sum(count for _, count in made) == len(_prefixes(words))
-        assert next(steps, None) is None
-        assert sum(terms for terms, _ in schedule.chunks) == len(poly)
+            assert sum(nodes for _, nodes in made) == len(_prefixes(words))
+            # The pieces: the runs of one polynomial's terms.
+            runs = [(p, len(list(run))) for p, run in itertools.groupby(t[0] for t in terms)]
+            assert [next(pieces) for _ in range(owned)] == runs
+        assert next(steps, None) is None and next(pieces, None) is None
+        assert sum(count for count, _, _ in schedule.chunks) == sum(map(len, polys))
 
     check()
 
 
 def test_schedule_shares_prefixes_across_a_chunk():
-    # appendix-ex2's terms share their prefixes with terms further back:
-    # one trie per chunk makes 11,091 products at d = 16, against 14,169
-    # when each term reuses only the prefix of the term before it.
+    # appendix-ex2's terms share their prefixes with terms further back and
+    # with terms of the other polynomials of its sweep: at d = 16 the
+    # sweep's chunks make 5,891 products, against 7,274 when each
+    # polynomial has chunks of its own.
     spec = builtin_spec("appendix-ex2")
     size = numeric.CHUNK_ENTRIES // 16**2
-    nodes = 0
-    for j in range(9):  # the polynomials of 12 terms or more
-        poly = derivative(spec, 14, j)
-        schedule = numeric._schedule(poly, size)
-        assert len(schedule.parents) == sum(
-            map(len, map(_prefixes, _chunk_words(poly, schedule)))
-        )
-        assert schedule.rows <= 1 + numeric.NODES_PER_TERM * size
-        nodes += len(schedule.parents)
-    assert nodes < 11_500
+    polys = [derivative(spec, 14, j) for j in range(15)]
+    schedule = numeric._schedule(polys, size)
+    assert len(schedule.parents) == sum(
+        len(_prefixes([word for _, _, word in terms]))
+        for terms in _chunk_terms(polys, schedule, size)
+    )
+    assert schedule.rows <= 1 + numeric.NODES_PER_TERM * (size + len(polys))
+    alone = sum(len(numeric._schedule([poly], size).parents) for poly in polys)
+    assert len(schedule.parents) < 6_000 < 7_000 < alone
 
 
 def test_schedule_memory_stays_bounded_on_many_terms():
@@ -525,22 +592,35 @@ def test_schedule_memory_stays_bounded_on_many_terms():
     poly = derivative(RESNET, 16, 0)
     tracemalloc.start()
     try:
-        numeric._schedule(poly, numeric.CHUNK_ENTRIES // 4**2)
+        numeric._schedule([poly], numeric.CHUNK_ENTRIES // 4**2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 17_000_000, peak
 
 
-def test_eval_polynomial_adds_scalars_in_term_order():
+def test_eval_polynomial_adds_scalars_in_term_order(monkeypatch):
     # In term order each 1.0 rounds away against 2**53; numpy sums a
     # contiguous axis pairwise, which keeps them.
+    calls = []
+    one_by_one = numeric._eval_term_by_term
+    monkeypatch.setattr(
+        numeric, "_eval_term_by_term", lambda *args: calls.append(1) or one_by_one(*args)
+    )
     values = (2.0**53,) + (1.0,) * 15
     net = _scalar_net(CHAIN, *values)
     poly = PathPolynomial({(i,): 1 for i in range(1, len(values) + 1)})
     pairwise = np.add.reduce(np.array((0.0,) + values).reshape(-1, 1, 1), axis=0)
     assert pairwise[0, 0] != 2.0**53
-    assert eval_polynomial(poly, net)[0, 0] == 2.0**53 == _naive_eval(poly, net)[0, 0]
+    # Each polynomial's terms add up in its own insertion order, not in
+    # sorted order: 2**53 first loses every 1.0, 2**53 last keeps them.
+    last = PathPolynomial({(i,): 1 for i in range(len(values), 0, -1)})
+    for sweep in (1, numeric.MIN_SWEEP_TERMS):  # chunked, then term by term
+        monkeypatch.setattr(numeric, "MIN_SWEEP_TERMS", sweep)
+        assert eval_polynomial(poly, net)[0, 0] == 2.0**53 == _naive_eval(poly, net)[0, 0]
+        first, low = numeric.eval_polynomials([poly, last], net)
+        assert first[0, 0] == 2.0**53 and low[0, 0] == 2.0**53 + 16
+    assert calls == [1, 1]
 
 
 def _specs_for_stacking():
@@ -581,6 +661,40 @@ def test_stacked_net_is_bit_identical_to_each_seed_alone(monkeypatch, d):
                 check_derivative(net, poly, j) for net in alone
             )
     assert all(paths) if d == 30 else (True in paths and False in paths)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 16])
+def test_eval_polynomials_match_naive_on_every_sweep(monkeypatch, d):
+    # Every builtin and twelve drawn specs, each sweep over every j: resnet's
+    # polynomials share most of their words, newarch's and eq22's sweeps
+    # are chains, and random_affine_spec(random.Random(5370)) has a zero
+    # dX[5]/dX[0].  d = 1 at one seed sums through the pad entry.  Small
+    # sweeps also run chunked, with MIN_SWEEP_TERMS at 1.
+    one_by_one, calls, paths = numeric._eval_term_by_term, [], set()
+    monkeypatch.setattr(
+        numeric, "_eval_term_by_term", lambda *args: calls.append(1) or one_by_one(*args)
+    )
+    cases = _specs_for_stacking() + [(random_affine_spec(random.Random(5370)), 5)]
+    for sweep in (numeric.MIN_SWEEP_TERMS, 1):
+        monkeypatch.setattr(numeric, "MIN_SWEEP_TERMS", sweep)
+        for spec, L in cases:
+            polys = [derivative(spec, L, j) for j in range(L + 1)]
+            for seeds in (4, [4, 5, 6]):
+                net = instantiate(spec, L, d, seed=seeds)
+                each = [seeds] if isinstance(seeds, int) else seeds
+                alone = [instantiate(spec, L, d, seed=s) for s in each]
+                del calls[:]
+                got = numeric.eval_polynomials(polys, net)
+                paths.add(bool(calls))
+                for j, (poly, matrix) in enumerate(zip(polys, got)):
+                    assert matrix.shape == net.stack.shape[1:]
+                    for s, one in enumerate(alone):
+                        where = (spec.name, L, j, s)
+                        seed = matrix if net.stack.ndim == 3 else matrix[s]
+                        assert np.array_equal(seed, _naive_eval(poly, one)), where
+                checks = numeric.check_derivatives(net, dict(enumerate(polys)))
+                assert checks == [check_derivative(net, p, j) for j, p in enumerate(polys)]
+    assert paths == {False, True}
 
 
 def test_stacked_zero_polynomial_is_measured_per_seed():
@@ -772,11 +886,12 @@ def test_finite_diff_in_blocks_of_columns_matches_the_reference(monkeypatch, wid
 
 def test_finite_diff_memory_does_not_grow_with_the_perturbed_starts():
     # The perturbed starts go through in blocks of columns, so the product
-    # formula's d x d matrices set the peak; one (2d, d, 1) stack of starts
-    # would add about 5 d**2 floats, 40 MB at d = 1000.
+    # formula and its comparison with the d x d differences set the peak;
+    # one (2d, d, 1) stack of starts would add about 5 d**2 floats, 40 MB at
+    # d = 1000.
     import tracemalloc
 
-    from recur.numeric import _activated_product_jacobian
+    from recur.numeric import _activated_product_jacobian, relative_error
 
     def peak(run):
         tracemalloc.start()
@@ -789,9 +904,33 @@ def test_finite_diff_memory_does_not_grow_with_the_perturbed_starts():
     d = 1000
     net = instantiate(RESNET, 1, d, seed=0, activation="tanh")
     x0 = np.full(d, 0.25)
-    formula = peak(lambda: _activated_product_jacobian(net, forward(net, x0), 0))
+    formula = peak(
+        lambda: relative_error(
+            np.zeros((d, d)), _activated_product_jacobian(net, forward(net, x0), 0)
+        )
+    )
     check = peak(lambda: finite_diff_check(net, 0, x0=x0))
     assert check <= formula + 4 * numeric.CHUNK_ENTRIES * 8, (formula, check)
+
+
+@pytest.mark.parametrize("spec", [CHAIN, RESNET], ids=["chain", "resnet"])
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_finite_diff_checks_match_one_check_per_index(spec, d):
+    # One forward pass and one product chain serve every j, in any order.
+    L = 6
+    for seed in (0, 3):
+        net = instantiate(spec, L, d, seed=seed, activation="tanh")
+        for wrts in (range(L), [3, 0, 5], [2]):
+            alone = [finite_diff_check(net, j, epsilon=1e-4) for j in wrts]
+            assert numeric.finite_diff_checks(net, wrts, epsilon=1e-4) == alone
+
+
+def test_finite_diff_checks_raise_for_the_first_index_in_order():
+    net = instantiate(RESNET, 3, 2, seed=0, activation="tanh")
+    with pytest.raises(ValueError, match=r"spacing of X\[2\]"):
+        numeric.finite_diff_checks(net, [2, 0], epsilon=1e-300)
+    with pytest.raises(ValueError, match=r"got 3$"):
+        numeric.finite_diff_checks(net, [1, 3, 4])
 
 
 def test_finite_diff_requires_activation_and_valid_epsilon():

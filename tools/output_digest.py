@@ -193,6 +193,15 @@ def commands() -> list[list[str]]:
          "--format", "json"],
         ["verify", "--builtin", "resnet", "-L", "6", "-d", "32", "--seeds", "2",
          "--format", "json"],
+        # the sweeps that share the most words across j, a sweep that is one
+        # chain, and a tanh sweep from one forward pass
+        ["verify", "--builtin", "appendix-ex2", "-L", "14", "-d", "16", "--seeds", "3",
+         "--format", "json"],
+        ["verify", "--builtin", "resnet", "-L", "12", "-d", "8", "--seeds", "3",
+         "--format", "json"],
+        ["verify", "--builtin", "newarch", "-L", "12", "-d", "16", "--seeds", "3"],
+        ["verify", "--builtin", "chain", "-L", "12", "-d", "8", "--activation", "tanh",
+         "--seeds", "3", "--format", "json"],
         # a bump that rounds back to X[j]: exit 2, not a failed check
         ["verify", "--builtin", "resnet", "-L", "2", "-d", "2", "--activation", "tanh",
          "--eps", "1e-300"],
