@@ -271,7 +271,8 @@ def _shared(codes: np.ndarray) -> np.ndarray:
     columns but the first, at least its whole word."""
     import numpy as np
 
-    differ = codes[1:] != codes[:-1]
+    native = codes.view(np.uint32)  # the same bytes: equal where codes are
+    differ = native[1:] != native[:-1]
     return np.where(differ.any(axis=1), differ.argmax(axis=1), differ.shape[1]) - 1
 
 
@@ -288,12 +289,12 @@ def _tries(codes: np.ndarray, sizes: np.ndarray):
     # chunk shares -1.
     rank = np.argsort(codes.view(f"V{codes.itemsize * codes.shape[1]}").ravel())
     ranked = codes[rank]
-    shared = np.zeros(len(codes), np.intp)
+    shared = np.zeros(len(codes), np.int32)
     shared[1:] = _shared(ranked)
     new = (ranked[:, 1:] != 0) & (np.arange(codes.shape[1] - 1) >= shared[:, None])
     # made[k, l]: how many nodes the terms up to k make at level l; upto:
     # that many at the end of each chunk; counts: each chunk's own.
-    made = np.cumsum(new, axis=0)
+    made = np.cumsum(new, axis=0, dtype=np.int32)
     upto = made[np.cumsum(sizes) - 1]
     counts = np.diff(upto, axis=0, prepend=0)
     return rank, ranked, new, made, upto, counts
@@ -371,7 +372,7 @@ def _schedule(polys: Sequence[PathPolynomial], size: int) -> _Schedule:
         # prefix[k, l + 1] is the row of the last node made at level l up to
         # term k, in its chunk's buffer: that of term k's prefix of l + 1
         # factors.  prefix[k, 0] is the identity's row.
-        prefix = np.zeros(ranked.shape, np.intp)
+        prefix = np.zeros(ranked.shape, np.int32)
         offsets = np.cumsum(counts, axis=1) - upto
         prefix[:, 1:] = made + np.repeat(offsets, sizes, axis=0)
         nodes = counts.sum(axis=1)
