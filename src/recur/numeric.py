@@ -307,21 +307,21 @@ def _schedule(polys: Sequence[PathPolynomial], size: int) -> _Schedule:
 
     counts = np.fromiter(map(len, polys), np.intp, len(polys))
     n = int(counts.sum())
-    # Term t of polynomial p, of n_p terms, is in slice ceil((t+1) K / n_p) - 1.
+    # Term t of polynomial p, of n_p terms, is in slice ceil((t+1) K / n_p) - 1,
+    # and the terms go in order of slice, then polynomial.
     poly = np.repeat(np.arange(len(polys)), counts)
-    term = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
     own = counts[poly]
-    key = ((term + 1) * -(-n // size) + own - 1) // own - 1
-    # A slice holds n / K <= size terms on average, and at most one more
-    # for each polynomial.
-    most_terms = size + len(polys)
+    key = np.arange(1, n + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    key *= -(-n // size)
+    key += own - 1
+    key //= own
     key *= len(polys)
     key += poly
     order = np.argsort(key, kind="stable")
     key = key[order] // len(polys)
     poly = poly[order]
-    flat = list(chain.from_iterable(p.keys() for p in polys))
-    words = list(map(flat.__getitem__, order.tolist()))
+    del own
+    words = np.fromiter(chain.from_iterable(p.keys() for p in polys), object, n)[order]
     lengths = np.fromiter(map(len, words), np.intp, n)
     edges = np.append(np.flatnonzero(np.diff(key, prepend=-1)), n)  # of slices
     # Slices are laid out in groups of about GROUP_CELLS code points.
@@ -338,19 +338,19 @@ def _schedule(polys: Sequence[PathPolynomial], size: int) -> _Schedule:
         codes = _codes(words[low:high], lengths[low:high])
         cuts = edges[(edges >= low) & (edges <= high)] - low
         rank, ranked, new, made, upto, counts = _tries(codes, np.diff(cuts))
-        over = counts.sum(axis=1) > NODES_PER_TERM * most_terms
+        over = counts.sum(axis=1) > NODES_PER_TERM * size
         if over.any():
             # A slice of too many products is cut as if each term shared
             # only the prefix of the term before it: from term a, a chunk
             # takes the terms after it while it holds at most
-            # NODES_PER_TERM * most_terms products, all of a's and those
-            # each later term adds to the term before it.
+            # NODES_PER_TERM * size products, all of a's and those each
+            # later term adds to the term before it.
             codes[:, 0] = 0
             added = lengths[low:high].copy()
             added[1:] -= np.minimum(_shared(codes), added[1:])
             total = np.cumsum(added)
             stop = np.searchsorted(
-                total, total + (NODES_PER_TERM * most_terms - lengths[low:high]), "right"
+                total, total + (NODES_PER_TERM * size - lengths[low:high]), "right"
             )
             recut = [0]
             for b, split in zip(cuts[1:].tolist(), over.tolist()):
@@ -395,11 +395,12 @@ def _schedule(polys: Sequence[PathPolynomial], size: int) -> _Schedule:
 
     parents, blocks = np.concatenate(layouts, axis=1)
     blocks -= 1  # stack indices
-    items = list(map(itemgetter(1), chain.from_iterable(p.items() for p in polys)))
+    items = chain.from_iterable(p.items() for p in polys)
     try:
-        coeffs = np.fromiter(items, float, n)
+        coeffs = np.fromiter(map(itemgetter(1), items), float, n)
     except OverflowError:
-        coeffs = np.array([_coefficient(coeff) for coeff in items])
+        items = chain.from_iterable(p.items() for p in polys)
+        coeffs = np.array([_coefficient(coeff) for _, coeff in items])
     return _Schedule(
         max(terms for terms, _, _ in chunks),
         1 + most,

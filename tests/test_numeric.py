@@ -543,16 +543,16 @@ def test_schedule_lays_out_one_full_prefix_trie_per_chunk(monkeypatch):
         monkeypatch.setattr(numeric, "GROUP_CELLS", cells)
         schedule = numeric._schedule(polys, size)
         steps, pieces = iter(schedule.steps), iter(schedule.pieces)
-        budget = size + len(polys)
         for terms, (count, levels, owned) in zip(
             _chunk_terms(polys, schedule, size), schedule.chunks
         ):
-            # The cut: a chunk is a slice, or a part of one that holds at
-            # most nodes * budget products, unless it is one term.
+            # The cut: a chunk is a slice, at most size terms and one more
+            # per polynomial, or a part of one; it holds at most nodes *
+            # size products, unless it is one term.
             words = [word for _, _, word in terms]
             assert len({k for _, k, _ in terms}) == 1
-            assert count <= budget
-            assert count == 1 or len(_prefixes(words)) <= nodes * budget
+            assert count <= size + len(polys)
+            assert count == 1 or len(_prefixes(words)) <= nodes * size
             made = [next(steps) for _ in range(levels)]
             assert [level for level, _ in made] == list(range(levels))
             assert sum(nodes for _, nodes in made) == len(_prefixes(words))
@@ -568,7 +568,7 @@ def test_schedule_lays_out_one_full_prefix_trie_per_chunk(monkeypatch):
 def test_schedule_shares_prefixes_across_a_chunk():
     # appendix-ex2's terms share their prefixes with terms further back and
     # with terms of the other polynomials of its sweep: at d = 16 the
-    # sweep's chunks make 5,891 products, against 7,274 when each
+    # sweep's chunks make 5,891 products, against 7,280 when each
     # polynomial has chunks of its own.
     spec = builtin_spec("appendix-ex2")
     size = numeric.CHUNK_ENTRIES // 16**2
@@ -578,7 +578,7 @@ def test_schedule_shares_prefixes_across_a_chunk():
         len(_prefixes([word for _, _, word in terms]))
         for terms in _chunk_terms(polys, schedule, size)
     )
-    assert schedule.rows <= 1 + numeric.NODES_PER_TERM * (size + len(polys))
+    assert schedule.rows <= 1 + numeric.NODES_PER_TERM * size
     alone = sum(len(numeric._schedule([poly], size).parents) for poly in polys)
     assert len(schedule.parents) < 6_000 < 7_000 < alone
 
