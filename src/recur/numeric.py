@@ -14,6 +14,13 @@ each seed's matrices carry the same bits as a net of its own.
 CHUNK_ENTRIES bounds one batched step over the whole stack, and
 MAX_MATRIX_ENTRIES the whole stack with what jacobian_exact keeps beside it.
 
+verify checks dX[L]/dX[j] for every j of a sweep at once.
+eval_polynomials evaluates the path polynomials of a sweep together, over
+one schedule, so that a word several of them hold is one product a chunk
+(check_derivatives compares them all), and finite_diff_checks runs one
+forward pass and one chain of product formulas for every j.  The
+one-polynomial and one-j functions are their one-member cases.
+
 Each function imports numpy in its body, so importing this module (as
 ``recur`` and ``recur.cli`` do) leaves numpy unloaded until the first
 numeric call: the symbolic commands start without it.
@@ -191,25 +198,26 @@ def forward(net: ConcreteNet, x0: np.ndarray) -> ForwardTrace:
     return ForwardTrace(states=states, preactivations=preacts)
 
 
-# eval_polynomials evaluates the polynomials of a sweep together, in chunks
-# of at most CHUNK_ENTRIES // (S * d**2) terms and NODES_PER_TERM times as
-# many products, S the net's seeds: one batched step holds at most
-# CHUNK_ENTRIES float64 entries (256 KB) over the whole stack.  Its working
-# memory stays a small multiple of that, plus one matrix per seed and
-# factor of the longest term and one running total per seed and
-# polynomial, whatever the number of terms or seeds.  The products of a
-# chunk are counted as if each term shared only the prefix of the term
-# before it; the chunk's prefix trie never holds more.  On verify's linear
-# sweep at 3 seeds (every j, d = 4..16), 2**15 entries a step took 150 ms
-# against 242 ms for 2**13 per seed.  Batching pays from about
-# MIN_CHUNK_TERMS terms a chunk: the term-by-term loop runs each product
-# once for every seed too, and 24 against 12 took the same sweep at
-# d = 24..32 from 48 to 40 ms, d = 4..16 unchanged.  With fewer terms (small
-# sweeps, S * d**2 > 1365) the terms go one by one, and no schedule is made.
-# Each batched matmul costs a fixed amount, one per level of each chunk, so
-# a schedule pays only when its levels hold at least MIN_NODES_PER_LEVEL
-# products on average.  Chains such as newarch's, each term extending the
-# one before, make one product a level and go one by one.
+# eval_polynomials cuts the terms of a sweep into chunks (see _Schedule) of
+# CHUNK_ENTRIES // (S * d**2) terms on average, S the net's seeds, and at
+# most one more per polynomial, each making at most NODES_PER_TERM times
+# that many products: one batched step holds about CHUNK_ENTRIES float64
+# entries (256 KB) over the whole stack.  Its working memory stays a small
+# multiple of that, plus one matrix per seed and factor of the longest term
+# and one running total per seed and polynomial, whatever the number of
+# terms or seeds.  On verify's linear sweep at 3 seeds (every j, d = 4..16),
+# 2**15 entries a step took 150 ms against 242 ms for 2**13 per seed.
+# Batching pays from about MIN_CHUNK_TERMS terms a chunk: the term-by-term
+# loop runs each product once for every seed too, and 24 against 12 took
+# the same sweep at d = 24..32 from 48 to 40 ms, d = 4..16 unchanged; with
+# S * d**2 > 1365 the terms go one by one, and no schedule is made.  A
+# schedule costs about 0.2 ms however few its terms, so a sweep of fewer
+# than MIN_SWEEP_TERMS terms goes one by one too: appendix-ex1's at L = 6
+# (41 terms, d = 4) took 0.17 ms so against 0.30 batched, at L = 8 (109
+# terms) 0.47 against 0.33.  Each batched matmul costs a fixed amount, one
+# per level of each chunk, so a sweep whose words are all prefixes of one
+# word, a trie of one product a level (newarch's and eq22's), goes one by
+# one as well: newarch's at L = 12, d = 16 took 0.45 ms so against 0.69.
 CHUNK_ENTRIES = 1 << 15
 NODES_PER_TERM = 4
 MIN_CHUNK_TERMS = 24
@@ -225,17 +233,22 @@ class _Schedule(NamedTuple):
 
     The terms go in sweep order: for k < K, slice k of every polynomial in
     turn, where slice k of a polynomial of n terms is its terms [k*n/K,
-    (k+1)*n/K) and K is the fewest chunks the terms fill.  Slice k of one
-    polynomial is then about where slice k of the next one is, and
-    verify's sweeps share most of their words there.  A chunk is a run of
-    terms in sweep order.  Each chunk is the prefix trie of its terms: one
-    product (a node) per distinct non-empty prefix, which extends the node
-    of the prefix one factor shorter, so a term reuses every prefix product
-    it shares with any term of its chunk, of any polynomial.  Row 0 of the
-    product buffer holds the identity and the rows after it a chunk's
-    nodes, level by level (level = factors - 1), so that one batched matmul
-    computes a level.  A piece is a run of one polynomial's terms within a
-    chunk: each is added to that polynomial's total in one ordered sum.
+    (k+1)*n/K) and K = ceil(all terms / size).  Slice k of one polynomial
+    covers about the share of its terms that slice k of the next one does,
+    and verify's sweeps share most of their words there: dX[L]/dX[j-1] of
+    resnet holds every word of dX[L]/dX[j], each in about the same place.
+    A chunk is one slice.  A slice whose trie would make more than
+    NODES_PER_TERM * size products is cut into runs that make at most that
+    many even if each term shared only the prefix of the term before it.
+
+    Each chunk is the prefix trie of its terms: one product (a node) per
+    distinct non-empty prefix, which extends the node of the prefix one
+    factor shorter, so a term reuses every prefix product it shares with
+    any term of its chunk, of any polynomial.  Row 0 of the product buffer
+    holds the identity and the rows after it a chunk's nodes, level by level
+    (level = factors - 1), so that one batched matmul computes a level.  A
+    piece is a run of one polynomial's terms within a chunk: each is added
+    to that polynomial's running total in one ordered sum.
     """
 
     size: int  # most terms in a chunk
@@ -337,30 +350,15 @@ def _schedule(polys: Sequence[PathPolynomial], size: int) -> _Schedule:
         high = int(edges[min(len(edges) - 1, np.searchsorted(edges, low + step))])
         codes = _codes(words[low:high], lengths[low:high])
         cuts = edges[(edges >= low) & (edges <= high)] - low
-        rank, ranked, new, made, upto, counts = _tries(codes, np.diff(cuts))
-        over = counts.sum(axis=1) > NODES_PER_TERM * size
-        if over.any():
-            # A slice of too many products is cut as if each term shared
-            # only the prefix of the term before it: from term a, a chunk
-            # takes the terms after it while it holds at most
-            # NODES_PER_TERM * size products, all of a's and those each
-            # later term adds to the term before it.
-            codes[:, 0] = 0
-            added = lengths[low:high].copy()
-            added[1:] -= np.minimum(_shared(codes), added[1:])
-            total = np.cumsum(added)
-            stop = np.searchsorted(
-                total, total + (NODES_PER_TERM * size - lengths[low:high]), "right"
-            )
-            recut = [0]
-            for b, split in zip(cuts[1:].tolist(), over.tolist()):
-                while split and recut[-1] < b:
-                    recut.append(min(b, max(recut[-1] + 1, int(stop[recut[-1]]))))
-                if not split:
-                    recut.append(b)
-            cuts = np.array(recut)
-            rank, ranked, new, made, upto, counts = _tries(codes, np.diff(cuts))
-        sizes = np.diff(cuts)
+        while True:
+            sizes = np.diff(cuts)
+            rank, ranked, new, made, upto, counts = _tries(codes, sizes)
+            nodes = counts.sum(axis=1)
+            over = (nodes > NODES_PER_TERM * size) & (sizes > 1)
+            if not over.any():
+                break
+            # A chunk of too many products is halved, in sweep order.
+            cuts = np.union1d(cuts, cuts[:-1][over] + sizes[over] // 2)
         # A piece starts with each chunk and wherever the polynomial changes.
         owner = poly[low:high]
         first = np.ones(high - low, bool)
@@ -375,7 +373,6 @@ def _schedule(polys: Sequence[PathPolynomial], size: int) -> _Schedule:
         prefix = np.zeros(ranked.shape, np.int32)
         offsets = np.cumsum(counts, axis=1) - upto
         prefix[:, 1:] = made + np.repeat(offsets, sizes, axis=0)
-        nodes = counts.sum(axis=1)
         # Each new node's index among the group's nodes, chunk by chunk.
         at = np.repeat(np.cumsum(nodes) - nodes - 1, sizes)[:, None]
         at = (at + prefix[:, 1:])[new]
@@ -440,11 +437,11 @@ def eval_polynomials(
     per piece into its polynomial's running total, each over every seed of
     the net.  Every product is the same left-to-right chain and each sum
     runs in its polynomial's term order, so each result is bit-identical to
-    evaluating that polynomial's terms one by one, for one seed at a time,
-    as is done when a chunk would hold fewer than MIN_CHUNK_TERMS terms, or
-    the schedule's levels fewer than MIN_NODES_PER_LEVEL products on
-    average.  A block past the net's depth raises the first IndexError in
-    (polynomial, term) order.
+    evaluating that polynomial's terms one by one, for one seed at a time.
+    That is how small sweeps, nets too wide for MIN_CHUNK_TERMS terms a
+    chunk and sweeps whose trie is one chain go (see CHUNK_ENTRIES).  A
+    block past the net's depth raises the first IndexError in (polynomial,
+    term) order, and a coefficient past the float64 range SizeError.
     """
     import numpy as np
 

@@ -568,7 +568,7 @@ def test_schedule_lays_out_one_full_prefix_trie_per_chunk(monkeypatch):
 def test_schedule_shares_prefixes_across_a_chunk():
     # appendix-ex2's terms share their prefixes with terms further back and
     # with terms of the other polynomials of its sweep: at d = 16 the
-    # sweep's chunks make 5,891 products, against 7,280 when each
+    # sweep's chunks make 5,891 products, against 7,161 when each
     # polynomial has chunks of its own.
     spec = builtin_spec("appendix-ex2")
     size = numeric.CHUNK_ENTRIES // 16**2
