@@ -677,7 +677,8 @@ def check_derivatives(
     S = net.stack.shape[1] if stacked else 1
     seeds = net.seed if stacked and net.seed else [net.seed] * S
     checks = []
-    for (j, poly), observed in zip(polys.items(), eval_polynomials(list(polys.values()), net)):
+    observed = eval_polynomials(list(polys.values()), net)
+    for (j, poly), matrix in zip(polys.items(), observed):
         reference = jacobian_exact(net, j).reshape(-1, d, d)
         sizes = [None] * S
         if not poly:
@@ -693,7 +694,7 @@ def check_derivatives(
                 error=relative_error(*errors),
                 tol=tol,
             )
-            for seed, *errors in zip(seeds, observed.reshape(-1, d, d), reference, sizes)
+            for seed, *errors in zip(seeds, matrix.reshape(-1, d, d), reference, sizes)
         )
         checks.append(results if stacked else results[0])
     return checks
@@ -722,18 +723,12 @@ def _activated_products(net: ConcreteNet, trace: ForwardTrace, stop: int = 0):
     product = np.eye(net.dim)
     for i in range(net.depth, stop, -1):
         gprime = 1.0 - np.tanh(trace.preactivations[i - 1]) ** 2
-        block = net.matrix(i)
-        product = product @ (gprime[:, None] * (block if chain else np.eye(net.dim) + block))
+        inner = net.matrix(i)
+        if not chain:
+            inner = np.eye(net.dim) + inner
+        product = product @ (gprime[:, None] * inner)
+        del inner  # one d x d matrix less held while the caller works
         yield i - 1, product
-
-
-def _activated_product_jacobian(
-    net: ConcreteNet, trace: ForwardTrace, j: int
-) -> np.ndarray:
-    """The activated product formula of dX[L]/dX[j] (see _activated_products)."""
-    for _, product in _activated_products(net, trace, j):
-        pass
-    return product
 
 
 def finite_diff_checks(

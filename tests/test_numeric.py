@@ -758,6 +758,14 @@ def test_transposed_factors_break_equality():
     assert not res.passed
 
 
+def _activated_product_jacobian(net, trace, j):
+    """The product formula of dX[L]/dX[j]: the last one the chain from L
+    down to j makes."""
+    for _, product in numeric._activated_products(net, trace, j):
+        pass
+    return product
+
+
 def test_finite_diff_resnet():
     net = instantiate(RESNET, 4, 4, seed=7, activation="tanh")
     res = finite_diff_check(net, 0, epsilon=1e-5)
@@ -783,15 +791,11 @@ def test_finite_diff_zero_matrices_formula_is_gprime_product():
     trace = forward(net, x0)
     z1, z2 = trace.preactivations
     expected = np.diag(1 - np.tanh(z2) ** 2) @ np.diag(1 - np.tanh(z1) ** 2)
-    from recur.numeric import _activated_product_jacobian
-
     got = _activated_product_jacobian(net, trace, 0)
     assert np.allclose(got, expected, rtol=1e-13, atol=0)
 
 
 def test_chain_product_formula_is_explicit_gprime_chain():
-    from recur.numeric import _activated_product_jacobian
-
     net = instantiate(CHAIN, 3, 3, seed=7, activation="tanh")
     x0 = np.array([0.3, -0.2, 0.1])
     trace = forward(net, x0)
@@ -807,8 +811,6 @@ def test_chain_product_formula_is_explicit_gprime_chain():
 
 @pytest.mark.parametrize("spec", [CHAIN, RESNET], ids=["chain", "resnet"])
 def test_product_formula_scales_rows_as_the_diagonal_product_does(spec):
-    from recur.numeric import _activated_product_jacobian
-
     def with_diagonals(net, trace, j):
         product = np.eye(net.dim)
         for i in range(net.depth, j, -1):
@@ -831,7 +833,7 @@ def test_product_formula_scales_rows_as_the_diagonal_product_does(spec):
 
 def _finite_diff_error_by_column(net, j, epsilon, x0):
     """finite_diff_check's error, rerunning the tail once per +- column."""
-    from recur.numeric import _activated_product_jacobian, relative_error
+    from recur.numeric import relative_error
 
     trace = forward(net, x0)
     base = np.asarray(x0, dtype=float) if j == 0 else trace.state(j)
@@ -891,7 +893,7 @@ def test_finite_diff_memory_does_not_grow_with_the_perturbed_starts():
     # d = 1000.
     import tracemalloc
 
-    from recur.numeric import _activated_product_jacobian, relative_error
+    from recur.numeric import relative_error
 
     def peak(run):
         tracemalloc.start()
