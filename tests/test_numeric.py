@@ -270,10 +270,10 @@ def test_eval_polynomial_memory_does_not_grow_with_terms(monkeypatch):
     # one running total per polynomial and seed, and each of its chunks may
     # hold one more term per polynomial.
     for seed, d in ((1, 16), ([1, 2, 3], 16), (list(range(16)), 4)):
-        for sweep in (False, True):
-            totals = 17 * 16 * d * d * 8 if sweep else 0  # 17 polynomials at L = 16
+        for sweep, L in ((False, 16), (True, 14)):
+            totals = (L + 1) * 16 * d * d * 8 if sweep else 0
             small = peak("resnet", 8, seed, d, sweep)  # 256 terms, 511 in the sweep
-            large = peak("resnet", 16, seed, d, sweep)  # 65,536 and 131,071
+            large = peak("resnet", L, seed, d, sweep)  # 65,536, and 32,767
             assert large <= min(2 * small, 10 * budget) + totals, (seed, sweep, small, large)
             # Long terms that share few prefixes make several products each.
             assert peak("appendix-ex2", 14, seed, d, sweep) <= 10 * budget + totals, seed
@@ -294,10 +294,10 @@ def test_eval_term_by_term_memory_does_not_grow_with_terms():
 
     # 256 and 65,536 terms: only the L prefix products grow, not a copy of
     # the terms (2.66 MB at L = 16), for one seed or a stack of them; a
-    # sweep adds one total per polynomial.
+    # sweep (511 and 32,767 terms) adds one total per polynomial.
     for seed in (1, [1, 2, 3]):
-        for sweep in (False, True):
-            small, large = peak(8, seed, sweep), peak(16, seed, sweep)
+        for sweep, L in ((False, 16), (True, 14)):
+            small, large = peak(8, seed, sweep), peak(L, seed, sweep)
             assert large <= 4 * small, (seed, sweep, small, large)
 
 
