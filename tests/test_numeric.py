@@ -633,7 +633,7 @@ def _specs_for_stacking():
 
 @pytest.mark.parametrize("d", [1, 2, 4, 30])
 def test_stacked_net_is_bit_identical_to_each_seed_alone(monkeypatch, d):
-    # d = 1 sums through the pad column; d = 30 at three seeds (12-term
+    # d = 1 sums through the pad entry; d = 30 at three seeds (12-term
     # chunks) goes term by term, as do newarch's chains at every width.
     one_by_one, calls, paths = numeric._eval_term_by_term, [], []
     monkeypatch.setattr(
@@ -712,10 +712,10 @@ def test_stacked_zero_polynomial_is_measured_per_seed():
 
 @pytest.mark.parametrize("d", [2, 91])
 def test_stacked_net_raises_what_each_seed_raises(d):
-    # 31 and 33 terms: one chunk at d = 2, term by term at d = 91.
-    terms = [f for k in (1, 2, 3, 4) for f in itertools.product((2, 1), repeat=k)]
+    # 127 and 129 terms: one chunk at d = 2, term by term at d = 91.
+    terms = SHORT_WORDS
     net = instantiate(CHAIN, 2, d, seed=[0, 1, 2])
-    big = PathPolynomial({**{f: 1 for f in terms}, (1, 1, 2): 10**400, (2,) * 5: 1})
+    big = PathPolynomial({**{f: 1 for f in terms}, (1, 1, 2): 10**400, (2,) * 7: 1})
     with pytest.raises(SizeError, match="float64"):
         eval_polynomial(big, net)
     # The first block out of range, in term order, raises.
