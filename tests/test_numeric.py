@@ -888,12 +888,9 @@ def test_finite_diff_in_blocks_of_columns_matches_the_reference(monkeypatch, wid
 
 def test_finite_diff_memory_does_not_grow_with_the_perturbed_starts():
     # The perturbed starts go through in blocks of columns, so the product
-    # formula and its comparison with the d x d differences set the peak;
-    # one (2d, d, 1) stack of starts would add about 5 d**2 floats, 40 MB at
-    # d = 1000.
+    # formula's d x d matrices set the peak; one (2d, d, 1) stack of starts
+    # would add about 5 d**2 floats, 40 MB at d = 1000.
     import tracemalloc
-
-    from recur.numeric import relative_error
 
     def peak(run):
         tracemalloc.start()
@@ -906,11 +903,7 @@ def test_finite_diff_memory_does_not_grow_with_the_perturbed_starts():
     d = 1000
     net = instantiate(RESNET, 1, d, seed=0, activation="tanh")
     x0 = np.full(d, 0.25)
-    formula = peak(
-        lambda: relative_error(
-            np.zeros((d, d)), _activated_product_jacobian(net, forward(net, x0), 0)
-        )
-    )
+    formula = peak(lambda: _activated_product_jacobian(net, forward(net, x0), 0))
     check = peak(lambda: finite_diff_check(net, 0, x0=x0))
     assert check <= formula + 4 * numeric.CHUNK_ENTRIES * 8, (formula, check)
 
