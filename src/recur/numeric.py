@@ -222,8 +222,8 @@ CHUNK_ENTRIES = 1 << 15
 NODES_PER_TERM = 4
 MIN_CHUNK_TERMS = 24
 MIN_SWEEP_TERMS = 64
-# _schedule reads the terms in groups of about GROUP_CELLS code points
-# (terms x (1 + longest term)), or of one chunk where that is more, so its
+# _schedule lays the slices out in groups of about GROUP_CELLS code points
+# (terms x (1 + longest term)), or of one slice where that is more, so its
 # temporaries do not grow with the number of terms.
 GROUP_CELLS = 1 << 14
 
@@ -237,9 +237,9 @@ class _Schedule(NamedTuple):
     covers about the share of its terms that slice k of the next one does,
     and verify's sweeps share most of their words there: dX[L]/dX[j-1] of
     resnet holds every word of dX[L]/dX[j], each in about the same place.
-    A chunk is one slice.  A slice whose trie would make more than
-    NODES_PER_TERM * size products is cut into runs that make at most that
-    many even if each term shared only the prefix of the term before it.
+    A chunk is one slice; a chunk whose trie would make more than
+    NODES_PER_TERM * size products is halved, in sweep order, until it
+    makes no more or holds one term.
 
     Each chunk is the prefix trie of its terms: one product (a node) per
     distinct non-empty prefix, which extends the node of the prefix one
@@ -320,8 +320,9 @@ def _schedule(polys: Sequence[PathPolynomial], size: int) -> _Schedule:
 
     counts = np.fromiter(map(len, polys), np.intp, len(polys))
     n = int(counts.sum())
-    # Term t of polynomial p, of n_p terms, is in slice ceil((t+1) K / n_p) - 1,
-    # and the terms go in order of slice, then polynomial.
+    # Term t of polynomial p, of n_p terms, is in slice ceil((t+1) K / n_p) - 1:
+    # key, that slice plus one, times the polynomials, plus p, orders the
+    # terms by slice, then polynomial.
     poly = np.repeat(np.arange(len(polys)), counts)
     own = counts[poly]
     key = np.arange(1, n + 1) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -451,8 +452,8 @@ def eval_polynomials(
     stack = net.stack.reshape(net.depth, -1, d, d)
     m = stack[0].size
     size = CHUNK_ENTRIES // m
-    n = sum(map(len, polys))
-    if size < MIN_CHUNK_TERMS or n < MIN_SWEEP_TERMS or _one_chain(polys):
+    few = sum(map(len, polys)) < MIN_SWEEP_TERMS
+    if size < MIN_CHUNK_TERMS or few or _one_chain(polys):
         return _eval_term_by_term(polys, net)
     schedule = _schedule(polys, size)
     if schedule.top > net.depth:  # the loop raises in (polynomial, term) order
