@@ -273,7 +273,7 @@ def test_eval_polynomial_memory_does_not_grow_with_terms(monkeypatch):
         for sweep, L in ((False, 16), (True, 14)):
             totals = (L + 1) * 16 * d * d * 8 if sweep else 0
             small = peak("resnet", 8, seed, d, sweep)  # 256 terms, 511 in the sweep
-            large = peak("resnet", L, seed, d, sweep)  # 65,536, and 32,767
+            large = peak("resnet", L, seed, d, sweep)  # 65,536, 32,767 in the sweep
             assert large <= min(2 * small, 10 * budget) + totals, (seed, sweep, small, large)
             # Long terms that share few prefixes make several products each.
             assert peak("appendix-ex2", 14, seed, d, sweep) <= 10 * budget + totals, seed
