@@ -33,7 +33,6 @@ _HOMES = {
     "builtin_spec": "builtins",
     "ActivationError": "errors",
     "DegenerateError": "errors",
-    "DepthError": "errors",
     "FormulaSyntaxError": "errors",
     "NonAffineError": "errors",
     "NonCausalError": "errors",
@@ -41,7 +40,6 @@ _HOMES = {
     "RecurError": "errors",
     "SizeError": "errors",
     "UnrealizableError": "errors",
-    "DEFAULT_DEPTH_CAP": "expansion",
     "StateExpansion": "expansion",
     "StructureReport": "expansion",
     "check_structure": "expansion",

@@ -175,10 +175,13 @@ def _json_value(value, newline: str, tail: str = "") -> str:
     """The text of ``value``, then ``tail``.
 
     A container is one join of its members' texts, its brackets and
-    ``tail`` folded into the first and last member, so each nesting level
-    copies the text below it once.  Members that are exact str or int, the
-    bulk of a payload, are written inline.  _json_str raises TypeError for a
-    key that is no str.
+    ``tail`` folded into the first and last member.  Each step copies the
+    text it touches: the join copies every member (an only one excepted),
+    putting a dict key in front of a member copies it once more, and so
+    does folding in each bracket, so a level copies the text of a member
+    below it up to three times.  Members that are exact str or int, the
+    bulk of a payload, are written inline.  _json_str raises TypeError for
+    a key that is no str.
     """
     if isinstance(value, dict):
         if not value:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -23,12 +22,11 @@ from .builtins import BUILTIN_NAMES, builtin_spec
 from .errors import RecurError
 from .expansion import (
     CHECK_KINDS,
-    DEFAULT_DEPTH_CAP,
     StructureReport,
-    check_depth,
     check_structure,
     derivative,
     derivatives,
+    one_budget,
     unroll,
     value_equivalence_report,
     verify_chain_identity,
@@ -45,16 +43,6 @@ from .stats import (
 )
 
 FIXTURE_NAMES = ("table1", "table2")
-
-
-def depth_cap() -> int:
-    raw = os.environ.get("RECUR_DEPTH_CAP")
-    if raw is None:
-        return DEFAULT_DEPTH_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise RecurError(f"RECUR_DEPTH_CAP must be an integer, got {raw!r}") from None
 
 
 def _resolve_spec(args) -> ArchitectureSpec:
@@ -115,7 +103,7 @@ def _component_json(j: int, poly: PathPolynomial) -> dict:
 
 def cmd_expand(args) -> int:
     spec = _resolve_spec(args)
-    expansion = unroll(spec, args.depth, depth_cap())
+    expansion = unroll(spec, args.depth)
     if args.format == "json":
         payload = {
             "spec": spec.name,
@@ -132,7 +120,7 @@ def cmd_expand(args) -> int:
 
 def cmd_census(args) -> int:
     spec = _resolve_spec(args)
-    poly = derivative(spec, args.depth, args.wrt, depth_cap())
+    poly = derivative(spec, args.depth, args.wrt)
     histogram = census(poly)
     report = None
     if args.check:
@@ -171,8 +159,7 @@ def cmd_census(args) -> int:
 def cmd_equiv(args) -> int:
     spec_a = _load_spec_arg(args.spec_a)
     spec_b = _load_spec_arg(args.spec_b)
-    cap = depth_cap()
-    report = value_equivalence_report(spec_a, spec_b, args.depth, cap)
+    report = value_equivalence_report(spec_a, spec_b, args.depth)
     reports = [report.to_dict()]
     failed = not report.passed
     lines = [
@@ -231,7 +218,6 @@ def cmd_graph(args) -> int:
 def cmd_verify(args) -> int:
     spec = _resolve_spec(args)
     L, d = args.depth, args.dim
-    cap = depth_cap()
     if args.seeds < 1:
         raise RecurError(f"--seeds must be >= 1, got {args.seeds}")
     for flag, tol in (("--tol", args.tol), ("--fd-tol", args.fd_tol)):
@@ -246,14 +232,16 @@ def cmd_verify(args) -> int:
             results += finite_diff_checks(net, wrts, epsilon=args.eps, tol=args.fd_tol)
     else:
         wrts = range(0, L + 1) if args.wrt is None else range(args.wrt, args.wrt + 1)
-        polys = {}
-        if wrts:  # one backward pass from L gives every j down to the lowest
-            polys = {j: p for j, p in derivatives(spec, L, wrts.start, cap) if j in wrts}
         # Each group of seeds is one stacked net that, with one running total
-        # per j, stays within the matrix cap.
+        # per j, stays within the matrix cap.  The first is drawn before the
+        # expansion, so a bad dimension or size is named before it runs.
         group = max(1, numeric.MAX_MATRIX_ENTRIES // max(1, (L + len(wrts)) * d * d))
+        net = instantiate(spec, L, d, seeds[:group])
+        # one backward pass from L gives every j down to the lowest
+        polys = {j: p for j, p in derivatives(spec, L, wrts.start) if j in wrts}
         for start in range(0, len(seeds), group):
-            net = instantiate(spec, L, d, seeds[start : start + group])
+            if start:
+                net = instantiate(spec, L, d, seeds[start : start + group])
             checks = check_derivatives(net, {j: polys[j] for j in wrts}, tol=args.tol)
             for per_seed in zip(*checks):
                 results += per_seed
@@ -280,11 +268,13 @@ def cmd_verify(args) -> int:
 
 def cmd_chain_identity(args) -> int:
     spec = _resolve_spec(args)
-    cap = depth_cap()
     if args.depth < 2:
         raise RecurError(f"--depth must be >= 2, got {args.depth}")
-    check_depth(args.depth, cap)
-    outcomes = {m: verify_chain_identity(spec, m, cap) for m in range(2, args.depth + 1)}
+    # A block index past the last code point, then each m's two steps.
+    spec.instantiate_terms(args.depth)
+    sweep = range(2, args.depth + 1)
+    with one_budget(2 * len(sweep)):
+        outcomes = {m: verify_chain_identity(spec, m) for m in sweep}
     all_pass = all(outcomes.values())
     if args.format == "json":
         payload = {

@@ -9,6 +9,11 @@ every i from L down.  ``derivative`` reads one j off that pass, and
 ``unroll`` reads j = 0: ``parse`` makes X[0] the only free input, so X[L]
 is its derivative times X[0].
 
+Each pass is charged, in cells, for the product terms it is about to
+build, their word lengths and coefficient sizes, and for each step; past
+EXPANSION_BUDGET cells it raises SizeError before building them.  Nothing
+caps the depth itself.
+
 The test suite keeps an independent forward oracle (``tests/conftest.py``)
 that unrolls the recursion with the queried state held free; for affine
 formulas the two must agree exactly.
@@ -17,6 +22,8 @@ formulas the two must agree exactly.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from math import comb
 from typing import NamedTuple
 
@@ -24,35 +31,67 @@ from .algebra import (
     CensusBin, PathPolynomial, _too_long, _word, block_product, census, poly_add,
     poly_mul, signed_sum,
 )
-from .errors import DepthError
+from .errors import SizeError
 from .parser import ArchitectureSpec
 
-DEFAULT_DEPTH_CAP = 24
+# The cells one expansion may charge, priced in ``derivatives``, and the
+# fixed charge of each of its steps.
+EXPANSION_BUDGET = 1 << 25
+STEP_CELLS = 1 << 9
+# The cells charged so far while ``one_budget`` spans several expansions.
+_SHARED: ContextVar[list[int] | None] = ContextVar("_SHARED", default=None)
 
 
-def check_depth(L: int, depth_cap: int) -> None:
-    """Reject a depth below 1 or above the expansion cap."""
-    if L < 1:
-        raise ValueError(f"depth must be >= 1, got {L}")
-    if L > depth_cap:
-        raise DepthError(
-            f"depth {L} exceeds the expansion cap {depth_cap};"
-            " raise the cap explicitly if you mean it"
-        )
+@contextmanager
+def one_budget(steps: int) -> Iterator[None]:
+    """Charge the expansions run to their end in the block, ``steps`` steps
+    or more in all, to one budget: SizeError first if the steps alone pass
+    it."""
+    if steps * STEP_CELLS > EXPANSION_BUDGET:
+        raise _over_budget(f"a sweep of {steps} steps", steps * STEP_CELLS)
+    token = _SHARED.set([0])
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _over_budget(what: str, spent: int) -> SizeError:
+    return SizeError(
+        f"{what} charges {spent} cells, past the expansion budget of"
+        f" {EXPANSION_BUDGET}"
+    )
 
 
 def derivatives(
-    spec: ArchitectureSpec, L: int, stop: int = 0, depth_cap: int = DEFAULT_DEPTH_CAP
+    spec: ArchitectureSpec, L: int, stop: int = 0
 ) -> Iterator[tuple[int, PathPolynomial]]:
     """Yield (i, d X[L]/d X[i]) for i = L down to ``stop``, in one pass.
 
     W symbols are treated as constants: a coefficient like W[i-1] carries
     no derivative of its own, it is the block Jacobian itself.  The
     polynomial at i does not depend on ``stop``, in items or in their order.
+    The budget takes STEP_CELLS for each of the L - stop steps up front,
+    then, before ``poly_mul`` builds a product, 1 + the word length + the
+    product of the coefficients' 64-bit word counts for each of its terms.
     """
-    check_depth(L, depth_cap)
+    if L < 1:
+        raise ValueError(f"depth must be >= 1, got {L}")
     if not 0 <= stop <= L:
         raise ValueError(f"wrt index must be in [0, {L}], got {stop}")
+    shared = _SHARED.get()
+    spent = (L - stop) * STEP_CELLS + (shared[0] if shared else 0)
+    if spent > EXPANSION_BUDGET:
+        raise _over_budget(f"expanding X[{L}] down to X[{stop}]", spent)
+    # Each state's coefficients have words of at most longest factors and
+    # |coefficients| that sum to at most weight.  A push takes an index down
+    # by 1 or more, so the words at X[L-k] have at most k * longest factors
+    # and each |coefficient| there is below (k + 1) * weight^k.
+    states = [[t.coeff for t in spec.rule.terms]]
+    states += [[c for _, c in base.terms] for base in spec.base_cases]
+    longest = max(len(atoms) for s in states for c in s for atoms in c.terms)
+    weight = max(sum(abs(v) for c in s for v in c.terms.values()) for s in states)
+    grow, words = (weight - 1).bit_length(), (weight.bit_length() + 63) >> 6
     # The polynomials pushed so far, by state; states below stop take none.
     # A state's polynomial leaves f when the loop reaches it and is yielded
     # before it is pushed on, so a caller that drops it keeps none to the end.
@@ -63,17 +102,23 @@ def derivatives(
         yield i, pushed
         if not pushed:
             continue
+        k = L - i
+        bits = k * grow + (k + 1).bit_length()
+        cells = len(pushed) * (1 + (k + 1) * longest + ((bits + 63) >> 6) * words)
         for source, coeff in spec.instantiate_terms(i):
             if source >= stop:
+                spent += cells * len(coeff)
+                if spent > EXPANSION_BUDGET:
+                    raise _over_budget(f"expanding X[{L}] at X[{i}]", spent)
                 f[source] = poly_add(f.get(source, zero), poly_mul(pushed, coeff))
+    if shared:
+        shared[0] = spent
     yield stop, f.pop(stop, zero)
 
 
-def derivative(
-    spec: ArchitectureSpec, L: int, j: int, depth_cap: int = DEFAULT_DEPTH_CAP
-) -> PathPolynomial:
+def derivative(spec: ArchitectureSpec, L: int, j: int) -> PathPolynomial:
     """Derivative of X[L] with respect to X[j]: the last of ``derivatives``."""
-    for _, poly in derivatives(spec, L, j, depth_cap):
+    for _, poly in derivatives(spec, L, j):
         pass
     return poly
 
@@ -91,16 +136,14 @@ class StateExpansion:
         return f"({self.components[0]})*X[0]" if self.components else "0"
 
 
-def unroll(
-    spec: ArchitectureSpec, L: int, depth_cap: int = DEFAULT_DEPTH_CAP
-) -> StateExpansion:
+def unroll(spec: ArchitectureSpec, L: int) -> StateExpansion:
     """Express X[L] over the free input X[0], substituting all base cases.
 
     This is ``derivative(spec, L, 0)``; it stays as a function of its own
     because the benchmark's per-layer tracer wraps it by name and reads
     ``components`` (the ``expansion.unroll_*`` metrics).
     """
-    return StateExpansion(derivative(spec, L, 0, depth_cap))
+    return StateExpansion(derivative(spec, L, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +260,10 @@ def value_equivalence_report(
     spec_a: ArchitectureSpec,
     spec_b: ArchitectureSpec,
     L: int,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> StructureReport:
     """Term-by-term comparison of the two unrolled expansions."""
-    pa = derivative(spec_a, L, 0, depth_cap)
-    pb = derivative(spec_b, L, 0, depth_cap)
+    pa = derivative(spec_a, L, 0)
+    pb = derivative(spec_b, L, 0)
     violations: list[Violation] = []
     ta, tb = (dict(pa.items()), dict(pb.items())) if pa != pb else ({}, {})
     try:
@@ -245,9 +287,7 @@ def value_equivalence_report(
     )
 
 
-def verify_chain_identity(
-    spec: ArchitectureSpec, m: int, depth_cap: int = DEFAULT_DEPTH_CAP
-) -> bool:
+def verify_chain_identity(spec: ArchitectureSpec, m: int) -> bool:
     """Check d X[m]/d X[m-2] == d X[m]/d X[m-1] * (1 + W[m-1]) - W[m-1].
 
     This is the two-step chain-rule consistency condition satisfied by the
@@ -255,7 +295,7 @@ def verify_chain_identity(
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    d = dict(derivatives(spec, m, m - 2, depth_cap))
+    d = dict(derivatives(spec, m, m - 2))
     one_plus_w = poly_add(PathPolynomial.one(), PathPolynomial.block(m - 1))
     rhs = poly_add(poly_mul(d[m - 1], one_plus_w), -PathPolynomial.block(m - 1))
     return d[m - 2] == rhs

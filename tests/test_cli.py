@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from conftest import fresh_env, random_affine_spec
+from conftest import fresh_env, random_affine_spec, run_fresh
 import recur.cli
 from recur import __version__, numeric
 from recur.builtins import BUILTIN_NAMES
@@ -553,30 +553,102 @@ def test_chain_identity_rejects_depth_below_two(capsys, depth):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_chain_identity_rejects_depth_over_cap_before_sweep(monkeypatch, capsys):
-    code, out, err = run(capsys, "chain-identity", "--builtin", "newarch", "-L", "30")
-    assert code == 2
-    assert out == ""
-    assert err == (
-        "error: depth 30 exceeds the expansion cap 24;"
-        " raise the cap explicitly if you mean it\n"
-    )
+def test_chain_identity_rejects_a_sweep_past_the_budget_before_it_starts(
+    monkeypatch, capsys, tmp_path
+):
     calls = []
     monkeypatch.setattr(
         "recur.cli.verify_chain_identity", lambda *a: calls.append(a) or True
     )
-    assert run(capsys, "chain-identity", "--builtin", "newarch", "-L", "25")[0] == 2
+    # No block, so only the two steps a pass charges per m stop the sweep.
+    copy = tmp_path / "copy.rf"
+    copy.write_text(COPY_TEXT)
+    code, out, err = run(capsys, "chain-identity", str(copy), "-L", "1000000000")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a sweep of 1999999998 steps charges 1023999998976 cells,"
+        " past the expansion budget of 33554432\n"
+    )
+    # The top state's block index comes first.
+    code, out, err = run(
+        capsys, "chain-identity", "--builtin", "newarch", "-L", "1114112"
+    )
+    assert (code, out) == (2, "")
+    assert "block index 1114112 is past 1114111" in err
     assert calls == []
 
 
-def test_depth_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("RECUR_DEPTH_CAP", "4")
-    code, _, err = run(capsys, "expand", "--builtin", "resnet", "--depth", "6")
-    assert code == 2
-    assert "cap" in err
-    monkeypatch.setenv("RECUR_DEPTH_CAP", "30")
-    code, _, _ = run(capsys, "expand", "--builtin", "resnet", "--depth", "6")
-    assert code == 0
+COPY_TEXT = "X[0] = input; X[i] = X[i-1]\n"
+# Fresh processes, since ru_maxrss only grows: each command must stop on
+# the expansion budget within these bounds, however deep its -L.
+BUDGET_FILES = {
+    "copy.rf": COPY_TEXT,
+    # 256 terms a coefficient: 2^24 terms at -L 10
+    "factors8.rf": (
+        "X[0] = input\n"
+        + "".join(f"X[{k}] = X[{k - 1}]\n" for k in range(1, 8))
+        + "X[i] = (1 + W[i])*"
+        + "*".join(f"(1 + W[i-{k}])" for k in range(1, 8))
+        + "*X[i-1]\n"
+    ),
+    # one term, one code point, and a coefficient of 28,567 bits
+    "nines.rf": "X[0] = input\nX[i] = " + "*".join(["9" * 4300] * 2) + "*X[i-1]\n",
+}
+OVER_BUDGET = [
+    ("expand", "--builtin", "resnet", "-L", "24"),
+    ("expand", "factors8.rf", "-L", "10"),
+    ("census", "--builtin", "chain", "-L", "100000"),
+    ("census", "nines.rf", "-L", "200"),
+    ("expand", "copy.rf", "-L", "1000000000"),
+]
+FRESH_MAIN = """
+import contextlib, io, json, resource, time
+from recur.cli import main
+out, err = io.StringIO(), io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(ARGV)
+seconds = time.perf_counter() - start
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps([code, out.getvalue(), err.getvalue(), seconds, peak_mb]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv", OVER_BUDGET, ids=[" ".join(a[1:]) for a in OVER_BUDGET]
+)
+def test_over_budget_exits_two_in_time_and_memory(tmp_path, argv):
+    for name, text in BUDGET_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in BUDGET_FILES else a for a in argv]
+    code, out, err, seconds, peak_mb = json.loads(
+        run_fresh(FRESH_MAIN.replace("ARGV", repr(argv)))
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: expanding X[") and "Traceback" not in err
+    assert err.endswith(" past the expansion budget of 33554432\n")
+    assert seconds < 2.0
+    assert peak_mb < 150
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--builtin", "newarch", "-L", "200"),
+        ("census", "--builtin", "newarch", "-L", "200", "--check", "single-path"),
+        ("census", "--builtin", "eq22", "-L", "200", "--check", "single-path"),
+        ("census", "--builtin", "eq22", "-L", "1000", "--check", "single-path"),
+        ("chain-identity", "--builtin", "newarch", "-L", "200"),
+    ],
+    ids=lambda a: " ".join(a[1:]),
+)
+def test_deep_single_path_formulas_fit_the_budget(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if argv[0] == "expand":
+        assert out.count(" + ") == 200  # 201 terms, one per length
+    elif argv[0] == "census":
+        assert "check single-path: PASS" in out
 
 
 def test_stats_alpha_below_the_smallest_exits_two(capsys):
@@ -585,11 +657,8 @@ def test_stats_alpha_below_the_smallest_exits_two(capsys):
     assert "alpha 1e-11 is below 1e-10" in err
 
 
-def test_block_indices_in_the_surrogate_range_render_and_evaluate(
-    monkeypatch, capsys
-):
+def test_block_indices_in_the_surrogate_range_render_and_evaluate(capsys):
     # W[55296..57343] are the surrogate code points 0xD800..0xDFFF in a word.
-    monkeypatch.setenv("RECUR_DEPTH_CAP", "60000")
     code, out, _ = run(
         capsys, "census", "--builtin", "chain", "-L", "55300", "-j", "55299"
     )
@@ -616,8 +685,7 @@ def test_block_indices_in_the_surrogate_range_render_and_evaluate(
         assert code == 0 and out.endswith("1 checks, 1 passed\n")
 
 
-def test_block_index_past_the_last_code_point_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("RECUR_DEPTH_CAP", "1114112")
+def test_block_index_past_the_last_code_point_exits_two(capsys):
     code, out, err = run(
         capsys, "census", "--builtin", "chain", "-L", "1114112", "-j", "1114111"
     )

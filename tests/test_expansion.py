@@ -6,11 +6,13 @@ import pytest
 from conftest import derivative_bruteforce, random_affine_spec
 from recur.algebra import PathPolynomial, census, poly_add, poly_mul
 from recur.builtins import builtin_spec
-from recur.errors import DepthError
+from recur import expansion
+from recur.errors import SizeError
 from recur.expansion import (
     check_structure,
     derivative,
     derivatives,
+    one_budget,
     unroll,
     value_equivalence_report,
     verify_chain_identity,
@@ -162,14 +164,64 @@ def test_one_pass_rejects_a_stop_out_of_range(stop):
         next(derivatives(RESNET, 4, stop))
 
 
-def test_depth_cap():
-    with pytest.raises(DepthError):
-        unroll(RESNET, 25)
-    with pytest.raises(DepthError):
-        derivative(RESNET, 30, 0)
-    # The cap is configurable.
-    longest = max(map(len, derivative(CHAIN, 25, 0, depth_cap=30).coefficients))
-    assert longest == 25
+def test_budget_stops_at_the_state_its_charges_predict(monkeypatch):
+    # resnet at L = 10: STEP_CELLS for each of the 10 steps up front, then
+    # the push from X[10-k] builds 2 * 2^k terms of 1 + (k + 1) + 1 * 1
+    # cells: words of k + 1 factors, and coefficients of one 64-bit word
+    # (bounded by (k + 1) * 2^k) times those of 1 + W[i].
+    charged = {11: 10 * expansion.STEP_CELLS}
+    for k in range(10):
+        charged[10 - k] = charged[11 - k] + 2 * 2**k * (k + 3)
+    full = derivative(RESNET, 10, 0)
+    monkeypatch.setattr(expansion, "EXPANSION_BUDGET", charged[1])
+    assert derivative(RESNET, 10, 0) == full
+    for state in (1, 4, 10):
+        monkeypatch.setattr(expansion, "EXPANSION_BUDGET", charged[state] - 1)
+        with pytest.raises(SizeError) as info:
+            derivative(RESNET, 10, 0)
+        assert str(info.value) == (
+            f"expanding X[10] at X[{state}] charges {charged[state]} cells,"
+            f" past the expansion budget of {charged[state] - 1}"
+        )
+    monkeypatch.setattr(expansion, "EXPANSION_BUDGET", charged[11] - 1)
+    with pytest.raises(SizeError, match=r"^expanding X\[10\] down to X\[0\] charges"):
+        next(derivatives(RESNET, 10, 0))
+
+
+def test_budget_prices_word_length_and_coefficient_size(monkeypatch):
+    # One term a state in all three.  X[i] = X[i-1] charges 1 + 1 cells a
+    # push, so the budget below holds its 50 steps exactly.  chain's push
+    # from X[50-k] charges 1 + (k + 1) + 1: past the budget at k = 11.  A
+    # 40-digit (133-bit) coefficient c charges 1 + 3 * (the 64-bit words of
+    # 133k + (k + 1).bit_length() bits) for c^k * c: 4, 10, 16, 22, 28, 34,
+    # past the budget at k = 5.
+    monkeypatch.setattr(expansion, "EXPANSION_BUDGET", 50 * expansion.STEP_CELLS + 100)
+    copy = parse("X[0] = input\nX[i] = X[i-1]\n")
+    long = parse("X[0] = input\nX[i] = " + "9" * 40 + "*X[i-1]\n")
+    assert len(derivative(copy, 50, 0)) == 1
+    for spec, state in ((CHAIN, 39), (long, 45)):
+        with pytest.raises(SizeError, match=rf"^expanding X\[50\] at X\[{state}\] "):
+            derivative(spec, 50, 0)
+
+
+def test_one_budget_charges_a_sweep_of_passes_together(monkeypatch):
+    # Each newarch pass charges 2 steps, then 3 cells for each of the 3
+    # terms pushed from X[m], and 4 for each of the 2 * 2 from X[m-1].
+    per_pass = 2 * expansion.STEP_CELLS + 9 + 16
+    budget = 3 * per_pass + 2 * expansion.STEP_CELLS + 5
+    monkeypatch.setattr(expansion, "EXPANSION_BUDGET", budget)
+    with one_budget(8):
+        assert all(verify_chain_identity(NEWARCH, m) for m in (2, 3, 4))
+        with pytest.raises(SizeError) as info:
+            verify_chain_identity(NEWARCH, 5)
+    assert str(info.value) == (
+        f"expanding X[5] at X[5] charges {budget + 1} cells,"
+        f" past the expansion budget of {budget}"
+    )
+    assert verify_chain_identity(NEWARCH, 5)  # alone, each pass fits
+    with pytest.raises(SizeError, match="^a sweep of 9 steps charges"):
+        with one_budget(9):
+            pytest.fail("the sweep started")
 
 
 @pytest.mark.parametrize("route", [derivative, derivative_bruteforce])

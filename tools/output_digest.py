@@ -12,10 +12,9 @@ byte, so a change that should not alter output is checked with::
 
 ``--root`` names the checkout whose ``src/recur`` is imported (default:
 the one holding this script).  A command argument that names one of
-``FILES`` is run on that formula, written to a temporary directory;
-leading ``NAME=value`` words set environment variables for that command
-alone; an exception that escapes ``main`` is digested by its type name in
-place of the exit code.
+``FILES`` is run on that formula, written to a temporary directory; an
+exception that escapes ``main`` is digested by its type name in place of
+the exit code.
 """
 
 from __future__ import annotations
@@ -24,11 +23,9 @@ import argparse
 import contextlib
 import hashlib
 import io
-import os
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 BUILTINS = ("chain", "resnet", "newarch", "eq22", "appendix-ex1", "appendix-ex2")
 FORMATS = ("text", "json")
@@ -99,6 +96,15 @@ FILES = {
     "long.rf": "X[0] = input\nX[i] = 1" + "0" * 5000 + "*X[i-1]\n",
     # two literals within that limit whose product, which render writes, is not
     "nines.rf": "X[0] = input\nX[i] = " + "*".join(["9" * 4300] * 2) + "*X[i-1]\n",
+    # 256 terms a coefficient from the rule's first state on: 65,536 terms
+    # at L = 9, past the expansion budget at L = 10
+    "factors8.rf": (
+        "X[0] = input\n"
+        + "".join(f"X[{k}] = X[{k - 1}]\n" for k in range(1, 8))
+        + "X[i] = (1 + W[i])*"
+        + "*".join(f"(1 + W[i-{k}])" for k in range(1, 8))
+        + "*X[i-1]\n"
+    ),
     # a product that distributes into 2^17 terms, past the parser's cap
     "product17.rf": (
         "X[0] = input\nX[i] = " + "*".join(["(1 + W[i])"] * 17) + "*X[i-1]\n"
@@ -220,7 +226,7 @@ def commands() -> list[list[str]]:
         # error paths: exit 2 with a message on stderr
         ["stats", "table1", "--alpha", "1"],
         ["stats", "table1", "--alpha", "nan"],
-        ["chain-identity", "--builtin", "newarch", "-L", "30"],
+        ["chain-identity", "--builtin", "newarch", "-L", "30"],  # this one passes
         ["chain-identity", "--builtin", "resnet", "-L", "1"],
         ["verify", "--builtin", "newarch", "--seeds", "0"],
         ["verify", "--builtin", "resnet", "--dim", "0"],
@@ -271,36 +277,37 @@ def commands() -> list[list[str]]:
         # one of 601 digits, and block indices of 128 and above
         ["expand", "wide.rf", "-L", "8", "--format", "json"],
         ["expand", "overflow.rf", "-L", "3", "--format", "json"],
-        ["RECUR_DEPTH_CAP=130", "expand", "--builtin", "newarch", "-L", "129",
-         "--format", "json"],
+        ["expand", "--builtin", "newarch", "-L", "129", "--format", "json"],
         # block indices in the surrogate range, then one past the last code point
+        ["census", "--builtin", "newarch", "-L", "55300", "-j", "55294",
+         "--check", "widest", "--format", "json"],
+        ["verify", "--builtin", "resnet", "-L", "55300", "-j", "55295",
+         "-d", "2", "--format", "json"],
+        ["verify", "--builtin", "resnet", "-L", "55300", "-j", "55297",
+         "-d", "2", "--format", "json"],
+        ["census", "--builtin", "chain", "-L", "1114112", "-j", "1114111"],
+        # deep single-path expansions within the expansion budget
         *(
-            ["RECUR_DEPTH_CAP=60000", *argv]
-            for argv in (
-                ["census", "--builtin", "newarch", "-L", "55300", "-j", "55294",
-                 "--check", "widest", "--format", "json"],
-                ["verify", "--builtin", "resnet", "-L", "55300", "-j", "55295",
-                 "-d", "2", "--format", "json"],
-                ["verify", "--builtin", "resnet", "-L", "55300", "-j", "55297",
-                 "-d", "2", "--format", "json"],
-            )
+            [cmd, "--builtin", name, "-L", "200", *extra]
+            for name in ("newarch", "eq22")
+            for cmd, extra in (("expand", []), ("census", ["--check", "single-path"]))
         ),
-        ["RECUR_DEPTH_CAP=1114112", "census", "--builtin", "chain", "-L",
-         "1114112", "-j", "1114111"],
+        ["chain-identity", "--builtin", "newarch", "-L", "200"],
+        # the expansion budget: many terms, long words, wide coefficients
+        ["expand", "factors8.rf", "-L", "9"],
+        ["expand", "factors8.rf", "-L", "10"],
+        ["census", "--builtin", "resnet", "-L", "24"],
+        ["census", "--builtin", "chain", "-L", "100000"],
+        ["census", "nines.rf", "-L", "200"],
     ]
     return cmds
 
 
 def run(main, argv: list[str]) -> str:
-    env = {}
-    while "=" in argv[0]:
-        name, value = argv.pop(0).split("=", 1)
-        env[name] = value
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            with mock.patch.dict(os.environ, env):
-                code = main(argv)
+            code = main(argv)
         except Exception as exc:
             code = type(exc).__name__
     blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode("utf-8")
