@@ -293,11 +293,12 @@ def commands() -> list[list[str]]:
             for cmd, extra in (("expand", []), ("census", ["--check", "single-path"]))
         ),
         ["chain-identity", "--builtin", "newarch", "-L", "200"],
-        # the expansion budget: many terms, long words, wide coefficients
+        # the expansion budget: many terms, many steps, long words, wide coefficients
         ["expand", "factors8.rf", "-L", "9"],
         ["expand", "factors8.rf", "-L", "10"],
         ["census", "--builtin", "resnet", "-L", "24"],
         ["census", "--builtin", "chain", "-L", "100000"],
+        ["census", "--builtin", "chain", "-L", "60000"],
         ["census", "nines.rf", "-L", "200"],
     ]
     return cmds
