@@ -20,10 +20,11 @@ Canonical term order (used for rendering and iteration) is ascending word
 length, then lexicographically descending indices, which puts "1" first
 and deeper blocks before shallower ones within a length.
 
-``json_text`` is the one writer of recur's indented JSON output.  Its one
-value type of its own, ``PathTerms``, holds (word, coeff) pairs and is
-written as the list of ``{"coeff", "factors"}`` dicts they stand for,
-without building those dicts.
+``json_parts`` is the one writer of recur's indented JSON output, and
+``json_text`` the join of its pieces.  Its one value type of its own,
+``PathTerms``, holds (word, coeff) pairs and is written as the list of
+``{"coeff", "factors"}`` dicts they stand for, without building those
+dicts.
 """
 
 from __future__ import annotations
@@ -101,14 +102,19 @@ def _too_long(value: int) -> SizeError:
 
 
 class PathTerms(tuple):
-    """(word, coeff) pairs, which ``json_text`` writes as the list
+    """(word, coeff) pairs, which ``json_parts`` writes as the list
     ``[{"coeff": coeff, "factors": list(map(ord, word))}, ...]``."""
 
     __slots__ = ()
 
 
 def json_text(payload) -> str:
-    """``json.dumps(payload, indent=2) + "\n"``, built with C-speed joins.
+    """``json.dumps(payload, indent=2) + "\n"``: the join of ``json_parts``."""
+    return "".join(json_parts(payload))
+
+
+def json_parts(payload) -> list[str]:
+    """The text of ``json.dumps(payload, indent=2) + "\n"``, in pieces.
 
     Covers what recur emits: dicts with str keys, lists, tuples, str, int,
     float (NaN and infinities as json writes them), bool, None and
@@ -116,11 +122,18 @@ def json_text(payload) -> str:
     value, or a non-str key, raises TypeError.  json itself falls back to
     its pure-Python encoder whenever ``indent`` is set.  An int past the
     interpreter's digit limit raises SizeError.
+
+    One walk appends the pieces to one list, in order, and no container's
+    text is copied into its parent's, so ``writelines`` or a join copies
+    each character once, or twice in a container of scalars only.
     """
+    parts: list[str] = []
     try:
-        return _json_value(payload, "\n", "\n")
+        _json_walk(payload, "\n", parts)
     except ValueError:  # str() of an int past the interpreter's digit limit
         raise _too_long(_largest_int(payload)) from None
+    parts.append("\n")
+    return parts
 
 
 def _largest_int(value) -> int:
@@ -132,104 +145,84 @@ def _largest_int(value) -> int:
     return abs(value) if isinstance(value, int) else 0
 
 
-_INFINITY = float("inf")
 _int_text = int.__repr__
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return _int_text(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_NAMES.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _terms_json(terms: PathTerms, newline: str, tail: str) -> str:
-    """The text of a PathTerms list, then ``tail``.
+def _json_walk(value, newline: str, parts: list[str], head: str = "") -> None:
+    """Append the pieces of ``value``, indented for ``newline`` and with
+    ``head`` in front, to ``parts``.
+
+    Each member goes in with its separator and key in front, in one piece
+    when it is not a container.  A container of scalars only ends as one
+    join of its pieces: a piece costs a str header and a list slot, some
+    60 bytes, more than most scalars' text.  _json_str raises TypeError
+    for a key that is no str.
+    """
+    if type(value) is PathTerms:
+        return _terms_walk(value, newline, parts, head)
+    is_dict = isinstance(value, dict)
+    if not is_dict and not isinstance(value, (list, tuple)):
+        return parts.append(head + _json_scalar(value))
+    if not value:
+        return parts.append(head + ("{}" if is_dict else "[]"))
+    inner = newline + "  "
+    sep, comma = head + ("{" if is_dict else "[") + inner, "," + inner
+    first, leaf = len(parts), True
+    for k, v in value.items() if is_dict else enumerate(value):
+        key = f"{sep}{_json_str(k)}: " if is_dict else sep
+        if type(v) is str:
+            parts.append(key + _json_str(v))
+        elif type(v) is int:
+            parts.append(key + _int_text(v))
+        elif isinstance(v, (dict, list, tuple)):
+            leaf = False
+            _json_walk(v, inner, parts, key)
+        else:
+            parts.append(key + _json_scalar(v))
+        sep = comma
+    parts.append(newline + ("}" if is_dict else "]"))
+    if leaf:
+        parts[first:] = ["".join(parts[first:])]
+
+
+def _terms_walk(terms: PathTerms, newline: str, parts: list[str], head: str) -> None:
+    """Append a PathTerms list, ``head`` in front, to ``parts``, one piece
+    per term.
 
     Each factors list is one translate of its word, through a table that
-    writes ",<newline and indent>i" for code point i; the text up to the
-    factors is made once per distinct coefficient, and the list is one
-    join.
+    writes ",<newline and indent>i" for code point i; the text from the
+    separator up to the factors is made once per distinct coefficient.
     """
     if not terms:
-        return "[]" + tail
+        return parts.append(head + "[]")
     inner = newline + "  "
     key = inner + "  "
     table = _IntTexts("," + key + "  ")
-    heads = _IntTexts("{" + key + '"coeff": ', "," + key + '"factors": [')
+    heads = _IntTexts("," + inner + "{" + key + '"coeff": ', "," + key + '"factors": [')
     close = key + "]" + inner + "}"
     empty = "]" + inner + "}"
-    parts = [  # [1:] drops the comma before the first factor
+    first = len(parts)
+    parts += [  # [1:] drops the comma before the first factor
         heads[c] + (w.translate(table)[1:] + close if w else empty)
         for w, c in terms
     ]
-    parts[0] = "[" + inner + parts[0]
-    parts[-1] += newline + "]" + tail
-    return ("," + inner).join(parts)
-
-
-def _json_value(value, newline: str, tail: str = "") -> str:
-    """The text of ``value``, then ``tail``.
-
-    A container is one join of its members' texts, its brackets and
-    ``tail`` folded into the first and last member.  Each step copies the
-    text it touches: the join copies every member (an only one excepted),
-    putting a dict key in front of a member copies it once more, and so
-    does folding in each bracket, so a level copies the text of a member
-    below it up to three times.  Members that are exact str or int, the
-    bulk of a payload, are written inline.  _json_str raises TypeError for
-    a key that is no str.
-    """
-    if isinstance(value, dict):
-        if not value:
-            return "{}" + tail
-        inner = newline + "  "
-        parts = [
-            _json_str(k) + ": " + (
-                _json_str(v) if type(v) is str
-                else _int_text(v) if type(v) is int
-                else _json_value(v, inner)
-            )
-            for k, v in value.items()
-        ]
-        parts[0] = "{" + inner + parts[0]
-        parts[-1] += newline + "}" + tail
-        return ("," + inner).join(parts)
-    if type(value) is PathTerms:
-        return _terms_json(value, newline, tail)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]" + tail
-        inner = newline + "  "
-        parts = [
-            _json_str(v) if type(v) is str
-            else _int_text(v) if type(v) is int
-            else _json_value(v, inner)
-            for v in value
-        ]
-        parts[0] = "[" + inner + parts[0]
-        parts[-1] += newline + "]" + tail
-        return ("," + inner).join(parts)
-    if isinstance(value, str):
-        text = _json_str(value)
-    elif value is None:
-        text = "null"
-    elif value is True:
-        text = "true"
-    elif value is False:
-        text = "false"
-    elif isinstance(value, int):
-        text = _int_text(value)
-    elif isinstance(value, float):
-        text = _json_float(value)
-    else:
-        raise TypeError(
-            f"Object of type {type(value).__name__} is not JSON serializable"
-        )
-    return text + tail
+    parts[first] = head + "[" + parts[first][1:]  # the list opens where a comma goes
+    parts.append(newline + "]")
 
 
 class PathPolynomial:

@@ -15,11 +15,12 @@ from pathlib import Path
 
 from . import __version__, numeric
 from .algebra import (
-    PathPolynomial, PathTerms, block_product, census, json_text, signed_sum
+    PathPolynomial, PathTerms, block_product, census, json_parts, json_text,
+    render_poly, signed_sum,
 )
 from .archgraph import build_graph, direct_propagation_check, export, structural_equal
 from .builtins import BUILTIN_NAMES, builtin_spec
-from .errors import RecurError
+from .errors import RecurError, SizeError
 from .expansion import (
     CHECK_KINDS,
     StructureReport,
@@ -43,6 +44,8 @@ from .stats import (
 )
 
 FIXTURE_NAMES = ("table1", "table2")
+# Checks one verify run may make, seeds x checks a seed: about 200 MB of JSON.
+MAX_VERIFY_CHECKS = 2**20
 
 
 def _resolve_spec(args) -> ArchitectureSpec:
@@ -54,21 +57,29 @@ def _resolve_spec(args) -> ArchitectureSpec:
     return _load_spec_arg(path)
 
 
+def _names_file(token: str) -> bool:
+    """Whether ``token`` is a path to something other than a directory."""
+    path = Path(token)
+    return path.exists() and not path.is_dir()
+
+
 def _load_spec_arg(token: str) -> ArchitectureSpec:
     """A spec argument is a file path, or a builtin name if no such file."""
-    if Path(token).exists():
+    if _names_file(token):
         return parse_file(token)
     if token in BUILTIN_NAMES:
         return builtin_spec(token)
     raise RecurError(f"no file {token!r} and no builtin of that name")
 
 
-def _emit(text: str, args) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+def _emit(parts: list[str], args) -> None:
+    """Write ``parts`` to the ``--out`` file, or else to stdout.  Commands
+    build the whole list first, so an error leaves both untouched."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +97,9 @@ def cmd_parse(args) -> int:
             "first_rule_index": spec.first_rule_index,
             "canonical": canonical,
         }
-        _emit(json_text(payload), args)
+        _emit(json_parts(payload), args)
     else:
-        _emit(canonical, args)
+        _emit([canonical], args)
     return 0
 
 
@@ -112,9 +123,11 @@ def cmd_expand(args) -> int:
                 _component_json(j, poly) for j, poly in expansion.components.items()
             ],
         }
-        _emit(json_text(payload), args)
+        _emit(json_parts(payload), args)
     else:
-        _emit(f"X[{args.depth}] = {expansion}\n", args)
+        poly = expansion.components.get(0)
+        text = ["(", render_poly(poly), ")*X[0]\n"] if poly else ["0\n"]
+        _emit([f"X[{args.depth}] = ", *text], args)
     return 0
 
 
@@ -139,7 +152,7 @@ def cmd_census(args) -> int:
             },
             "check": report.to_dict() if report else None,
         }
-        _emit(json_text(payload), args)
+        _emit(json_parts(payload), args)
     else:
         lines = [f"spec: {spec.name}  depth: {args.depth}  wrt: {args.wrt}"]
         body = ", ".join(f"{k}: {b.count}" for k, b in histogram.items())
@@ -150,7 +163,7 @@ def cmd_census(args) -> int:
                 lines.append(
                     f"  length {v.length}: expected {v.expected}, got {v.actual}"
                 )
-        _emit("\n".join(lines) + "\n", args)
+        _emit(["\n".join(lines), "\n"], args)
     if report and not report.passed:
         return 1
     return 0
@@ -181,9 +194,9 @@ def cmd_equiv(args) -> int:
         failed = failed or not iso
 
     if args.format == "json":
-        _emit(json_text(reports), args)
+        _emit(json_parts(reports), args)
     else:
-        _emit("\n".join(lines) + "\n", args)
+        _emit(["\n".join(lines), "\n"], args)
     return 1 if failed else 0
 
 
@@ -193,7 +206,7 @@ def cmd_graph(args) -> int:
     if args.propagation:
         report = direct_propagation_check(graph)
         if args.format == "json":
-            _emit(json_text(report.to_dict()), args)
+            _emit(json_parts(report.to_dict()), args)
         else:
             lines = [f"graph: {graph.name}  depth: {graph.depth}"]
             for entry in report.entries:
@@ -208,10 +221,10 @@ def cmd_graph(args) -> int:
                     + cross
                 )
             lines.append(f"all pairs direct: {'yes' if report.all_direct else 'no'}")
-            _emit("\n".join(lines) + "\n", args)
+            _emit(["\n".join(lines), "\n"], args)
         return 0
     fmt = "json" if args.format == "json" else "dot"
-    _emit(export(graph, fmt), args)
+    _emit([export(graph, fmt)], args)
     return 0
 
 
@@ -223,15 +236,23 @@ def cmd_verify(args) -> int:
     for flag, tol in (("--tol", args.tol), ("--fd-tol", args.fd_tol)):
         if not (math.isfinite(tol) and tol >= 0):
             raise RecurError(f"{flag} must be finite and >= 0, got {tol}")
-    seeds = [args.seed + t for t in range(args.seeds)]
+    tanh = args.activation == "tanh"
+    if args.wrt is not None:
+        wrts = range(args.wrt, args.wrt + 1)
+    else:  # tanh checks every j < L, the linear check every j <= L
+        wrts = range(0, L if tanh else L + 1)
+    if args.seeds * len(wrts) > MAX_VERIFY_CHECKS:
+        raise SizeError(
+            f"{args.seeds} seeds x {len(wrts)} checks a seed are more than"
+            f" the check budget of {MAX_VERIFY_CHECKS}"
+        )
+    seeds = range(args.seed, args.seed + args.seeds)
     results = []
-    if args.activation == "tanh":
-        wrts = [args.wrt] if args.wrt is not None else list(range(0, L))
+    if tanh:
         for seed in seeds:
             net = instantiate(spec, L, d, seed, activation="tanh")
             results += finite_diff_checks(net, wrts, epsilon=args.eps, tol=args.fd_tol)
     else:
-        wrts = range(0, L + 1) if args.wrt is None else range(args.wrt, args.wrt + 1)
         # Each group of seeds is one stacked net that, with one running total
         # per j, stays within the matrix cap.  The first is drawn before the
         # expansion, so a bad dimension or size is named before it runs.
@@ -249,7 +270,7 @@ def cmd_verify(args) -> int:
     all_pass = all(r.passed for r in results)
     if args.format == "json":
         payload = {"checks": [r.to_dict() for r in results], "pass": all_pass}
-        _emit(json_text(payload), args)
+        _emit(json_parts(payload), args)
     else:
         lines = []
         for r in results:
@@ -262,7 +283,7 @@ def cmd_verify(args) -> int:
         lines.append(
             f"{len(results)} checks, {sum(r.passed for r in results)} passed"
         )
-        _emit("\n".join(lines) + "\n", args)
+        _emit(["\n".join(lines), "\n"], args)
     return 0 if all_pass else 1
 
 
@@ -282,19 +303,19 @@ def cmd_chain_identity(args) -> int:
             "results": [{"m": m, "holds": ok} for m, ok in outcomes.items()],
             "pass": all_pass,
         }
-        _emit(json_text(payload), args)
+        _emit(json_parts(payload), args)
     else:
         lines = [
             f"m={m}: {'holds' if ok else 'FAILS'}" for m, ok in outcomes.items()
         ]
         lines.append(f"chain-rule identity: {'PASS' if all_pass else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", args)
+        _emit(["\n".join(lines), "\n"], args)
     return 0 if all_pass else 1
 
 
 def cmd_stats(args) -> int:
     token = args.table
-    if Path(token).exists():
+    if _names_file(token):
         table = load_table(token)
     elif token in FIXTURE_NAMES:
         table = fixture_table(token)
@@ -318,7 +339,7 @@ def cmd_stats(args) -> int:
             "nemenyi": nem.to_dict(),
             "graph": graph_data.to_dict(),
         }
-        _emit(json_text(payload), args)
+        _emit(json_parts(payload), args)
     else:
         lines = [f"methods: {ranks.k}  datasets: {ranks.n}"]
         for method, mean, lo, hi in graph_data.entries:
@@ -340,7 +361,7 @@ def cmd_stats(args) -> int:
             lines.append("significantly different: " + "; ".join(significant))
         else:
             lines.append("no significantly different pairs")
-        _emit("\n".join(lines) + "\n", args)
+        _emit(["\n".join(lines), "\n"], args)
     return 0
 
 

@@ -132,9 +132,6 @@ class StateExpansion:
     def __init__(self, poly: PathPolynomial):
         self.components = {0: poly} if poly else {}
 
-    def __str__(self) -> str:
-        return f"({self.components[0]})*X[0]" if self.components else "0"
-
 
 def unroll(spec: ArchitectureSpec, L: int) -> StateExpansion:
     """Express X[L] over the free input X[0], substituting all base cases.

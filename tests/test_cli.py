@@ -79,6 +79,20 @@ def test_stats_fixture_cd(capsys):
     assert "CD = 6.06176 (alpha = 0.05, q = 3.03088)" in out
 
 
+def test_directories_do_not_hide_builtin_or_fixture_names(
+    tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "resnet").mkdir()
+    (tmp_path / "table1").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "equiv", "resnet", "newarch", "-L", "3")
+    assert (code, err) == (1, "") and "NOT equivalent" in out
+    code, out, err = run(capsys, "verify", "resnet")
+    assert (code, err) == (0, "") and out.endswith("7 checks, 7 passed\n")
+    code, out, err = run(capsys, "stats", "table1")
+    assert (code, err) == (0, "") and out.startswith("methods: ")
+
+
 def test_stats_graph_json(tmp_path, capsys):
     out_file = tmp_path / "graph.json"
     code, _, _ = run(
@@ -207,7 +221,7 @@ def test_verify_output_is_the_same_when_seeds_split_into_groups(
     monkeypatch.setattr(numeric, "MAX_MATRIX_ENTRIES", 2 * 208)
     assert run(capsys, *argv) == whole
     assert whole[0] == 0 and whole[2] == ""
-    assert groups == [[9, 10], [11, 12], [13]]
+    assert list(map(list, groups)) == [[9, 10], [11, 12], [13]]
 
 
 def test_verify_rejects_an_epsilon_below_the_spacing_of_x(capsys):
@@ -340,6 +354,7 @@ def test_verify_passes_a_derivative_that_cancels_to_zero(tmp_path, capsys):
     )
     code, out, _ = run(capsys, "census", str(f), "-L", "5", "--format", "json")
     assert (code, json.loads(out)["census"]) == (0, {})
+    assert run(capsys, "expand", str(f), "-L", "5") == (0, "X[5] = 0\n", "")
     argv = ["verify", str(f), "-L", "5", "-d", "3", "--seeds", "2", "--format", "json"]
     code, out, err = run(capsys, *argv)
     checks = json.loads(out)["checks"]
@@ -506,6 +521,21 @@ def test_coefficient_past_the_digit_limit_exits_two(
     )
 
 
+def test_coefficient_past_the_digit_limit_leaves_out_file_as_it_was(
+    tmp_path, capsys
+):
+    f = tmp_path / "big.rf"
+    f.write_text(BIG_RULE)
+    target = tmp_path / "out.json"
+    target.write_bytes(b"old text\n")
+    code, out, err = run(
+        capsys, "expand", str(f), "-L", "22", "--format", "json", "--out", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: an integer of ")
+    assert target.read_bytes() == b"old text\n"
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -594,12 +624,23 @@ BUDGET_FILES = {
     # one term, one code point, and a coefficient of 28,567 bits
     "nines.rf": "X[0] = input\nX[i] = " + "*".join(["9" * 4300] * 2) + "*X[i-1]\n",
 }
+EXPANSION_BUDGET_ERROR = (
+    "error: expanding X[", " past the expansion budget of 33554432\n"
+)
 OVER_BUDGET = [
-    ("expand", "--builtin", "resnet", "-L", "24"),
-    ("expand", "factors8.rf", "-L", "10"),
-    ("census", "--builtin", "chain", "-L", "100000"),
-    ("census", "nines.rf", "-L", "200"),
-    ("expand", "copy.rf", "-L", "1000000000"),
+    (("expand", "--builtin", "resnet", "-L", "24"), EXPANSION_BUDGET_ERROR),
+    (("expand", "factors8.rf", "-L", "10"), EXPANSION_BUDGET_ERROR),
+    (("census", "--builtin", "chain", "-L", "100000"), EXPANSION_BUDGET_ERROR),
+    (("census", "nines.rf", "-L", "200"), EXPANSION_BUDGET_ERROR),
+    (("expand", "copy.rf", "-L", "1000000000"), EXPANSION_BUDGET_ERROR),
+    # checks j = 0, 1 and 2 for each seed, counted before the seeds are drawn
+    (
+        ("verify", "--builtin", "resnet", "-L", "2", "-d", "1", "--seeds", str(10**12)),
+        (
+            "error: 1000000000000 seeds x 3 checks a seed are more than",
+            " the check budget of 1048576\n",
+        ),
+    ),
 ]
 FRESH_MAIN = """
 import contextlib, io, json, resource, time
@@ -615,9 +656,9 @@ print(json.dumps([code, out.getvalue(), err.getvalue(), seconds, peak_mb]))
 
 
 @pytest.mark.parametrize(
-    "argv", OVER_BUDGET, ids=[" ".join(a[1:]) for a in OVER_BUDGET]
+    "argv, error", OVER_BUDGET, ids=[" ".join(a[1:]) for a, _ in OVER_BUDGET]
 )
-def test_over_budget_exits_two_in_time_and_memory(tmp_path, argv):
+def test_over_budget_exits_two_in_time_and_memory(tmp_path, argv, error):
     for name, text in BUDGET_FILES.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in BUDGET_FILES else a for a in argv]
@@ -625,10 +666,51 @@ def test_over_budget_exits_two_in_time_and_memory(tmp_path, argv):
         run_fresh(FRESH_MAIN.replace("ARGV", repr(argv)))
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: expanding X[") and "Traceback" not in err
-    assert err.endswith(" past the expansion budget of 33554432\n")
+    assert err.startswith(error[0]) and "Traceback" not in err
+    assert err.endswith(error[1])
     assert seconds < 2.0
     assert peak_mb < 150
+
+
+# The command runs one process further down, with stdout to /dev/null: a
+# process spawned from pytest starts its ru_maxrss at pytest's own peak.
+FRESH_PEAK = """
+import resource, subprocess, sys
+code = subprocess.call(
+    [sys.executable, "-m", "recur.cli", *ARGV], stdout=subprocess.DEVNULL
+)
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, baseline",
+    [
+        # 2^17 terms, one piece each, against the census of that polynomial
+        (
+            ["expand", "--builtin", "resnet", "-L", "17", "--format", "json"],
+            ["census", "--builtin", "resnet", "-L", "17", "--format", "json"],
+        ),
+        # 200,007 nodes and edges, one piece each, against the DOT text
+        (
+            ["graph", "wide.rf", "-L", "2", "--format", "json"],
+            ["graph", "wide.rf", "-L", "2", "--format", "dot"],
+        ),
+    ],
+    ids=["expand", "graph"],
+)
+def test_json_output_peak_memory_stays_within_three_times_baseline(
+    tmp_path, argv, baseline
+):
+    wide = tmp_path / "wide.rf"
+    wide.write_text("X[0] = input\nX[i] = 100000*X[i-1]\n")
+    peaks = []
+    for command in (argv, baseline):
+        command = [str(wide) if a == "wide.rf" else a for a in command]
+        code, peak = run_fresh(FRESH_PEAK.replace("ARGV", repr(command))).split()
+        assert code == "0"
+        peaks.append(int(peak))
+    assert peaks[0] <= 3 * peaks[1]
 
 
 @pytest.mark.parametrize(
