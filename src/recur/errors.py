@@ -54,13 +54,13 @@ class UnrealizableError(RecurError):
 
 
 class SizeError(RecurError):
-    """Input too large: a product, a sum of products, or a whole text that
-    holds more distributed terms than the parser's MAX_PRODUCT_TERMS, a
-    block index past the last code point, an expansion past its budget of
-    2^25 cells (expansion.EXPANSION_BUDGET; a cell is a code point or a
-    coefficient word of a term it builds), a graph past the node-plus-edge
-    budget of build_graph, a matrix net to instantiate, a path coefficient
-    to evaluate as a float64, or an integer with too many digits to write."""
+    """Input too large: a parse past its budget of 2^21 cells
+    (parser.PARSE_BUDGET), an expansion past its budget of 2^25
+    (expansion.EXPANSION_BUDGET), a block index past the last code point,
+    a graph past the node-plus-edge budget of build_graph, a matrix net to
+    instantiate, a path coefficient to evaluate as a float64, or an integer
+    with too many digits to write.  A cell is a character of the text, or
+    an atom or 64-bit coefficient word of a term about to be built."""
 
 
 class ActivationError(RecurError):

@@ -48,11 +48,13 @@ ABS = "abs"
 # level costs three Python stack frames.
 MAX_NESTING = 100
 
-# Most terms a product, or a sum of products, may distribute into: 2^16.
-# The same cap bounds the terms a text holds: those of its finished
-# statements plus those of the open sums in parentheses, or plus the
-# statement's own sum at each of that sum's signs.
-MAX_PRODUCT_TERMS = 1 << 16
+# The cells one parse may charge, in the unit of expansion.EXPANSION_BUDGET,
+# each before what it prices is built: TEXT_CELLS a character of the text,
+# before it is tokenized; for each term a product distributes into, 1 + its
+# atoms + the product of its two coefficients' 64-bit word counts; and 1 for
+# each term a sum appends.
+PARSE_BUDGET = 1 << 21
+TEXT_CELLS = 16
 
 
 def _atom_sort_key(atom: WAtom) -> tuple[int, int]:
@@ -286,11 +288,11 @@ _Statement = tuple[int, "str | int", "list[_Term] | None"]
 
 class _Parser:
     def __init__(self, text: str):
+        self.spent = 0
+        self.charge(len(text) * TEXT_CELLS, PARSE_BUDGET // TEXT_CELLS)
         self.tokens = tokenize(text)
         self.i = 0
         self.nesting = 0
-        # Terms of the finished statements and of the open sums in parentheses.
-        self.held = 0
         # Set per statement: the rule's index variable, or the base-case index.
         self.context_var: str | None = None
         self.context_base: int | None = None
@@ -315,6 +317,16 @@ class _Parser:
             )
         return self.advance()
 
+    def charge(self, cells: int, pos: int) -> None:
+        """Count cells against PARSE_BUDGET: SizeError at pos once past it."""
+        self.spent += cells
+        if self.spent > PARSE_BUDGET:
+            raise SizeError(
+                f"parsing charges {self.spent} cells, past the parse budget of"
+                f" {PARSE_BUDGET}",
+                position=pos,
+            )
+
     # -- statements ------------------------------------------------------
 
     def parse_statements(self) -> list[_Statement]:
@@ -324,8 +336,7 @@ class _Parser:
                 self.advance()
             if self.peek().kind == "EOF":
                 return statements
-            statements.append(statement := self.parse_statement())
-            self.held += len(statement[2] or ())
+            statements.append(self.parse_statement())
             tok = self.peek()
             if tok.kind not in ("SEP", "EOF"):
                 raise FormulaSyntaxError(
@@ -396,23 +407,7 @@ class _Parser:
             self.advance()
         while True:
             product = self.parse_product()
-            if len(terms) + len(product) > MAX_PRODUCT_TERMS:
-                raise SizeError(
-                    f"expression distributes into {len(terms) + len(product)} terms,"
-                    f" cap is {MAX_PRODUCT_TERMS}",
-                    position=op.pos,
-                )
-            if self.nesting:
-                self.held += len(product)
-                held = self.held
-            else:
-                held = self.held + len(terms) + len(product)
-            if held > MAX_PRODUCT_TERMS:
-                raise SizeError(
-                    f"formula holds {held} distributed terms, cap is"
-                    f" {MAX_PRODUCT_TERMS}",
-                    position=op.pos,
-                )
+            self.charge(len(product), op.pos)
             terms += [(-c, a) for c, a in product] if op.kind == "MINUS" else product
             op = self.peek()
             if op.kind not in ("PLUS", "MINUS"):
@@ -424,12 +419,8 @@ class _Parser:
         while self.peek().kind == "STAR":
             star = self.advance()
             rhs = self.parse_factor()
-            if len(value) * len(rhs) > MAX_PRODUCT_TERMS:
-                raise SizeError(
-                    f"product distributes into {len(value) * len(rhs)} terms,"
-                    f" cap is {MAX_PRODUCT_TERMS}",
-                    position=star.pos,
-                )
+            (n, atoms, words), (m, rhs_atoms, rhs_words) = map(_sizes, (value, rhs))
+            self.charge(n * m + atoms * m + n * rhs_atoms + words * rhs_words, star.pos)
             value = [(ca * cb, aa + ab) for ca, aa in value for cb, ab in rhs]
         return value
 
@@ -448,7 +439,6 @@ class _Parser:
             inner = self.parse_expr()
             self.expect("RPAREN", "')'")
             self.nesting -= 1
-            self.held -= len(inner)  # a closed sum is a factor now
             return inner
         if tok.kind == "NAME" and tok.value in ("W", "X"):
             self.advance()
@@ -494,6 +484,15 @@ class _Parser:
                 f"X[{value}] is not earlier than X[{base}]", position=pos
             )
         return _WorkAtom(sym, ABS, value, pos)
+
+
+def _sizes(terms: list[_Term]) -> tuple[int, int, int]:
+    """Terms, atoms and coefficient words (64 bits each) in terms."""
+    return (
+        len(terms),
+        sum(len(atoms) for _, atoms in terms),
+        sum((c.bit_length() + 63) >> 6 for c, _ in terms),
+    )
 
 
 def _classify(terms: list[_Term], stmt_pos: int):
@@ -639,7 +638,7 @@ def _summand(coeff: CoefficientExpr, xref: str, var: str) -> tuple[int, str]:
 
 
 def render(spec: ArchitectureSpec) -> str:
-    """Canonical DSL text; parse(render(spec), name=spec.name) == spec."""
+    """Canonical DSL text, which parse reads back as spec within PARSE_BUDGET."""
     var = spec.rule.index_var
     rule = signed_sum(
         _summand(t.coeff, f"X[{var}-{t.lag}]" if t.lag else f"X[{t.source}]", var)

@@ -610,7 +610,7 @@ def test_chain_identity_rejects_a_sweep_past_the_budget_before_it_starts(
 
 COPY_TEXT = "X[0] = input; X[i] = X[i-1]\n"
 # Fresh processes, since ru_maxrss only grows: each command must stop on
-# the expansion budget within these bounds, however deep its -L.
+# its budget within these bounds, however deep its -L or long its text.
 BUDGET_FILES = {
     "copy.rf": COPY_TEXT,
     # 256 terms a coefficient: 2^24 terms at -L 10
@@ -623,10 +623,26 @@ BUDGET_FILES = {
     ),
     # one term, one code point, and a coefficient of 28,567 bits
     "nines.rf": "X[0] = input\nX[i] = " + "*".join(["9" * 4300] * 2) + "*X[i-1]\n",
+    # products that pass the parse budget at a star: long words, wide integers
+    "w5000.rf": "X[0] = input\nX[i] = " + "W[i]*" * 5000 + "X[i-1]\n",
+    "nines20.rf": "X[0] = input\nX[i] = " + "*".join(["9" * 4000] * 20) + "*X[i-1]\n",
+    # texts that pass it before they are tokenized: 200 KB, 0.8 MB and 1.8 MB
+    "w40000.rf": "X[0] = input\nX[i] = " + "W[i]*" * 40000 + "X[i-1]\n",
+    "nines200.rf": "X[0] = input\nX[i] = " + "*".join(["9" * 4000] * 200) + "*X[i-1]\n",
+    "sum200000.rf": "X[0] = input\nX[i] = " + " + ".join(["X[i-1]"] * 200000) + "\n",
 }
 EXPANSION_BUDGET_ERROR = (
     "error: expanding X[", " past the expansion budget of 33554432\n"
 )
+
+
+def parse_budget_error(position):
+    return (
+        "error: parsing charges ",
+        f" past the parse budget of 2097152 (at position {position})\n",
+    )
+
+
 OVER_BUDGET = [
     (("expand", "--builtin", "resnet", "-L", "24"), EXPANSION_BUDGET_ERROR),
     (("expand", "factors8.rf", "-L", "10"), EXPANSION_BUDGET_ERROR),
@@ -641,46 +657,44 @@ OVER_BUDGET = [
             " the check budget of 1048576\n",
         ),
     ),
+    # at the 1,839th star and the 6th; then at the 131,073rd character
+    (("parse", "w5000.rf"), parse_budget_error(9214)),
+    (("parse", "nines20.rf"), parse_budget_error(24025)),
+    *((("parse", name), parse_budget_error(131072))
+      for name in ("w40000.rf", "nines200.rf", "sum200000.rf")),
 ]
-FRESH_MAIN = """
-import contextlib, io, json, resource, time
-from recur.cli import main
-out, err = io.StringIO(), io.StringIO()
+# The command runs one process further down: a process spawned from pytest
+# starts its ru_maxrss at pytest's own peak.
+FRESH_RUN = """
+import json, resource, subprocess, sys, time
 start = time.perf_counter()
-with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-    code = main(ARGV)
+done = subprocess.run(
+    [sys.executable, "-m", "recur.cli", *ARGV], capture_output=True, text=True
+)
 seconds = time.perf_counter() - start
-peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps([code, out.getvalue(), err.getvalue(), seconds, peak_mb]))
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(json.dumps([done.returncode, done.stdout[:100], done.stderr, seconds, peak_mb]))
 """
+
+
+def run_cli_fresh(argv):
+    """(exit code, stdout head, stderr, seconds, peak MB) of ``recur argv``."""
+    return json.loads(run_fresh(FRESH_RUN.replace("ARGV", repr(list(argv)))))
 
 
 @pytest.mark.parametrize(
     "argv, error", OVER_BUDGET, ids=[" ".join(a[1:]) for a, _ in OVER_BUDGET]
 )
 def test_over_budget_exits_two_in_time_and_memory(tmp_path, argv, error):
-    for name, text in BUDGET_FILES.items():
-        (tmp_path / name).write_text(text)
+    for name in set(argv) & BUDGET_FILES.keys():
+        (tmp_path / name).write_text(BUDGET_FILES[name])
     argv = [str(tmp_path / a) if a in BUDGET_FILES else a for a in argv]
-    code, out, err, seconds, peak_mb = json.loads(
-        run_fresh(FRESH_MAIN.replace("ARGV", repr(argv)))
-    )
+    code, out, err, seconds, peak_mb = run_cli_fresh(argv)
     assert (code, out) == (2, "")
     assert err.startswith(error[0]) and "Traceback" not in err
     assert err.endswith(error[1])
     assert seconds < 2.0
     assert peak_mb < 150
-
-
-# The command runs one process further down, with stdout to /dev/null: a
-# process spawned from pytest starts its ru_maxrss at pytest's own peak.
-FRESH_PEAK = """
-import resource, subprocess, sys
-code = subprocess.call(
-    [sys.executable, "-m", "recur.cli", *ARGV], stdout=subprocess.DEVNULL
-)
-print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-"""
 
 
 @pytest.mark.parametrize(
@@ -707,9 +721,9 @@ def test_json_output_peak_memory_stays_within_three_times_baseline(
     peaks = []
     for command in (argv, baseline):
         command = [str(wide) if a == "wide.rf" else a for a in command]
-        code, peak = run_fresh(FRESH_PEAK.replace("ARGV", repr(command))).split()
-        assert code == "0"
-        peaks.append(int(peak))
+        code, _, _, _, peak_mb = run_cli_fresh(command)
+        assert code == 0
+        peaks.append(peak_mb)
     assert peaks[0] <= 3 * peaks[1]
 
 

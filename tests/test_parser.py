@@ -1,11 +1,11 @@
 import random
-import re
-import time
+from itertools import accumulate
 
 import pytest
 
 from conftest import random_affine_spec
-from recur.builtins import builtin_spec
+from recur import parser
+from recur.builtins import BUILTIN_NAMES, builtin_spec
 from recur.errors import (
     FormulaSyntaxError,
     NonAffineError,
@@ -15,7 +15,8 @@ from recur.errors import (
 )
 from recur.parser import (
     MAX_NESTING,
-    MAX_PRODUCT_TERMS,
+    PARSE_BUDGET,
+    TEXT_CELLS,
     ArchitectureSpec,
     CoefficientExpr,
     parse,
@@ -355,9 +356,16 @@ def test_render_leading_negative_reparses():
 
 
 def test_roundtrip_on_builtins():
-    for name in ("chain", "resnet", "newarch", "eq22", "appendix-ex1", "appendix-ex2"):
+    # Specs compare and hash by value, down to their coefficients.
+    for name in BUILTIN_NAMES:
         spec = builtin_spec(name)
-        assert parse(render(spec), name=name) == spec
+        again = parse(render(spec), name=name)
+        assert again == spec and hash(again) == hash(spec)
+
+
+def test_coefficient_repr_shows_its_terms():
+    coeff = builtin_spec("resnet").rule.terms[0].coeff
+    assert repr(coeff) == "CoefficientExpr({(): 1, (('rel', 0),): 1})"
 
 
 def test_roundtrip_on_random_specs():
@@ -411,94 +419,52 @@ def test_deep_nesting_is_a_syntax_error():
     assert info.value.position == text.index("(") + MAX_NESTING
 
 
-def test_product_past_the_term_cap_fails_at_its_star():
-    # n factors of (1 + W[i]) distribute into 2^n terms; the cap is 2^16.
-    assert MAX_PRODUCT_TERMS == 1 << 16
-
-    def text(n):
+def test_budget_stops_at_the_charge_that_passes_it(monkeypatch):
+    # n factors of (1 + W[i]) distribute into 2^n terms.
+    def product(n):
         return "X[i] = " + "*".join(["(1 + W[i])"] * n) + "*X[i-1]; X[0] = input"
 
-    # The 2^16 distributed terms collect into binomial coefficients.
-    assert sum(parse(text(16)).rule.terms[0].coeff.terms.values()) == 1 << 16
-    over = text(17)
-    start = time.perf_counter()
+    # The budget holds the 2^16 distributed terms, which collect into
+    # binomial coefficients, and stops a 17th factor at the 16th star.
+    assert sum(parse(product(16)).rule.terms[0].coeff.terms.values()) == 1 << 16
     with pytest.raises(SizeError) as info:
-        parse(over)
-    assert time.perf_counter() - start < 1.0
-    # The 16th star, the one that joins the 17th factor.
-    stars = [k for k, ch in enumerate(over) if ch == "*"]
-    assert info.value.position == stars[15]
-    assert info.value.message == (
-        f"product distributes into {1 << 17} terms, cap is {1 << 16}"
+        parse(product(17))
+    assert info.value.position == 182
+    assert info.value.message.endswith(f"parse budget of {PARSE_BUDGET}")
+
+    text = "X[0] = input; X[i] = (1 + W[i])*" + "9" * 20 + "*X[i-1] - X[i-1]"
+    # (position, cells) of each charge, in order: 16 cells a character of
+    # the text; 1 for each term a sum appends, at its sign or first token;
+    # and at each star, for every term it builds, 1 + its atoms + the
+    # product of its coefficients' 64-bit words (20 nines take 2).
+    first, star = text.index("(1"), text.index("*")
+    charges = [
+        (len(text) - 1, TEXT_CELLS * len(text)),
+        (first + 1, 1),  # 1
+        (first + 3, 1),  # + W[i]
+        (star, 2 * 1 + 1 * 1 + 2 * 0 + 2 * 2),  # (1 + W[i]) times 9...9
+        (text.index("*", star + 1), 2 * 1 + 1 * 1 + 2 * 1 + 4 * 1),  # times X[i-1]
+        (first, 2),  # the product's two terms
+        (text.index(" - ") + 1, 1),  # - X[i-1]
+    ]
+    charged = list(accumulate(cells for _, cells in charges))
+    monkeypatch.setattr(parser, "PARSE_BUDGET", charged[-1])
+    assert parse(text).rule.terms[0].coeff.render("i") == (
+        "99999999999999999998 + 99999999999999999999*W[i]"
     )
-
-
-def test_sum_past_the_term_cap_fails_at_its_sign():
-    def text(products, factors):
-        product = "*".join(["(1 + W[i])"] * factors) + "*X[i-1]"
-        return "X[i] = " + " + ".join([product] * products) + "; X[0] = input"
-
-    def joins(t):  # the '+' in front of each product after the first
-        return [m.end() - 2 for m in re.finditer(r"X\[i-1\] \+ ", t)]
-
-    # Two 15-factor products together hold exactly the 2^16 terms of the cap.
-    assert sum(parse(text(2, 15)).rule.terms[0].coeff.terms.values()) == 1 << 16
-    over = text(3, 15)
-    with pytest.raises(SizeError) as info:
-        parse(over)
-    assert info.value.position == joins(over)[1]
-    assert info.value.message == (
-        f"expression distributes into {3 << 15} terms, cap is {1 << 16}"
-    )
-    # Sixteen-factor products fail at the first '+', however many follow.
-    for products in (2, 10):
-        over = text(products, 16)
-        with pytest.raises(SizeError) as info:
-            parse(over)
-        assert info.value.position == joins(over)[0]
-        assert info.value.message == (
-            f"expression distributes into {1 << 17} terms, cap is {1 << 16}"
-        )
-
-
-def test_terms_held_across_a_text_keep_to_the_cap():
-    # 16 factors of (1 + W) distribute into 2^16 terms, the whole cap.
-    def product(w, x):
-        return "*".join([f"(1 + {w})"] * 16) + f"*{x}"
-
-    def after(text, n):  # the 1 of the first "(1 + W" after n products
-        pos = 0
-        for _ in range(n):
-            pos = text.index("*X[", pos) + 1
-        return text.index("(1 + W", pos) + 1
-
-    # A sum in parentheses that holds the cap leaves no room for a sum
-    # nested in it, and a finished statement at the cap none for the next.
-    nested = (
-        "X[i] = " + " + (".join([product("W[i]", "X[i-1]")] * 9) + ")" * 8
-        + "; X[0] = input"
-    )
-    statements = "".join(
-        f"X[{k}] = {product('W[1]', f'X[{k - 1}]')}\n" for k in range(1, 5)
-    ) + "X[0] = input\nX[i] = X[i-1]\n"
-    for text, position in ((nested, after(nested, 2)), (statements, after(statements, 1))):
+    for (position, _), spent in zip(charges, charged):
+        monkeypatch.setattr(parser, "PARSE_BUDGET", spent - 1)
         with pytest.raises(SizeError) as info:
             parse(text)
         assert info.value.position == position
         assert info.value.message == (
-            f"formula holds {(1 << 16) + 1} distributed terms, cap is {1 << 16}"
+            f"parsing charges {spent} cells, past the parse budget of {spent - 1}"
         )
-    # A flat statement after one at the cap fails at its first term.
-    flat = statements.split("\n")[0] + "\nX[2] = W[1]*X[1] + X[1]\nX[0] = input\nX[i] = X[i-1]"
+    # The text charge lands on the character that passes the budget.
+    monkeypatch.setattr(parser, "PARSE_BUDGET", TEXT_CELLS * 10 - 1)
     with pytest.raises(SizeError) as info:
-        parse(flat)
-    assert info.value.position == flat.index("W[1]*X[1]")
-    assert info.value.message == (
-        f"formula holds {(1 << 16) + 1} distributed terms, cap is {1 << 16}"
-    )
-    # A closed sum is a factor, no longer held: the 16 sums inside one
-    # product at the cap leave room for it.
-    assert parse(product("W[i]", "X[i-1]").join(["X[i] = ", "; X[0] = input"]))
+        parse(text)
+    assert info.value.position == 9
 
 
 @pytest.mark.parametrize(

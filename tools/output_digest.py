@@ -45,7 +45,7 @@ PARSE_ERRORS = {
     "nesting.rf": _IN + "X[i] = " + "(" * 101 + "W[i]*X[i-1]" + ")" * 101 + "\n",
     "input-factor.rf": _IN + "X[i] = input*X[i-1]\n",
     "factor.rf": _IN + "X[i] = W[i]*\n",
-    # three products of 15 factors: each under the cap, their sum over it
+    # three products of 15 factors: two fit the parse budget, three pass it
     "sum15.rf": (
         _IN + "X[i] = " + " + ".join(["*".join(["(1 + W[i])"] * 15) + "*X[i-1]"] * 3)
         + "\n"
@@ -105,11 +105,12 @@ FILES = {
         + "*".join(f"(1 + W[i-{k}])" for k in range(1, 8))
         + "*X[i-1]\n"
     ),
-    # a product that distributes into 2^17 terms, past the parser's cap
+    # a product that distributes into 2^17 terms, past the parse budget
     "product17.rf": (
         "X[0] = input\nX[i] = " + "*".join(["(1 + W[i])"] * 17) + "*X[i-1]\n"
     ),
-    # sums nested 8 deep and four statements, each part at the cap
+    # sums nested 8 deep and four statements, each part a product of 2^16
+    # terms that the parse budget holds alone, two of them past it
     "nested16.rf": (
         "X[0] = input\nX[i] = "
         + " + (".join(["*".join(["(1 + W[i])"] * 16) + "*X[i-1]"] * 9)
@@ -119,6 +120,10 @@ FILES = {
         f"X[{k}] = " + "*".join(["(1 + W[1])"] * 16) + f"*X[{k - 1}]\n"
         for k in range(1, 5)
     ),
+    # past the parse budget at a star of a long word, and in a text of
+    # over 128 KB before it is tokenized
+    "w2000.rf": "X[0] = input\nX[i] = " + "W[i]*" * 2000 + "X[i-1]\n",
+    "sum15000.rf": "X[0] = input\nX[i] = " + " + ".join(["X[i-1]"] * 15000) + "\n",
     **PARSE_ERRORS,
 }
 
@@ -272,6 +277,8 @@ def commands() -> list[list[str]]:
         *(["parse", name] for name in PARSE_ERRORS),
         ["parse", "nested16.rf"],
         ["parse", "statements16.rf"],
+        ["parse", "w2000.rf"],
+        ["parse", "sum15000.rf"],
         ["stats", "table1", "--alpha", "1e-11"],
         # expanded terms with negative, non-unit and multi-digit coefficients,
         # one of 601 digits, and block indices of 128 and above
