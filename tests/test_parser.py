@@ -419,7 +419,41 @@ def test_deep_nesting_is_a_syntax_error():
     assert info.value.position == text.index("(") + MAX_NESTING
 
 
-def test_budget_stops_at_the_charge_that_passes_it(monkeypatch):
+# A rule with a two-word literal, and the (position, cells) of each charge
+# parsing it makes, in order: 16 cells a character of the text; 1 for each
+# term a sum appends, at its sign or first token; and at each star, for
+# every term it builds, 1 + its atoms + the product of its coefficients'
+# 64-bit words (20 nines take 2).
+EDGE = "X[0] = input; X[i] = (1 + W[i])*" + "9" * 20 + "*X[i-1] - X[i-1]"
+_FIRST, _STAR = EDGE.index("(1"), EDGE.index("*")
+EDGE_CHARGES = [
+    ("text", len(EDGE) - 1, TEXT_CELLS * len(EDGE)),
+    ("sum", _FIRST + 1, 1),  # 1
+    ("sum", _FIRST + 3, 1),  # + W[i]
+    ("star", _STAR, 2 * 1 + 1 * 1 + 2 * 0 + 2 * 2),  # (1 + W[i]) times 9...9
+    ("star", EDGE.index("*", _STAR + 1), 2 * 1 + 1 * 1 + 2 * 1 + 4 * 1),  # times X[i-1]
+    ("sum", _FIRST, 2),  # the product's two terms
+    ("sum", EDGE.index(" - ") + 1, 1),  # - X[i-1]
+]
+EDGE_SPENT = list(accumulate(cells for _, _, cells in EDGE_CHARGES))
+
+
+def assert_edge_charges_stop(monkeypatch, kind):
+    """Each charge of kind fails EDGE at its position under a budget one
+    cell short of what parsing has spent once it is made."""
+    for (what, position, _), spent in zip(EDGE_CHARGES, EDGE_SPENT):
+        if what != kind:
+            continue
+        monkeypatch.setattr(parser, "PARSE_BUDGET", spent - 1)
+        with pytest.raises(SizeError) as info:
+            parse(EDGE)
+        assert info.value.position == position
+        assert info.value.message == (
+            f"parsing charges {spent} cells, past the parse budget of {spent - 1}"
+        )
+
+
+def test_product_past_the_term_cap_fails_at_its_star(monkeypatch):
     # n factors of (1 + W[i]) distribute into 2^n terms.
     def product(n):
         return "X[i] = " + "*".join(["(1 + W[i])"] * n) + "*X[i-1]; X[0] = input"
@@ -427,44 +461,45 @@ def test_budget_stops_at_the_charge_that_passes_it(monkeypatch):
     # The budget holds the 2^16 distributed terms, which collect into
     # binomial coefficients, and stops a 17th factor at the 16th star.
     assert sum(parse(product(16)).rule.terms[0].coeff.terms.values()) == 1 << 16
+    over = product(17)
     with pytest.raises(SizeError) as info:
-        parse(product(17))
+        parse(over)
     assert info.value.position == 182
+    assert info.value.position == [k for k, ch in enumerate(over) if ch == "*"][15]
     assert info.value.message.endswith(f"parse budget of {PARSE_BUDGET}")
+    assert_edge_charges_stop(monkeypatch, "star")
 
-    text = "X[0] = input; X[i] = (1 + W[i])*" + "9" * 20 + "*X[i-1] - X[i-1]"
-    # (position, cells) of each charge, in order: 16 cells a character of
-    # the text; 1 for each term a sum appends, at its sign or first token;
-    # and at each star, for every term it builds, 1 + its atoms + the
-    # product of its coefficients' 64-bit words (20 nines take 2).
-    first, star = text.index("(1"), text.index("*")
-    charges = [
-        (len(text) - 1, TEXT_CELLS * len(text)),
-        (first + 1, 1),  # 1
-        (first + 3, 1),  # + W[i]
-        (star, 2 * 1 + 1 * 1 + 2 * 0 + 2 * 2),  # (1 + W[i]) times 9...9
-        (text.index("*", star + 1), 2 * 1 + 1 * 1 + 2 * 1 + 4 * 1),  # times X[i-1]
-        (first, 2),  # the product's two terms
-        (text.index(" - ") + 1, 1),  # - X[i-1]
-    ]
-    charged = list(accumulate(cells for _, cells in charges))
-    monkeypatch.setattr(parser, "PARSE_BUDGET", charged[-1])
-    assert parse(text).rule.terms[0].coeff.render("i") == (
+
+def test_sum_past_the_term_cap_fails_at_its_sign(monkeypatch):
+    # The whole of EDGE's charges parse; one cell fewer stops the last sign.
+    monkeypatch.setattr(parser, "PARSE_BUDGET", EDGE_SPENT[-1])
+    assert parse(EDGE).rule.terms[0].coeff.render("i") == (
         "99999999999999999998 + 99999999999999999999*W[i]"
     )
-    for (position, _), spent in zip(charges, charged):
-        monkeypatch.setattr(parser, "PARSE_BUDGET", spent - 1)
-        with pytest.raises(SizeError) as info:
-            parse(text)
-        assert info.value.position == position
-        assert info.value.message == (
-            f"parsing charges {spent} cells, past the parse budget of {spent - 1}"
-        )
+    assert_edge_charges_stop(monkeypatch, "sum")
+
+
+def test_terms_held_across_a_text_keep_to_the_cap(monkeypatch):
     # The text charge lands on the character that passes the budget.
+    assert_edge_charges_stop(monkeypatch, "text")
     monkeypatch.setattr(parser, "PARSE_BUDGET", TEXT_CELLS * 10 - 1)
     with pytest.raises(SizeError) as info:
-        parse(text)
+        parse(EDGE)
     assert info.value.position == 9
+
+    # One counter runs across the text: each statement W[1]*X[k-1] charges
+    # 4 cells at its star and 1 for its term, on top of what the statements
+    # before it spent, and the rule X[i-1] charges 1.
+    statements = [f"X[{k}] = W[1]*X[{k - 1}]" for k in range(1, 5)]
+    text = "\n".join(statements + ["X[0] = input", "X[i] = X[i-1]"])
+    text_cells = TEXT_CELLS * len(text)
+    monkeypatch.setattr(parser, "PARSE_BUDGET", text_cells + 4 * 5 + 1)
+    assert parse(text).base_case(4) is not None
+    for k, statement in enumerate(statements):
+        monkeypatch.setattr(parser, "PARSE_BUDGET", text_cells + 5 * k + 3)
+        with pytest.raises(SizeError) as info:
+            parse(text)
+        assert info.value.position == text.index(statement) + statement.index("*")
 
 
 @pytest.mark.parametrize(
