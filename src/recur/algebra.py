@@ -20,19 +20,28 @@ Canonical term order (used for rendering and iteration) is ascending word
 length, then lexicographically descending indices, which puts "1" first
 and deeper blocks before shallower ones within a length.
 
-``json_parts`` is the one writer of recur's indented JSON output, and
-``json_text`` the join of its pieces.  Its one value type of its own,
-``PathTerms``, holds (word, coeff) pairs and is written as the list of
+``render_parts`` writes a sum of terms, and ``json_parts`` is the one
+writer of recur's indented JSON output, with ``json_text`` the join of its
+pieces.  Its value types of its own hold (word, coeff) pairs: ``PathSum``
+is written as the string of their sum, and ``PathTerms`` as the list of
 ``{"coeff", "factors"}`` dicts they stand for, without building those
-dicts.
+dicts.  Both writers take terms a block at a time: the words of up to
+``BLOCK_TERMS`` terms, joined by NUL (no word holds code point 0, since
+indices are >= 1), go through one ``codecs.charmap_encode`` pass that
+writes each code point's text from a plain dict, and one split at the NULs
+and one join put each term's coefficient text in front of its own.
 """
 
 from __future__ import annotations
 
 import sys
+from codecs import charmap_encode
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, ItemsView, KeysView, Mapping, NamedTuple, Sequence
+from operator import add
+from typing import (
+    Iterable, ItemsView, Iterator, KeysView, Mapping, NamedTuple, Sequence,
+)
 
 from .errors import SizeError
 
@@ -51,28 +60,86 @@ def _word(factors: Sequence[int]) -> Word:
         ) from None
 
 
-class _IntTexts(dict):
-    """Map from int i to prefix + str(i) + suffix, filled on first use.
+# The most terms one block of output holds: a block's joined words, their
+# bytes and its text are transient copies of at most this many terms.  Past
+# a few hundred terms the size no longer changes the time a term takes.
+BLOCK_TERMS = 256
 
-    Keyed by code point, it is a str.translate table.
+# (prefix, suffix) -> the charmap table that _int_texts writes with.
+_TABLES: dict[tuple[str, str], dict[int, bytes]] = {}
+
+
+def _int_texts(text: str, prefix: str, suffix: str = "") -> bytes:
+    """``text`` in ASCII bytes, each code point i > 0 written as
+    prefix + str(i) + suffix and NUL kept as NUL, in one codec pass.
+
+    The table of (prefix, suffix) keeps each code point it has written.
+    The codec raises UnicodeEncodeError for one it lacks; that is a
+    ValueError, as the digit limit's error is, so it stops here, where the
+    table is filled for the text and the pass runs again.
     """
-
-    __slots__ = ("_prefix", "_suffix")
-
-    def __init__(self, prefix: str, suffix: str = "") -> None:
-        self._prefix, self._suffix = prefix, suffix
-
-    def __missing__(self, i: int) -> str:
-        text = self[i] = f"{self._prefix}{i}{self._suffix}"
-        return text
-
-
-_BLOCK_TEXTS = _IntTexts("W[", "]*")
+    table = _TABLES.setdefault((prefix, suffix), {0: b"\0"})
+    try:
+        return charmap_encode(text, "strict", table)[0]
+    except UnicodeEncodeError:
+        table.update(
+            (i, f"{prefix}{i}{suffix}".encode()) for i in map(ord, set(text))
+            if i not in table
+        )
+        return charmap_encode(text, "strict", table)[0]
 
 
 def block_product(word: Word) -> str:
     """The product text "W[3]*W[2]"; empty for the identity term."""
-    return word.translate(_BLOCK_TEXTS)[:-1]
+    return _int_texts(word, "W[", "]*")[:-1].decode("ascii")
+
+
+def _blocks(terms: Sequence[tuple[Word, int]]) -> Iterator[tuple[tuple, tuple]]:
+    """(words, coeffs) of ``terms``, (word, coeff) pairs with distinct
+    words, in blocks of at most BLOCK_TERMS terms.  The identity term, which
+    has no factors to write, is a block of its own."""
+    for k in range(0, len(terms), BLOCK_TERMS):
+        words, coeffs = zip(*terms[k : k + BLOCK_TERMS])
+        if "" in words:  # first in canonical order
+            i = words.index("")
+            if i:
+                yield words[:i], coeffs[:i]
+            yield ("",), coeffs[i : i + 1]
+            words, coeffs = words[i + 1 :], coeffs[i + 1 :]
+        if words:
+            yield words, coeffs
+
+
+def render_parts(terms: Sequence[tuple[Word, int]]) -> list[str]:
+    """The text of the sum of (word, coeff) pairs, one piece per block of
+    terms (see ``_blocks``): ``signed_sum((c, block_product(w)) for w, c in
+    terms)``, but no piece for the empty sum.
+
+    A term is its sign and coefficient, made once per distinct coefficient,
+    then its product, one codec pass a block; each block is one join of
+    the two.
+    """
+    parts: list[str] = []
+    heads: dict[int, bytes] = {}  # coeff -> " + 2*", " - ", ...
+    for words, coeffs in _blocks(terms):
+        for c in dict.fromkeys(coeffs):  # in order: the error names the first
+            if c not in heads:
+                try:
+                    mag = str(abs(c))
+                except ValueError:  # past the interpreter's digit limit
+                    raise _too_long(c) from None
+                head = "" if mag == "1" else mag + "*"
+                heads[c] = ((" - " if c < 0 else " + ") + head).encode()
+        if words[0]:
+            products = _int_texts("\0".join(words), "W[", "]*").split(b"*\0")
+            products[-1] = products[-1][:-1]
+            text = b"".join(map(add, map(heads.__getitem__, coeffs), products))
+        else:
+            text = heads[coeffs[0]][:3] + str(abs(coeffs[0])).encode()
+        parts.append(text.decode("ascii"))
+    if parts:  # the first term: "2*W[1]" or "-2*W[1]", not " + "/" - "
+        parts[0] = ("-" if parts[0][1] == "-" else "") + parts[0][3:]
+    return parts
 
 
 def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
@@ -102,8 +169,16 @@ def _too_long(value: int) -> SizeError:
 
 
 class PathTerms(tuple):
-    """(word, coeff) pairs, which ``json_parts`` writes as the list
-    ``[{"coeff": coeff, "factors": list(map(ord, word))}, ...]``."""
+    """(word, coeff) pairs with distinct words, which ``json_parts`` writes
+    as the list ``[{"coeff": coeff, "factors": list(map(ord, word))}, ...]``."""
+
+    __slots__ = ()
+
+
+class PathSum(tuple):
+    """(word, coeff) pairs with distinct words, which ``json_parts`` writes
+    as the string of their sum, ``render_parts``' pieces, which need no
+    escapes."""
 
     __slots__ = ()
 
@@ -117,11 +192,12 @@ def json_parts(payload) -> list[str]:
     """The text of ``json.dumps(payload, indent=2) + "\n"``, in pieces.
 
     Covers what recur emits: dicts with str keys, lists, tuples, str, int,
-    float (NaN and infinities as json writes them), bool, None and
-    PathTerms, written as the dicts and lists they stand for.  Any other
-    value, or a non-str key, raises TypeError.  json itself falls back to
-    its pure-Python encoder whenever ``indent`` is set.  An int past the
-    interpreter's digit limit raises SizeError.
+    float (NaN and infinities as json writes them), bool, None, PathSum,
+    written as the string of its sum, and PathTerms, written as the dicts
+    and lists they stand for.  Any other value, or a non-str key, raises
+    TypeError.  json itself falls back to its pure-Python encoder whenever
+    ``indent`` is set.  An int past the interpreter's digit limit raises
+    SizeError.
 
     One walk appends the pieces to one list, in order, and no container's
     text is copied into its parent's, so ``writelines`` or a join copies
@@ -175,6 +251,11 @@ def _json_walk(value, newline: str, parts: list[str], head: str = "") -> None:
     """
     if type(value) is PathTerms:
         return _terms_walk(value, newline, parts, head)
+    if type(value) is PathSum:
+        text = render_parts(value) or ["0"]
+        text[0] = head + '"' + text[0]
+        text[-1] += '"'
+        return parts.extend(text)
     is_dict = isinstance(value, dict)
     if not is_dict and not isinstance(value, (list, tuple)):
         return parts.append(head + _json_scalar(value))
@@ -202,25 +283,32 @@ def _json_walk(value, newline: str, parts: list[str], head: str = "") -> None:
 
 def _terms_walk(terms: PathTerms, newline: str, parts: list[str], head: str) -> None:
     """Append a PathTerms list, ``head`` in front, to ``parts``, one piece
-    per term.
+    per block of terms (see ``_blocks``).
 
-    Each factors list is one translate of its word, through a table that
-    writes ",<newline and indent>i" for code point i; the text from the
-    separator up to the factors is made once per distinct coefficient.
+    A term is its opening, up to "[", made once per distinct coefficient,
+    then its factors, one codec pass a block writing ",<newline and
+    indent>i" for code point i, less the comma before the first factor;
+    each block is one join of the two.
     """
     if not terms:
         return parts.append(head + "[]")
     inner = newline + "  "
     key = inner + "  "
-    table = _IntTexts("," + key + "  ")
-    heads = _IntTexts("," + inner + "{" + key + '"coeff": ', "," + key + '"factors": [')
-    close = key + "]" + inner + "}"
-    empty = "]" + inner + "}"
+    close = (key + "]" + inner + "}").encode()
+    opens: dict[int, bytes] = {}  # coeff -> ',\n  {\n    "coeff": 2, ... ['
     first = len(parts)
-    parts += [  # [1:] drops the comma before the first factor
-        heads[c] + (w.translate(table)[1:] + close if w else empty)
-        for w, c in terms
-    ]
+    for words, coeffs in _blocks(terms):
+        for c in set(coeffs).difference(opens):
+            coeff = _int_text(c)
+            opens[c] = f',{inner}{{{key}"coeff": {coeff},{key}"factors": ['.encode()
+        if words[0]:
+            factors = _int_texts("\0".join(words), "," + key + "  ").split(b"\0,")
+            factors[0] = factors[0][1:]
+            factors[-1] += close
+            text = close.join(map(add, map(opens.__getitem__, coeffs), factors))
+        else:
+            text = opens[coeffs[0]] + close[len(key) :]  # "factors": []
+        parts.append(text.decode("ascii"))
     parts[first] = head + "[" + parts[first][1:]  # the list opens where a comma goes
     parts.append(newline + "]")
 
@@ -419,4 +507,4 @@ def census(p: PathPolynomial) -> dict[int, CensusBin]:
 
 def render_poly(p: PathPolynomial) -> str:
     """Canonical text form: terms joined by " + "/" - ", identity as "1"."""
-    return signed_sum((c, block_product(w)) for w, c in p.canonical_items())
+    return "".join(render_parts(p.canonical_items())) or "0"

@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import __version__, numeric
 from .algebra import (
-    PathPolynomial, PathTerms, block_product, census, json_parts, json_text,
-    render_poly, signed_sum,
+    PathPolynomial, PathSum, PathTerms, census, json_parts, json_text,
+    render_parts,
 )
 from .archgraph import build_graph, direct_propagation_check, export, structural_equal
 from .builtins import BUILTIN_NAMES, builtin_spec
@@ -107,7 +107,7 @@ def _component_json(j: int, poly: PathPolynomial) -> dict:
     terms = poly.canonical_items()  # sorted once, for both the text and the list
     return {
         "state": j,
-        "polynomial": signed_sum((c, block_product(w)) for w, c in terms),
+        "polynomial": PathSum(terms),
         "terms": PathTerms(terms),
     }
 
@@ -126,7 +126,10 @@ def cmd_expand(args) -> int:
         _emit(json_parts(payload), args)
     else:
         poly = expansion.components.get(0)
-        text = ["(", render_poly(poly), ")*X[0]\n"] if poly else ["0\n"]
+        if poly:
+            text = ["(", *render_parts(poly.canonical_items()), ")*X[0]\n"]
+        else:
+            text = ["0\n"]
         _emit([f"X[{args.depth}] = ", *text], args)
     return 0
 

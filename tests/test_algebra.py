@@ -4,15 +4,19 @@ import sys
 
 import pytest
 
+from recur import algebra
 from recur.algebra import (
     PathPolynomial,
+    PathSum,
     PathTerms,
     block_product,
     census,
+    json_parts,
     json_text,
     poly_add,
     poly_mul,
     poly_neg,
+    render_parts,
     render_poly,
     signed_sum,
 )
@@ -113,6 +117,9 @@ def test_ring_axioms_on_random_polynomials():
         assert poly_mul(poly_mul(a, b), c) == poly_mul(a, poly_mul(b, c))
         assert poly_mul(a, poly_add(b, c)) == poly_add(poly_mul(a, b), poly_mul(a, c))
         assert poly_mul(poly_add(a, b), c) == poly_add(poly_mul(a, c), poly_mul(b, c))
+        # The operators are the functions.
+        assert a - b == poly_add(a, poly_neg(b)) and (a - b) + b == a
+        assert a * b == poly_mul(a, b) and -a == poly_neg(a)
 
 
 def _max_length(p):
@@ -186,6 +193,12 @@ def test_render():
         (-2, "", "-2"),
     ]:
         assert signed_sum([(coeff, block_product(word))]) == text
+
+
+def test_repr_shows_the_stored_words():
+    p = PathPolynomial({(2, 1): -3, (): 1})
+    assert repr(p) == "PathPolynomial({'\\x02\\x01': -3, '': 1})"
+    assert repr(ZERO) == "PathPolynomial({})"
 
 
 def test_polynomials_are_hashable_and_equal_by_value():
@@ -472,3 +485,81 @@ def test_json_text_rejects_keys_that_are_not_str(key):
 def test_json_text_rejects_values_json_cannot_write(value):
     with pytest.raises(TypeError):
         json_text({"a": [value]})
+
+
+# -- the block writers: render_parts and the PathTerms list -------------------
+
+
+def _product(word):
+    """The product text of a word, written factor by factor."""
+    return "*".join(f"W[{i}]" for i in map(ord, word))
+
+
+def test_block_writers_match_the_term_by_term_texts(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    index = (
+        st.integers(1, 12)
+        | st.integers(0xD800, 0xDFFF)  # lone surrogates
+        | st.just(0x10FFFF)
+        | st.integers(1, 0x10FFFF)
+    )
+    words = st.lists(index, max_size=4).map(tuple)
+    # Runs of one coefficient, signs that change, and magnitudes of 1 to
+    # 31 digits.
+    coeffs = (
+        st.sampled_from([1, -1])
+        | st.integers(-3, 3).filter(bool)
+        | st.integers(-(10**30), 10**30).filter(bool)
+    )
+    polys = st.dictionaries(words, coeffs, max_size=12).map(PathPolynomial)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(polys, st.booleans())
+    def check(p, with_identity):
+        if with_identity:
+            p = poly_add(p, PathPolynomial.one())
+        items = p.canonical_items()
+        text = signed_sum((c, _product(w)) for w, c in items)
+        assert signed_sum((c, block_product(w)) for w, c in items) == text
+        payload = {"polynomial": text or "0", "terms": _terms_payload(items)}
+        expected = json.dumps({"components": [payload]}, indent=2) + "\n"
+        # Blocks of 1, 2 and 3 terms end at every position; each cap starts
+        # from empty tables, so its first codec pass misses in them.
+        for cap in (1, 2, 3, algebra.BLOCK_TERMS):
+            monkeypatch.setattr(algebra, "BLOCK_TERMS", cap)
+            monkeypatch.setattr(algebra, "_TABLES", {})
+            parts = render_parts(items)
+            assert "".join(parts) == (text if items else "")
+            assert render_poly(p) == text
+            if cap == 1:
+                assert len(parts) == len(items)
+            payload = {"polynomial": PathSum(items), "terms": PathTerms(items)}
+            assert json_text({"components": [payload]}) == expected
+            monkeypatch.undo()
+
+    check()
+
+
+def test_a_table_miss_is_filled_and_is_never_the_digit_limit(monkeypatch):
+    # The codec reports a missing code point with UnicodeEncodeError, a
+    # ValueError as the digit limit's is: it must never read as that.
+    monkeypatch.setattr(algebra, "_TABLES", {})
+    p = PathPolynomial({(0x10FFFF, 0xD800): 1, (): 1, (3,): -1})
+    items = p.canonical_items()
+    assert render_poly(p) == "1 - W[3] + W[1114111]*W[55296]"
+    expected = json.dumps({"terms": _terms_payload(items)}, indent=2) + "\n"
+    assert "".join(json_parts({"terms": PathTerms(items)})) == expected
+    assert algebra._TABLES  # filled on the misses
+    # Past the digit limit, the error names the first such coefficient in
+    # canonical order, with fresh tables too.
+    big = 10 ** (sys.get_int_max_str_digits() + 1)
+    for first, second in ((big, -7 * big), (-7 * big, big)):
+        monkeypatch.setattr(algebra, "_TABLES", {})
+        p = PathPolynomial({(): 1, (2,): first, (1,): second, (0x10FFFF,): 1})
+        with pytest.raises(SizeError) as err:
+            render_poly(p)
+        assert str(err.value) == (
+            f"an integer of {first.bit_length()} bits has more than"
+            f" {sys.get_int_max_str_digits()} decimal digits, too many to write"
+        )

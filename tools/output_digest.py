@@ -85,6 +85,9 @@ FILES = {
     "overflow.rf": "X[0] = input\nX[i] = 1" + "0" * 200 + "*X[i-1]\n",
     # a degree-2 coefficient term, which has no graph
     "deg2.rf": "X[0] = input; X[1] = W[1]*X[0]; X[i] = -2*W[i]*W[i-1]*X[i-1]\n",
+    # coefficients 2^(L-k)*(-3)^k, one run per length k: at L = 12, 4,096
+    # terms, whose runs cross the writers' blocks of 256 terms
+    "mixed.rf": "X[0] = input\nX[i] = (2 - 3*W[i])*X[i-1]\n",
     # signed multi-term coefficients, which fail the widest check
     "wide.rf": (
         "X[0] = input; X[1] = (1 + W[1])*X[0];"
@@ -285,6 +288,8 @@ def commands() -> list[list[str]]:
         ["expand", "wide.rf", "-L", "8", "--format", "json"],
         ["expand", "overflow.rf", "-L", "3", "--format", "json"],
         ["expand", "--builtin", "newarch", "-L", "129", "--format", "json"],
+        ["expand", "mixed.rf", "-L", "12"],
+        ["expand", "mixed.rf", "-L", "12", "--format", "json"],
         # block indices in the surrogate range, then one past the last code point
         ["census", "--builtin", "newarch", "-L", "55300", "-j", "55294",
          "--check", "widest", "--format", "json"],
