@@ -418,7 +418,7 @@ class PathPolynomial:
         return poly_mul(self, other)
 
     def __repr__(self) -> str:
-        return f"PathPolynomial({self._terms!r})"
+        return f"PathPolynomial({self.coefficients!r})"
 
     def __str__(self) -> str:
         return render_poly(self)

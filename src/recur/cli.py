@@ -26,6 +26,7 @@ from .expansion import (
     StructureReport,
     check_structure,
     derivative,
+    derivative_census,
     derivatives,
     one_budget,
     unroll,
@@ -136,8 +137,12 @@ def cmd_expand(args) -> int:
 
 def cmd_census(args) -> int:
     spec = _resolve_spec(args)
-    poly = derivative(spec, args.depth, args.wrt)
-    histogram = census(poly)
+    poly = None
+    if args.check == "widest":  # the one check that reads the words
+        poly = derivative(spec, args.depth, args.wrt)
+        histogram = census(poly)
+    else:
+        histogram = derivative_census(spec, args.depth, args.wrt)
     report = None
     if args.check:
         report = check_structure(

@@ -14,6 +14,13 @@ build, their word lengths and coefficient sizes, and for each step; past
 EXPANSION_BUDGET cells it raises SizeError before building them.  Nothing
 caps the depth itself.
 
+The loop itself, ``_pass``, leaves the last push into X[j] unbuilt, and
+``derivatives`` builds it.  ``derivative_census`` counts it instead: when
+that push is the only one and its product cannot repeat a word, as for
+resnet at every j, the census of d X[L]/d X[j] is the length convolution
+of the pushed polynomial's census with the coefficient's, so the largest
+product of the pass is charged to the budget but never built.
+
 The test suite keeps an independent forward oracle (``tests/conftest.py``)
 that unrolls the recursion with the queried state held free; for affine
 formulas the two must agree exactly.
@@ -32,14 +39,16 @@ from .algebra import (
     poly_mul, signed_sum,
 )
 from .errors import SizeError
-from .parser import ArchitectureSpec
+from .parser import REL, ArchitectureSpec
 
-# The cells one expansion may charge, priced in ``derivatives``, and the
+# The cells one expansion may charge, priced in ``_pass``, and the
 # fixed charge of each of its steps.
 EXPANSION_BUDGET = 1 << 25
 STEP_CELLS = 1 << 9
 # The cells charged so far while ``one_budget`` spans several expansions.
 _SHARED: ContextVar[list[int] | None] = ContextVar("_SHARED", default=None)
+# A push whose product is not built yet: (i, d X[L]/d X[i], coefficient).
+Push = tuple[int, PathPolynomial, PathPolynomial]
 
 
 @contextmanager
@@ -71,9 +80,23 @@ def derivatives(
     W symbols are treated as constants: a coefficient like W[i-1] carries
     no derivative of its own, it is the block Jacobian itself.  The
     polynomial at i does not depend on ``stop``, in items or in their order.
+    """
+    pending: list[Push] = []
+    for i, poly in _pass(spec, L, stop, pending):
+        yield i, _settle(poly, pending) if i == stop else poly
+
+
+def _pass(
+    spec: ArchitectureSpec, L: int, stop: int, pending: list[Push]
+) -> Iterator[tuple[int, PathPolynomial]]:
+    """The expansion loop: yield (i, d X[L]/d X[i]) for i = L down to
+    ``stop``, but leave the latest push into X[stop] out of the polynomial
+    yielded at ``stop``: that push, (i, d X[L]/d X[i], coefficient), is
+    charged and waits in ``pending``, its product not built.
+
     The budget takes STEP_CELLS for each of the L - stop steps up front,
-    then, before ``poly_mul`` builds a product, 1 + the word length + the
-    product of the coefficients' 64-bit word counts for each of its terms.
+    then, before each push, 1 + the word length + the product of the
+    coefficients' 64-bit word counts for each term of its product.
     """
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
@@ -110,10 +133,22 @@ def derivatives(
                 spent += cells * len(coeff)
                 if spent > EXPANSION_BUDGET:
                     raise _over_budget(f"expanding X[{L}] at X[{i}]", spent)
+                if source == stop:  # the latest push waits, the one before is built
+                    f[stop] = _settle(f.get(stop, zero), pending)
+                    pending.append((i, pushed, coeff))
+                    continue
                 f[source] = poly_add(f.get(source, zero), poly_mul(pushed, coeff))
     if shared:
         shared[0] = spent
     yield stop, f.pop(stop, zero)
+
+
+def _settle(poly: PathPolynomial, pending: list[Push]) -> PathPolynomial:
+    """``poly`` plus the product of the push waiting in ``pending``, if any."""
+    if not pending:
+        return poly
+    _, pushed, coeff = pending.pop()
+    return poly_add(poly, poly_mul(pushed, coeff))
 
 
 def derivative(spec: ArchitectureSpec, L: int, j: int) -> PathPolynomial:
@@ -121,6 +156,62 @@ def derivative(spec: ArchitectureSpec, L: int, j: int) -> PathPolynomial:
     for _, poly in derivatives(spec, L, j):
         pass
     return poly
+
+
+def derivative_census(
+    spec: ArchitectureSpec, L: int, j: int
+) -> dict[int, CensusBin]:
+    """census(derivative(spec, L, j)), without the last product where it
+    cannot repeat a word.
+
+    When the last push into X[j], from X[i] with coefficient c, is the only
+    one (or those before it cancel), and a word of d X[L]/d X[i] followed
+    by a word of c is a different word for each pair, the census is the
+    convolution of census(d X[L]/d X[i]) with census(c): lengths add,
+    counts and weights multiply, and no coefficient cancels.  Each pair
+    gives its own word when c's words all have one length, or when no
+    block of c can occur in a coefficient of X[i+1..L] (``_may_hold``).
+    Any other pass sums its pushes into X[j] as ``derivative`` does.  The
+    last push is charged to the budget either way.
+    """
+    pending: list[Push] = []
+    for _, poly in _pass(spec, L, j, pending):
+        pass
+    if pending and not poly:
+        i, pushed, coeff = pending[0]
+        words = coeff.keys()
+        if len(set(map(len, words))) == 1 or not _may_hold(
+            spec, i + 1, L, {ord(b) for word in words for b in word}
+        ):
+            factors = census(coeff)
+            bins: dict[int, list[int]] = {}
+            for k, p in census(pushed).items():
+                for m, c in factors.items():
+                    n = bins.setdefault(k + m, [0, 0])
+                    n[0] += p.count * c.count
+                    n[1] += p.weight * c.weight
+            return {n: CensusBin(*bins[n]) for n in sorted(bins)}
+    return census(_settle(poly, pending))
+
+
+def _may_hold(spec: ArchitectureSpec, lo: int, hi: int, blocks: set[int]) -> bool:
+    """Whether a coefficient of a state in lo..hi may hold one of ``blocks``,
+    read from the spec's atoms: a superset of the blocks the states' words
+    hold.  Base cases hold absolute atoms only; the rule's relative atom
+    W[v-c] is W[b] at the rule state b + c.
+    """
+    rule_states = range(max(lo, spec.first_rule_index), hi + 1)
+    atoms = {
+        a for base in spec.base_cases[lo : hi + 1] for _, c in base.terms
+        for a in c.atoms()
+    }
+    if rule_states:
+        atoms.update(a for t in spec.rule.terms for a in t.coeff.atoms())
+    return any(
+        (b + v in rule_states) if kind == REL else b == v
+        for kind, v in atoms
+        for b in blocks
+    )
 
 
 class StateExpansion:
@@ -181,7 +272,7 @@ class StructureReport(NamedTuple):
 
 
 def check_structure(
-    poly: PathPolynomial,
+    poly: PathPolynomial | None,
     kind: str,
     L: int,
     j: int,
@@ -192,7 +283,8 @@ def check_structure(
 
     Violations are data, not errors: the report lists each failed length
     with the expected and observed values.  ``histogram`` is census(poly),
-    for a caller that has it already.
+    for a caller that has it already; given it, ``poly`` is read only by
+    the widest check and may be None for the others.
 
     kind="binomial":    the count of length-k paths is C(L-j, k).
     kind="single-path": exactly one path per length 0..L-j.

@@ -197,7 +197,8 @@ def test_render():
 
 def test_repr_shows_the_stored_words():
     p = PathPolynomial({(2, 1): -3, (): 1})
-    assert repr(p) == "PathPolynomial({'\\x02\\x01': -3, '': 1})"
+    assert repr(p) == "PathPolynomial({(2, 1): -3, (): 1})"
+    assert eval(repr(p)) == p
     assert repr(ZERO) == "PathPolynomial({})"
 
 

@@ -668,18 +668,32 @@ OVER_BUDGET = [
 FRESH_RUN = """
 import json, resource, subprocess, sys, time
 start = time.perf_counter()
-done = subprocess.run(
-    [sys.executable, "-m", "recur.cli", *ARGV], capture_output=True, text=True
-)
+done = subprocess.run([sys.executable, *ARGV], capture_output=True, text=True)
 seconds = time.perf_counter() - start
 peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 print(json.dumps([done.returncode, done.stdout[:100], done.stderr, seconds, peak_mb]))
 """
 
 
+def run_python_fresh(argv):
+    """(exit code, stdout head, stderr, seconds, peak MB) of ``python argv``."""
+    return json.loads(run_fresh(FRESH_RUN.replace("ARGV", repr(list(argv)))))
+
+
 def run_cli_fresh(argv):
     """(exit code, stdout head, stderr, seconds, peak MB) of ``recur argv``."""
-    return json.loads(run_fresh(FRESH_RUN.replace("ARGV", repr(list(argv)))))
+    return run_python_fresh(["-m", "recur.cli", *argv])
+
+
+# A process that holds the 2^17 terms of resnet's d X[17]/d X[0] and
+# writes nothing: the baseline of the output tests below.  ``census`` no
+# longer holds that polynomial, since it counts the last product unbuilt.
+HOLD_RESNET_17 = [
+    "-c",
+    "from recur.builtins import builtin_spec\n"
+    "from recur.expansion import derivative\n"
+    "poly = derivative(builtin_spec('resnet'), 17, 0)\n",
+]
 
 
 @pytest.mark.parametrize(
@@ -700,11 +714,11 @@ def test_over_budget_exits_two_in_time_and_memory(tmp_path, argv, error):
 @pytest.mark.parametrize(
     "argv, baseline",
     [
-        # 2^17 terms, one piece per 256, against the census of that
+        # 2^17 terms, one piece per 256, against a process holding that
         # polynomial
         (
             ["expand", "--builtin", "resnet", "-L", "17", "--format", "json"],
-            ["census", "--builtin", "resnet", "-L", "17", "--format", "json"],
+            HOLD_RESNET_17,
         ),
         # 200,007 nodes and edges, one piece each, against the DOT text
         (
@@ -721,23 +735,26 @@ def test_json_output_peak_memory_stays_within_three_times_baseline(
     wide.write_text("X[0] = input\nX[i] = 100000*X[i-1]\n")
     peaks = []
     for command in (argv, baseline):
-        command = [str(wide) if a == "wide.rf" else a for a in command]
-        code, _, _, _, peak_mb = run_cli_fresh(command)
+        run = run_python_fresh if command is HOLD_RESNET_17 else run_cli_fresh
+        code, _, _, _, peak_mb = run(
+            [str(wide) if a == "wide.rf" else a for a in command]
+        )
         assert code == 0
         peaks.append(peak_mb)
     assert peaks[0] <= 3 * peaks[1]
 
 
 def test_text_output_peak_memory_stays_within_1_4_times_baseline():
-    # 2^17 terms written as pieces of 256 terms each, against the census of
-    # that polynomial: 42.5 against 35.2 MB (1.21 times) on a 2-CPU Linux
-    # machine with Python 3.11; 53.2 MB (1.51 times) with the text joined
-    # from one piece per term.
+    # 2^17 terms written as pieces of 256 terms each, against a process
+    # holding that polynomial: 42.5 against 33.6 MB (1.27 times) on a 2-CPU
+    # Linux machine with Python 3.11; 53.2 MB with the text joined from one
+    # piece per term.
     peaks = []
-    for command in ("expand", "census"):
-        code, _, _, _, peak_mb = run_cli_fresh(
-            [command, "--builtin", "resnet", "-L", "17"]
-        )
+    for run, argv in (
+        (run_cli_fresh, ["expand", "--builtin", "resnet", "-L", "17"]),
+        (run_python_fresh, HOLD_RESNET_17),
+    ):
+        code, _, _, _, peak_mb = run(argv)
         assert code == 0
         peaks.append(peak_mb)
     assert peaks[0] <= 1.4 * peaks[1]
@@ -761,6 +778,22 @@ def test_deep_single_path_formulas_fit_the_budget(capsys, argv):
         assert out.count(" + ") == 200  # 201 terms, one per length
     elif argv[0] == "census":
         assert "check single-path: PASS" in out
+
+
+def test_census_charges_the_last_push_it_does_not_build(capsys):
+    # resnet's last push, from X[1] into X[0], goes to the budget though
+    # the census counts its product without building it.
+    code, out, err = run(
+        capsys, "census", "--builtin", "resnet", "-L", "19", "--check", "binomial"
+    )
+    assert (code, err) == (0, "")
+    assert "check binomial: PASS" in out
+    code, out, err = run(capsys, "census", "--builtin", "resnet", "-L", "20")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: expanding X[20] at X[1] charges 44050430 cells,"
+        " past the expansion budget of 33554432\n"
+    )
 
 
 def test_stats_alpha_below_the_smallest_exits_two(capsys):

@@ -11,6 +11,7 @@ from recur.errors import SizeError
 from recur.expansion import (
     check_structure,
     derivative,
+    derivative_census,
     derivatives,
     one_budget,
     unroll,
@@ -155,6 +156,63 @@ def test_one_pass_equals_per_j_derivative_on_random_specs():
         for stop in range(0, L + 1):
             one_pass, per_j = _one_pass_and_per_j(spec, L, stop)
             assert one_pass == per_j, (render(spec), L, stop)
+
+
+def _census_routes_agree(spec, L, j):
+    routed, full = derivative_census(spec, L, j), census(derivative(spec, L, j))
+    assert list(routed.items()) == list(full.items()), (render(spec), L, j)
+
+
+def test_derivative_census_equals_census_of_derivative_on_builtins():
+    for name in ("chain", "resnet", "newarch", "eq22", "appendix-ex1", "appendix-ex2"):
+        spec = builtin_spec(name)
+        for L in range(1, 13):
+            for j in range(0, L + 1):
+                _census_routes_agree(spec, L, j)
+
+
+@pytest.mark.parametrize("max_lag_cap", [1, 3])
+def test_derivative_census_equals_census_of_derivative_on_random_specs(max_lag_cap):
+    rng = random.Random(2800 + max_lag_cap)
+    for _ in range(80):
+        spec = random_affine_spec(rng, max_lag_cap)
+        L = rng.randint(max(1, spec.first_rule_index), 8)
+        for j in range(0, L + 1):
+            _census_routes_agree(spec, L, j)
+
+
+def test_derivative_census_sums_a_last_push_that_repeats_words():
+    # One push lands on X[0], but W[1]^a * W[1] and W[1]^(a-1) * W[1]*W[1]
+    # are one word: (W[1] + W[1]^2)^3 has one word of each length 3..6.
+    spec = parse("X[0] = input\nX[i] = (W[1] + W[1]*W[1])*X[i-1]\n")
+    assert derivative_census(spec, 3, 0) == {
+        3: (1, 1), 4: (1, 3), 5: (1, 3), 6: (1, 1)
+    }
+    # (p*W[i]) * W[i-1] = p * (W[i]*W[i-1]), both p and p*W[i] pushed by X[i+1].
+    shifted = parse(
+        "X[0] = input\nX[1] = (1 + W[1])*X[0]\n"
+        "X[i] = (1 + W[i])*(1 + W[i-1])*X[i-1]\n"
+    )
+    for spec in (spec, shifted):
+        for L in range(1, 7):
+            for j in range(0, L + 1):
+                _census_routes_agree(spec, L, j)
+
+
+def test_derivative_census_builds_no_last_product_for_resnet(monkeypatch):
+    products = []
+
+    def counted(a, b):
+        products.append(len(a) * len(b))
+        return poly_mul(a, b)
+
+    monkeypatch.setattr(expansion, "poly_mul", counted)
+    derivative(RESNET, 10, 0)
+    assert products == [2 * 2**k for k in range(10)]
+    products.clear()
+    full = census(derivative_bruteforce(RESNET, 10, 0))
+    assert derivative_census(RESNET, 10, 0) == full
+    assert products == [2 * 2**k for k in range(9)]
 
 
 @pytest.mark.parametrize("stop", [-1, 5])
