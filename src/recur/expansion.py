@@ -14,12 +14,15 @@ build, their word lengths and coefficient sizes, and for each step; past
 EXPANSION_BUDGET cells it raises SizeError before building them.  Nothing
 caps the depth itself.
 
-The loop itself, ``_pass``, leaves the last push into X[j] unbuilt, and
-``derivatives`` builds it.  ``derivative_census`` counts it instead: when
-that push is the only one and its product cannot repeat a word, as for
-resnet at every j, the census of d X[L]/d X[j] is the length convolution
-of the pushed polynomial's census with the coefficient's, so the largest
-product of the pass is charged to the budget but never built.
+``derivative_census`` runs the same loop, ``_pass``, but carries a state
+as a census, a map from length to (count, weight), in place of its
+polynomial when the spec shows that one push alone reaches it, that the
+push's product cannot repeat a word, and that each state it pushes into
+is carried too (``_carried``).  Its census is then the length convolution
+of its pusher's census with the coefficient's, and the product it stands
+for is charged to the budget but never built: resnet and chain build none
+at any j.  ``_carried`` holds only the L - j states from X[j] up, and its
+sweep stops at the state where the pass is bound to exceed the budget.
 
 The test suite keeps an independent forward oracle (``tests/conftest.py``)
 that unrolls the recursion with the queried state held free; for affine
@@ -28,7 +31,7 @@ formulas the two must agree exactly.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from math import comb
@@ -39,7 +42,7 @@ from .algebra import (
     poly_mul, signed_sum,
 )
 from .errors import SizeError
-from .parser import REL, ArchitectureSpec
+from .parser import REL, ArchitectureSpec, CoefficientExpr
 
 # The cells one expansion may charge, priced in ``_pass``, and the
 # fixed charge of each of its steps.
@@ -47,8 +50,6 @@ EXPANSION_BUDGET = 1 << 25
 STEP_CELLS = 1 << 9
 # The cells charged so far while ``one_budget`` spans several expansions.
 _SHARED: ContextVar[list[int] | None] = ContextVar("_SHARED", default=None)
-# A push whose product is not built yet: (i, d X[L]/d X[i], coefficient).
-Push = tuple[int, PathPolynomial, PathPolynomial]
 
 
 @contextmanager
@@ -81,22 +82,21 @@ def derivatives(
     no derivative of its own, it is the block Jacobian itself.  The
     polynomial at i does not depend on ``stop``, in items or in their order.
     """
-    pending: list[Push] = []
-    for i, poly in _pass(spec, L, stop, pending):
-        yield i, _settle(poly, pending) if i == stop else poly
+    return _pass(spec, L, stop)
 
 
 def _pass(
-    spec: ArchitectureSpec, L: int, stop: int, pending: list[Push]
-) -> Iterator[tuple[int, PathPolynomial]]:
+    spec: ArchitectureSpec, L: int, stop: int, counting: bool = False
+) -> Iterator[tuple[int, PathPolynomial | dict[int, CensusBin]]]:
     """The expansion loop: yield (i, d X[L]/d X[i]) for i = L down to
-    ``stop``, but leave the latest push into X[stop] out of the polynomial
-    yielded at ``stop``: that push, (i, d X[L]/d X[i], coefficient), is
-    charged and waits in ``pending``, its product not built.
+    ``stop``.  When ``counting``, each state ``_carried`` names is yielded
+    as its census, the convolution of its one push's, and no product into
+    it is built.
 
     The budget takes STEP_CELLS for each of the L - stop steps up front,
-    then, before each push, 1 + the word length + the product of the
-    coefficients' 64-bit word counts for each term of its product.
+    then, before each push, ``_prices`` cells for each term of its product
+    times each term of its coefficient; a carried state's terms are its
+    census's count.
     """
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
@@ -106,49 +106,157 @@ def _pass(
     spent = (L - stop) * STEP_CELLS + (shared[0] if shared else 0)
     if spent > EXPANSION_BUDGET:
         raise _over_budget(f"expanding X[{L}] down to X[{stop}]", spent)
-    # Each state's coefficients have words of at most longest factors and
-    # |coefficients| that sum to at most weight.  A push takes an index down
-    # by 1 or more, so the words at X[L-k] have at most k * longest factors
-    # and each |coefficient| there is below (k + 1) * weight^k.
-    states = [[t.coeff for t in spec.rule.terms]]
-    states += [[c for _, c in base.terms] for base in spec.base_cases]
-    longest = max(len(atoms) for s in states for c in s for atoms in c.terms)
-    weight = max(sum(abs(v) for c in s for v in c.terms.values()) for s in states)
-    grow, words = (weight - 1).bit_length(), (weight.bit_length() + 63) >> 6
-    # The polynomials pushed so far, by state; states below stop take none.
-    # A state's polynomial leaves f when the loop reaches it and is yielded
-    # before it is pushed on, so a caller that drops it keeps none to the end.
+    price = _prices(spec)
+    carry = _carried(spec, L, stop, spent, price) if counting else None
+    # The polynomials (or censuses) pushed so far, by state; states below
+    # stop take none.  A state's polynomial leaves f when the loop reaches
+    # it and is yielded before it is pushed on, so a caller that drops it
+    # keeps none to the end.
     zero = PathPolynomial.zero()
-    f: dict[int, PathPolynomial] = {L: PathPolynomial.one()}
+    f: dict[int, PathPolynomial | dict[int, CensusBin]] = {L: PathPolynomial.one()}
     for i in range(L, stop, -1):
-        pushed = f.pop(i, zero)
+        counted = counting and carry[i - stop]
+        pushed = f.pop(i, {} if counted else zero)
         yield i, pushed
-        if not pushed:
+        terms = sum(b.count for b in pushed.values()) if counted else len(pushed)
+        if not terms:
             continue
-        k = L - i
-        bits = k * grow + (k + 1).bit_length()
-        cells = len(pushed) * (1 + (k + 1) * longest + ((bits + 63) >> 6) * words)
+        cells = terms * price(L - i)
         for source, coeff in spec.instantiate_terms(i):
             if source >= stop:
                 spent += cells * len(coeff)
                 if spent > EXPANSION_BUDGET:
                     raise _over_budget(f"expanding X[{L}] at X[{i}]", spent)
-                if source == stop:  # the latest push waits, the one before is built
-                    f[stop] = _settle(f.get(stop, zero), pending)
-                    pending.append((i, pushed, coeff))
-                    continue
-                f[source] = poly_add(f.get(source, zero), poly_mul(pushed, coeff))
+                if counting and carry[source - stop]:  # lengths add, counts multiply
+                    f[source] = _convolve(
+                        pushed if counted else census(pushed), census(coeff)
+                    )
+                else:
+                    f[source] = poly_add(f.get(source, zero), poly_mul(pushed, coeff))
     if shared:
         shared[0] = spent
-    yield stop, f.pop(stop, zero)
+    yield stop, f.pop(stop, {} if counting and carry[0] else zero)
 
 
-def _settle(poly: PathPolynomial, pending: list[Push]) -> PathPolynomial:
-    """``poly`` plus the product of the push waiting in ``pending``, if any."""
-    if not pending:
-        return poly
-    _, pushed, coeff = pending.pop()
-    return poly_add(poly, poly_mul(pushed, coeff))
+def _prices(spec: ArchitectureSpec) -> Callable[[int], int]:
+    """The cells a push from X[L-k] is charged for each term of its product:
+    1 + the word length + the product of the coefficients' 64-bit word
+    counts, each bounded from the spec.
+
+    Each state's coefficients have words of at most ``longest`` factors and
+    |coefficients| that sum to at most ``weight``.  A push takes an index
+    down by 1 or more, so the words at X[L-k] have at most k * longest
+    factors and each |coefficient| there is below (k + 1) * weight^k.
+    """
+    states = [[t.coeff for t in spec.rule.terms]]
+    states += [[c for _, c in base.terms] for base in spec.base_cases]
+    longest = max(len(atoms) for s in states for c in s for atoms in c.terms)
+    weight = max(sum(abs(v) for c in s for v in c.terms.values()) for s in states)
+    grow, words = (weight - 1).bit_length(), (weight.bit_length() + 63) >> 6
+
+    def price(k: int) -> int:
+        bits = k * grow + (k + 1).bit_length()
+        return 1 + (k + 1) * longest + ((bits + 63) >> 6) * words
+
+    return price
+
+
+def _carried(
+    spec: ArchitectureSpec, L: int, j: int, spent: int, price: Callable[[int], int]
+) -> bytearray:
+    """Which states X[j..L-1] the pass can carry as a census in place of
+    their polynomial, by index - j.  A state is carried when
+
+    (a) exactly one push reaches it from the states X[L] reaches;
+    (b) that push's product, from X[i] with coefficient c, cannot repeat a
+        word: a word of d X[L]/d X[i] followed by one of c is a different
+        word for each pair when c's words all have one length, or when no
+        block of c occurs in a coefficient of the states X[L] reaches above
+        X[i], where the first words come from;
+    (c) each state it pushes into at or above X[j] is carried too.
+
+    Read from the spec's lags, sources and atoms alone, in one sweep down
+    the states and one up: nothing is instantiated ahead of the pass.  The
+    sweep down charges, from ``spent`` on, what the pass must charge at
+    least, and stops at the state where that passes the budget: the pass
+    raises SizeError there or above, and the states below are marked
+    carried, as if the sweep ended there.
+    """
+
+    def term(lag: int | None, source: int | None, coeff: CoefficientExpr):
+        atoms = list(coeff.atoms())
+        lengths = [len(word) for word in coeff.terms]
+        return (
+            lag, source,
+            [v for kind, v in atoms if kind == REL],  # W[i-v]
+            [v for kind, v in atoms if kind != REL],  # W[v]
+            len(set(lengths)) == 1,
+            # the words alone at their length: no block index cancels them
+            sum(lengths.count(m) == 1 for m in set(lengths)),
+        )
+
+    rule = [term(t.lag, t.source, t.coeff) for t in spec.rule.terms]
+    base = [[term(None, s, c) for s, c in b.terms] for b in spec.base_cases]
+    first = spec.first_rule_index
+    n = L - j + 1
+    # By index - j: whether a push reaches the state, the first that does,
+    # whether the state is built (pushed twice, by a push that may repeat a
+    # word, or pushing into a built state), and whether its polynomial is
+    # nonzero for sure: pushed once, from such a state, by a coefficient
+    # that cannot cancel, since the free algebra has no zero divisors.
+    reached, built, whole = bytearray(n), bytearray(n), bytearray(n)
+    pusher = [0] * n
+    held: set[int] = set()  # the blocks of the coefficients so far
+    reached[n - 1] = whole[n - 1] = 1
+    low = 0
+    for i in range(L, j, -1):
+        if not reached[i - j]:
+            continue
+        terms = rule if i >= first else base[i]
+        unit = price(L - i) if whole[i - j] else 0
+        for lag, source, rel, absolute, one, lone in terms:
+            d = (source if lag is None else i - lag) - j
+            if d < 0:
+                continue
+            spent += unit * lone
+            if reached[d]:  # each pusher of a state pushed twice is built
+                built[d] = built[i - j] = built[pusher[d] - j] = 1
+                whole[d] = 0
+            else:
+                reached[d], pusher[d], whole[d] = 1, i, unit > 0 and lone > 0
+                built[d] = not one and (
+                    any(i - v in held for v in rel) or not held.isdisjoint(absolute)
+                )
+        if spent > EXPANSION_BUDGET:
+            low = i - j
+            break
+        for _, _, rel, absolute, _, _ in terms:
+            for v in rel:
+                held.add(i - v)
+            held.update(absolute)
+    # A state pushes below itself, so it is marked built before the loop
+    # reaches it.
+    carried = bytearray(b"\1" * low + bytes(n - low))
+    for d in range(low, n - 1):
+        if built[d]:
+            built[pusher[d] - j] = 1
+        elif reached[d]:
+            carried[d] = 1
+    return carried
+
+
+def _convolve(
+    a: dict[int, CensusBin], b: dict[int, CensusBin]
+) -> dict[int, CensusBin]:
+    """The census of a product of polynomials with censuses a and b that
+    repeats no word: lengths add, counts and weights multiply."""
+    bins: dict[int, list[int]] = {}
+    for k, p in a.items():
+        for m, c in b.items():
+            n = bins.setdefault(k + m, [0, 0])
+            n[0] += p.count * c.count
+            n[1] += p.weight * c.weight
+    return {n: CensusBin(*bins[n]) for n in sorted(bins)}
 
 
 def derivative(spec: ArchitectureSpec, L: int, j: int) -> PathPolynomial:
@@ -161,57 +269,14 @@ def derivative(spec: ArchitectureSpec, L: int, j: int) -> PathPolynomial:
 def derivative_census(
     spec: ArchitectureSpec, L: int, j: int
 ) -> dict[int, CensusBin]:
-    """census(derivative(spec, L, j)), without the last product where it
-    cannot repeat a word.
-
-    When the last push into X[j], from X[i] with coefficient c, is the only
-    one (or those before it cancel), and a word of d X[L]/d X[i] followed
-    by a word of c is a different word for each pair, the census is the
-    convolution of census(d X[L]/d X[i]) with census(c): lengths add,
-    counts and weights multiply, and no coefficient cancels.  Each pair
-    gives its own word when c's words all have one length, or when no
-    block of c can occur in a coefficient of X[i+1..L] (``_may_hold``).
-    Any other pass sums its pushes into X[j] as ``derivative`` does.  The
-    last push is charged to the budget either way.
+    """census(derivative(spec, L, j)), building no product into a state the
+    pass can count instead (``_carried``): for resnet and chain at every j,
+    none at all.  Each push is charged to the budget as ``derivative``
+    charges it, so both stop at the same state with the same error.
     """
-    pending: list[Push] = []
-    for _, poly in _pass(spec, L, j, pending):
+    for _, last in _pass(spec, L, j, counting=True):
         pass
-    if pending and not poly:
-        i, pushed, coeff = pending[0]
-        words = coeff.keys()
-        if len(set(map(len, words))) == 1 or not _may_hold(
-            spec, i + 1, L, {ord(b) for word in words for b in word}
-        ):
-            factors = census(coeff)
-            bins: dict[int, list[int]] = {}
-            for k, p in census(pushed).items():
-                for m, c in factors.items():
-                    n = bins.setdefault(k + m, [0, 0])
-                    n[0] += p.count * c.count
-                    n[1] += p.weight * c.weight
-            return {n: CensusBin(*bins[n]) for n in sorted(bins)}
-    return census(_settle(poly, pending))
-
-
-def _may_hold(spec: ArchitectureSpec, lo: int, hi: int, blocks: set[int]) -> bool:
-    """Whether a coefficient of a state in lo..hi may hold one of ``blocks``,
-    read from the spec's atoms: a superset of the blocks the states' words
-    hold.  Base cases hold absolute atoms only; the rule's relative atom
-    W[v-c] is W[b] at the rule state b + c.
-    """
-    rule_states = range(max(lo, spec.first_rule_index), hi + 1)
-    atoms = {
-        a for base in spec.base_cases[lo : hi + 1] for _, c in base.terms
-        for a in c.atoms()
-    }
-    if rule_states:
-        atoms.update(a for t in spec.rule.terms for a in t.coeff.atoms())
-    return any(
-        (b + v in rule_states) if kind == REL else b == v
-        for kind, v in atoms
-        for b in blocks
-    )
+    return last if isinstance(last, dict) else census(last)
 
 
 class StateExpansion:

@@ -647,6 +647,14 @@ OVER_BUDGET = [
     (("expand", "--builtin", "resnet", "-L", "24"), EXPANSION_BUDGET_ERROR),
     (("expand", "factors8.rf", "-L", "10"), EXPANSION_BUDGET_ERROR),
     (("census", "--builtin", "chain", "-L", "100000"), EXPANSION_BUDGET_ERROR),
+    # past the budget at the 2,379th of 60,000 steps
+    (
+        ("census", "--builtin", "chain", "-L", "60000"),
+        (
+            "error: expanding X[60000] at X[57622] charges 33555768 cells,",
+            EXPANSION_BUDGET_ERROR[1],
+        ),
+    ),
     (("census", "nines.rf", "-L", "200"), EXPANSION_BUDGET_ERROR),
     (("expand", "copy.rf", "-L", "1000000000"), EXPANSION_BUDGET_ERROR),
     # checks j = 0, 1 and 2 for each seed, counted before the seeds are drawn
@@ -687,7 +695,7 @@ def run_cli_fresh(argv):
 
 # A process that holds the 2^17 terms of resnet's d X[17]/d X[0] and
 # writes nothing: the baseline of the output tests below.  ``census`` no
-# longer holds that polynomial, since it counts the last product unbuilt.
+# longer holds that polynomial, since it builds no product for resnet.
 HOLD_RESNET_17 = [
     "-c",
     "from recur.builtins import builtin_spec\n"
@@ -758,6 +766,47 @@ def test_text_output_peak_memory_stays_within_1_4_times_baseline():
         assert code == 0
         peaks.append(peak_mb)
     assert peaks[0] <= 1.4 * peaks[1]
+
+
+def test_census_peak_memory_stays_within_1_2_times_parse():
+    # resnet's d X[19]/d X[0] has 2^19 terms; the census counts them by
+    # convolution and builds none: 16.7 MB, as for parse, on a 2-CPU Linux
+    # machine with Python 3.11, against 54.6 MB when it built all but the
+    # last product.
+    peaks = []
+    for argv in (
+        ["census", "--builtin", "resnet", "-L", "19", "--format", "json"],
+        ["parse", "resnet"],
+    ):
+        code, _, _, _, peak_mb = run_cli_fresh(argv)
+        assert code == 0
+        peaks.append(peak_mb)
+    assert peaks[0] <= 1.2 * peaks[1]
+
+
+@pytest.mark.parametrize(
+    "wrt, expected",
+    [
+        (
+            10**12,
+            (0, "spec: chain  depth: 1000000000000  wrt: 1000000000000\n"
+             "census {0: 1}\n", ""),
+        ),
+        (
+            10**12 - 1,
+            (2, "", "error: block index 1000000000000 is past 1114111, the"
+             " largest a path word can hold\n"),
+        ),
+    ],
+)
+def test_census_at_a_huge_depth_takes_memory_by_its_steps(wrt, expected):
+    # The census reads the L - j states from X[j] up, so at L = 10^12 it
+    # takes no more memory than parse.
+    code, out, err, _, peak_mb = run_cli_fresh(
+        ["census", "--builtin", "chain", "-L", str(10**12), "-j", str(wrt)]
+    )
+    assert (code, out, err) == expected
+    assert peak_mb <= 1.2 * run_cli_fresh(["parse", "chain"])[4]
 
 
 @pytest.mark.parametrize(

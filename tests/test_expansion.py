@@ -18,7 +18,7 @@ from recur.expansion import (
     value_equivalence_report,
     verify_chain_identity,
 )
-from recur.parser import parse, render
+from recur.parser import ArchitectureSpec, parse, render
 
 RESNET = builtin_spec("resnet")
 CHAIN = builtin_spec("chain")
@@ -199,7 +199,8 @@ def test_derivative_census_sums_a_last_push_that_repeats_words():
                 _census_routes_agree(spec, L, j)
 
 
-def test_derivative_census_builds_no_last_product_for_resnet(monkeypatch):
+def _products(monkeypatch):
+    """The list each poly_mul of the expansion loop appends to."""
     products = []
 
     def counted(a, b):
@@ -207,12 +208,180 @@ def test_derivative_census_builds_no_last_product_for_resnet(monkeypatch):
         return poly_mul(a, b)
 
     monkeypatch.setattr(expansion, "poly_mul", counted)
+    return products
+
+
+def test_derivative_census_builds_no_product_into_a_carried_state(monkeypatch):
+    products = _products(monkeypatch)
+
+    def built(route, spec, L, j):
+        products.clear()
+        route(spec, L, j)
+        return len(products)
+
+    for L in range(1, 11):
+        for j in range(0, L + 1):
+            assert built(derivative_census, RESNET, L, j) == 0, (L, j)
+            assert built(derivative_census, CHAIN, L, j) == 0, (L, j)
+            if j >= 1:
+                assert built(derivative_census, EQ22, L, j) == 0, (L, j)
+        # Only the push into X[L-1] is carried; the rest is built as before.
+        for name in ("newarch", "appendix-ex1", "appendix-ex2"):
+            spec = builtin_spec(name)
+            assert built(derivative_census, spec, L, L - 1) == (
+                built(derivative, spec, L, L - 1) - 1
+            ), (name, L)
+    products.clear()
     derivative(RESNET, 10, 0)
     assert products == [2 * 2**k for k in range(10)]
+    assert derivative_census(RESNET, 10, 0) == census(
+        derivative_bruteforce(RESNET, 10, 0)
+    )
+
+
+# resnet's rule over base cases whose push into X[1] repeats words: X[3]
+# reuses W[2], so d X[L]/d X[2] * (1 + W[2]) holds w*W[2] twice.  X[1] and
+# every state above it are built; X[0], below them, is carried.
+STRETCH = parse(
+    "X[0] = input\nX[1] = (1 + W[1])*X[0]\nX[2] = (1 + W[2])*X[1]\n"
+    "X[3] = (1 + W[2])*X[2]\nX[i] = (1 + W[i])*X[i-1]\n"
+)
+
+
+def test_derivative_census_carries_a_state_below_a_built_stretch(monkeypatch):
+    for L in range(1, 9):
+        for j in range(0, L + 1):
+            assert derivative_census(STRETCH, L, j) == census(
+                derivative_bruteforce(STRETCH, L, j)
+            ), (L, j)
+    # (1 + W[2])*(1 + W[2]) = 1 + 2*W[2] + W[2]*W[2]: one word of length 1
+    assert derivative_census(STRETCH, 3, 1) == {0: (1, 1), 1: (1, 2), 2: (1, 1)}
+    products = _products(monkeypatch)
+    derivative(STRETCH, 8, 0)
+    assert len(products) == 8
     products.clear()
-    full = census(derivative_bruteforce(RESNET, 10, 0))
-    assert derivative_census(RESNET, 10, 0) == full
-    assert products == [2 * 2**k for k in range(9)]
+    derivative_census(STRETCH, 8, 0)
+    assert len(products) == 7  # all but the push into X[0]
+
+
+@pytest.mark.parametrize("spec", [RESNET, CHAIN], ids=["resnet", "chain"])
+def test_derivative_census_stops_where_derivative_does(monkeypatch, spec):
+    # Each state's running total at L = 10: the 10 steps up front, then the
+    # push from X[10-k], 2^k or 1 terms of 1 + (k + 1) + 1 cells, times the
+    # 2 or 1 terms of its coefficient.
+    terms = 2 if spec is RESNET else 1
+    charged = {11: 10 * expansion.STEP_CELLS}
+    for k in range(10):
+        charged[10 - k] = charged[11 - k] + terms ** (k + 1) * (k + 3)
+    for state, total in charged.items():
+        monkeypatch.setattr(expansion, "EXPANSION_BUDGET", total - 1)
+        errors = []
+        for route in (derivative, derivative_census):
+            with pytest.raises(SizeError) as info:
+                route(spec, 10, 0)
+            errors.append(str(info.value))
+        where = f"at X[{state}]" if state <= 10 else "down to X[0]"
+        assert errors[0] == errors[1] == (
+            f"expanding X[10] {where} charges {total} cells,"
+            f" past the expansion budget of {total - 1}"
+        )
+    monkeypatch.setattr(expansion, "EXPANSION_BUDGET", charged[1])
+    assert derivative_census(spec, 10, 0) == census(derivative(spec, 10, 0))
+
+
+@pytest.mark.parametrize("max_lag_cap", [1, 3])
+def test_derivative_census_stops_where_derivative_does_on_random_specs(
+    monkeypatch, max_lag_cap
+):
+    # Budgets just above the steps' charge: about a third of the passes stop
+    # part way, and the census's sweep down stops early in about half of
+    # those, where the states above cannot cancel.
+    rng = random.Random(2900 + max_lag_cap)
+    stopped = 0
+    for _ in range(80):
+        spec = random_affine_spec(rng, max_lag_cap)
+        L = rng.randint(max(1, spec.first_rule_index), 8)
+        j = rng.randint(0, L)
+        budget = (L - j) * expansion.STEP_CELLS + rng.randint(0, 40)
+        monkeypatch.setattr(expansion, "EXPANSION_BUDGET", budget)
+        try:
+            full = census(derivative(spec, L, j))
+        except SizeError as error:
+            stopped += 1
+            with pytest.raises(SizeError) as info:
+                derivative_census(spec, L, j)
+            assert str(info.value) == str(error), (render(spec), L, j)
+        else:
+            assert derivative_census(spec, L, j) == full, (render(spec), L, j)
+    assert stopped >= 20
+
+
+# Specs with zero states: X[L-2], where two pushes cancel, and for L >= 3
+# X[2], pushed once by W[i-1] - W[2], which vanishes at i = 3.
+ZEROS = [
+    parse("X[0] = input\nX[1] = X[0]\nX[i] = X[i-1] - X[i-2]\n"),
+    parse(
+        "X[0] = input\nX[1] = (1 + W[1])*X[0]\nX[2] = (1 + W[2])*X[1]\n"
+        "X[i] = (W[i-1] - W[2])*X[i-1] + X[i-2] + X[i-3]\n"
+    ),
+]
+
+
+@pytest.mark.parametrize("spec", ZEROS, ids=["cancel", "vanish"])
+def test_derivative_census_stops_where_derivative_does_past_zero_states(
+    monkeypatch, spec
+):
+    # Each budget from the steps' charge up to the first that passes: the
+    # sweep down charges nothing for a state that may be zero.
+    for L in range(3, 7):
+        for j in range(0, L + 1):
+            budget = (L - j) * expansion.STEP_CELLS
+            while True:
+                monkeypatch.setattr(expansion, "EXPANSION_BUDGET", budget)
+                try:
+                    full = census(derivative(spec, L, j))
+                except SizeError as error:
+                    with pytest.raises(SizeError) as info:
+                        derivative_census(spec, L, j)
+                    assert str(info.value) == str(error), (L, j, budget)
+                    budget += 1
+                    continue
+                assert derivative_census(spec, L, j) == full, (L, j, budget)
+                break
+
+
+@pytest.mark.parametrize(
+    "spec, swept", [(CHAIN, 2379), (RESNET, 1669)], ids=["chain", "resnet"]
+)
+def test_carried_sweeps_down_to_where_the_pass_must_fail(spec, swept):
+    # The sweep charges X[60000-k] at least price(k) cells for each term of
+    # a coefficient that cannot cancel, one for chain's W[i] and two for
+    # resnet's 1 + W[i]; past the budget it stops, and leaves the states
+    # below it carried.  chain's charge is the pass's own, so both stop at
+    # X[57622]; resnet's pass charges 2^k terms and stops at X[59984].
+    price = expansion._prices(spec)
+    priced = []
+    carried = expansion._carried(
+        spec, 60000, 0, 60000 * expansion.STEP_CELLS,
+        lambda k: priced.append(k) or price(k),
+    )
+    assert priced == list(range(swept))
+    assert carried == b"\1" * 60000 + b"\0"
+
+
+def test_derivative_census_instantiates_only_the_states_it_pops(monkeypatch):
+    # chain at L = 60000 passes the budget at X[57622]: the census reads the
+    # other 57,622 states' sources and atoms, but instantiates none of them.
+    calls = []
+    instantiate = ArchitectureSpec.instantiate_terms
+    monkeypatch.setattr(
+        ArchitectureSpec,
+        "instantiate_terms",
+        lambda spec, i: calls.append(i) or instantiate(spec, i),
+    )
+    with pytest.raises(SizeError, match=r"^expanding X\[60000\] at X\[57622\] "):
+        derivative_census(CHAIN, 60000, 0)
+    assert calls == list(range(60000, 57621, -1))
 
 
 @pytest.mark.parametrize("stop", [-1, 5])

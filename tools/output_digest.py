@@ -88,6 +88,12 @@ FILES = {
     # coefficients 2^(L-k)*(-3)^k, one run per length k: at L = 12, 4,096
     # terms, whose runs cross the writers' blocks of 256 terms
     "mixed.rf": "X[0] = input\nX[i] = (2 - 3*W[i])*X[i-1]\n",
+    # resnet's rule over base cases whose push into X[1] repeats words, so
+    # the census builds X[1] and the states above it, and counts X[0]
+    "stretch.rf": (
+        "X[0] = input\nX[1] = (1 + W[1])*X[0]\nX[2] = (1 + W[2])*X[1]\n"
+        "X[3] = (1 + W[2])*X[2]\nX[i] = (1 + W[i])*X[i-1]\n"
+    ),
     # signed multi-term coefficients, which fail the widest check
     "wide.rf": (
         "X[0] = input; X[1] = (1 + W[1])*X[0];"
@@ -314,6 +320,14 @@ def commands() -> list[list[str]]:
         ["census", "--builtin", "resnet", "-L", "20"],
         ["census", "--builtin", "chain", "-L", "100000"],
         ["census", "--builtin", "chain", "-L", "60000"],
+        # censuses that count each single push by convolution: every state
+        # of chain, of resnet and of eq22 at j >= 1, and stretch.rf's X[0],
+        # below the states it builds
+        ["census", "--builtin", "chain", "-L", "300"],
+        ["census", "--builtin", "eq22", "-L", "16", "--wrt", "2", "--format", "json"],
+        ["census", "--builtin", "resnet", "-L", "19", "--wrt", "4", "--format", "json"],
+        ["census", "stretch.rf", "-L", "8"],
+        ["census", "stretch.rf", "-L", "8", "--format", "json"],
         ["census", "nines.rf", "-L", "200"],
     ]
     return cmds
