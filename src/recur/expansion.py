@@ -14,15 +14,15 @@ build, their word lengths and coefficient sizes, and for each step; past
 EXPANSION_BUDGET cells it raises SizeError before building them.  Nothing
 caps the depth itself.
 
-``derivative_census`` runs the same loop, ``_pass``, but carries a state
-as a census, a map from length to (count, weight), in place of its
-polynomial when the spec shows that one push alone reaches it, that the
-push's product cannot repeat a word, and that each state it pushes into
-is carried too (``_carried``).  Its census is then the length convolution
-of its pusher's census with the coefficient's, and the product it stands
-for is charged to the budget but never built: resnet and chain build none
-at any j.  ``_carried`` holds only the L - j states from X[j] up, and its
-sweep stops at the state where the pass is bound to exceed the budget.
+``derivative_census`` runs the same loop, ``_pass``, but carries each
+state as a census, a map from length to (count, weight), in place of its
+polynomial: the bin-by-bin sum of its pushers' censuses convolved with
+their coefficients'.  That is the census only when no word takes two paths,
+so at each state it pops the pass checks the words of its pushes
+(``_unique``, which holds the argument), and at the first that fails it
+falls back to ``derivative``.  The check passes for chain, resnet, eq22 and
+the appendix formulas at every j, which then build no product; each push
+is charged to the budget as the product would be.
 
 The test suite keeps an independent forward oracle (``tests/conftest.py``)
 that unrolls the recursion with the queried state held free; for affine
@@ -42,7 +42,7 @@ from .algebra import (
     poly_mul, signed_sum,
 )
 from .errors import SizeError
-from .parser import REL, ArchitectureSpec, CoefficientExpr
+from .parser import REL, ArchitectureSpec
 
 # The cells one expansion may charge, priced in ``_pass``, and the
 # fixed charge of each of its steps.
@@ -87,16 +87,17 @@ def derivatives(
 
 def _pass(
     spec: ArchitectureSpec, L: int, stop: int, counting: bool = False
-) -> Iterator[tuple[int, PathPolynomial | dict[int, CensusBin]]]:
+) -> Iterator[tuple[int, PathPolynomial | dict | None]]:
     """The expansion loop: yield (i, d X[L]/d X[i]) for i = L down to
-    ``stop``.  When ``counting``, each state ``_carried`` names is yielded
-    as its census, the convolution of its one push's, and no product into
-    it is built.
+    ``stop``.  When ``counting``, each state is yielded as its census, the
+    bin-by-bin sum of its pushes' convolutions, and no product is built:
+    [count, weight] lists by length, and CensusBins at ``stop``.  At the
+    first state ``_unique`` cannot clear, the pass yields (stop, None) and
+    ends.
 
     The budget takes STEP_CELLS for each of the L - stop steps up front,
     then, before each push, ``_prices`` cells for each term of its product
-    times each term of its coefficient; a carried state's terms are its
-    census's count.
+    times each term of its coefficient; a census's terms are its count.
     """
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
@@ -107,35 +108,39 @@ def _pass(
     if spent > EXPANSION_BUDGET:
         raise _over_budget(f"expanding X[{L}] down to X[{stop}]", spent)
     price = _prices(spec)
-    carry = _carried(spec, L, stop, spent, price) if counting else None
+    top = _tops(spec, stop) if counting else None
     # The polynomials (or censuses) pushed so far, by state; states below
     # stop take none.  A state's polynomial leaves f when the loop reaches
     # it and is yielded before it is pushed on, so a caller that drops it
     # keeps none to the end.
-    zero = PathPolynomial.zero()
-    f: dict[int, PathPolynomial | dict[int, CensusBin]] = {L: PathPolynomial.one()}
+    zero = {} if counting else PathPolynomial.zero()
+    f: dict[int, PathPolynomial | dict[int, list[int]]] = {
+        L: {0: [1, 1]} if counting else PathPolynomial.one()
+    }
     for i in range(L, stop, -1):
-        counted = counting and carry[i - stop]
-        pushed = f.pop(i, {} if counted else zero)
+        pushed = f.pop(i, zero)
         yield i, pushed
-        terms = sum(b.count for b in pushed.values()) if counted else len(pushed)
+        terms = sum(b[0] for b in pushed.values()) if counting else len(pushed)
         if not terms:
             continue
         cells = terms * price(L - i)
-        for source, coeff in spec.instantiate_terms(i):
+        pushes = spec.instantiate_terms(i)
+        if counting and not _unique(pushes, stop, top):
+            yield stop, None
+            return
+        for source, coeff in pushes:
             if source >= stop:
                 spent += cells * len(coeff)
                 if spent > EXPANSION_BUDGET:
                     raise _over_budget(f"expanding X[{L}] at X[{i}]", spent)
-                if counting and carry[source - stop]:  # lengths add, counts multiply
-                    f[source] = _convolve(
-                        pushed if counted else census(pushed), census(coeff)
-                    )
+                if counting:
+                    _convolve(pushed, coeff, f.setdefault(source, {}))
                 else:
                     f[source] = poly_add(f.get(source, zero), poly_mul(pushed, coeff))
     if shared:
         shared[0] = spent
-    yield stop, f.pop(stop, {} if counting and carry[0] else zero)
+    last = f.pop(stop, zero)
+    yield stop, _bins(last) if counting else last
 
 
 def _prices(spec: ArchitectureSpec) -> Callable[[int], int]:
@@ -161,102 +166,88 @@ def _prices(spec: ArchitectureSpec) -> Callable[[int], int]:
     return price
 
 
-def _carried(
-    spec: ArchitectureSpec, L: int, j: int, spent: int, price: Callable[[int], int]
-) -> bytearray:
-    """Which states X[j..L-1] the pass can carry as a census in place of
-    their polynomial, by index - j.  A state is carried when
+def _tops(spec: ArchitectureSpec, j: int) -> Callable[[int], int]:
+    """top(t): a bound on the blocks of the coefficients of the states in
+    (j, t], 0 when there are none.
 
-    (a) exactly one push reaches it from the states X[L] reaches;
-    (b) that push's product, from X[i] with coefficient c, cannot repeat a
-        word: a word of d X[L]/d X[i] followed by one of c is a different
-        word for each pair when c's words all have one length, or when no
-        block of c occurs in a coefficient of the states X[L] reaches above
-        X[i], where the first words come from;
-    (c) each state it pushes into at or above X[j] is carried too.
-
-    Read from the spec's lags, sources and atoms alone, in one sweep down
-    the states and one up: nothing is instantiated ahead of the pass.  The
-    sweep down charges, from ``spent`` on, what the pass must charge at
-    least, and stops at the state where that passes the budget: the pass
-    raises SizeError there or above, and the states below are marked
-    carried, as if the sweep ended there.
+    A rule state X[s] holds blocks s - v for its relative offsets v, largest
+    at s = t; every other block is an absolute atom of the rule or of a
+    base case.  Nothing is sized by the depth.
     """
-
-    def term(lag: int | None, source: int | None, coeff: CoefficientExpr):
-        atoms = list(coeff.atoms())
-        lengths = [len(word) for word in coeff.terms]
-        return (
-            lag, source,
-            [v for kind, v in atoms if kind == REL],  # W[i-v]
-            [v for kind, v in atoms if kind != REL],  # W[v]
-            len(set(lengths)) == 1,
-            # the words alone at their length: no block index cancels them
-            sum(lengths.count(m) == 1 for m in set(lengths)),
-        )
-
-    rule = [term(t.lag, t.source, t.coeff) for t in spec.rule.terms]
-    base = [[term(None, s, c) for s, c in b.terms] for b in spec.base_cases]
     first = spec.first_rule_index
-    n = L - j + 1
-    # By index - j: whether a push reaches the state, the first that does,
-    # whether the state is built (pushed twice, by a push that may repeat a
-    # word, or pushing into a built state), and whether its polynomial is
-    # nonzero for sure: pushed once, from such a state, by a coefficient
-    # that cannot cancel, since the free algebra has no zero divisors.
-    reached, built, whole = bytearray(n), bytearray(n), bytearray(n)
-    pusher = [0] * n
-    held: set[int] = set()  # the blocks of the coefficients so far
-    reached[n - 1] = whole[n - 1] = 1
-    low = 0
-    for i in range(L, j, -1):
-        if not reached[i - j]:
-            continue
-        terms = rule if i >= first else base[i]
-        unit = price(L - i) if whole[i - j] else 0
-        for lag, source, rel, absolute, one, lone in terms:
-            d = (source if lag is None else i - lag) - j
-            if d < 0:
-                continue
-            spent += unit * lone
-            if reached[d]:  # each pusher of a state pushed twice is built
-                built[d] = built[i - j] = built[pusher[d] - j] = 1
-                whole[d] = 0
-            else:
-                reached[d], pusher[d], whole[d] = 1, i, unit > 0 and lone > 0
-                built[d] = not one and (
-                    any(i - v in held for v in rel) or not held.isdisjoint(absolute)
-                )
-        if spent > EXPANSION_BUDGET:
-            low = i - j
-            break
-        for _, _, rel, absolute, _, _ in terms:
-            for v in rel:
-                held.add(i - v)
-            held.update(absolute)
-    # A state pushes below itself, so it is marked built before the loop
-    # reaches it.
-    carried = bytearray(b"\1" * low + bytes(n - low))
-    for d in range(low, n - 1):
-        if built[d]:
-            built[pusher[d] - j] = 1
-        elif reached[d]:
-            carried[d] = 1
-    return carried
+    atoms = [a for t in spec.rule.terms for a in t.coeff.atoms()]
+    atoms += [a for b in spec.base_cases for _, c in b.terms for a in c.atoms()]
+    low = min((v for kind, v in atoms if kind == REL), default=None)
+    fixed = max((v for kind, v in atoms if kind != REL), default=0)
+
+    def top(t: int) -> int:
+        if t <= j:
+            return 0
+        return fixed if t < first or low is None else max(fixed, t - low)
+
+    return top
+
+
+def _unique(
+    pushes: list[tuple[int, PathPolynomial]], j: int, top: Callable[[int], int]
+) -> bool:
+    """Whether the pushes of one state into X[j] and above, one move a word
+    of each coefficient, let no word of d X[L]/d X[t], t >= j, take two
+    paths, given that the states above passed.  Two moves (u1, t1), (u2, t2)
+    with |u1| <= |u2| pass when neither word is a prefix of the other, or
+    when u1 is a proper prefix of u2 and the block u2[|u1|] is past
+    top(t1).
+
+    By induction on the state where two paths part.  Say two paths from
+    X[L] to X[t] spell one word and first part at X[s], by moves (u1, t1)
+    and (u2, t2), |u1| <= |u2|: the words before X[s] are the same, so
+    u1 r1 = u2 r2, where r1 and r2 are the words of the rest of each path.
+    If neither of u1, u2 is a prefix of the other, the two sides differ
+    within them; if u1 = u2, this test has failed.  Else u1 is a proper
+    prefix of u2, r1 is not empty, and its first block, u2[|u1|], belongs
+    to a coefficient of a state in (t, t1], within (j, t1]: it is at most
+    top(t1), and this test has failed too.  So once every state the pass
+    pops has passed, each word has one path, its coefficient is the
+    product of its moves' coefficients, and the census is the sum over
+    paths that the pass counts.
+    """
+    targets: dict[str, int] = {}
+    for s, c in pushes:
+        if s >= j:
+            for w in c.keys():
+                if w in targets:
+                    return False
+                targets[w] = s
+    # Each word looks up its prefixes of the lengths that some word has: at
+    # most one lookup for each block of the words, not one for each pair.
+    lengths = sorted({len(w) for w in targets})
+    for u2 in targets:
+        for k in lengths:
+            if k >= len(u2):
+                break
+            t1 = targets.get(u2[:k])
+            if t1 is not None and ord(u2[k]) <= top(t1):
+                return False
+    return True
 
 
 def _convolve(
-    a: dict[int, CensusBin], b: dict[int, CensusBin]
-) -> dict[int, CensusBin]:
-    """The census of a product of polynomials with censuses a and b that
-    repeats no word: lengths add, counts and weights multiply."""
-    bins: dict[int, list[int]] = {}
-    for k, p in a.items():
-        for m, c in b.items():
-            n = bins.setdefault(k + m, [0, 0])
-            n[0] += p.count * c.count
-            n[1] += p.weight * c.weight
-    return {n: CensusBin(*bins[n]) for n in sorted(bins)}
+    a: dict[int, list[int]], coeff: PathPolynomial, into: dict[int, list[int]]
+) -> None:
+    """Add to ``into``, a census as [count, weight] lists, the census of the
+    product of a polynomial with census ``a`` and ``coeff``, whose words each
+    have one path: lengths add, counts and weights multiply."""
+    for word, c in coeff.items():
+        m, c = len(word), abs(c)
+        for k, (count, weight) in a.items():
+            n = into.setdefault(k + m, [0, 0])
+            n[0] += count
+            n[1] += weight * c
+
+
+def _bins(counts: dict[int, list[int]]) -> dict[int, CensusBin]:
+    """A census kept as [count, weight] lists, as CensusBins by length."""
+    return {k: CensusBin(*counts[k]) for k in sorted(counts)}
 
 
 def derivative(spec: ArchitectureSpec, L: int, j: int) -> PathPolynomial:
@@ -269,14 +260,16 @@ def derivative(spec: ArchitectureSpec, L: int, j: int) -> PathPolynomial:
 def derivative_census(
     spec: ArchitectureSpec, L: int, j: int
 ) -> dict[int, CensusBin]:
-    """census(derivative(spec, L, j)), building no product into a state the
-    pass can count instead (``_carried``): for resnet and chain at every j,
-    none at all.  Each push is charged to the budget as ``derivative``
-    charges it, so both stop at the same state with the same error.
+    """census(derivative(spec, L, j)), counted state by state with no
+    product built while ``_unique`` clears each state the pass pops, as it
+    does for chain, resnet, eq22 and the appendix formulas; else the census
+    of ``derivative``.  Both routes charge each push to the budget alike, so
+    both stop at the same state with the same error.
     """
     for _, last in _pass(spec, L, j, counting=True):
-        pass
-    return last if isinstance(last, dict) else census(last)
+        if last is None:
+            return census(derivative(spec, L, j))
+    return last
 
 
 class StateExpansion:

@@ -621,6 +621,13 @@ BUDGET_FILES = {
         + "*".join(f"(1 + W[i-{k}])" for k in range(1, 8))
         + "*X[i-1]\n"
     ),
+    # 2^14 words of 14 blocks, none a prefix of another: the census's
+    # check that no word takes two paths must stay linear in them
+    "prefixfree14.rf": (
+        "X[0] = input\nX[1] = X[0]\nX[i] = "
+        + "(W[i] + W[i-1])*" * 14
+        + "X[i-1]\n"
+    ),
     # one term, one code point, and a coefficient of 28,567 bits
     "nines.rf": "X[0] = input\nX[i] = " + "*".join(["9" * 4300] * 2) + "*X[i-1]\n",
     # products that pass the parse budget at a star: long words, wide integers
@@ -656,6 +663,13 @@ OVER_BUDGET = [
         ),
     ),
     (("census", "nines.rf", "-L", "200"), EXPANSION_BUDGET_ERROR),
+    (
+        ("census", "prefixfree14.rf", "-L", "3"),
+        (
+            "error: expanding X[3] at X[2] charges 8053327360 cells,",
+            EXPANSION_BUDGET_ERROR[1],
+        ),
+    ),
     (("expand", "copy.rf", "-L", "1000000000"), EXPANSION_BUDGET_ERROR),
     # checks j = 0, 1 and 2 for each seed, counted before the seeds are drawn
     (

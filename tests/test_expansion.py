@@ -211,27 +211,22 @@ def _products(monkeypatch):
     return products
 
 
-def test_derivative_census_builds_no_product_into_a_carried_state(monkeypatch):
+def _built(monkeypatch, spec, L, j):
+    """The products derivative_census(spec, L, j) builds."""
     products = _products(monkeypatch)
+    derivative_census(spec, L, j)
+    return len(products)
 
-    def built(route, spec, L, j):
-        products.clear()
-        route(spec, L, j)
-        return len(products)
 
+def test_derivative_census_builds_no_product_into_a_carried_state(monkeypatch):
+    carried = [RESNET, CHAIN, EQ22]
+    carried += map(builtin_spec, ("appendix-ex1", "appendix-ex2"))
     for L in range(1, 11):
         for j in range(0, L + 1):
-            assert built(derivative_census, RESNET, L, j) == 0, (L, j)
-            assert built(derivative_census, CHAIN, L, j) == 0, (L, j)
-            if j >= 1:
-                assert built(derivative_census, EQ22, L, j) == 0, (L, j)
-        # Only the push into X[L-1] is carried; the rest is built as before.
-        for name in ("newarch", "appendix-ex1", "appendix-ex2"):
-            spec = builtin_spec(name)
-            assert built(derivative_census, spec, L, L - 1) == (
-                built(derivative, spec, L, L - 1) - 1
-            ), (name, L)
-    products.clear()
+            for spec in carried:
+                assert _built(monkeypatch, spec, L, j) == 0, (spec.name, L, j)
+        assert _built(monkeypatch, NEWARCH, L, L - 1) == 0, L
+    products = _products(monkeypatch)
     derivative(RESNET, 10, 0)
     assert products == [2 * 2**k for k in range(10)]
     assert derivative_census(RESNET, 10, 0) == census(
@@ -239,29 +234,79 @@ def test_derivative_census_builds_no_product_into_a_carried_state(monkeypatch):
     )
 
 
+def _census_matches_bruteforce(spec, L, j):
+    assert derivative_census(spec, L, j) == census(
+        derivative_bruteforce(spec, L, j)
+    ), (render(spec), L, j)
+
+
 # resnet's rule over base cases whose push into X[1] repeats words: X[3]
-# reuses W[2], so d X[L]/d X[2] * (1 + W[2]) holds w*W[2] twice.  X[1] and
-# every state above it are built; X[0], below them, is carried.
+# reuses W[2], so d X[L]/d X[2] * (1 + W[2]) holds w*W[2] twice.
 STRETCH = parse(
     "X[0] = input\nX[1] = (1 + W[1])*X[0]\nX[2] = (1 + W[2])*X[1]\n"
     "X[3] = (1 + W[2])*X[2]\nX[i] = (1 + W[i])*X[i-1]\n"
 )
 
 
-def test_derivative_census_carries_a_state_below_a_built_stretch(monkeypatch):
+def test_derivative_census_of_a_built_stretch():
     for L in range(1, 9):
         for j in range(0, L + 1):
-            assert derivative_census(STRETCH, L, j) == census(
-                derivative_bruteforce(STRETCH, L, j)
-            ), (L, j)
+            _census_matches_bruteforce(STRETCH, L, j)
     # (1 + W[2])*(1 + W[2]) = 1 + 2*W[2] + W[2]*W[2]: one word of length 1
     assert derivative_census(STRETCH, 3, 1) == {0: (1, 1), 1: (1, 2), 2: (1, 1)}
-    products = _products(monkeypatch)
-    derivative(STRETCH, 8, 0)
-    assert len(products) == 8
-    products.clear()
-    derivative_census(STRETCH, 8, 0)
-    assert len(products) == 7  # all but the push into X[0]
+
+
+def test_derivative_census_carries_a_shared_prefix_whose_next_block_is_new(
+    monkeypatch,
+):
+    # W[i] and W[i]*W[i] into X[i-1]: every path on from X[i-1] starts with
+    # a block below i, so W[i] followed by one never spells W[i]*W[i]
+    # followed by another.
+    spec = parse("X[0] = input\nX[i] = (W[i] + W[i]*W[i])*X[i-1]\n")
+    for L in range(1, 9):
+        for j in range(0, L + 1):
+            assert _built(monkeypatch, spec, L, j) == 0, (L, j)
+            _census_matches_bruteforce(spec, L, j)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # two empty words: the identity's coefficient in X[L-2] adds up
+        "X[0] = input\nX[1] = X[0]\nX[i] = X[i-1] + X[i-2]\n",
+        # an absolute block that repeats: 1 then W[1] is W[1] then 1
+        "X[0] = input\nX[i] = (1 + W[1])*X[i-1]\n",
+        # a shared prefix whose next block repeats: W[i] then W[i-1] into
+        # X[i-2] is W[i]*W[i-1] into X[i-2]
+        "X[0] = input\nX[1] = W[1]*X[0]\nX[i] = W[i]*X[i-1] + W[i]*W[i-1]*X[i-2]\n",
+    ],
+    ids=["empty-words", "absolute-block", "shared-prefix"],
+)
+def test_derivative_census_builds_a_formula_whose_words_may_repeat(
+    monkeypatch, text
+):
+    spec = parse(text)
+    for L in range(1, 9):
+        for j in range(0, L + 1):
+            _census_matches_bruteforce(spec, L, j)
+    assert _built(monkeypatch, spec, 8, 0) > 0
+
+
+@pytest.mark.parametrize("max_lag_cap", [1, 2, 3, 4])
+def test_derivative_census_matches_bruteforce_on_random_specs(
+    monkeypatch, max_lag_cap
+):
+    # Both routes run: some (L, j) are counted with no product, some built.
+    rng = random.Random(3000 + max_lag_cap)
+    routes = set()
+    for _ in range(40):
+        spec = random_affine_spec(rng, max_lag_cap)
+        L = rng.randint(max(1, spec.first_rule_index), 8)
+        for j in range(0, L + 1):
+            _census_matches_bruteforce(spec, L, j)
+            if j < L - 1:
+                routes.add(_built(monkeypatch, spec, L, j) > 0)
+    assert routes == {False, True}
 
 
 @pytest.mark.parametrize("spec", [RESNET, CHAIN], ids=["resnet", "chain"])
@@ -294,8 +339,7 @@ def test_derivative_census_stops_where_derivative_does_on_random_specs(
     monkeypatch, max_lag_cap
 ):
     # Budgets just above the steps' charge: about a third of the passes stop
-    # part way, and the census's sweep down stops early in about half of
-    # those, where the states above cannot cancel.
+    # part way.
     rng = random.Random(2900 + max_lag_cap)
     stopped = 0
     for _ in range(80):
@@ -331,8 +375,7 @@ ZEROS = [
 def test_derivative_census_stops_where_derivative_does_past_zero_states(
     monkeypatch, spec
 ):
-    # Each budget from the steps' charge up to the first that passes: the
-    # sweep down charges nothing for a state that may be zero.
+    # Each budget from the steps' charge up to the first that passes.
     for L in range(3, 7):
         for j in range(0, L + 1):
             budget = (L - j) * expansion.STEP_CELLS
@@ -350,28 +393,9 @@ def test_derivative_census_stops_where_derivative_does_past_zero_states(
                 break
 
 
-@pytest.mark.parametrize(
-    "spec, swept", [(CHAIN, 2379), (RESNET, 1669)], ids=["chain", "resnet"]
-)
-def test_carried_sweeps_down_to_where_the_pass_must_fail(spec, swept):
-    # The sweep charges X[60000-k] at least price(k) cells for each term of
-    # a coefficient that cannot cancel, one for chain's W[i] and two for
-    # resnet's 1 + W[i]; past the budget it stops, and leaves the states
-    # below it carried.  chain's charge is the pass's own, so both stop at
-    # X[57622]; resnet's pass charges 2^k terms and stops at X[59984].
-    price = expansion._prices(spec)
-    priced = []
-    carried = expansion._carried(
-        spec, 60000, 0, 60000 * expansion.STEP_CELLS,
-        lambda k: priced.append(k) or price(k),
-    )
-    assert priced == list(range(swept))
-    assert carried == b"\1" * 60000 + b"\0"
-
-
 def test_derivative_census_instantiates_only_the_states_it_pops(monkeypatch):
-    # chain at L = 60000 passes the budget at X[57622]: the census reads the
-    # other 57,622 states' sources and atoms, but instantiates none of them.
+    # chain at L = 60000 passes the budget at X[57622]: the census
+    # instantiates none of the other 57,622 states.
     calls = []
     instantiate = ArchitectureSpec.instantiate_terms
     monkeypatch.setattr(

@@ -94,6 +94,10 @@ FILES = {
         "X[0] = input\nX[1] = (1 + W[1])*X[0]\nX[2] = (1 + W[2])*X[1]\n"
         "X[3] = (1 + W[2])*X[2]\nX[i] = (1 + W[i])*X[i-1]\n"
     ),
+    # W[i] and W[i]*W[i] into one state: the shorter word is a prefix of
+    # the longer, whose next block no state below pushes, so the census
+    # counts every state
+    "prefix.rf": "X[0] = input\nX[i] = (W[i] + W[i]*W[i])*X[i-1]\n",
     # signed multi-term coefficients, which fail the widest check
     "wide.rf": (
         "X[0] = input; X[1] = (1 + W[1])*X[0];"
@@ -329,6 +333,17 @@ def commands() -> list[list[str]]:
         ["census", "stretch.rf", "-L", "8"],
         ["census", "stretch.rf", "-L", "8", "--format", "json"],
         ["census", "nines.rf", "-L", "200"],
+        # censuses counted at every state: the appendix formulas within the
+        # budget at -L 27 and past it at -L 28, eq22 at j = 0 and a shared
+        # prefix
+        *(
+            ["census", "--builtin", name, "-L", L]
+            for name in ("appendix-ex1", "appendix-ex2")
+            for L in ("27", "28")
+        ),
+        ["census", "--builtin", "eq22", "-L", "40"],
+        ["census", "prefix.rf", "-L", "12"],
+        ["census", "prefix.rf", "-L", "12", "--format", "json"],
     ]
     return cmds
 
