@@ -9,13 +9,17 @@ Each entry is DSL source text for one recursion formula:
                 wired so only the input crosses layers
   appendix-ex1  mapping of the previous state plus the state before it
   appendix-ex2  mappings of the two previous states, reusing block i-1
+
+``CHECK_KINDS`` names the claims ``census --check`` tests.  The CLI's
+argument parser reads it and ``BUILTIN_NAMES``, so this module reads nothing
+of ``parser`` until ``builtin_spec`` runs.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .parser import ArchitectureSpec, parse
+from . import parser
 
 BUILTIN_SOURCES: dict[str, str] = {
     "chain": "X[i] = W[i]*X[i-1]\nX[0] = input\n",
@@ -44,9 +48,12 @@ BUILTIN_SOURCES: dict[str, str] = {
 
 BUILTIN_NAMES = tuple(BUILTIN_SOURCES)
 
+# The kinds expansion.check_structure takes.
+CHECK_KINDS = ("binomial", "single-path", "widest")
+
 
 @cache
-def builtin_spec(name: str) -> ArchitectureSpec:
+def builtin_spec(name: str) -> parser.ArchitectureSpec:
     """Return the named built-in spec; KeyError for unknown names.
 
     Each name is parsed once; specs are frozen, so callers share it.
@@ -57,10 +64,10 @@ def builtin_spec(name: str) -> ArchitectureSpec:
         raise KeyError(
             f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_NAMES)}"
         ) from None
-    return parse(source, name=name)
+    return parser.parse(source, name=name)
 
 
-def activated_kind(spec: ArchitectureSpec) -> str | None:
+def activated_kind(spec: parser.ArchitectureSpec) -> str | None:
     """Return "chain" or "resnet" when the spec matches one, else None."""
     for name in ("chain", "resnet"):
         if spec.same_recursion(builtin_spec(name)):

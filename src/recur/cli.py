@@ -3,6 +3,10 @@
 Exit codes: 0 when the command and all requested checks succeed, 1 when a
 requested property or check fails, 2 for usage, parse and I/O errors.
 Text output is for humans; JSON output is the stable surface.
+
+``import recur.cli`` runs ``errors`` alone and registers the other modules,
+each to run on its first attribute read, so a fresh process runs only the
+modules its command reads: only ``verify`` runs ``numeric``.
 """
 
 from __future__ import annotations
@@ -11,37 +15,31 @@ import argparse
 import functools
 import math
 import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 from pathlib import Path
 
-from . import __version__, numeric
-from .algebra import (
-    PathPolynomial, PathSum, PathTerms, census, json_parts, json_text,
-    render_parts,
-)
-from .archgraph import build_graph, direct_propagation_check, export, structural_equal
-from .builtins import BUILTIN_NAMES, builtin_spec
+from . import __version__
 from .errors import RecurError, SizeError
-from .expansion import (
-    CHECK_KINDS,
-    StructureReport,
-    check_structure,
-    derivative,
-    derivative_census,
-    derivatives,
-    one_budget,
-    unroll,
-    value_equivalence_report,
-    verify_chain_identity,
-)
-from .numeric import check_derivatives, finite_diff_checks, instantiate
-from .parser import ArchitectureSpec, parse_file, render
-from .stats import (
-    fixture_table,
-    friedman,
-    friedman_graph_data,
-    load_table,
-    nemenyi,
-    rank,
+
+
+def _lazy(name: str):
+    """The sibling module ``name``, registered in ``sys.modules`` and as an
+    attribute of the package, that runs on its first attribute read."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = find_spec(fullname)
+        spec.loader = LazyLoader(spec.loader)
+        module = module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Registered at import, so the benchmark's tracer finds each in sys.modules.
+algebra, parser, builtins, expansion, archgraph, numeric, stats = map(
+    _lazy, "algebra parser builtins expansion archgraph numeric stats".split()
 )
 
 FIXTURE_NAMES = ("table1", "table2")
@@ -49,9 +47,9 @@ FIXTURE_NAMES = ("table1", "table2")
 MAX_VERIFY_CHECKS = 2**20
 
 
-def _resolve_spec(args) -> ArchitectureSpec:
+def _resolve_spec(args) -> parser.ArchitectureSpec:
     if getattr(args, "builtin", None):
-        return builtin_spec(args.builtin)
+        return builtins.builtin_spec(args.builtin)
     path = getattr(args, "spec", None)
     if path is None:
         raise RecurError("provide a spec file or --builtin NAME")
@@ -64,12 +62,12 @@ def _names_file(token: str) -> bool:
     return path.exists() and not path.is_dir()
 
 
-def _load_spec_arg(token: str) -> ArchitectureSpec:
+def _load_spec_arg(token: str) -> parser.ArchitectureSpec:
     """A spec argument is a file path, or a builtin name if no such file."""
     if _names_file(token):
-        return parse_file(token)
-    if token in BUILTIN_NAMES:
-        return builtin_spec(token)
+        return parser.parse_file(token)
+    if token in builtins.BUILTIN_NAMES:
+        return builtins.builtin_spec(token)
     raise RecurError(f"no file {token!r} and no builtin of that name")
 
 
@@ -90,7 +88,7 @@ def _emit(parts: list[str], args) -> None:
 
 def cmd_parse(args) -> int:
     spec = _resolve_spec(args)
-    canonical = render(spec)
+    canonical = parser.render(spec)
     if args.format == "json":
         payload = {
             "name": spec.name,
@@ -98,37 +96,37 @@ def cmd_parse(args) -> int:
             "first_rule_index": spec.first_rule_index,
             "canonical": canonical,
         }
-        _emit(json_parts(payload), args)
+        _emit(algebra.json_parts(payload), args)
     else:
         _emit([canonical], args)
     return 0
 
 
-def _component_json(j: int, poly: PathPolynomial) -> dict:
+def _component_json(j: int, poly: algebra.PathPolynomial) -> dict:
     terms = poly.canonical_items()  # sorted once, for both the text and the list
     return {
         "state": j,
-        "polynomial": PathSum(terms),
-        "terms": PathTerms(terms),
+        "polynomial": algebra.PathSum(terms),
+        "terms": algebra.PathTerms(terms),
     }
 
 
 def cmd_expand(args) -> int:
     spec = _resolve_spec(args)
-    expansion = unroll(spec, args.depth)
+    expanded = expansion.unroll(spec, args.depth)
     if args.format == "json":
         payload = {
             "spec": spec.name,
             "depth": args.depth,
             "components": [
-                _component_json(j, poly) for j, poly in expansion.components.items()
+                _component_json(j, poly) for j, poly in expanded.components.items()
             ],
         }
-        _emit(json_parts(payload), args)
+        _emit(algebra.json_parts(payload), args)
     else:
-        poly = expansion.components.get(0)
+        poly = expanded.components.get(0)
         if poly:
-            text = ["(", *render_parts(poly.canonical_items()), ")*X[0]\n"]
+            text = ["(", *algebra.render_parts(poly.canonical_items()), ")*X[0]\n"]
         else:
             text = ["0\n"]
         _emit([f"X[{args.depth}] = ", *text], args)
@@ -139,13 +137,13 @@ def cmd_census(args) -> int:
     spec = _resolve_spec(args)
     poly = None
     if args.check == "widest":  # the one check that reads the words
-        poly = derivative(spec, args.depth, args.wrt)
-        histogram = census(poly)
+        poly = expansion.derivative(spec, args.depth, args.wrt)
+        histogram = algebra.census(poly)
     else:
-        histogram = derivative_census(spec, args.depth, args.wrt)
+        histogram = expansion.derivative_census(spec, args.depth, args.wrt)
     report = None
     if args.check:
-        report = check_structure(
+        report = expansion.check_structure(
             poly, args.check, args.depth, args.wrt, spec.name, histogram
         )
 
@@ -160,7 +158,7 @@ def cmd_census(args) -> int:
             },
             "check": report.to_dict() if report else None,
         }
-        _emit(json_parts(payload), args)
+        _emit(algebra.json_parts(payload), args)
     else:
         lines = [f"spec: {spec.name}  depth: {args.depth}  wrt: {args.wrt}"]
         body = ", ".join(f"{k}: {b.count}" for k, b in histogram.items())
@@ -180,7 +178,7 @@ def cmd_census(args) -> int:
 def cmd_equiv(args) -> int:
     spec_a = _load_spec_arg(args.spec_a)
     spec_b = _load_spec_arg(args.spec_b)
-    report = value_equivalence_report(spec_a, spec_b, args.depth)
+    report = expansion.value_equivalence_report(spec_a, spec_b, args.depth)
     reports = [report.to_dict()]
     failed = not report.passed
     lines = [
@@ -191,10 +189,11 @@ def cmd_equiv(args) -> int:
         lines.append(f"  length {v.length}: {v.expected} vs {v.actual}")
 
     if args.structural:
-        iso = structural_equal(
-            build_graph(spec_a, args.depth), build_graph(spec_b, args.depth)
+        iso = archgraph.structural_equal(
+            archgraph.build_graph(spec_a, args.depth),
+            archgraph.build_graph(spec_b, args.depth),
         )
-        structural = StructureReport(
+        structural = expansion.StructureReport(
             report.spec, args.depth, None, "structural-equality", iso
         )
         reports.append(structural.to_dict())
@@ -202,7 +201,7 @@ def cmd_equiv(args) -> int:
         failed = failed or not iso
 
     if args.format == "json":
-        _emit(json_parts(reports), args)
+        _emit(algebra.json_parts(reports), args)
     else:
         _emit(["\n".join(lines), "\n"], args)
     return 1 if failed else 0
@@ -210,11 +209,11 @@ def cmd_equiv(args) -> int:
 
 def cmd_graph(args) -> int:
     spec = _resolve_spec(args)
-    graph = build_graph(spec, args.depth)
+    graph = archgraph.build_graph(spec, args.depth)
     if args.propagation:
-        report = direct_propagation_check(graph)
+        report = archgraph.direct_propagation_check(graph)
         if args.format == "json":
-            _emit(json_parts(report.to_dict()), args)
+            _emit(algebra.json_parts(report.to_dict()), args)
         else:
             lines = [f"graph: {graph.name}  depth: {graph.depth}"]
             for entry in report.entries:
@@ -232,7 +231,7 @@ def cmd_graph(args) -> int:
             _emit(["\n".join(lines), "\n"], args)
         return 0
     fmt = "json" if args.format == "json" else "dot"
-    _emit([export(graph, fmt)], args)
+    _emit([archgraph.export(graph, fmt)], args)
     return 0
 
 
@@ -258,27 +257,33 @@ def cmd_verify(args) -> int:
     results = []
     if tanh:
         for seed in seeds:
-            net = instantiate(spec, L, d, seed, activation="tanh")
-            results += finite_diff_checks(net, wrts, epsilon=args.eps, tol=args.fd_tol)
+            net = numeric.instantiate(spec, L, d, seed, activation="tanh")
+            results += numeric.finite_diff_checks(
+                net, wrts, epsilon=args.eps, tol=args.fd_tol
+            )
     else:
         # Each group of seeds is one stacked net that, with one running total
         # per j, stays within the matrix cap.  The first is drawn before the
         # expansion, so a bad dimension or size is named before it runs.
         group = max(1, numeric.MAX_MATRIX_ENTRIES // max(1, (L + len(wrts)) * d * d))
-        net = instantiate(spec, L, d, seeds[:group])
+        net = numeric.instantiate(spec, L, d, seeds[:group])
         # one backward pass from L gives every j down to the lowest
-        polys = {j: p for j, p in derivatives(spec, L, wrts.start) if j in wrts}
+        polys = {
+            j: p for j, p in expansion.derivatives(spec, L, wrts.start) if j in wrts
+        }
         for start in range(0, len(seeds), group):
             if start:
-                net = instantiate(spec, L, d, seeds[start : start + group])
-            checks = check_derivatives(net, {j: polys[j] for j in wrts}, tol=args.tol)
+                net = numeric.instantiate(spec, L, d, seeds[start : start + group])
+            checks = numeric.check_derivatives(
+                net, {j: polys[j] for j in wrts}, tol=args.tol
+            )
             for per_seed in zip(*checks):
                 results += per_seed
 
     all_pass = all(r.passed for r in results)
     if args.format == "json":
         payload = {"checks": [r.to_dict() for r in results], "pass": all_pass}
-        _emit(json_parts(payload), args)
+        _emit(algebra.json_parts(payload), args)
     else:
         lines = []
         for r in results:
@@ -302,8 +307,8 @@ def cmd_chain_identity(args) -> int:
     # A block index past the last code point, then each m's two steps.
     spec.instantiate_terms(args.depth)
     sweep = range(2, args.depth + 1)
-    with one_budget(2 * len(sweep)):
-        outcomes = {m: verify_chain_identity(spec, m) for m in sweep}
+    with expansion.one_budget(2 * len(sweep)):
+        outcomes = {m: expansion.verify_chain_identity(spec, m) for m in sweep}
     all_pass = all(outcomes.values())
     if args.format == "json":
         payload = {
@@ -311,7 +316,7 @@ def cmd_chain_identity(args) -> int:
             "results": [{"m": m, "holds": ok} for m, ok in outcomes.items()],
             "pass": all_pass,
         }
-        _emit(json_parts(payload), args)
+        _emit(algebra.json_parts(payload), args)
     else:
         lines = [
             f"m={m}: {'holds' if ok else 'FAILS'}" for m, ok in outcomes.items()
@@ -324,20 +329,20 @@ def cmd_chain_identity(args) -> int:
 def cmd_stats(args) -> int:
     token = args.table
     if _names_file(token):
-        table = load_table(token)
+        table = stats.load_table(token)
     elif token in FIXTURE_NAMES:
-        table = fixture_table(token)
+        table = stats.fixture_table(token)
     else:
         raise RecurError(f"no file {token!r} and no fixture of that name")
 
-    ranks = rank(table)
-    fried = friedman(ranks)
-    nem = nemenyi(ranks, args.alpha)
-    graph_data = friedman_graph_data(ranks, nem)
+    ranks = stats.rank(table)
+    fried = stats.friedman(ranks)
+    nem = stats.nemenyi(ranks, args.alpha)
+    graph_data = stats.friedman_graph_data(ranks, nem)
 
     if args.graph_json:
         Path(args.graph_json).write_text(
-            json_text(graph_data.to_dict()), encoding="utf-8"
+            algebra.json_text(graph_data.to_dict()), encoding="utf-8"
         )
 
     if args.format == "json":
@@ -347,7 +352,7 @@ def cmd_stats(args) -> int:
             "nemenyi": nem.to_dict(),
             "graph": graph_data.to_dict(),
         }
-        _emit(json_parts(payload), args)
+        _emit(algebra.json_parts(payload), args)
     else:
         lines = [f"methods: {ranks.k}  datasets: {ranks.n}"]
         for method, mean, lo, hi in graph_data.entries:
@@ -382,10 +387,10 @@ def _add_spec_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("spec", nargs="?", help="path to a .rf formula file")
     sub.add_argument(
         "--builtin",
-        choices=BUILTIN_NAMES,
+        choices=builtins.BUILTIN_NAMES,
         metavar="NAME",
         help="use a named built-in formula instead of a file: "
-        + ", ".join(BUILTIN_NAMES),
+        + ", ".join(builtins.BUILTIN_NAMES),
     )
 
 
@@ -401,17 +406,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     in the process (``_arg_parser``): parsing leaves no state on it, and
     argparse makes a new formatter, sized by ``COLUMNS`` at that moment,
     whenever it prints help, usage or an error.  Each subcommand's default
-    ``func`` is its ``cmd_*`` function as defined at import; those look up
-    the module's globals when they run, so patching a global of
-    ``recur.cli`` (``verify_chain_identity``, say) still takes effect, while
-    patching a ``cmd_*`` function itself does not.
+    ``func`` is its ``cmd_*`` function as defined at import; those read each
+    function off its home module when they run, so patching the home
+    module's attribute (``recur.expansion.verify_chain_identity``, say)
+    takes effect, while patching a ``cmd_*`` function itself does not.
+    Building it runs ``builtins`` alone, for ``BUILTIN_NAMES`` and
+    ``CHECK_KINDS``.
     """
-    parser = argparse.ArgumentParser(
+    top = argparse.ArgumentParser(
         prog="recur",
         description="recursion-formula architecture toolkit",
     )
-    parser.add_argument("--version", action="version", version=f"recur {__version__}")
-    subs = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    top.add_argument("--version", action="version", version=f"recur {__version__}")
+    subs = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     p = subs.add_parser("parse", help="parse a formula and print its canonical form")
     _add_spec_arguments(p)
@@ -430,7 +437,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--wrt", "-j", type=int, default=0, help="source state index")
     p.add_argument(
         "--check",
-        choices=CHECK_KINDS,
+        choices=builtins.CHECK_KINDS,
         help="also check a structural claim (exit 1 on violation)",
     )
     _add_common(p)
@@ -493,7 +500,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_stats)
 
-    return parser
+    return top
 
 
 _arg_parser = functools.cache(build_arg_parser)

@@ -41,6 +41,7 @@ from .algebra import (
     CensusBin, PathPolynomial, _too_long, _word, block_product, census, poly_add,
     poly_mul, signed_sum,
 )
+from .builtins import CHECK_KINDS
 from .errors import SizeError
 from .parser import REL, ArchitectureSpec
 
@@ -295,8 +296,6 @@ def unroll(spec: ArchitectureSpec, L: int) -> StateExpansion:
 # ---------------------------------------------------------------------------
 # Structure checks
 # ---------------------------------------------------------------------------
-
-CHECK_KINDS = ("binomial", "single-path", "widest")
 
 
 class Violation(NamedTuple):

@@ -16,9 +16,8 @@ import pytest
 from conftest import fresh_env, random_affine_spec, run_fresh
 import recur.cli
 from recur import __version__, numeric
-from recur.builtins import BUILTIN_NAMES
+from recur.builtins import BUILTIN_NAMES, CHECK_KINDS
 from recur.cli import build_arg_parser, main
-from recur.expansion import CHECK_KINDS
 from recur.parser import render
 
 NEWARCH_TEXT = (
@@ -212,9 +211,9 @@ def test_verify_output_is_the_same_when_seeds_split_into_groups(
             "--seeds", "5", "--seed", "9", "--format", fmt]
     whole = run(capsys, *argv)
     groups = []
-    stacked = recur.cli.instantiate
+    stacked = numeric.instantiate
     monkeypatch.setattr(
-        recur.cli, "instantiate", lambda *a: groups.append(a[3]) or stacked(*a)
+        numeric, "instantiate", lambda *a: groups.append(a[3]) or stacked(*a)
     )
     # Room for two seeds at (L + 7) * d * d = 208, the net and a running
     # total for each of the 7 j: groups of 2, 2 and 1.
@@ -588,7 +587,7 @@ def test_chain_identity_rejects_a_sweep_past_the_budget_before_it_starts(
 ):
     calls = []
     monkeypatch.setattr(
-        "recur.cli.verify_chain_identity", lambda *a: calls.append(a) or True
+        "recur.expansion.verify_chain_identity", lambda *a: calls.append(a) or True
     )
     # No block, so only the two steps a pass charges per m stop the sweep.
     copy = tmp_path / "copy.rf"

@@ -1,9 +1,13 @@
 """The package surface, and which modules each step loads.
 
 `import recur` loads no submodule; a public name loads its home module on
-first use.  Only `verify` loads numpy; every other command runs without it.
-No step loads `dataclasses` or `inspect`: recur's records are NamedTuples
-and small classes, which generate no code at import.
+first use.  `import recur.cli` runs only `errors`: it registers every other
+module in `sys.modules` and on the package, and each runs on its first
+attribute read, so a fresh process runs only the modules its command reads.
+Only `verify` runs `numeric` and loads numpy; only `graph` and `equiv
+--structural` run `archgraph`; only `stats` runs `stats`.  No step loads
+`dataclasses` or `inspect`: recur's records are NamedTuples and small
+classes, which generate no code at import.
 """
 
 import json
@@ -22,26 +26,72 @@ NUMPY_FREE = (
     ["stats", "table1"],
 )
 
-# Prints one JSON object: after each step, whether numpy was loaded.
+# Prints one JSON object: after each step, whether numpy was loaded and
+# which recur modules have run.  A registered module that has not run is
+# still a LazyLoader subclass of ModuleType; the type check reads none of
+# its attributes, so it runs none.
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 loaded = {}
+def record(step):
+    ran = sorted(
+        name for name, m in sys.modules.items()
+        if name.startswith("recur.") and type(m) is types.ModuleType
+    )
+    loaded[step] = ["numpy" in sys.modules, ran]
 import recur
-loaded["import recur"] = "numpy" in sys.modules
+record("import recur")
 import recur.cli
-loaded["import recur.cli"] = "numpy" in sys.modules
+record("import recur.cli")
 for argv in COMMANDS:
     with contextlib.redirect_stdout(io.StringIO()):
         recur.cli.main(argv)
-    loaded[" ".join(argv)] = "numpy" in sys.modules
+    record(" ".join(argv))
 print(json.dumps(loaded))
 """
 
 
+def _probe(commands):
+    return json.loads(run_fresh(PROBE.replace("COMMANDS", repr(commands))))
+
+
 def test_symbolic_commands_never_load_numpy():
-    loaded = json.loads(run_fresh(PROBE.replace("COMMANDS", repr(NUMPY_FREE))))
+    loaded = _probe(NUMPY_FREE)
     assert len(loaded) == len(NUMPY_FREE) + 2
-    assert not any(loaded.values()), loaded
+    assert not any(numpy for numpy, _ in loaded.values()), loaded
+
+
+SYMBOLIC = {"algebra", "builtins", "errors", "expansion", "parser"}
+
+# Each command, in a fresh process: every recur module it runs, cli aside.
+RUNS = (
+    (["parse", "--builtin", "newarch"], SYMBOLIC - {"expansion"}),
+    (["stats", "table1"], {"builtins", "data", "errors", "stats"}),
+    (["stats", "table2", "--format", "json"],
+     {"algebra", "builtins", "data", "errors", "stats"}),
+    (["expand", "--builtin", "resnet", "-L", "4"], SYMBOLIC),
+    (["census", "--builtin", "resnet", "-L", "5", "--check", "binomial"], SYMBOLIC),
+    (["chain-identity", "--builtin", "newarch", "-L", "6"], SYMBOLIC),
+    (["equiv", "resnet", "newarch", "-L", "4"], SYMBOLIC),
+    (["graph", "--builtin", "resnet", "-L", "4"],
+     SYMBOLIC - {"expansion"} | {"archgraph"}),
+    (["equiv", "resnet", "newarch", "-L", "4", "--structural"],
+     SYMBOLIC | {"archgraph"}),
+    (["verify", "--builtin", "newarch", "-L", "4"], SYMBOLIC | {"numeric"}),
+)
+
+
+def test_import_cli_runs_errors_alone():
+    loaded = _probe([])
+    assert loaded == {"import recur": [False, []],
+                      "import recur.cli": [False, ["recur.cli", "recur.errors"]]}
+
+
+@pytest.mark.parametrize("argv, ran", RUNS, ids=[" ".join(a) for a, _ in RUNS])
+def test_each_command_runs_only_the_modules_it_reads(argv, ran):
+    loaded = _probe([argv])
+    expected = sorted(f"recur.{name}" for name in ran | {"cli"})
+    assert loaded[" ".join(argv)] == [argv[0] == "verify", expected]
 
 
 def test_parser_is_built_once_on_the_first_main_call():
