@@ -25,7 +25,9 @@ writer of recur's indented JSON output, with ``json_text`` the join of its
 pieces.  Its value types of its own hold (word, coeff) pairs: ``PathSum``
 is written as the string of their sum, and ``PathTerms`` as the list of
 ``{"coeff", "factors"}`` dicts they stand for, without building those
-dicts.  Both writers take terms a block at a time: the words of up to
+dicts; ``Records`` holds rows of one record type, such as graph nodes, and
+is written as the list of dicts they stand for, without building them.
+Both terms writers take terms a block at a time: the words of up to
 ``BLOCK_TERMS`` terms, joined by NUL (no word holds code point 0, since
 indices are >= 1), go through one ``codecs.charmap_encode`` pass that
 writes each code point's text from a plain dict, and one split at the NULs
@@ -37,6 +39,7 @@ from __future__ import annotations
 import sys
 from codecs import charmap_encode
 from collections import Counter
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import add
 from typing import (
@@ -60,8 +63,9 @@ def _word(factors: Sequence[int]) -> Word:
         ) from None
 
 
-# The most terms one block of output holds: a block's joined words, their
-# bytes and its text are transient copies of at most this many terms.  Past
+# The most terms (or Records rows) one block of output holds: a block's
+# joined words, their bytes and its text are transient copies of at most
+# this many terms.  Past
 # a few hundred terms the size no longer changes the time a term takes.
 BLOCK_TERMS = 256
 
@@ -183,6 +187,16 @@ class PathSum(tuple):
     __slots__ = ()
 
 
+class Records(NamedTuple):
+    """Rows of one record type, which ``json_parts`` writes as the list
+    ``[dict(zip(keys, row)) for row in rows]`` without building those
+    dicts.  ``keys`` is not empty, each row has one value per key, and each
+    value is a str, an int, a float, a bool or None."""
+
+    keys: tuple[str, ...]
+    rows: Sequence[tuple]
+
+
 def json_text(payload) -> str:
     """``json.dumps(payload, indent=2) + "\n"``: the join of ``json_parts``."""
     return "".join(json_parts(payload))
@@ -193,11 +207,11 @@ def json_parts(payload) -> list[str]:
 
     Covers what recur emits: dicts with str keys, lists, tuples, str, int,
     float (NaN and infinities as json writes them), bool, None, PathSum,
-    written as the string of its sum, and PathTerms, written as the dicts
-    and lists they stand for.  Any other value, or a non-str key, raises
-    TypeError.  json itself falls back to its pure-Python encoder whenever
-    ``indent`` is set.  An int past the interpreter's digit limit raises
-    SizeError.
+    written as the string of its sum, and PathTerms and Records, written
+    as the dicts and lists they stand for.  Any other value, or a non-str
+    key, raises TypeError.  json itself falls back to its pure-Python
+    encoder whenever ``indent`` is set.  An int past the interpreter's
+    digit limit raises SizeError.
 
     One walk appends the pieces to one list, in order, and no container's
     text is copied into its parent's, so ``writelines`` or a join copies
@@ -251,6 +265,8 @@ def _json_walk(value, newline: str, parts: list[str], head: str = "") -> None:
     """
     if type(value) is PathTerms:
         return _terms_walk(value, newline, parts, head)
+    if type(value) is Records:
+        return _records_walk(value, newline, parts, head)
     if type(value) is PathSum:
         text = render_parts(value) or ["0"]
         text[0] = head + '"' + text[0]
@@ -279,6 +295,40 @@ def _json_walk(value, newline: str, parts: list[str], head: str = "") -> None:
     parts.append(newline + ("}" if is_dict else "]"))
     if leaf:
         parts[first:] = ["".join(parts[first:])]
+
+
+def _records_walk(records: Records, newline: str, parts: list[str], head: str) -> None:
+    """Append a Records list, ``head`` in front, to ``parts``, one piece per
+    block of up to BLOCK_TERMS records, the join of their texts: each the
+    join of its key texts, its value texts and its close.
+
+    Within the columns of str only, or of int and None only, equal values
+    have equal texts, so each distinct value's text is made once.
+    """
+    keys, rows = records
+    if not rows:
+        return parts.append(head + "[]")
+    inner = newline + "  "
+    texts: dict = {}  # value -> its text, for every column that memoizes
+    pieces = []
+    opening = f",{inner}{{"  # the list opens where the first comma goes
+    for k, column in zip(keys, zip(*rows)):
+        pieces.append(repeat(f"{opening}{inner}  {_json_str(k)}: ", len(rows)))
+        opening = ","
+        kinds = set(map(type, column))
+        if kinds == {str} or kinds <= {int, type(None)}:
+            new = set(column).difference(texts)
+            texts.update(zip(new, map(_json_str if str in kinds else _json_scalar, new)))
+            pieces.append(map(texts.__getitem__, column))
+        else:
+            pieces.append(map(_json_scalar, column))
+    pieces.append(repeat(inner + "}", len(rows)))
+    texts_by_record = map("".join, zip(*pieces))
+    first = len(parts)
+    for _ in range(0, len(rows), BLOCK_TERMS):
+        parts.append("".join(islice(texts_by_record, BLOCK_TERMS)))
+    parts[first] = head + "[" + parts[first][1:]
+    parts.append(newline + "]")
 
 
 def _terms_walk(terms: PathTerms, newline: str, parts: list[str], head: str) -> None:

@@ -28,9 +28,11 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from itertools import accumulate, repeat
+from operator import add
 from typing import NamedTuple
 
-from .algebra import block_product, json_text, signed_sum
+from .algebra import Records, block_product, json_text, signed_sum
 from .errors import SizeError, UnrealizableError
 from .parser import ArchitectureSpec
 
@@ -52,18 +54,12 @@ class Node(NamedTuple):
     kind: str
     block: int | None = None
 
-    def to_dict(self) -> dict:
-        return {"id": self.id, "kind": self.kind, "block": self.block}
-
 
 class Edge(NamedTuple):
     src: str
     dst: str
     sign: int
     label: str
-
-    def to_dict(self) -> dict:
-        return {"from": self.src, "to": self.dst, "sign": self.sign, "label": self.label}
 
 
 class ArchGraph:
@@ -149,25 +145,24 @@ class ArchGraph:
         return list(self._edges_by_node[1].get(node_id, ()))
 
 
-def _toposort(g: ArchGraph) -> list[str]:
-    indegree = {n.id: 0 for n in g.nodes}
-    successors: dict[str, list[str]] = {n.id: [] for n in g.nodes}
-    for e in g.edges:
-        indegree[e.dst] += 1
-        successors[e.src].append(e.dst)
-    ready = sorted(nid for nid, d in indegree.items() if d == 0)
-    order: list[str] = []
-    while ready:
-        nid = ready.pop()
-        order.append(nid)
+def _toposort(g: ArchGraph) -> tuple[list[str], dict[str, list[str]]]:
+    """Node ids in an order where every edge runs forward (Kahn's
+    algorithm, first in first out), and each node's successors, one per
+    edge."""
+    indegree = dict.fromkeys([n.id for n in g.nodes], 0)
+    successors: dict[str, list[str]] = {nid: [] for nid in indegree}
+    for src, dst, _, _ in g.edges:
+        indegree[dst] += 1
+        successors[src].append(dst)
+    order = [nid for nid, d in indegree.items() if not d]
+    for nid in order:  # grows as nodes become ready
         for dst in successors[nid]:
             indegree[dst] -= 1
-            if indegree[dst] == 0:
-                ready.append(dst)
-        ready.sort()
+            if not indegree[dst]:
+                order.append(dst)
     if len(order) != len(g.nodes):
         raise ValueError("graph contains a cycle")
-    return order
+    return order, successors
 
 
 # ---------------------------------------------------------------------------
@@ -334,50 +329,79 @@ def direct_propagation_check(g: ArchGraph) -> StructuralReport:
 # ---------------------------------------------------------------------------
 
 
-def _label(n: Node) -> tuple:
-    return (n.kind, -1 if n.block is None else n.block)
+def _pair_codes(firsts: tuple, seconds: tuple, key=lambda y: y) -> tuple[list, int]:
+    """Code each pair (x, y) of ``zip(firsts[g], seconds[g])``, for both
+    graphs g = 0, 1, as x's rank among the distinct x of both graphs times
+    the number of ranks of y, plus the rank of key(y) among the distinct
+    key(y) of both; so codes are equal and ordered as the pairs (x, key(y))
+    are.  Returns the two code lists and the number of codes."""
+    xs = sorted(set(firsts[0]).union(firsts[1]))
+    ys = set(seconds[0]).union(seconds[1])
+    ranks = {k: r for r, k in enumerate(sorted(set(map(key, ys))))}
+    y_code = {y: ranks[key(y)] for y in ys}
+    x_code = {x: r * len(ranks) for r, x in enumerate(xs)}
+    codes = [
+        list(map(add, map(x_code.__getitem__, x), map(y_code.__getitem__, y)))
+        for x, y in zip(firsts, seconds)
+    ]
+    return codes, len(xs) * len(ranks)
 
 
 # Colour refinement with individualization (McKay & Piperno 2014, "Practical
 # graph isomorphism, II").  Nodes are numbered by position and colours are
-# ints.  Both graphs are refined together: a node's next colour is the rank
-# of (its colour, its sorted out-edges, its sorted in-edges) in one key map
-# shared by the two graphs, so equal colours mean the same thing on both
-# sides.  Each edge, parallel ones included, enters as (colour of the other
-# end, sign, label).  Refinement only splits colours; it stops once a round
-# adds none or every colour is a single node.  An isomorphism maps every node
-# to a node of its own colour, so the search individualizes one node of the
-# smallest shared colour class against each candidate in the other graph
-# until the colouring is discrete, and then checks the one colour-preserving
-# bijection against every edge (refinement stops as soon as the colouring is
-# discrete, before any round has compared the edges against it).
+# ints, first the code of each node's (kind, block).  Both graphs are
+# refined together: a node's next colour is the rank of (its colour, the
+# sorted codes of its edges) in one key map shared by the two graphs, so
+# equal colours mean the same thing on both sides.  Each edge, parallel ones
+# included, enters at each end as colour of the far end * 2K + kind, where
+# kind is the code of its (sign, label) among the K codes of both graphs,
+# plus K at the head end.  Refinement only splits colours; it stops once a
+# round adds none or every colour is a single node.  An isomorphism maps
+# every node to a node of its own colour, so the search individualizes one
+# node of the smallest shared colour class against each candidate in the
+# other graph until the colouring is discrete, and then checks the one
+# colour-preserving bijection against every edge: it holds when every node
+# has the same edge codes as its image (refinement stops as soon as the
+# colouring is discrete, before any round has compared the edges against
+# it).
 
-_Wiring = tuple[list[list[tuple]], list[list[tuple]]]
+
+class _Wiring(NamedTuple):
+    """A graph's edges over node positions, each entered once at each end:
+    per node position, the slice of its entries; per entry, the position of
+    its far end and its kind, plus K at the head end (an in-edge)."""
+
+    far: list[int]
+    kinds: list[int]
+    slices: list[slice]
+    width: int  # 2K
 
 
-def _wiring(g: ArchGraph) -> _Wiring:
-    """Per node position: out-edges as (dst, sign, label) and in-edges as
-    (src, sign, label), over positions."""
-    index = {n.id: k for k, n in enumerate(g.nodes)}
-    outs: list[list[tuple]] = [[] for _ in g.nodes]
-    ins: list[list[tuple]] = [[] for _ in g.nodes]
-    for e in g.edges:
-        src, dst = index[e.src], index[e.dst]
-        outs[src].append((dst, e.sign, e.label))
-        ins[dst].append((src, e.sign, e.label))
-    return outs, ins
+def _wiring(ids: tuple, srcs: tuple, dsts: tuple, kinds: list[int], k: int) -> _Wiring:
+    """The wiring of the edges srcs[e] -> dsts[e] of kind kinds[e] < k
+    between the nodes ``ids``."""
+    index = dict(zip(ids, range(len(ids))))
+    src = list(map(index.__getitem__, srcs))
+    dst = list(map(index.__getitem__, dsts))
+    near, far = src + dst, dst + src
+    kinds = kinds + list(map(add, kinds, repeat(k)))
+    order = sorted(range(len(near)), key=near.__getitem__)
+    counts = Counter(near)
+    bounds = [0, *accumulate(map(counts.get, range(len(ids)), repeat(0)))]
+    return _Wiring(
+        list(map(far.__getitem__, order)),
+        list(map(kinds.__getitem__, order)),
+        list(map(slice, bounds, bounds[1:])),
+        2 * k,
+    )
 
 
 def _keys(colours: list[int], wiring: _Wiring) -> list[tuple]:
-    outs, ins = wiring
-    return [
-        (
-            c,
-            tuple(sorted((colours[u], sign, label) for u, sign, label in outs[v])),
-            tuple(sorted((colours[u], sign, label) for u, sign, label in ins[v])),
-        )
-        for v, c in enumerate(colours)
-    ]
+    """Per node position, its colour and the sorted codes of its entries."""
+    far, kinds, slices, width = wiring
+    scaled = [c * width for c in colours]
+    codes = list(map(add, map(scaled.__getitem__, far), kinds))
+    return list(zip(colours, map(tuple, map(sorted, map(codes.__getitem__, slices)))))
 
 
 def _refine(
@@ -389,22 +413,14 @@ def _refine(
         ka = _keys(ca, a)
         kb = _keys(cb, b)
         rank = {key: c for c, key in enumerate(sorted(set(ka).union(kb)))}
-        ca = [rank[key] for key in ka]
-        cb = [rank[key] for key in kb]
+        ca = list(map(rank.__getitem__, ka))
+        cb = list(map(rank.__getitem__, kb))
         if sorted(ca) != sorted(cb):
             return None
         if len(rank) == count:
             break
         count = len(rank)
     return ca, cb
-
-
-def _edge_colours(colours: list[int], wiring: _Wiring) -> Counter:
-    return Counter(
-        (colours[v], colours[u], sign, label)
-        for v, out in enumerate(wiring[0])
-        for u, sign, label in out
-    )
 
 
 def _search(ca: list[int], cb: list[int], a: _Wiring, b: _Wiring) -> bool:
@@ -414,7 +430,7 @@ def _search(ca: list[int], cb: list[int], a: _Wiring, b: _Wiring) -> bool:
     ca, cb = refined
     sizes = Counter(ca)
     if len(sizes) == len(ca):
-        return _edge_colours(ca, a) == _edge_colours(cb, b)
+        return sorted(_keys(ca, a)) == sorted(_keys(cb, b))
     cell = min((size, c) for c, size in sizes.items() if size > 1)[1]
     v = ca.index(cell)
     fresh = len(sizes)
@@ -431,25 +447,27 @@ def structural_equal(ga: ArchGraph, gb: ArchGraph) -> bool:
     signed/labeled edges (including multi-edges)."""
     if len(ga.nodes) != len(gb.nodes) or len(ga.edges) != len(gb.edges):
         return False
-    labels = sorted({_label(n) for g in (ga, gb) for n in g.nodes})
-    palette = {label: c for c, label in enumerate(labels)}
-    ca = [palette[_label(n)] for n in ga.nodes]
-    cb = [palette[_label(n)] for n in gb.nodes]
+    (ids_a, kinds_a, blocks_a), (ids_b, kinds_b, blocks_b) = zip(*ga.nodes), zip(*gb.nodes)
+    (ca, cb), _ = _pair_codes(
+        (kinds_a, kinds_b), (blocks_a, blocks_b), key=lambda b: -1 if b is None else b
+    )
     if sorted(ca) != sorted(cb):
         return False
-    return _search(ca, cb, _wiring(ga), _wiring(gb))
+    # (srcs, dsts, signs, labels) of each graph
+    ea, eb = (tuple(zip(*g.edges)) or ((),) * 4 for g in (ga, gb))
+    (ka, kb), k = _pair_codes((ea[2], eb[2]), (ea[3], eb[3]))
+    return _search(ca, cb, _wiring(ids_a, *ea[:2], ka, k), _wiring(ids_b, *eb[:2], kb, k))
 
 
 def count_paths(g: ArchGraph) -> int:
     """Number of distinct directed input-to-output paths (multi-edges count)."""
-    order = _toposort(g)
-    paths = {nid: 0 for nid in order}
+    order, successors = _toposort(g)
+    paths = dict.fromkeys(order, 0)
     paths[g.state_node(0)] = 1
     for nid in order:
-        if not paths[nid]:
-            continue
-        for e in g.out_edges(nid):
-            paths[e.dst] += paths[nid]
+        if paths[nid]:
+            for dst in successors[nid]:
+                paths[dst] += paths[nid]
     (output,) = [n.id for n in g.nodes if n.kind == OUTPUT]
     return paths[output]
 
@@ -489,8 +507,8 @@ def export(g: ArchGraph, fmt: str = "dot") -> str:
         payload = {
             "name": g.name,
             "depth": g.depth,
-            "nodes": [n.to_dict() for n in g.nodes],
-            "edges": [e.to_dict() for e in g.edges],
+            "nodes": Records(("id", "kind", "block"), g.nodes),
+            "edges": Records(("from", "to", "sign", "label"), g.edges),
         }
         return json_text(payload)
     if fmt != "dot":

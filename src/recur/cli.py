@@ -15,11 +15,38 @@ import argparse
 import functools
 import math
 import sys
-from importlib.util import LazyLoader, find_spec, module_from_spec
+from importlib.util import find_spec, module_from_spec
 from pathlib import Path
+from threading import RLock
+from types import ModuleType
 
 from . import __version__
 from .errors import RecurError, SizeError
+
+
+class _LazyModule(ModuleType):
+    """A registered module that runs on its first attribute read.
+
+    That read runs the module under the lock in its spec's ``loader_state``
+    and switches the class to ModuleType only once the module has run, so
+    another thread that reads meanwhile waits for the load instead of
+    finding a half-run module; the loading thread itself reads the module
+    as it stands.  (``importlib.util.LazyLoader`` switches the class before
+    it runs the module up to Python 3.11.)
+    """
+
+    def __getattribute__(self, attr):
+        spec = ModuleType.__getattribute__(self, "__spec__")
+        state = spec.loader_state
+        with state["lock"]:
+            if type(self) is _LazyModule and not state["loading"]:
+                state["loading"] = True
+                try:
+                    spec.loader.exec_module(self)
+                    self.__class__ = ModuleType
+                finally:
+                    state["loading"] = False
+        return ModuleType.__getattribute__(self, attr)
 
 
 def _lazy(name: str):
@@ -29,10 +56,10 @@ def _lazy(name: str):
     module = sys.modules.get(fullname)
     if module is None:
         spec = find_spec(fullname)
-        spec.loader = LazyLoader(spec.loader)
+        spec.loader_state = {"lock": RLock(), "loading": False}
         module = module_from_spec(spec)
+        module.__class__ = _LazyModule
         sys.modules[fullname] = module
-        spec.loader.exec_module(module)
         setattr(sys.modules[__package__], name, module)
     return module
 

@@ -260,6 +260,60 @@ def test_export_json_schema():
     assert {e["sign"] for e in payload["edges"]} <= {1, -1}
 
 
+def _json_dumps_export(g: ArchGraph) -> str:
+    """The JSON export built the plain way: a dict per node and per edge."""
+    import json
+
+    payload = {
+        "name": g.name,
+        "depth": g.depth,
+        "nodes": [{"id": n.id, "kind": n.kind, "block": n.block} for n in g.nodes],
+        "edges": [
+            {"from": e.src, "to": e.dst, "sign": e.sign, "label": e.label} for e in g.edges
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# A name with a quote, a backslash and a non-ASCII letter; ids that need
+# escapes too; parallel negative edges and a tap.
+ESCAPED = ArchGraph(
+    name='say "hi" \\ café',
+    depth=1,
+    nodes=(
+        Node("input", INPUT),
+        Node('b"1', BLOCK, 1),
+        Node("tap\\1", TAP, 1),
+        Node("jé1", JUNCTION),
+        Node("output", OUTPUT),
+    ),
+    edges=(
+        Edge("input", 'b"1', 1, IDENTITY),
+        Edge('b"1', "tap\\1", 1, MAPPED),
+        Edge("tap\\1", "jé1", -1, MAPPED),
+        Edge("input", "jé1", -1, IDENTITY),
+        Edge("input", "jé1", -1, IDENTITY),
+        Edge("jé1", "output", 1, IDENTITY),
+    ),
+    state_ids=((0, "input"), (1, "jé1")),
+)
+
+
+EXPORTED = {
+    **{
+        f"{name} L={L}": build_graph(builtin_spec(name), L)
+        for name in BUILTIN_NAMES
+        for L in (1, 2, 7)
+    },
+    "escaped": ESCAPED,
+}
+
+
+@pytest.mark.parametrize("g", EXPORTED.values(), ids=EXPORTED)
+def test_export_json_equals_json_dumps(g):
+    assert export(g, "json") == _json_dumps_export(g)
+
+
 def test_export_deterministic():
     a = export(build_graph(NEWARCH, 4), "dot")
     b = export(build_graph(builtin_spec("newarch"), 4), "dot")
@@ -478,7 +532,11 @@ def test_structural_equal_matches_networkx_on_drawn_dags():
         st.just((JUNCTION, None)),
         st.tuples(st.sampled_from([BLOCK, TAP]), st.integers(1, 2)),
     )
-    edge_type = st.tuples(st.sampled_from([1, -1]), st.sampled_from([IDENTITY, MAPPED]))
+    # Signs and labels past the ones build_graph makes: edge kinds are coded
+    # from the graphs at hand, not from a fixed table.
+    edge_type = st.tuples(
+        st.sampled_from([1, -1, 2, -2]), st.sampled_from([IDENTITY, MAPPED, "gated"])
+    )
 
     @st.composite
     def dags(draw):

@@ -28,7 +28,7 @@ NUMPY_FREE = (
 
 # Prints one JSON object: after each step, whether numpy was loaded and
 # which recur modules have run.  A registered module that has not run is
-# still a LazyLoader subclass of ModuleType; the type check reads none of
+# still a lazy subclass of ModuleType; the type check reads none of
 # its attributes, so it runs none.
 PROBE = """
 import contextlib, io, json, sys, types
@@ -117,6 +117,33 @@ def test_parser_is_built_once_on_the_first_main_call():
     assert at_import == 0
     assert first > 1 and second == first
     assert tops == 1
+
+
+# Four threads read a registered module's attribute at once; a thread that
+# reads while another runs the module must wait for it, not find it half run.
+CONCURRENT_FIRST_READ = """
+import json, sys, threading, recur.cli
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(4)
+errors = []
+def read():
+    barrier.wait()
+    try:
+        recur.cli.numeric.instantiate
+    except AttributeError as e:
+        errors.append(str(e))
+threads = [threading.Thread(target=read) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+print(json.dumps([errors, sum(t.is_alive() for t in threads)]))
+"""
+
+
+@pytest.mark.parametrize("run", range(3))
+def test_concurrent_first_reads_wait_for_the_module(run):
+    assert json.loads(run_fresh(CONCURRENT_FIRST_READ)) == [[], 0]
 
 
 def test_import_cli_loads_no_code_generating_modules():

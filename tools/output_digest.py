@@ -344,6 +344,12 @@ def commands() -> list[list[str]]:
         ["census", "--builtin", "eq22", "-L", "40"],
         ["census", "prefix.rf", "-L", "12"],
         ["census", "prefix.rf", "-L", "12", "--format", "json"],
+        # graphs with parallel, negative and tap edges, in both formats
+        *(
+            ["graph", name, "-L", L, "--format", fmt]
+            for name, L in (("wide.rf", "8"), ("mixed.rf", "6"))
+            for fmt in ("json", "dot")
+        ),
     ]
     return cmds
 
