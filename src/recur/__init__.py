@@ -50,7 +50,6 @@ _HOMES = {
     "verify_chain_identity": "expansion",
     "ConcreteNet": "numeric",
     "JacobianCheckResult": "numeric",
-    "check_derivative": "numeric",
     "eval_polynomial": "numeric",
     "finite_diff_check": "numeric",
     "forward": "numeric",

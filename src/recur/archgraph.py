@@ -114,14 +114,12 @@ class ArchGraph:
         return {n.id: n for n in self.nodes}
 
     @cached_property
-    def _edges_by_node(self) -> tuple[dict[str, list[Edge]], dict[str, list[Edge]]]:
-        """(in-edges, out-edges) of every node, each in ``edges`` order."""
+    def _edges_into(self) -> dict[str, list[Edge]]:
+        """The in-edges of every node, in ``edges`` order."""
         ins: dict[str, list[Edge]] = {n.id: [] for n in self.nodes}
-        outs: dict[str, list[Edge]] = {n.id: [] for n in self.nodes}
         for e in self.edges:
             ins[e.dst].append(e)
-            outs[e.src].append(e)
-        return ins, outs
+        return ins
 
     @cached_property
     def _states(self) -> tuple[dict[int, str], dict[str, int]]:
@@ -139,10 +137,7 @@ class ArchGraph:
         return self._states[1].get(node_id)
 
     def in_edges(self, node_id: str) -> list[Edge]:
-        return list(self._edges_by_node[0].get(node_id, ()))
-
-    def out_edges(self, node_id: str) -> list[Edge]:
-        return list(self._edges_by_node[1].get(node_id, ()))
+        return list(self._edges_into.get(node_id, ()))
 
 
 def _toposort(g: ArchGraph) -> tuple[list[str], dict[str, list[str]]]:

@@ -334,8 +334,8 @@ def cmd_chain_identity(args) -> int:
     # A block index past the last code point, then each m's two steps.
     spec.instantiate_terms(args.depth)
     sweep = range(2, args.depth + 1)
-    with expansion.one_budget(2 * len(sweep)):
-        outcomes = {m: expansion.verify_chain_identity(spec, m) for m in sweep}
+    budget = expansion.one_budget(2 * len(sweep))
+    outcomes = {m: expansion.verify_chain_identity(spec, m, budget) for m in sweep}
     all_pass = all(outcomes.values())
     if args.format == "json":
         payload = {

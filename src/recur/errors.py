@@ -54,13 +54,32 @@ class UnrealizableError(RecurError):
 
 
 class SizeError(RecurError):
-    """Input too large: a parse past its budget of 2^21 cells
-    (parser.PARSE_BUDGET), an expansion past its budget of 2^25
-    (expansion.EXPANSION_BUDGET), a block index past the last code point,
-    a graph past the node-plus-edge budget of build_graph, a matrix net to
-    instantiate, a path coefficient to evaluate as a float64, or an integer
-    with too many digits to write.  A cell is a character of the text, or
-    an atom or 64-bit coefficient word of a term about to be built."""
+    """Input too large: a parse or an expansion past its Budget, a block
+    index past the last code point, a graph past the node-plus-edge budget
+    of build_graph, a matrix net to instantiate, a path coefficient to
+    evaluate as a float64, or an integer with too many digits to write."""
+
+
+class Budget:
+    """Cells charged so far against the limit of one ``kind``: 2^21 for a
+    parse (parser.PARSE_BUDGET), 2^25 for an expansion or a sweep of them
+    (expansion.EXPANSION_BUDGET).  A cell is a character of the text, or an
+    atom or 64-bit coefficient word of a term about to be built."""
+
+    __slots__ = ("kind", "limit", "spent")
+
+    def __init__(self, kind: str, limit: int):
+        self.kind, self.limit, self.spent = kind, limit, 0
+
+    def charge(self, what: str, cells: int, position: int | None = None) -> None:
+        """Add ``cells``: SizeError, naming ``what``, once past the limit."""
+        self.spent += cells
+        if self.spent > self.limit:
+            raise SizeError(
+                f"{what} charges {self.spent} cells, past the {self.kind} budget"
+                f" of {self.limit}",
+                position,
+            )
 
 
 class ActivationError(RecurError):

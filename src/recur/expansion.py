@@ -9,10 +9,12 @@ every i from L down.  ``derivative`` reads one j off that pass, and
 ``unroll`` reads j = 0: ``parse`` makes X[0] the only free input, so X[L]
 is its derivative times X[0].
 
-Each pass is charged, in cells, for the product terms it is about to
-build, their word lengths and coefficient sizes, and for each step; past
-EXPANSION_BUDGET cells it raises SizeError before building them.  Nothing
-caps the depth itself.
+Each pass charges a ``Budget`` (``errors.py``), in cells, for the product
+terms it is about to build, their word lengths and coefficient sizes, and
+for each step; past its limit, EXPANSION_BUDGET cells, it raises SizeError
+before building them.  Each pass has a budget of its own, except that
+``chain-identity`` hands one from ``one_budget`` to every pass of its
+sweep.  Nothing caps the depth itself.
 
 ``derivative_census`` runs the same loop, ``_pass``, but carries each
 state as a census, a map from length to (count, weight), in place of its
@@ -32,8 +34,6 @@ formulas the two must agree exactly.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from math import comb
 from typing import NamedTuple
 
@@ -42,36 +42,22 @@ from .algebra import (
     poly_mul, signed_sum,
 )
 from .builtins import CHECK_KINDS
-from .errors import SizeError
+from .errors import Budget
 from .parser import REL, ArchitectureSpec
 
-# The cells one expansion may charge, priced in ``_pass``, and the
-# fixed charge of each of its steps.
+# The cells one expansion, or a sweep of them, may charge, priced in
+# ``_pass``, and the fixed charge of each of its steps.
 EXPANSION_BUDGET = 1 << 25
 STEP_CELLS = 1 << 9
-# The cells charged so far while ``one_budget`` spans several expansions.
-_SHARED: ContextVar[list[int] | None] = ContextVar("_SHARED", default=None)
 
 
-@contextmanager
-def one_budget(steps: int) -> Iterator[None]:
-    """Charge the expansions run to their end in the block, ``steps`` steps
-    or more in all, to one budget: SizeError first if the steps alone pass
-    it."""
-    if steps * STEP_CELLS > EXPANSION_BUDGET:
-        raise _over_budget(f"a sweep of {steps} steps", steps * STEP_CELLS)
-    token = _SHARED.set([0])
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
-def _over_budget(what: str, spent: int) -> SizeError:
-    return SizeError(
-        f"{what} charges {spent} cells, past the expansion budget of"
-        f" {EXPANSION_BUDGET}"
-    )
+def one_budget(steps: int) -> Budget:
+    """A fresh budget for the passes of a sweep, ``steps`` steps or more in
+    all: SizeError first if the steps alone pass it."""
+    budget = Budget("expansion", EXPANSION_BUDGET)
+    budget.charge(f"a sweep of {steps} steps", steps * STEP_CELLS)
+    budget.spent = 0  # each pass charges its own steps
+    return budget
 
 
 def derivatives(
@@ -87,7 +73,11 @@ def derivatives(
 
 
 def _pass(
-    spec: ArchitectureSpec, L: int, stop: int, counting: bool = False
+    spec: ArchitectureSpec,
+    L: int,
+    stop: int,
+    counting: bool = False,
+    budget: Budget | None = None,
 ) -> Iterator[tuple[int, PathPolynomial | dict | None]]:
     """The expansion loop: yield (i, d X[L]/d X[i]) for i = L down to
     ``stop``.  When ``counting``, each state is yielded as its census, the
@@ -96,18 +86,24 @@ def _pass(
     first state ``_unique`` cannot clear, the pass yields (stop, None) and
     ends.
 
-    The budget takes STEP_CELLS for each of the L - stop steps up front,
-    then, before each push, ``_prices`` cells for each term of its product
-    times each term of its coefficient; a census's terms are its count.
+    The pass charges ``budget``, a fresh expansion budget by default:
+    STEP_CELLS for each of the L - stop steps up front, then, before each
+    push, ``_prices`` cells for each term of its product times each term of
+    its coefficient; a census's terms are its count.  It keeps the running
+    total itself and writes it to ``budget`` when it ends, so a pass that
+    falls back or is abandoned charges a shared budget nothing.
     """
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
     if not 0 <= stop <= L:
         raise ValueError(f"wrt index must be in [0, {L}], got {stop}")
-    shared = _SHARED.get()
-    spent = (L - stop) * STEP_CELLS + (shared[0] if shared else 0)
-    if spent > EXPANSION_BUDGET:
-        raise _over_budget(f"expanding X[{L}] down to X[{stop}]", spent)
+    if budget is None:
+        budget = Budget("expansion", EXPANSION_BUDGET)
+    # The running total: once it is past the limit, charging the budget
+    # the difference raises.
+    spent, limit = budget.spent + (L - stop) * STEP_CELLS, budget.limit
+    if spent > limit:
+        budget.charge(f"expanding X[{L}] down to X[{stop}]", spent - budget.spent)
     price = _prices(spec)
     top = _tops(spec, stop) if counting else None
     # The polynomials (or censuses) pushed so far, by state; states below
@@ -132,14 +128,13 @@ def _pass(
         for source, coeff in pushes:
             if source >= stop:
                 spent += cells * len(coeff)
-                if spent > EXPANSION_BUDGET:
-                    raise _over_budget(f"expanding X[{L}] at X[{i}]", spent)
+                if spent > limit:
+                    budget.charge(f"expanding X[{L}] at X[{i}]", spent - budget.spent)
                 if counting:
                     _convolve(pushed, coeff, f.setdefault(source, {}))
                 else:
                     f[source] = poly_add(f.get(source, zero), poly_mul(pushed, coeff))
-    if shared:
-        shared[0] = spent
+    budget.spent = spent
     last = f.pop(stop, zero)
     yield stop, _bins(last) if counting else last
 
@@ -433,15 +428,18 @@ def value_equivalence_report(
     )
 
 
-def verify_chain_identity(spec: ArchitectureSpec, m: int) -> bool:
+def verify_chain_identity(
+    spec: ArchitectureSpec, m: int, budget: Budget | None = None
+) -> bool:
     """Check d X[m]/d X[m-2] == d X[m]/d X[m-1] * (1 + W[m-1]) - W[m-1].
 
     This is the two-step chain-rule consistency condition satisfied by the
-    two-lag architecture; it fails for plain shortcut recursions.
+    two-lag architecture; it fails for plain shortcut recursions.  The pass
+    charges ``budget``, which a sweep of m shares (``one_budget``).
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    d = dict(derivatives(spec, m, m - 2))
+    d = dict(_pass(spec, m, m - 2, budget=budget))
     one_plus_w = poly_add(PathPolynomial.one(), PathPolynomial.block(m - 1))
     rhs = poly_add(poly_mul(d[m - 1], one_plus_w), -PathPolynomial.block(m - 1))
     return d[m - 2] == rhs

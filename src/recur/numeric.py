@@ -701,13 +701,6 @@ def check_derivatives(
     return checks
 
 
-def check_derivative(
-    net: ConcreteNet, poly: PathPolynomial, j: int, tol: float = 1e-10
-) -> JacobianCheckResult | tuple[JacobianCheckResult, ...]:
-    """check_derivatives of the one polynomial ``poly`` against X[j]."""
-    return check_derivatives(net, {j: poly}, tol)[0]
-
-
 def _activated_products(net: ConcreteNet, trace: ForwardTrace, stop: int = 0):
     """Yield (j, the activated product formula of dX[L]/dX[j]) for j = L - 1
     down to ``stop``, each extending the one before by one factor.

@@ -29,11 +29,11 @@ from typing import Iterator, Mapping, NamedTuple
 
 from .algebra import PathPolynomial, Word, _word, signed_sum
 from .errors import (
+    Budget,
     FormulaSyntaxError,
     NonAffineError,
     NonCausalError,
     RangeError,
-    SizeError,
 )
 
 # A coefficient atom: ("rel", c) denotes W[v-c] for the rule variable v,
@@ -288,8 +288,9 @@ _Statement = tuple[int, "str | int", "list[_Term] | None"]
 
 class _Parser:
     def __init__(self, text: str):
-        self.spent = 0
-        self.charge(len(text) * TEXT_CELLS, PARSE_BUDGET // TEXT_CELLS)
+        self.budget = Budget("parse", PARSE_BUDGET)
+        cells = len(text) * TEXT_CELLS
+        self.budget.charge("parsing", cells, PARSE_BUDGET // TEXT_CELLS)
         self.tokens = tokenize(text)
         self.i = 0
         self.nesting = 0
@@ -316,16 +317,6 @@ class _Parser:
                 position=tok.pos,
             )
         return self.advance()
-
-    def charge(self, cells: int, pos: int) -> None:
-        """Count cells against PARSE_BUDGET: SizeError at pos once past it."""
-        self.spent += cells
-        if self.spent > PARSE_BUDGET:
-            raise SizeError(
-                f"parsing charges {self.spent} cells, past the parse budget of"
-                f" {PARSE_BUDGET}",
-                position=pos,
-            )
 
     # -- statements ------------------------------------------------------
 
@@ -407,7 +398,7 @@ class _Parser:
             self.advance()
         while True:
             product = self.parse_product()
-            self.charge(len(product), op.pos)
+            self.budget.charge("parsing", len(product), op.pos)
             terms += [(-c, a) for c, a in product] if op.kind == "MINUS" else product
             op = self.peek()
             if op.kind not in ("PLUS", "MINUS"):
@@ -420,7 +411,8 @@ class _Parser:
             star = self.advance()
             rhs = self.parse_factor()
             (n, atoms, words), (m, rhs_atoms, rhs_words) = map(_sizes, (value, rhs))
-            self.charge(n * m + atoms * m + n * rhs_atoms + words * rhs_words, star.pos)
+            cells = n * m + atoms * m + n * rhs_atoms + words * rhs_words
+            self.budget.charge("parsing", cells, star.pos)
             value = [(ca * cb, aa + ab) for ca, aa in value for cb, ab in rhs]
         return value
 

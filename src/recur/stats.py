@@ -103,7 +103,7 @@ class AccuracyTable(_AccuracyTable):
 def load_table(path) -> AccuracyTable:
     from pathlib import Path
 
-    return AccuracyTable.from_csv(Path(path).read_text(encoding="utf-8"))
+    return AccuracyTable.from_csv(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def fixture_table(name: str) -> AccuracyTable:

@@ -23,7 +23,7 @@ from recur.expansion import (
     value_equivalence_report,
     verify_chain_identity,
 )
-from recur.numeric import finite_diff_check, instantiate, check_derivative
+from recur.numeric import check_derivatives, finite_diff_check, instantiate
 from recur.parser import parse, render
 from recur.stats import AccuracyTable, fixture_table, friedman, nemenyi, rank
 
@@ -170,7 +170,7 @@ def test_criterion_7_numeric_jacobians():
                 for seed in seeds:
                     net = instantiate(spec, L, d, seed=seed)
                     for j, poly in polys.items():
-                        res = check_derivative(net, poly, j, tol=1e-10)
+                        res = check_derivatives(net, {j: poly}, 1e-10)[0]
                         crit.expect(
                             res.passed,
                             f"{name} L={L} d={d} seed={seed} j={j}:"

@@ -381,14 +381,12 @@ def test_node_lookup_and_edge_order():
     for n in g.nodes:
         assert g.node(n.id) is n
         assert g.in_edges(n.id) == [e for e in g.edges if e.dst == n.id]
-        assert g.out_edges(n.id) == [e for e in g.edges if e.src == n.id]
     # Edges from a shuffled edge tuple come back in that tuple's order.
     edges = list(g.edges)
     random.Random(3).shuffle(edges)
     shuffled = ArchGraph(g.name, g.depth, g.nodes, tuple(edges), g.state_ids)
     for n in g.nodes:
         assert shuffled.in_edges(n.id) == [e for e in edges if e.dst == n.id]
-        assert shuffled.out_edges(n.id) == [e for e in edges if e.src == n.id]
     # Callers get their own lists.
     g.in_edges("output").clear()
     assert len(g.in_edges("output")) == 1

@@ -620,6 +620,14 @@ BUDGET_FILES = {
         + "*".join(f"(1 + W[i-{k}])" for k in range(1, 8))
         + "*X[i-1]\n"
     ),
+    # 64 terms a coefficient from the rule's first state on
+    "factors6.rf": (
+        "X[0] = input\n"
+        + "".join(f"X[{k}] = X[{k - 1}]\n" for k in range(1, 6))
+        + "X[i] = (1 + W[i])*"
+        + "*".join(f"(1 + W[i-{k}])" for k in range(1, 6))
+        + "*X[i-1]\n"
+    ),
     # 2^14 words of 14 blocks, none a prefix of another: the census's
     # check that no word takes two paths must stay linear in them
     "prefixfree14.rf": (
@@ -670,6 +678,14 @@ OVER_BUDGET = [
         ),
     ),
     (("expand", "copy.rf", "-L", "1000000000"), EXPANSION_BUDGET_ERROR),
+    # m = 576 alone fits; the total the sweep's passes share does not
+    (
+        ("chain-identity", "factors6.rf", "-L", "3000"),
+        (
+            "error: expanding X[576] at X[575] charges 33568216 cells,",
+            EXPANSION_BUDGET_ERROR[1],
+        ),
+    ),
     # checks j = 0, 1 and 2 for each seed, counted before the seeds are drawn
     (
         ("verify", "--builtin", "resnet", "-L", "2", "-d", "1", "--seeds", str(10**12)),

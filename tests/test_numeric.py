@@ -15,7 +15,7 @@ from recur.parser import parse
 from recur.numeric import (
     MAX_MATRIX_ENTRIES,
     ConcreteNet,
-    check_derivative,
+    check_derivatives,
     eval_polynomial,
     finite_diff_check,
     forward,
@@ -657,8 +657,8 @@ def test_stacked_net_is_bit_identical_to_each_seed_alone(monkeypatch, d):
                 assert np.array_equal(exact[s], jacobian_exact(net, j)), where
                 one = jacobian_exact(net, j, magnitude=True)
                 assert np.array_equal(size[s], one), where
-            assert check_derivative(stacked, poly, j) == tuple(
-                check_derivative(net, poly, j) for net in alone
+            assert check_derivatives(stacked, {j: poly})[0] == tuple(
+                check_derivatives(net, {j: poly})[0] for net in alone
             )
     assert all(paths) if d == 30 else (True in paths and False in paths)
 
@@ -693,7 +693,9 @@ def test_eval_polynomials_match_naive_on_every_sweep(monkeypatch, d):
                         seed = matrix if net.stack.ndim == 3 else matrix[s]
                         assert np.array_equal(seed, _naive_eval(poly, one)), where
                 checks = numeric.check_derivatives(net, dict(enumerate(polys)))
-                assert checks == [check_derivative(net, p, j) for j, p in enumerate(polys)]
+                assert checks == [
+                    check_derivatives(net, {j: p})[0] for j, p in enumerate(polys)
+                ]
     assert paths == {False, True}
 
 
@@ -703,9 +705,10 @@ def test_stacked_zero_polynomial_is_measured_per_seed():
     poly = derivative(spec, 5, 0)
     assert poly.is_zero()
     stacked = instantiate(spec, 5, 3, seed=[0, 1])
-    results = check_derivative(stacked, poly, 0)
+    results = check_derivatives(stacked, {0: poly})[0]
     assert results == tuple(
-        check_derivative(instantiate(spec, 5, 3, seed=seed), poly, 0) for seed in (0, 1)
+        check_derivatives(instantiate(spec, 5, 3, seed=seed), {0: poly})[0]
+        for seed in (0, 1)
     )
     assert [r.seed for r in results] == [0, 1] and all(r.passed for r in results)
 
@@ -730,7 +733,7 @@ def test_derivative_matches_exact_jacobian():
         for seed in range(3):
             net = instantiate(spec, 5, 4, seed=seed)
             for j in range(0, 6):
-                res = check_derivative(net, derivative(spec, 5, j), j)
+                res = check_derivatives(net, {j: derivative(spec, 5, j)})[0]
                 assert res.passed, (name, seed, j, res.error)
 
 
@@ -738,7 +741,7 @@ def test_newarch_polynomial_matches_exact_to_1e12():
     for seed in range(5):
         net = instantiate(NEWARCH, 5, 4, seed=seed)
         for j in range(0, 6):
-            res = check_derivative(net, derivative(NEWARCH, 5, j), j, tol=1e-12)
+            res = check_derivatives(net, {j: derivative(NEWARCH, 5, j)}, 1e-12)[0]
             assert res.passed, (seed, j, res.error)
 
 
@@ -747,14 +750,14 @@ def test_scalar_dimension_degenerates_to_arithmetic():
         spec = builtin_spec(name)
         net = instantiate(spec, 4, 1, seed=9)
         for j in range(0, 5):
-            assert check_derivative(net, derivative(spec, 4, j), j).passed
+            assert check_derivatives(net, {j: derivative(spec, 4, j)})[0].passed
 
 
 def test_transposed_factors_break_equality():
     # Negative control: reversing a multi-factor term must fail for d > 1.
     net = instantiate(CHAIN, 3, 4, seed=5)
     wrong = PathPolynomial({(1, 2, 3): 1})  # true answer is W3*W2*W1
-    res = check_derivative(net, wrong, 0)
+    res = check_derivatives(net, {0: wrong})[0]
     assert not res.passed
 
 
@@ -948,7 +951,7 @@ def test_finite_diff_rejects_a_bump_that_rounds_back_to_its_start(j):
 
 def test_check_result_serialization():
     net = instantiate(RESNET, 3, 2, seed=4)
-    res = check_derivative(net, derivative(RESNET, 3, 1), 1)
+    res = check_derivatives(net, {1: derivative(RESNET, 3, 1)})[0]
     payload = res.to_dict()
     assert payload["pass"] is True
     assert set(payload) == {

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from importlib.resources import files
 from statistics import NormalDist
 
 import pytest
@@ -15,6 +16,7 @@ from recur.stats import (
     fixture_table,
     friedman,
     friedman_graph_data,
+    load_table,
     nemenyi,
     nemenyi_q,
     rank,
@@ -289,6 +291,21 @@ def test_duplicate_names_rejected(capsys, tmp_path):
 def test_csv_rejects_bad_header():
     with pytest.raises(ValueError):
         AccuracyTable.from_csv("name,acc\nres,91\nres2,92\n")
+
+
+def test_csv_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
+    # Spreadsheets' "CSV UTF-8" export starts the file with U+FEFF.
+    text = files("recur.data").joinpath("table1.csv").read_text(encoding="utf-8")
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_table(marked) == load_table(plain) == fixture_table("table1")
+    runs = []
+    for path in (plain, marked):
+        code = main(["stats", str(path), "--format", "json"])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1] and runs[0][0] == 0
 
 
 def test_betainc_against_closed_forms():

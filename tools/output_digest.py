@@ -12,7 +12,7 @@ byte, so a change that should not alter output is checked with::
 
 ``--root`` names the checkout whose ``src/recur`` is imported (default:
 the one holding this script).  A command argument that names one of
-``FILES`` is run on that formula, written to a temporary directory; an
+``FILES`` is run on that file, written to a temporary directory; an
 exception that escapes ``main`` is digested by its type name in place of
 the exit code.
 """
@@ -118,6 +118,15 @@ FILES = {
         + "*".join(f"(1 + W[i-{k}])" for k in range(1, 8))
         + "*X[i-1]\n"
     ),
+    # 64 terms a coefficient: chain-identity -L 3000 passes the budget its
+    # sweep shares at m = 576, which alone fits
+    "factors6.rf": (
+        "X[0] = input\n"
+        + "".join(f"X[{k}] = X[{k - 1}]\n" for k in range(1, 6))
+        + "X[i] = (1 + W[i])*"
+        + "*".join(f"(1 + W[i-{k}])" for k in range(1, 6))
+        + "*X[i-1]\n"
+    ),
     # a product that distributes into 2^17 terms, past the parse budget
     "product17.rf": (
         "X[0] = input\nX[i] = " + "*".join(["(1 + W[i])"] * 17) + "*X[i-1]\n"
@@ -137,6 +146,8 @@ FILES = {
     # over 128 KB before it is tokenized
     "w2000.rf": "X[0] = input\nX[i] = " + "W[i]*" * 2000 + "X[i-1]\n",
     "sum15000.rf": "X[0] = input\nX[i] = " + " + ".join(["X[i-1]"] * 15000) + "\n",
+    # an accuracy table behind a UTF-8 byte order mark, as spreadsheets write
+    "bom.csv": "\ufeffmethod,a,b,c\nx,91.5,92,93\ny,92,91,90.25\nz,90,93,91\n",
     **PARSE_ERRORS,
 }
 
@@ -293,6 +304,7 @@ def commands() -> list[list[str]]:
         ["parse", "w2000.rf"],
         ["parse", "sum15000.rf"],
         ["stats", "table1", "--alpha", "1e-11"],
+        ["stats", "bom.csv"],
         # expanded terms with negative, non-unit and multi-digit coefficients,
         # one of 601 digits, and block indices of 128 and above
         ["expand", "wide.rf", "-L", "8", "--format", "json"],
@@ -318,6 +330,7 @@ def commands() -> list[list[str]]:
         # the expansion budget: many terms, many steps, long words, wide coefficients
         ["expand", "factors8.rf", "-L", "9"],
         ["expand", "factors8.rf", "-L", "10"],
+        ["chain-identity", "factors6.rf", "-L", "3000"],
         ["census", "--builtin", "resnet", "-L", "24"],
         # resnet's last push, into X[0], fits the budget at -L 19, not at -L 20
         ["census", "--builtin", "resnet", "-L", "19"],
