@@ -378,7 +378,7 @@ class PathPolynomial:
                 word = _word(key)
                 if coeff:
                     normalized[word] = coeff
-        object.__setattr__(self, "_terms", normalized)
+        self._terms = normalized
 
     # -- constructors -------------------------------------------------
 
@@ -390,7 +390,7 @@ class PathPolynomial:
         so the caller hands ``terms`` over and must not change it afterwards.
         """
         poly = object.__new__(cls)
-        object.__setattr__(poly, "_terms", terms)
+        poly._terms = terms
         return poly
 
     @classmethod

@@ -198,45 +198,48 @@ def build_graph(spec: ArchitectureSpec, L: int) -> ArchGraph:
         )
     nodes: list[Node] = [Node("input", INPUT)]
     edges: list[Edge] = []
-    state_ids: dict[int, str] = {0: "input"}
+    state_ids = ["input"]  # state index -> the node carrying it
     block_input: dict[int, int] = {}  # block index -> state index it reads
     taps: set[int] = set()
 
     for i in range(1, L + 1):
         junction = f"junction{i}"
         nodes.append(Node(junction, JUNCTION))
-        state_ids[i] = junction
+        state_ids.append(junction)
 
         for source, coeff in spec.instantiate_terms(i):
             source_node = state_ids[source]
-            for word, c in coeff.canonical_items():
-                degree = len(word)
-                if degree >= 2:
+            # Edges follow canonical order, which one term has without sorting.
+            items = coeff.items()
+            if len(items) > 1:
+                items = coeff.canonical_items()
+            for word, c in items:
+                if len(word) >= 2:
                     term = signed_sum([(c, block_product(word))])
                     raise UnrealizableError(
                         f"coefficient term {term} on X[{source}] in X[{i}] has"
-                        f" degree {degree}; no single-block wiring exists"
+                        f" degree {len(word)}; no single-block wiring exists"
                     )
-                # The term's |c| parallel edges leave ``origin``.
-                if degree == 0:
-                    origin, label = source_node, IDENTITY
-                else:
-                    k = ord(word[0])
-                    if k == i and k not in block_input:
-                        nodes.append(Node(f"block{k}", BLOCK, block=k))
-                        block_input[k] = source
-                        edges.append(Edge(source_node, f"block{k}", 1, IDENTITY))
-                    if k == i and block_input[k] == source:
-                        origin, label = f"block{k}", MAPPED
-                    elif k < i and source == k - 1 and block_input.get(k) == source:
-                        if k not in taps:
-                            nodes.append(Node(f"tap{k}", TAP, block=k))
-                            edges.append(Edge(f"block{k}", f"tap{k}", 1, MAPPED))
-                            taps.add(k)
-                        origin, label = f"tap{k}", MAPPED
-                    else:
-                        # No shared-parameter realization; keep the data path.
-                        origin, label = source_node, MAPPED
+                # The term's |c| parallel edges leave ``origin``: a mapped
+                # edge keeps the data path unless a block or a tap that shares
+                # its parameters realizes it.
+                origin, label = source_node, MAPPED
+                if not word:
+                    label = IDENTITY
+                elif (k := ord(word)) == i:
+                    block = f"block{i}"
+                    if i not in block_input:
+                        nodes.append(Node(block, BLOCK, i))
+                        block_input[i] = source
+                        edges.append(Edge(source_node, block, 1, IDENTITY))
+                    if block_input[i] == source:
+                        origin = block
+                elif k < i and source == k - 1 and block_input.get(k) == source:
+                    origin = f"tap{k}"
+                    if k not in taps:
+                        taps.add(k)
+                        nodes.append(Node(origin, TAP, k))
+                        edges.append(Edge(f"block{k}", origin, 1, MAPPED))
                 copies = abs(c)
                 # The output node and its edge come last.
                 if len(nodes) + len(edges) + copies + 2 > MAX_GRAPH_ITEMS:
@@ -244,8 +247,11 @@ def build_graph(spec: ArchitectureSpec, L: int) -> ArchGraph:
                         f"graph {spec.name!r} at depth {L} passes {MAX_GRAPH_ITEMS}"
                         f" nodes plus edges at X[{i}]"
                     )
-                sign = 1 if c > 0 else -1
-                edges.extend([Edge(origin, junction, sign, label)] * copies)
+                edge = Edge(origin, junction, 1 if c > 0 else -1, label)
+                if copies == 1:
+                    edges.append(edge)
+                else:
+                    edges.extend([edge] * copies)
 
     nodes.append(Node("output", OUTPUT))
     edges.append(Edge(state_ids[L], "output", 1, IDENTITY))
@@ -254,7 +260,7 @@ def build_graph(spec: ArchitectureSpec, L: int) -> ArchGraph:
         depth=L,
         nodes=tuple(nodes),
         edges=tuple(edges),
-        state_ids=tuple(sorted(state_ids.items())),
+        state_ids=tuple(enumerate(state_ids)),
     )
 
 

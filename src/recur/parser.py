@@ -69,9 +69,14 @@ def _coeff_term_key(atoms: WKey) -> tuple:
 
 
 class CoefficientExpr:
-    """Integer polynomial in W symbols, independent of the X states."""
+    """Integer polynomial in W symbols, independent of the X states.
 
-    __slots__ = ("_terms",)
+    Its instantiation plan holds, for each term in order, its coefficient
+    and each atom as (multiplier of the state index, offset): W[v-c] is
+    (1, -c) and W[k] is (0, k).
+    """
+
+    __slots__ = ("_terms", "_plan")
 
     def __init__(self, terms: Mapping[WKey, int] | None = None):
         normalized: dict[WKey, int] = {}
@@ -79,7 +84,11 @@ class CoefficientExpr:
             for atoms, coeff in terms.items():
                 if coeff:
                     normalized[tuple(atoms)] = coeff
-        object.__setattr__(self, "_terms", normalized)
+        self._terms = normalized
+        self._plan = tuple(
+            (coeff, tuple((1, -v) if kind == REL else (0, v) for kind, v in atoms))
+            for atoms, coeff in normalized.items()
+        )
 
     @property
     def terms(self) -> dict[WKey, int]:
@@ -92,17 +101,27 @@ class CoefficientExpr:
         for key in self._terms:
             yield from key
 
-    def instantiate(self, at_index: int | None) -> PathPolynomial:
+    def instantiate(self, at_index: int) -> PathPolynomial:
         """Resolve atoms to concrete block indices for the state X[at_index].
 
-        Relative atoms require at_index; absolute atoms never do.  ``parse``
-        keeps every resolved index >= 1.
+        ``parse`` keeps every resolved index >= 1.  Each term's word is
+        written into the dict as it stands; only when two words collide are
+        the coefficients added up, in term order, and zeros swept out.
         """
+        i, plan = at_index, self._plan
         out: dict[Word, int] = {}
-        for atoms, coeff in self._terms.items():
-            word = _word([at_index - v if kind == REL else v for kind, v in atoms])
-            out[word] = out.get(word, 0) + coeff
-        if 0 in out.values():
+        try:
+            for coeff, atoms in plan:
+                word = ""
+                for m, o in atoms:
+                    word += chr(m * i + o)
+                out[word] = coeff
+        except (ValueError, OverflowError):
+            _word([m * i + o for m, o in atoms])  # raises SizeError
+        if len(out) < len(plan):
+            out = dict.fromkeys(out, 0)
+            for coeff, atoms in plan:
+                out["".join([chr(m * i + o) for m, o in atoms])] += coeff
             out = {w: c for w, c in out.items() if c}
         return PathPolynomial._trusted(out)
 
@@ -197,12 +216,11 @@ class ArchitectureSpec(NamedTuple):
             return []
         base = self.base_case(i)
         if base is not None:
-            return [(src, coeff.instantiate(None)) for src, coeff in base.terms]
-        pairs = []
-        for term in self.rule.terms:
-            source = i - term.lag if term.lag is not None else term.source
-            pairs.append((source, term.coeff.instantiate(i)))
-        return pairs
+            return [(src, coeff.instantiate(i)) for src, coeff in base.terms]
+        return [
+            (i - t.lag if t.lag is not None else t.source, t.coeff.instantiate(i))
+            for t in self.rule.terms
+        ]
 
     def same_recursion(self, other: "ArchitectureSpec") -> bool:
         """Equality of rule terms and base cases, ignoring the name and the
@@ -608,11 +626,12 @@ def parse(text: str, *, name: str = "spec") -> ArchitectureSpec:
 
 
 def parse_file(path) -> ArchitectureSpec:
-    """Parse a .rf file; the spec is named after the file stem."""
+    """Parse a .rf file, which may open with a UTF-8 byte order mark; the
+    spec is named after the file stem."""
     from pathlib import Path
 
     p = Path(path)
-    return parse(p.read_text(encoding="utf-8"), name=p.stem)
+    return parse(p.read_text(encoding="utf-8-sig"), name=p.stem)
 
 
 # ---------------------------------------------------------------------------

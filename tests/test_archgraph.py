@@ -365,8 +365,20 @@ WIRED = [("input", "j1"), ("j1", "output")]
     ],
 )
 def test_constructor_rejects_malformed_graphs(nodes, edges, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as err:
         _tiny(nodes, edges)
+    assert str(err.value) == CONSTRUCTOR_ERRORS[message].format(*edges[-1])
+
+
+# Each constructor check's whole text, by the word its cases above are named
+# with; an unknown endpoint is named by the last edge of its case.
+CONSTRUCTOR_ERRORS = {
+    "cycle": "graph contains a cycle",
+    "duplicate": "duplicate node ids",
+    "unknown": "edge {}->{} references unknown nodes",
+    "one input": "graph must have exactly one input node",
+    "one output": "graph must have exactly one output node",
+}
 
 
 def test_node_lookup_and_edge_order():

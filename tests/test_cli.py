@@ -119,6 +119,15 @@ def test_parse_prints_canonical_form(tmp_path, capsys):
     assert out == "X[i] = (1 + W[i])*X[i-1]\nX[0] = input\n"
 
 
+def test_parse_reads_a_file_behind_a_byte_order_mark(tmp_path, capsys):
+    text = "X[0] = input\nX[i] = W[i]*X[i-1]\n"
+    (tmp_path / "plain.rf").write_bytes(text.encode())
+    (tmp_path / "bom.rf").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    plain = run(capsys, "parse", str(tmp_path / "plain.rf"))
+    assert plain == (0, "X[i] = W[i]*X[i-1]\nX[0] = input\n", "")
+    assert run(capsys, "parse", str(tmp_path / "bom.rf")) == plain
+
+
 def test_parse_error_exits_two_with_position(tmp_path, capsys):
     f = tmp_path / "bad.rf"
     f.write_text("X[i] = W[i!*X[i-1]\nX[0] = input\n")

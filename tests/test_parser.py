@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_affine_spec
 from recur import parser
+from recur.algebra import _word
 from recur.builtins import BUILTIN_NAMES, builtin_spec
 from recur.errors import (
     FormulaSyntaxError,
@@ -384,6 +385,64 @@ def test_instantiate_terms_for_rule_and_base():
     deps1 = dict(spec.instantiate_terms(1))
     assert deps1[0].coefficients == {(): 1, (1,): 1}
     assert spec.instantiate_terms(0) == []
+
+
+# Relative and absolute atoms that meet: W[i-1] and W[2] cancel at i = 3,
+# and from i = 4 on the three words are distinct.
+ABSMIX = (
+    "X[0] = input\nX[1] = W[1]*X[0]\nX[2] = W[2]*X[1]\n"
+    "X[i] = (W[i-1] - W[2] + W[i])*X[i-1]\n"
+)
+
+
+def _instantiate_oracle(coeff, at_index):
+    """CoefficientExpr.instantiate atom by atom, as (word, coeff) pairs."""
+    out = {}
+    for atoms, c in coeff.terms.items():
+        word = _word([at_index - v if kind == "rel" else v for kind, v in atoms])
+        out[word] = out.get(word, 0) + c
+    return [(w, c) for w, c in out.items() if c]
+
+
+def _terms_oracle(spec, i):
+    base = spec.base_case(i)
+    if base is not None:
+        return [(src, _instantiate_oracle(c, None)) for src, c in base.terms]
+    return [
+        (i - t.lag if t.lag is not None else t.source, _instantiate_oracle(t.coeff, i))
+        for t in spec.rule.terms
+    ]
+
+
+def test_instantiate_terms_matches_the_atom_by_atom_oracle():
+    rng = random.Random(34)
+    specs = [builtin_spec(name) for name in BUILTIN_NAMES]
+    specs += [random_affine_spec(rng) for _ in range(60)]
+    specs.append(parse(ABSMIX))
+    for spec in specs:
+        for i in range(13):
+            got = [(src, list(p.items())) for src, p in spec.instantiate_terms(i)]
+            assert got == (_terms_oracle(spec, i) if i else []), (render(spec), i)
+    absmix = parse(ABSMIX)
+    assert [list(p.items()) for _, p in absmix.instantiate_terms(3)] == [[("\3", 1)]]
+    assert [list(p.items()) for _, p in absmix.instantiate_terms(4)] == [
+        [("\3", 1), ("\2", -1), ("\4", 1)]
+    ]
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [
+        CoefficientExpr({(("rel", 0),): 1}),
+        CoefficientExpr({(): 2, (("rel", 0), ("rel", 1)): 1}),
+    ],
+)
+def test_instantiate_past_the_last_code_point_names_the_largest_index(coeff):
+    with pytest.raises(SizeError) as err:
+        coeff.instantiate(1114112)
+    assert str(err.value) == (
+        "block index 1114112 is past 1114111, the largest a path word can hold"
+    )
 
 
 def test_base_case_valid_ranges():

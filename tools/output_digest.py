@@ -148,6 +148,14 @@ FILES = {
     "sum15000.rf": "X[0] = input\nX[i] = " + " + ".join(["X[i-1]"] * 15000) + "\n",
     # an accuracy table behind a UTF-8 byte order mark, as spreadsheets write
     "bom.csv": "\ufeffmethod,a,b,c\nx,91.5,92,93\ny,92,91,90.25\nz,90,93,91\n",
+    # and a formula file behind one
+    "bom.rf": "\ufeffX[0] = input\nX[i] = W[i]*X[i-1]\n",
+    # relative and absolute atoms that meet: W[i-1] and W[2] cancel at X[3],
+    # and the coefficient's insertion and canonical orders differ from X[4] on
+    "absmix.rf": (
+        "X[0] = input\nX[1] = W[1]*X[0]\nX[2] = W[2]*X[1]\n"
+        "X[i] = (W[i-1] - W[2] + W[i])*X[i-1]\n"
+    ),
     **PARSE_ERRORS,
 }
 
@@ -363,6 +371,11 @@ def commands() -> list[list[str]]:
             for name, L in (("wide.rf", "8"), ("mixed.rf", "6"))
             for fmt in ("json", "dot")
         ),
+        ["parse", "bom.rf"],
+        # edges in canonical order where it is not the coefficient's own
+        ["graph", "absmix.rf", "-L", "7", "--format", "json"],
+        ["graph", "absmix.rf", "-L", "7", "--format", "dot"],
+        ["expand", "absmix.rf", "-L", "7", "--format", "json"],
     ]
     return cmds
 
