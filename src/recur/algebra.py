@@ -14,24 +14,22 @@ compare as the indices do, and a str caches its hash, so words sort and
 hash like index tuples at a fraction of the cost.  Indices in the surrogate
 range are code points like any other: encode a word with "surrogatepass".
 The constructors and ``coefficient``/``coefficients`` speak int sequences;
-``keys``, ``items`` and ``canonical_items`` hand out words.
+``keys``, ``items`` and ``canonical_columns`` hand out words.
 
-Canonical term order (used for rendering and iteration) is ascending word
-length, then lexicographically descending indices, which puts "1" first
-and deeper blocks before shallower ones within a length.
+Canonical term order (used for rendering) is ascending word length, then
+lexicographically descending indices, which puts "1" first and deeper
+blocks before shallower ones within a length.  ``canonical_columns`` gives
+it as two columns, the words and their coefficients.
 
 ``render_parts`` writes a sum of terms, and ``json_parts`` is the one
 writer of recur's indented JSON output, with ``json_text`` the join of its
-pieces.  Its value types of its own hold (word, coeff) pairs: ``PathSum``
-is written as the string of their sum, and ``PathTerms`` as the list of
-``{"coeff", "factors"}`` dicts they stand for, without building those
-dicts; ``Records`` holds rows of one record type, such as graph nodes, and
-is written as the list of dicts they stand for, without building them.
-Both terms writers take terms a block at a time: the words of up to
-``BLOCK_TERMS`` terms, joined by NUL (no word holds code point 0, since
-indices are >= 1), go through one ``codecs.charmap_encode`` pass that
-writes each code point's text from a plain dict, and one split at the NULs
-and one join put each term's coefficient text in front of its own.
+pieces.  ``PathSum`` and ``PathTerms`` hold the two columns and are written
+as the string of their sum and as the list of ``{"coeff", "factors"}``
+dicts; ``Records`` rows are written as the dicts they stand for.  None of
+those dicts is built.  A block of up to ``BLOCK_TERMS`` terms is a slice of
+each column: its words, joined by NUL (no index is 0), go through one
+``codecs.charmap_encode`` pass, then one ``%`` (the sum) or one split and
+one join (the list) put each coefficient's text, made once, in place.
 """
 
 from __future__ import annotations
@@ -42,9 +40,7 @@ from collections import Counter
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import add
-from typing import (
-    Iterable, ItemsView, Iterator, KeysView, Mapping, NamedTuple, Sequence,
-)
+from typing import Iterable, ItemsView, KeysView, Mapping, NamedTuple, Sequence
 
 from .errors import SizeError
 
@@ -63,10 +59,12 @@ def _word(factors: Sequence[int]) -> Word:
         ) from None
 
 
-# The most terms (or Records rows) one block of output holds: a block's
-# joined words, their bytes and its text are transient copies of at most
-# this many terms.  Past
-# a few hundred terms the size no longer changes the time a term takes.
+# The most terms (or Records rows) one block of output holds, whose joined
+# words, bytes and text are transient copies.  At 128, 256 and 512, resnet's
+# expand took 19.9, 20.2 and 20.5 ms in JSON and 11.3, 11.4 and 11.1 ms in
+# text at L=14 (in-process, best of 150) and peaked at 61.8, 61.2 and 61.7 MB
+# in JSON and 34.7, 34.8 and 35.0 MB in text at L=17 (fresh process), on a
+# 2-CPU x86-64 Linux machine with Python 3.11: no size wins on both.
 BLOCK_TERMS = 256
 
 # (prefix, suffix) -> the charmap table that _int_texts writes with.
@@ -95,38 +93,26 @@ def _int_texts(text: str, prefix: str, suffix: str = "") -> bytes:
 
 def block_product(word: Word) -> str:
     """The product text "W[3]*W[2]"; empty for the identity term."""
-    return _int_texts(word, "W[", "]*")[:-1].decode("ascii")
+    return _int_texts(word, "*W[", "]")[1:].decode("ascii")
 
 
-def _blocks(terms: Sequence[tuple[Word, int]]) -> Iterator[tuple[tuple, tuple]]:
-    """(words, coeffs) of ``terms``, (word, coeff) pairs with distinct
-    words, in blocks of at most BLOCK_TERMS terms.  The identity term, which
-    has no factors to write, is a block of its own."""
-    for k in range(0, len(terms), BLOCK_TERMS):
-        words, coeffs = zip(*terms[k : k + BLOCK_TERMS])
-        if "" in words:  # first in canonical order
-            i = words.index("")
-            if i:
-                yield words[:i], coeffs[:i]
-            yield ("",), coeffs[i : i + 1]
-            words, coeffs = words[i + 1 :], coeffs[i + 1 :]
-        if words:
-            yield words, coeffs
+def render_parts(words: Sequence[Word], coeffs: Sequence[int]) -> list[str]:
+    """The text of the sum of the terms, distinct ``words`` and their
+    ``coeffs``, one piece per block of up to BLOCK_TERMS terms:
+    ``signed_sum(zip(coeffs, map(block_product, words)))``, but no piece
+    for the empty sum.
 
-
-def render_parts(terms: Sequence[tuple[Word, int]]) -> list[str]:
-    """The text of the sum of (word, coeff) pairs, one piece per block of
-    terms (see ``_blocks``): ``signed_sum((c, block_product(w)) for w, c in
-    terms)``, but no piece for the empty sum.
-
-    A term is its sign and coefficient, made once per distinct coefficient,
-    then its product, one codec pass a block; each block is one join of
-    the two.
+    A block's words, a NUL in front of each, go through one codec pass
+    that writes "*W[i]" for code point i.  Each NUL and the "*" after it
+    become "%s", where one ``%`` puts the term's sign and coefficient, made
+    once per distinct coefficient.  The identity term's NUL, with no "*"
+    after it, becomes "%s" for its sign and magnitude.
     """
     parts: list[str] = []
-    heads: dict[int, bytes] = {}  # coeff -> " + 2*", " - ", ...
-    for words, coeffs in _blocks(terms):
-        for c in dict.fromkeys(coeffs):  # in order: the error names the first
+    heads: dict[int, bytes] = {}  # coeff -> b" + 2*", b" - ", ...
+    for k in range(0, len(words), BLOCK_TERMS):
+        ws, cs = words[k : k + BLOCK_TERMS], coeffs[k : k + BLOCK_TERMS]
+        for c in dict.fromkeys(cs):  # in order: the error names the first
             if c not in heads:
                 try:
                     mag = str(abs(c))
@@ -134,13 +120,14 @@ def render_parts(terms: Sequence[tuple[Word, int]]) -> list[str]:
                     raise _too_long(c) from None
                 head = "" if mag == "1" else mag + "*"
                 heads[c] = ((" - " if c < 0 else " + ") + head).encode()
-        if words[0]:
-            products = _int_texts("\0".join(words), "W[", "]*").split(b"*\0")
-            products[-1] = products[-1][:-1]
-            text = b"".join(map(add, map(heads.__getitem__, coeffs), products))
-        else:
-            text = heads[coeffs[0]][:3] + str(abs(coeffs[0])).encode()
-        parts.append(text.decode("ascii"))
+        text = _int_texts("\0" + "\0".join(ws), "*W[", "]").replace(b"\0*", b"%s")
+        args = tuple(map(heads.__getitem__, cs))
+        if b"\0" in text:  # the identity term
+            i = ws.index("")
+            text = text.replace(b"\0", b"%s")
+            identity = heads[cs[i]][:3] + str(abs(cs[i])).encode()
+            args = (*args[:i], identity, *args[i + 1 :])
+        parts.append((text % args).decode("ascii"))
     if parts:  # the first term: "2*W[1]" or "-2*W[1]", not " + "/" - "
         parts[0] = ("-" if parts[0][1] == "-" else "") + parts[0][3:]
     return parts
@@ -172,19 +159,22 @@ def _too_long(value: int) -> SizeError:
     )
 
 
-class PathTerms(tuple):
-    """(word, coeff) pairs with distinct words, which ``json_parts`` writes
-    as the list ``[{"coeff": coeff, "factors": list(map(ord, word))}, ...]``."""
+class PathSum(NamedTuple):
+    """Terms as columns, distinct words and their coefficients, which
+    ``json_parts`` writes as the string of their sum, ``render_parts``'
+    pieces, which need no escapes."""
 
-    __slots__ = ()
+    words: Sequence[Word] = ()
+    coeffs: Sequence[int] = ()
 
 
-class PathSum(tuple):
-    """(word, coeff) pairs with distinct words, which ``json_parts`` writes
-    as the string of their sum, ``render_parts``' pieces, which need no
-    escapes."""
+class PathTerms(NamedTuple):
+    """Terms as columns, distinct words and their coefficients, which
+    ``json_parts`` writes as the list ``[{"coeff": c, "factors":
+    list(map(ord, w))} for w, c in zip(words, coeffs)]``."""
 
-    __slots__ = ()
+    words: Sequence[Word] = ()
+    coeffs: Sequence[int] = ()
 
 
 class Records(NamedTuple):
@@ -268,7 +258,7 @@ def _json_walk(value, newline: str, parts: list[str], head: str = "") -> None:
     if type(value) is Records:
         return _records_walk(value, newline, parts, head)
     if type(value) is PathSum:
-        text = render_parts(value) or ["0"]
+        text = render_parts(*value) or ["0"]
         text[0] = head + '"' + text[0]
         text[-1] += '"'
         return parts.extend(text)
@@ -333,31 +323,40 @@ def _records_walk(records: Records, newline: str, parts: list[str], head: str) -
 
 def _terms_walk(terms: PathTerms, newline: str, parts: list[str], head: str) -> None:
     """Append a PathTerms list, ``head`` in front, to ``parts``, one piece
-    per block of terms (see ``_blocks``).
+    per block of up to BLOCK_TERMS terms.
 
     A term is its opening, up to "[", made once per distinct coefficient,
-    then its factors, one codec pass a block writing ",<newline and
-    indent>i" for code point i, less the comma before the first factor;
-    each block is one join of the two.
+    then its factors: a block's words, joined by NUL, go through one codec
+    pass that writes ",<newline and indent>i" for code point i, one split
+    at each NUL and the comma after it, and one join with the close between
+    terms.  The identity term has no factors, so no comma follows its NUL,
+    which stays on the factors before it, and its close loses its indent.
     """
-    if not terms:
+    words, coeffs = terms
+    if not words:
         return parts.append(head + "[]")
     inner = newline + "  "
     key = inner + "  "
     close = (key + "]" + inner + "}").encode()
-    opens: dict[int, bytes] = {}  # coeff -> ',\n  {\n    "coeff": 2, ... ['
+    empty = b"[" + key.encode() + b"]"  # the identity term's factors, closed
+    opens: dict[int, bytes] = {}  # coeff -> b',\n  {\n    "coeff": 2, ... ['
     first = len(parts)
-    for words, coeffs in _blocks(terms):
-        for c in set(coeffs).difference(opens):
+    for k in range(0, len(words), BLOCK_TERMS):
+        ws, cs = words[k : k + BLOCK_TERMS], coeffs[k : k + BLOCK_TERMS]
+        for c in set(cs).difference(opens):
             coeff = _int_text(c)
             opens[c] = f',{inner}{{{key}"coeff": {coeff},{key}"factors": ['.encode()
-        if words[0]:
-            factors = _int_texts("\0".join(words), "," + key + "  ").split(b"\0,")
-            factors[0] = factors[0][1:]
-            factors[-1] += close
-            text = close.join(map(add, map(opens.__getitem__, coeffs), factors))
-        else:
-            text = opens[coeffs[0]] + close[len(key) :]  # "factors": []
+        factors = _int_texts("\0".join(ws), "," + key + "  ").split(b"\0,")
+        factors[0] = factors[0][1:]
+        identity = not ws[0]
+        if len(factors) < len(ws):  # the identity term, after the first
+            i = ws.index("")
+            factors[i - 1 : i] = factors[i - 1][:-1], b""
+            identity = True
+        factors[-1] += close
+        text = close.join(map(add, map(opens.__getitem__, cs), factors))
+        if identity:
+            text = text.replace(empty, b"[]")
         parts.append(text.decode("ascii"))
     parts[first] = head + "[" + parts[first][1:]  # the list opens where a comma goes
     parts.append(newline + "]")
@@ -427,14 +426,15 @@ class PathPolynomial:
         except (ValueError, OverflowError):  # no code point, so no such term
             return 0
 
-    def canonical_items(self) -> list[tuple[Word, int]]:
-        """The (word, coeff) pairs in canonical order.
+    def canonical_columns(self) -> tuple[list[Word], list[int]]:
+        """The words in canonical order and their coefficients, as two lists.
 
-        Keys are distinct, so sorting them descending and then, stably, by
+        Words are distinct, so sorting them descending and then, stably, by
         length gives the canonical order from two C-level sorts.
         """
         terms = self._terms
-        return [(f, terms[f]) for f in sorted(sorted(terms, reverse=True), key=len)]
+        words = sorted(sorted(terms, reverse=True), key=len)
+        return words, list(map(terms.__getitem__, words))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -557,4 +557,4 @@ def census(p: PathPolynomial) -> dict[int, CensusBin]:
 
 def render_poly(p: PathPolynomial) -> str:
     """Canonical text form: terms joined by " + "/" - ", identity as "1"."""
-    return "".join(render_parts(p.canonical_items())) or "0"
+    return "".join(render_parts(*p.canonical_columns())) or "0"

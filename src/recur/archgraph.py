@@ -212,7 +212,7 @@ def build_graph(spec: ArchitectureSpec, L: int) -> ArchGraph:
             # Edges follow canonical order, which one term has without sorting.
             items = coeff.items()
             if len(items) > 1:
-                items = coeff.canonical_items()
+                items = zip(*coeff.canonical_columns())
             for word, c in items:
                 if len(word) >= 2:
                     term = signed_sum([(c, block_product(word))])

@@ -130,11 +130,11 @@ def cmd_parse(args) -> int:
 
 
 def _component_json(j: int, poly: algebra.PathPolynomial) -> dict:
-    terms = poly.canonical_items()  # sorted once, for both the text and the list
+    columns = poly.canonical_columns()  # sorted once, for both the text and the list
     return {
         "state": j,
-        "polynomial": algebra.PathSum(terms),
-        "terms": algebra.PathTerms(terms),
+        "polynomial": algebra.PathSum(*columns),
+        "terms": algebra.PathTerms(*columns),
     }
 
 
@@ -153,7 +153,7 @@ def cmd_expand(args) -> int:
     else:
         poly = expanded.components.get(0)
         if poly:
-            text = ["(", *algebra.render_parts(poly.canonical_items()), ")*X[0]\n"]
+            text = ["(", *algebra.render_parts(*poly.canonical_columns()), ")*X[0]\n"]
         else:
             text = ["0\n"]
         _emit([f"X[{args.depth}] = ", *text], args)

@@ -352,7 +352,7 @@ def check_structure(
 
     if kind == "widest":
         by_length: dict[int, list] = {}
-        for word, coeff in poly.canonical_items():
+        for word, coeff in zip(*poly.canonical_columns()):
             by_length.setdefault(len(word), []).append((word, coeff))
 
         def text(terms: list) -> str:

@@ -100,7 +100,7 @@ def test_criterion_3_newarch_laws():
             crit.expect(single.passed, f"L={L} j={j}: not single-path")
             crit.expect(widest.passed, f"L={L} j={j}: not widest")
         poly = derivative(spec, L, 0)
-        by_length = {len(f): f for f, _ in poly.canonical_items()}
+        by_length = {len(f): f for f in poly.canonical_columns()[0]}
         for k in range(1, L + 1):
             crit.expect(
                 by_length[k][: k - 1] == by_length[k - 1],

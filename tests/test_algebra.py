@@ -158,7 +158,7 @@ def test_words_hold_every_code_point_and_no_index_past_the_last():
     p = PathPolynomial(raw)
     assert p.coefficients == raw
     assert p.coefficient((0xD800, 0xD7FF)) == -2
-    assert [indices(w) for w, _ in p.canonical_items()] == [
+    assert [indices(w) for w in p.canonical_columns()[0]] == [
         (0x10FFFF,), (0xE000,), (0xDFFF,), (0xD800, 0xD7FF),
     ]
     assert render_poly(p) == (
@@ -172,7 +172,7 @@ def test_words_hold_every_code_point_and_no_index_past_the_last():
 
 def test_terms_iterate_in_canonical_order():
     p = PathPolynomial({(1,): 1, (2, 1): 1, (): 1, (2,): 1})
-    assert [indices(w) for w, _ in p.canonical_items()] == [(), (2,), (1,), (2, 1)]
+    assert [indices(w) for w in p.canonical_columns()[0]] == [(), (2,), (1,), (2, 1)]
 
 
 def test_render():
@@ -373,6 +373,11 @@ def _old_canonical_key(factors):
     return (len(factors), tuple(-i for i in factors))
 
 
+def _canonical_items(p):
+    """The (word, coeff) pairs of ``p`` in canonical order."""
+    return list(zip(*p.canonical_columns()))
+
+
 def test_canonical_order_matches_the_per_term_key():
     hypothesis, _ = _hypothesis()
     st = hypothesis.strategies
@@ -388,9 +393,30 @@ def test_canonical_order_matches_the_per_term_key():
         raw = {**{f[:k]: 1 for f in raw for k in range(len(f))}, **raw}
         p = PathPolynomial(raw)
         expected = [(f, raw[f]) for f in sorted(raw, key=_old_canonical_key)]
-        assert [(indices(w), c) for w, c in p.canonical_items()] == expected
+        assert [(indices(w), c) for w, c in _canonical_items(p)] == expected
 
     check()
+
+
+def test_canonical_columns_are_the_canonical_pairs_unzipped():
+    # Products of random polynomials: runs of equal coefficients, words
+    # that share prefixes, coefficients past 64 bits and the identity term.
+    rng = random.Random(11)
+
+    def draw():
+        raw = {
+            tuple(rng.randint(1, 12) for _ in range(rng.randint(0, 4))):
+            rng.choice([1, 1, -1, 2, -3, 10**25])
+            for _ in range(rng.randint(0, 9))
+        }
+        return PathPolynomial(raw)
+
+    for _ in range(300):
+        p = poly_mul(draw(), draw()) if rng.random() < 0.5 else draw()
+        pairs = sorted(p.items(), key=lambda t: _old_canonical_key(indices(t[0])))
+        words, coeffs = p.canonical_columns()
+        assert type(words) is list and type(coeffs) is list
+        assert (words, coeffs) == ([w for w, _ in pairs], [c for _, c in pairs])
 
 
 def test_json_text_matches_json_dumps():
@@ -461,7 +487,7 @@ def test_json_text_writes_path_terms_as_their_dicts():
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(pairs, st.lists(level, max_size=3))
     def check(pairs, levels):
-        text = json_text(wrap(PathTerms(pairs), levels))
+        text = json_text(wrap(PathTerms(*zip(*pairs)), levels))
         expected = json.dumps(wrap(_terms_payload(pairs), levels), indent=2)
         assert text == expected + "\n"
 
@@ -471,7 +497,7 @@ def test_json_text_writes_path_terms_as_their_dicts():
 
 def test_json_text_path_terms_past_the_digit_limit_raise_size_error():
     big = 10 ** (sys.get_int_max_str_digits() + 1)
-    terms = PathTerms([("", 1), ("\x02", -big), ("\x02\x01", 3)])
+    terms = PathTerms(["", "\x02", "\x02\x01"], [1, -big, 3])
     with pytest.raises(SizeError, match=f"^an integer of {big.bit_length()} bits"):
         json_text({"components": [{"state": 0, "terms": terms}]})
 
@@ -520,7 +546,7 @@ def test_block_writers_match_the_term_by_term_texts(monkeypatch):
     def check(p, with_identity):
         if with_identity:
             p = poly_add(p, PathPolynomial.one())
-        items = p.canonical_items()
+        items = _canonical_items(p)
         text = signed_sum((c, _product(w)) for w, c in items)
         assert signed_sum((c, block_product(w)) for w, c in items) == text
         payload = {"polynomial": text or "0", "terms": _terms_payload(items)}
@@ -530,13 +556,39 @@ def test_block_writers_match_the_term_by_term_texts(monkeypatch):
         for cap in (1, 2, 3, algebra.BLOCK_TERMS):
             monkeypatch.setattr(algebra, "BLOCK_TERMS", cap)
             monkeypatch.setattr(algebra, "_TABLES", {})
-            parts = render_parts(items)
+            parts = render_parts(*p.canonical_columns())
             assert "".join(parts) == (text if items else "")
             assert render_poly(p) == text
             if cap == 1:
                 assert len(parts) == len(items)
-            payload = {"polynomial": PathSum(items), "terms": PathTerms(items)}
+            columns = p.canonical_columns()
+            payload = {"polynomial": PathSum(*columns), "terms": PathTerms(*columns)}
             assert json_text({"components": [payload]}) == expected
+            monkeypatch.undo()
+
+    check()
+
+
+def test_sum_writer_takes_terms_in_any_order(monkeypatch):
+    # The identity term first, last, alone or between others, in blocks
+    # that it starts, ends or sits inside.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    word = st.lists(st.integers(1, 0x10FFFF), max_size=3).map(
+        lambda f: "".join(map(chr, f))
+    )
+    coeff = st.integers(-(10**20), 10**20).filter(bool)
+    pairs = st.dictionaries(word, coeff, max_size=8).map(lambda d: list(d.items()))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(pairs)
+    def check(pairs):
+        text = signed_sum((c, _product(w)) for w, c in pairs)
+        terms = PathSum(*zip(*pairs))
+        for cap in (1, 2, 3, algebra.BLOCK_TERMS):
+            monkeypatch.setattr(algebra, "BLOCK_TERMS", cap)
+            assert "".join(render_parts(*terms)) == (text if pairs else "")
+            assert json_text(terms) == f'"{text}"\n'
             monkeypatch.undo()
 
     check()
@@ -547,10 +599,10 @@ def test_a_table_miss_is_filled_and_is_never_the_digit_limit(monkeypatch):
     # ValueError as the digit limit's is: it must never read as that.
     monkeypatch.setattr(algebra, "_TABLES", {})
     p = PathPolynomial({(0x10FFFF, 0xD800): 1, (): 1, (3,): -1})
-    items = p.canonical_items()
+    items = _canonical_items(p)
     assert render_poly(p) == "1 - W[3] + W[1114111]*W[55296]"
     expected = json.dumps({"terms": _terms_payload(items)}, indent=2) + "\n"
-    assert "".join(json_parts({"terms": PathTerms(items)})) == expected
+    assert "".join(json_parts({"terms": PathTerms(*p.canonical_columns())})) == expected
     assert algebra._TABLES  # filled on the misses
     # Past the digit limit, the error names the first such coefficient in
     # canonical order, with fresh tables too.

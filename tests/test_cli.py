@@ -16,6 +16,7 @@ import pytest
 from conftest import fresh_env, random_affine_spec, run_fresh
 import recur.cli
 from recur import __version__, numeric
+from recur.algebra import signed_sum
 from recur.builtins import BUILTIN_NAMES, CHECK_KINDS
 from recur.cli import build_arg_parser, main
 from recur.parser import render
@@ -151,6 +152,32 @@ def test_expand_text_and_json(capsys):
     )
     payload = json.loads(out)
     assert payload["components"][0]["terms"] == [{"coeff": 1, "factors": [3, 2, 1]}]
+
+
+@pytest.mark.parametrize(
+    "spec, depth",
+    [("resnet", "8"), ("resnet", "9"), ("mixed.rf", "9")],
+    ids=["resnet-256-terms", "resnet-512-terms", "mixed"],
+)
+def test_expand_json_is_json_dumps_of_itself(tmp_path, capsys, spec, depth):
+    # 256 and 512 terms fill one and two whole blocks; mixed.rf's terms have
+    # coefficients other than 1 of both signs, and an identity term.
+    if spec.endswith(".rf"):
+        path = tmp_path / spec
+        path.write_text("X[0] = input\nX[i] = (2 - 3*W[i])*X[i-1]\n")
+        argv = [str(path)]
+    else:
+        argv = ["--builtin", spec]
+    code, out, _ = run(capsys, "expand", *argv, "-L", depth, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    for component in payload["components"]:
+        terms = component["terms"]
+        assert len(terms) == 2 ** int(depth)
+        assert component["polynomial"] == signed_sum(
+            (t["coeff"], "*".join(f"W[{i}]" for i in t["factors"])) for t in terms
+        )
 
 
 def test_graph_dot_and_json(capsys):

@@ -525,7 +525,7 @@ def test_newarch_prefix_nesting():
     # Each longer path extends the previous one on the right.
     for L in range(2, 10):
         poly = derivative(NEWARCH, L, 0)
-        by_length = {len(f): f for f, _ in poly.canonical_items()}
+        by_length = {len(f): f for f in poly.canonical_columns()[0]}
         for k in range(1, L + 1):
             assert by_length[k][: k - 1] == by_length[k - 1]
 
