@@ -110,10 +110,6 @@ class ArchGraph:
     # them for nothing.
 
     @cached_property
-    def _nodes_by_id(self) -> dict[str, Node]:
-        return {n.id: n for n in self.nodes}
-
-    @cached_property
     def _edges_into(self) -> dict[str, list[Edge]]:
         """The in-edges of every node, in ``edges`` order."""
         ins: dict[str, list[Edge]] = {n.id: [] for n in self.nodes}
@@ -125,9 +121,6 @@ class ArchGraph:
     def _states(self) -> tuple[dict[int, str], dict[str, int]]:
         """(state index -> node id, node id -> state index)."""
         return dict(self.state_ids), {node_id: i for i, node_id in self.state_ids}
-
-    def node(self, node_id: str) -> Node:
-        return self._nodes_by_id[node_id]
 
     def state_node(self, index: int) -> str:
         return self._states[0][index]

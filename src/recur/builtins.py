@@ -65,11 +65,3 @@ def builtin_spec(name: str) -> parser.ArchitectureSpec:
             f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_NAMES)}"
         ) from None
     return parser.parse(source, name=name)
-
-
-def activated_kind(spec: parser.ArchitectureSpec) -> str | None:
-    """Return "chain" or "resnet" when the spec matches one, else None."""
-    for name in ("chain", "resnet"):
-        if spec.same_recursion(builtin_spec(name)):
-            return name
-    return None

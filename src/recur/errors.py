@@ -83,7 +83,7 @@ class Budget:
 
 
 class ActivationError(RecurError):
-    """Activation requested for a formula without a built-in activated form."""
+    """A check run on a net of the wrong kind, linear or tanh-activated."""
 
 
 class DegenerateError(RecurError):

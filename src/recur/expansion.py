@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .algebra import (
     CensusBin, PathPolynomial, _too_long, _word, block_product, census, poly_add,
-    poly_mul, signed_sum,
+    poly_mul, render_parts,
 )
 from .builtins import CHECK_KINDS
 from .errors import Budget
@@ -351,24 +351,23 @@ def check_structure(
     violations: list[Violation] = []
 
     if kind == "widest":
-        by_length: dict[int, list] = {}
+        by_length: dict[int, tuple[list, list]] = {}  # words, coefficients
         for word, coeff in zip(*poly.canonical_columns()):
-            by_length.setdefault(len(word), []).append((word, coeff))
+            words, coeffs = by_length.setdefault(len(word), ([], []))
+            words.append(word)
+            coeffs.append(coeff)
 
-        def text(terms: list) -> str:
-            return " + ".join(signed_sum([(c, block_product(w))]) for w, c in terms)
+        def text(k: int) -> str:
+            return "".join(render_parts(*by_length[k])) if k in by_length else "absent"
 
         widest = _word(range(L, j, -1))  # W[L]*W[L-1]*...*W[j+1]
         for k in range(0, i + 1):
             expected = widest[:k]
-            terms = by_length.get(k, [])
-            if len(terms) != 1 or terms[0][0] != expected:
-                violations.append(
-                    Violation(k, block_product(expected) or "1", text(terms) or "absent")
-                )
+            if by_length.get(k, ([], []))[0] != [expected]:
+                violations.append(Violation(k, block_product(expected) or "1", text(k)))
         for k in sorted(by_length):
             if k > i:
-                violations.append(Violation(k, "absent", text(by_length[k])))
+                violations.append(Violation(k, "absent", text(k)))
     else:
         if histogram is None:
             histogram = census(poly)

@@ -3,8 +3,8 @@
 Blocks become random d x d matrices, so every symbolic path polynomial can
 be evaluated numerically and compared against two independent references:
 an exact Jacobian obtained by propagating basis vectors through the affine
-recursion, and a central-difference Jacobian for the activated built-in
-chains.  tanh is the activation (smooth, so central differences behave).
+recursion, and a central-difference Jacobian for the activated recursion
+X[i] = tanh(sum of C * X[s]).  tanh is smooth, so central differences behave.
 
 A net drawn for one seed holds its blocks as an (L, d, d) stack.  A net
 drawn for a group of S seeds holds them as one (L, S, d, d) stack, the
@@ -18,8 +18,8 @@ verify checks dX[L]/dX[j] for every j of a sweep at once.
 eval_polynomials evaluates the path polynomials of a sweep together, over
 one schedule, so that a word several of them hold is one product a chunk
 (check_derivatives compares them all), and finite_diff_checks runs one
-forward pass and one chain of product formulas for every j.  The
-one-polynomial and one-j functions are their one-member cases.
+forward pass and one backward pass for every j.  The one-polynomial and
+one-j functions are their one-member cases.
 
 Each function imports numpy in its body, so importing this module (as
 ``recur`` and ``recur.cli`` do) leaves numpy unloaded until the first
@@ -34,7 +34,6 @@ from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import PathPolynomial
-from .builtins import activated_kind
 from .errors import ActivationError, SizeError
 from .parser import ArchitectureSpec
 
@@ -55,7 +54,9 @@ class ConcreteNet:
     seeds; it takes no activation.
     """
 
-    __slots__ = ("spec", "matrices", "activation", "seed", "stack", "_coefficients")
+    __slots__ = (
+        "spec", "matrices", "activation", "seed", "stack", "_coefficients", "_pushes"
+    )
 
     def __init__(
         self,
@@ -84,11 +85,6 @@ class ConcreteNet:
                 raise ValueError(f"unsupported activation {activation!r}")
             if stack.ndim == 4:
                 raise ValueError("an activated net takes one seed")
-            if activated_kind(spec) is None:
-                raise ActivationError(
-                    "tanh is only defined for the built-in chain and resnet"
-                    " recursions"
-                )
         self.spec = spec
         self.stack = stack
         self.matrices = tuple(stack)  # matrices[i-1] realizes W[i]
@@ -97,6 +93,7 @@ class ConcreteNet:
         # i -> instantiate_terms(i) with the coefficients evaluated, filled by
         # jacobian_exact: the blocks are read-only, so these never go stale.
         self._coefficients = {}
+        self._pushes = None  # filled by _pushes
 
     @property
     def depth(self) -> int:
@@ -159,30 +156,51 @@ class ForwardTrace(NamedTuple):
     states: tuple[np.ndarray, ...]
     preactivations: tuple[np.ndarray, ...]
 
-    def state(self, i: int) -> np.ndarray:
-        if not 1 <= i <= len(self.states):
-            raise IndexError(f"state index {i} outside [1, {len(self.states)}]")
-        return self.states[i - 1]
+
+def _pushes(net: ConcreteNet) -> tuple[list, dict[int, int]]:
+    """Each state's instantiate_terms, and each source's last reader: once a net."""
+    if net._pushes is None:
+        pushes = [net.spec.instantiate_terms(i) for i in range(1, net.depth + 1)]
+        net._pushes = pushes, {s: i for i, into in enumerate(pushes, 1) for s, _ in into}
+    return net._pushes
 
 
-def _layers(net: ConcreteNet, start: np.ndarray, j: int = 0):
+def _layers(net: ConcreteNet, start: np.ndarray, j: int = 0, below=()):
     """Yield (pre-activation, state) of X[j+1..L] from X[j] = ``start``,
     one (d,) state or n of them stacked as (n, d, 1): numpy runs the same
-    matrix-vector product on each stacked column, so each gets the same bits."""
+    matrix-vector product on each stacked column, so each gets the same bits.
+    A term c * word of a push from X[s] applies the word's blocks right to
+    left; a source below j is ``below[s]``, and a state is held while a later
+    push reads it."""
     import numpy as np
 
-    resnet = activated_kind(net.spec) == "resnet"
-    current = start
-    for block in net.matrices[j:]:
-        z = block @ current
-        if resnet:
-            z += current
+    (pushes, last), matrices = _pushes(net), net.matrices
+    shape = start.shape[1:] if start.ndim == 3 else start.shape
+    held = {j: start}
+    for i in range(j + 1, net.depth + 1):
+        z = None
+        for s, poly in pushes[i - 1]:
+            x = held[s] if s >= j else below[s].reshape(shape)
+            for word, c in poly.items():
+                v = x
+                for b in reversed(word):
+                    v = matrices[ord(b) - 1] @ v
+                if c != 1:  # 1.0 * v is v
+                    v = _coefficient(c) * v
+                z = v if z is None else z + v
+        for s, _ in pushes[i - 1]:
+            if last[s] == i:
+                held.pop(s, None)
+        if z is None:  # every coefficient into X[i] cancels
+            z = np.zeros(shape)
         current = np.tanh(z)
+        if i in last:
+            held[i] = current
         yield z, current
 
 
 def forward(net: ConcreteNet, x0: np.ndarray) -> ForwardTrace:
-    """Run the tanh-activated chain or resnet with W[i] v = M[i] v.
+    """Run X[i] = tanh(sum of C * X[s]), base cases included, from ``x0``.
 
     The activation is applied after the junction sum, and the pre-activation
     vectors are recorded for later g' capture.
@@ -702,27 +720,28 @@ def check_derivatives(
 
 
 def _activated_products(net: ConcreteNet, trace: ForwardTrace, stop: int = 0):
-    """Yield (j, the activated product formula of dX[L]/dX[j]) for j = L - 1
-    down to ``stop``, each extending the one before by one factor.
-
-    chain:  diag(g'(z_L)) M_L * ... * diag(g'(z_{j+1})) M_{j+1}
-    resnet: the same with (I + M_i) in place of M_i.
+    """Yield (j, dX[L]/dX[j]) for j = L - 1 down to ``stop``: from J[L] = I,
+    each state i from L down pushes J[s] += J[i] * diag(g'(z_i)) C_i,s into
+    each source s, C_i,s its evaluated coefficient, so J[j] is whole once
+    X[j+1] has pushed, and zero where no push reaches X[j].  On chain and
+    resnet it is the product diag(g'(z_L)) C_L * ... * diag(g'(z_j+1)) C_j+1.
 
     Each diag(g') scales the rows of the factor after it, which gives the
     same bits as the d x d product with the diagonal matrix.
     """
     import numpy as np
 
-    chain = activated_kind(net.spec) == "chain"
-    product = np.eye(net.dim)
+    pushes, jacobians = _pushes(net)[0], {net.depth: np.eye(net.dim)}
     for i in range(net.depth, stop, -1):
-        gprime = 1.0 - np.tanh(trace.preactivations[i - 1]) ** 2
-        inner = net.matrix(i)
-        if not chain:
-            inner = np.eye(net.dim) + inner
-        product = product @ (gprime[:, None] * inner)
-        del inner  # one d x d matrix less held while the caller works
-        yield i - 1, product
+        if i in jacobians:
+            into = jacobians.pop(i)
+            gprime = 1.0 - np.tanh(trace.preactivations[i - 1]) ** 2
+            coeffs = eval_polynomials([p for _, p in pushes[i - 1]], net)
+            for (s, _), coeff in zip(pushes[i - 1], coeffs):
+                push = into @ (gprime[:, None] * coeff)
+                jacobians[s] = jacobians[s] + push if s in jacobians else push
+            del into, coeffs, coeff, push  # no d x d temporary held at the yield
+        yield i - 1, jacobians.get(i - 1, np.zeros((net.dim, net.dim)))
 
 
 def finite_diff_checks(
@@ -732,13 +751,14 @@ def finite_diff_checks(
     x0: np.ndarray | None = None,
     tol: float = 1e-4,
 ) -> list[JacobianCheckResult]:
-    """Central-difference Jacobian vs the activated product formula, one
-    result for each j of ``wrts``, in that order.
+    """Central-difference Jacobian vs the backward pass, one result for
+    each j of ``wrts``, in that order.
 
-    Only defined for tanh-activated built-in chains (lag-1 recursions), so
-    perturbing X[j] and rerunning the tail of the recursion is well posed.
-    One forward pass serves every j, and each product formula extends the
-    one for the j after it, which gives the bits of a product of its own.
+    One forward pass serves every j, and one backward pass gives every
+    dX[L]/dX[j].  A rerun from a perturbed X[j] reads the states below j at
+    their unperturbed values.  Central differences have a rounding floor of
+    about ulp(X[L]) / (epsilon * |dX[L]/dX[j]|), relative: eq22 at L = 12,
+    d = 1 (seed 2, j = 1) reads 3.0e-4 at epsilon 1e-5, past the default tol.
     """
     import numpy as np
 
@@ -756,7 +776,8 @@ def finite_diff_checks(
     x0 = np.asarray(x0, dtype=float)
 
     trace = forward(net, x0)
-    bases = {j: x0 if j == 0 else trace.state(j) for j in wrts}
+    below = (x0, *trace.states)  # X[0..L] of the unperturbed run
+    bases = {j: below[j] for j in wrts}
     for j, base in bases.items():
         if np.any(base + epsilon == base) or np.any(base - epsilon == base):
             raise ValueError(
@@ -766,11 +787,11 @@ def finite_diff_checks(
     # Column k of the Jacobian starts from X[j] +- epsilon * e_k.  The
     # columns go through the remaining layers in blocks of n: rows r and
     # n + r of a block's stack are the starts of its r-th column, and only
-    # the last layer's stack is kept.  A stack holds at most CHUNK_ENTRIES
-    # entries, so every d <= 128 is one block.
+    # the stacks a later push reads are kept.  A stack holds at most
+    # CHUNK_ENTRIES entries, so every d <= 128 is one block.
     width = max(1, CHUNK_ENTRIES // (2 * d))
     errors = {}
-    for j, formula in _activated_products(net, trace, min(bases, default=L)):
+    for j, jacobian in _activated_products(net, trace, min(bases, default=L)):
         if j not in bases:
             continue
         numeric = np.empty((d, d))
@@ -778,10 +799,12 @@ def finite_diff_checks(
             n = min(width, d - k)
             bumps = epsilon * np.eye(n, d, k)
             starts = np.concatenate([bases[j] + bumps, bases[j] - bumps])[:, :, None]
-            for _, ends in _layers(net, starts, j):
+            for _, ends in _layers(net, starts, j, below):
                 pass
+            if ends.ndim < 3:  # X[L] does not read X[j]
+                ends = np.broadcast_to(ends, starts.shape)
             numeric[:, k : k + n] = ((ends[:n, :, 0] - ends[n:, :, 0]) / (2 * epsilon)).T
-        errors[j] = relative_error(numeric, formula)
+        errors[j] = relative_error(numeric, jacobian)
     return [
         JacobianCheckResult(
             spec=net.spec.name,

@@ -222,14 +222,6 @@ class ArchitectureSpec(NamedTuple):
             for t in self.rule.terms
         ]
 
-    def same_recursion(self, other: "ArchitectureSpec") -> bool:
-        """Equality of rule terms and base cases, ignoring the name and the
-        index-variable name."""
-        return (
-            self.rule.terms == other.rule.terms
-            and self.base_cases == other.base_cases
-        )
-
 
 # ---------------------------------------------------------------------------
 # Tokenizer

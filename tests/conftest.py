@@ -171,11 +171,12 @@ def recover_terms(g: ArchGraph) -> dict[int, list[tuple[int, PathPolynomial]]]:
             raise ValueError(f"block node {n.id} must have exactly one data edge")
         block_input[n.block] = feeds[0]
 
+    nodes = {n.id: n for n in g.nodes}
     out: dict[int, list[tuple[int, PathPolynomial]]] = {}
     for i in range(1, g.depth + 1):
         acc: dict[int, dict[tuple[int, ...], int]] = {}
         for e in g.in_edges(g.state_node(i)):
-            src_node = g.node(e.src)
+            src_node = nodes[e.src]
             if src_node.kind in (INPUT, JUNCTION):
                 if e.label != IDENTITY:
                     raise ValueError(

@@ -176,7 +176,7 @@ def test_criterion_7_numeric_jacobians():
                             f"{name} L={L} d={d} seed={seed} j={j}:"
                             f" error {res.error:.2e} > 1e-10",
                         )
-    for name in ("chain", "resnet"):
+    for name in ALL_BUILTINS:
         spec = builtin_spec(name)
         for seed in range(5):
             net = instantiate(spec, 4, 4, seed=seed, activation="tanh")

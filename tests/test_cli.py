@@ -594,12 +594,34 @@ def test_graph_floor_past_the_digit_limit_exits_two(tmp_path, capsys, extra):
     )
 
 
-def test_verify_tanh_rejected_for_newarch(capsys):
-    code, _, err = run(
-        capsys, "verify", "--builtin", "newarch", "--activation", "tanh"
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_verify_tanh_passes_for_every_builtin(capsys, name):
+    code, out, err = run(
+        capsys, "verify", "--builtin", name, "-L", "6", "--activation", "tanh",
+        "--seeds", "3",
     )
-    assert code == 2
-    assert "tanh" in err
+    assert (code, err) == (0, "")
+    assert out.endswith("\n18 checks, 18 passed\n")
+
+
+def test_verify_tanh_on_a_file_with_a_lag_two_and_an_absolute_source(capsys, tmp_path):
+    f = tmp_path / "mixed.rf"
+    f.write_text("X[0] = input\nX[1] = W[1]*X[0]\nX[i] = W[i]*X[i-1] - X[i-2] + X[0]\n")
+    code, out, err = run(capsys, "verify", str(f), "-L", "6", "--activation", "tanh")
+    assert (code, err) == (0, "")
+    assert out.endswith("\n6 checks, 6 passed\n")
+
+
+def test_verify_tanh_central_difference_floor_is_a_failed_check(capsys):
+    # eq22's dX[12]/dX[1] at d = 1 is small beside X[12], so the rounding of
+    # X[12] alone puts the central difference past the default --fd-tol.
+    code, out, err = run(
+        capsys, "verify", "--builtin", "eq22", "-L", "12", "-d", "1",
+        "--activation", "tanh", "--seeds", "3",
+    )
+    assert (code, err) == (1, "")
+    failed = "eq22 L=12 j=1 d=1 seed=2 activation=tanh error=3.039e-04 tol=1e-04 FAIL"
+    assert f"\n{failed}\n" in out
 
 
 def test_chain_identity_command(capsys):

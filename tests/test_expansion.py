@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from conftest import derivative_bruteforce, random_affine_spec
-from recur.algebra import PathPolynomial, census, poly_add, poly_mul
+from recur.algebra import PathPolynomial, census, poly_add, poly_mul, render_poly
 from recur.builtins import builtin_spec
 from recur import expansion
 from recur.errors import SizeError
@@ -516,8 +516,20 @@ def test_widest_violations_list_each_signed_term():
     )
     report = check_structure(derivative(spec, 3, 0), "widest", 3, 0)
     assert [(v.length, v.expected, v.actual) for v in report.violations] == [
-        (1, "W[3]", "-2*W[3] + -W[2] + 2*W[1]"),
-        (2, "W[3]*W[2]", "4*W[3]*W[2] + -4*W[3]*W[1] + -W[2]*W[1]"),
+        (1, "W[3]", "-2*W[3] - W[2] + 2*W[1]"),
+        (2, "W[3]*W[2]", "4*W[3]*W[2] - 4*W[3]*W[1] - W[2]*W[1]"),
+    ]
+
+
+def test_widest_violation_text_is_the_sum_expand_writes():
+    # One sum renderer: a failing length reads as its terms would in
+    # expand's output, "- W[1]" after a term, not "+ -W[1]".
+    spec = parse("X[i] = (1 - W[i])*X[i-1]; X[0] = input")
+    poly = derivative(spec, 2, 0)
+    assert render_poly(poly) == "1 - W[2] - W[1] + W[2]*W[1]"
+    report = check_structure(poly, "widest", 2, 0)
+    assert [(v.length, v.expected, v.actual) for v in report.violations] == [
+        (1, "W[2]", "-W[2] - W[1]"),
     ]
 
 

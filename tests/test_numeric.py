@@ -11,7 +11,7 @@ from recur.algebra import PathPolynomial
 from recur.builtins import builtin_spec
 from recur.errors import ActivationError, SizeError
 from recur.expansion import derivative
-from recur.parser import parse
+from recur.parser import parse, render
 from recur.numeric import (
     MAX_MATRIX_ENTRIES,
     ConcreteNet,
@@ -28,6 +28,7 @@ CHAIN = builtin_spec("chain")
 NEWARCH = builtin_spec("newarch")
 
 ALL_BUILTINS = ("chain", "resnet", "newarch", "eq22", "appendix-ex1", "appendix-ex2")
+BUILTIN_SPECS = [builtin_spec(name) for name in ALL_BUILTINS]
 
 
 def _scalar_net(spec, *values):
@@ -108,11 +109,13 @@ def test_instantiate_bounds_the_whole_stack_before_allocating():
 
 
 def test_activation_guard():
-    with pytest.raises(ActivationError):
-        instantiate(NEWARCH, 3, 4, seed=7, activation="tanh")
-    # chain and resnet are fine
-    instantiate(CHAIN, 3, 4, seed=7, activation="tanh")
-    instantiate(RESNET, 3, 4, seed=7, activation="tanh")
+    # tanh is defined for every formula, on a net of one seed.
+    for name in ALL_BUILTINS:
+        instantiate(builtin_spec(name), 3, 4, seed=7, activation="tanh")
+    with pytest.raises(ValueError, match="one seed"):
+        instantiate(NEWARCH, 3, 4, seed=[7, 8], activation="tanh")
+    with pytest.raises(ValueError, match="unsupported activation 'relu'"):
+        instantiate(NEWARCH, 3, 4, seed=7, activation="relu")
 
 
 def _tanh_net(spec, *values):
@@ -127,13 +130,13 @@ def test_forward_scalar_resnet():
         expected.append(x + m * x)
         x = np.tanh(expected[-1])
     assert [z[0] for z in trace.preactivations] == expected
-    assert trace.state(3)[0] == x
+    assert trace.states[2][0] == x
 
 
 def test_forward_scalar_chain():
     trace = forward(_tanh_net(CHAIN, 2.0, 3.0), np.array([1.0]))
     assert [z[0] for z in trace.preactivations] == [2.0, 3.0 * np.tanh(2.0)]
-    assert trace.state(2)[0] == np.tanh(3.0 * np.tanh(2.0))
+    assert trace.states[1][0] == np.tanh(3.0 * np.tanh(2.0))
 
 
 def test_forward_rejects_unactivated_net():
@@ -834,31 +837,43 @@ def test_product_formula_scales_rows_as_the_diagonal_product_does(spec):
                     assert got.tobytes() == want.tobytes(), (d, L, seed, j)
 
 
+def _tail(net, below, j, start):
+    """X[L] from X[j] = ``start``, one (d,) state at a time: each state the
+    sum, over its pushes in order, of c * (the word's blocks applied right to
+    left) * X[s], then tanh; a state below j is ``below[s]``."""
+    states = dict(enumerate(below[:j]))
+    states[j] = start
+    for i in range(j + 1, net.depth + 1):
+        z = None
+        for s, poly in net.spec.instantiate_terms(i):
+            for word, c in poly.items():
+                v = states[s]
+                for code in reversed(word):
+                    v = net.matrix(ord(code)) @ v
+                v = float(c) * v
+                z = v if z is None else z + v
+        states[i] = np.tanh(z)
+    return states[net.depth]
+
+
 def _finite_diff_error_by_column(net, j, epsilon, x0):
     """finite_diff_check's error, rerunning the tail once per +- column."""
     from recur.numeric import relative_error
 
+    x0 = np.asarray(x0, dtype=float)
     trace = forward(net, x0)
-    base = np.asarray(x0, dtype=float) if j == 0 else trace.state(j)
-
-    def tail(current):
-        for i in range(j + 1, net.depth + 1):
-            z = net.matrix(i) @ current
-            if net.spec.name == "resnet":
-                z = current + z
-            current = np.tanh(z)
-        return current
-
+    below = (x0, *trace.states)
     d = net.dim
     numeric = np.zeros((d, d))
     for k in range(d):
         bump = np.zeros(d)
         bump[k] = epsilon
-        numeric[:, k] = (tail(base + bump) - tail(base - bump)) / (2 * epsilon)
+        plus, minus = (_tail(net, below, j, below[j] + b) for b in (bump, -bump))
+        numeric[:, k] = (plus - minus) / (2 * epsilon)
     return relative_error(numeric, _activated_product_jacobian(net, trace, j))
 
 
-@pytest.mark.parametrize("spec", [CHAIN, RESNET], ids=["chain", "resnet"])
+@pytest.mark.parametrize("spec", BUILTIN_SPECS, ids=ALL_BUILTINS)
 @pytest.mark.parametrize("d", [1, 3, 16])
 def test_finite_diff_matches_a_column_by_column_reference(spec, d):
     L = 5
@@ -882,36 +897,134 @@ def test_finite_diff_in_blocks_of_columns_matches_the_reference(monkeypatch, wid
     d, L = 16, 4  # at width 3 the last block holds one column
     monkeypatch.setattr(numeric, "CHUNK_ENTRIES", 2 * d * width)
     x0 = np.random.default_rng((5, 1)).uniform(-0.5, 0.5, size=d)
-    for spec in (CHAIN, RESNET):
+    for spec in BUILTIN_SPECS:
         net = instantiate(spec, L, d, seed=5, activation="tanh")
         for j in range(L):
             res = finite_diff_check(net, j)
             assert res.error == _finite_diff_error_by_column(net, j, 1e-5, x0), j
 
 
+def _peak(run):
+    """The tracemalloc peak of ``run()``, in bytes."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_finite_diff_memory_does_not_grow_with_the_perturbed_starts():
     # The perturbed starts go through in blocks of columns, so the product
     # formula's d x d matrices set the peak; one (2d, d, 1) stack of starts
     # would add about 5 d**2 floats, 40 MB at d = 1000.
-    import tracemalloc
-
-    def peak(run):
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     d = 1000
     net = instantiate(RESNET, 1, d, seed=0, activation="tanh")
     x0 = np.full(d, 0.25)
-    formula = peak(lambda: _activated_product_jacobian(net, forward(net, x0), 0))
-    check = peak(lambda: finite_diff_check(net, 0, x0=x0))
+    formula = _peak(lambda: _activated_product_jacobian(net, forward(net, x0), 0))
+    check = _peak(lambda: finite_diff_check(net, 0, x0=x0))
     assert check <= formula + 4 * numeric.CHUNK_ENTRIES * 8, (formula, check)
 
 
-@pytest.mark.parametrize("spec", [CHAIN, RESNET], ids=["chain", "resnet"])
+def test_finite_diff_rerun_holds_only_the_states_a_later_push_reads():
+    # appendix-ex1 reads X[i-1] and X[i-2], so a rerun from X[0] holds two
+    # (2d, d, 1) stacks of perturbed states however deep the net is; all of
+    # them at L = 40 would add 38 * 2 * d**2 floats, 2.4 MB at d = 64.
+    d = 64
+    spec = builtin_spec("appendix-ex1")
+    peaks = []
+    for L in (4, 40):
+        net = instantiate(spec, L, d, seed=0, activation="tanh")
+        peaks.append(_peak(lambda: finite_diff_check(net, 0)))
+    assert peaks[1] <= peaks[0] + 4 * d * d * 8, peaks
+
+
+def _forward_mode_jacobian(net, trace, j):
+    """dX[L]/dX[j] the other way round: from J[j] = I, J[i] = diag(g'(z_i))
+    * (the sum of C * J[s] over the pushes into X[i]), J[s] = 0 below j."""
+    d = net.dim
+    jacobians = {j: np.eye(d)}
+    for i in range(j + 1, net.depth + 1):
+        total = np.zeros((d, d))
+        for s, poly in net.spec.instantiate_terms(i):
+            if s >= j:
+                total += _naive_eval(poly, net) @ jacobians[s]
+        gprime = 1.0 - np.tanh(trace.preactivations[i - 1]) ** 2
+        jacobians[i] = gprime[:, None] * total
+    return jacobians[net.depth]
+
+
+def test_backward_pass_matches_forward_mode_on_every_formula():
+    # The oracle for formulas whose central differences saturate: at L = 6,
+    # d = 1, random_affine_spec seed 31 (X[q] = -4*X[q-1]) reads 0.14.
+    from recur.numeric import relative_error
+
+    specs = [*BUILTIN_SPECS, *(random_affine_spec(random.Random(k)) for k in range(60))]
+    for n, spec in enumerate(specs):
+        for L in range(1, 7):
+            for d in (1, 4):
+                net = instantiate(spec, L, d, seed=n, activation="tanh")
+                x0 = np.random.default_rng((n, 1)).uniform(-0.5, 0.5, size=d)
+                trace = forward(net, x0)
+                for j, backward in numeric._activated_products(net, trace):
+                    want = _forward_mode_jacobian(net, trace, j)
+                    error = relative_error(backward, want)
+                    assert error <= 1e-12, (n, render(spec), L, d, j, error)
+
+
+def test_backward_pass_at_unit_gprime_is_jacobian_exact():
+    # With every pre-activation 0, g' = 1 and the backward pass is the
+    # linear Jacobian, which jacobian_exact propagates forward.
+    from recur.numeric import ForwardTrace, relative_error
+
+    specs = [*BUILTIN_SPECS, *(random_affine_spec(random.Random(k)) for k in range(20))]
+    for n, spec in enumerate(specs):
+        for L, d in ((1, 1), (4, 3), (6, 4)):
+            net = instantiate(spec, L, d, seed=n)
+            zeros = tuple(np.zeros(d) for _ in range(L))
+            trace = ForwardTrace(states=zeros, preactivations=zeros)
+            for j, backward in numeric._activated_products(net, trace):
+                error = relative_error(backward, jacobian_exact(net, j))
+                assert error <= 1e-12, (n, render(spec), L, d, j, error)
+
+
+def test_finite_diff_passes_at_zero_where_x_l_does_not_read_x_j():
+    # X[L] reads X[L-2], X[L-4], ...: the rerun from X[L-1] ends in a state
+    # with no perturbed axis, and the backward pass has nothing to push.
+    spec = parse("X[i] = W[i]*X[i-2]; X[1] = W[1]*X[0]; X[0] = input")
+    L = 6
+    for d in (1, 4):
+        net = instantiate(spec, L, d, seed=3, activation="tanh")
+        trace = forward(net, np.full(d, 0.25))
+        products = dict(numeric._activated_products(net, trace))
+        for j in range(L):
+            res = finite_diff_check(net, j)
+            if (L - j) % 2:
+                assert not products[j].any()
+                assert (res.error, res.passed) == (0.0, True), j
+            else:
+                assert products[j].any() and res.passed, j
+
+
+def test_finite_diff_passes_at_zero_past_a_coefficient_that_cancels():
+    # W[i-1] - W[2] cancels at X[3], which is tanh(0) = 0 whatever X[2] is.
+    spec = parse(
+        "X[i] = (W[i-1] - W[2])*X[i-1]; X[2] = W[2]*X[1]; X[1] = W[1]*X[0];"
+        " X[0] = input"
+    )
+    net = instantiate(spec, 5, 3, seed=1, activation="tanh")
+    trace = forward(net, np.full(3, 0.25))
+    assert not trace.preactivations[2].any() and not trace.states[2].any()
+    products = dict(numeric._activated_products(net, trace))
+    for j in range(5):
+        res = finite_diff_check(net, j)
+        assert res.passed and (res.error == 0.0) == (j < 3), j
+        assert products[j].any() == (j >= 3), j
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SPECS, ids=ALL_BUILTINS)
 @pytest.mark.parametrize("d", [1, 3, 16])
 def test_finite_diff_checks_match_one_check_per_index(spec, d):
     # One forward pass and one product chain serve every j, in any order.

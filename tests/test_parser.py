@@ -56,9 +56,10 @@ def test_parse_new_architecture():
 
 def test_parse_matches_appendix_ex1_builtin():
     spec = parse(
-        "X[i] = W[i]*X[i-1] + X[i-2]; X[1] = (1+W[1])*X[0]; X[0] = input"
+        "X[i] = W[i]*X[i-1] + X[i-2]; X[1] = (1+W[1])*X[0]; X[0] = input",
+        name="appendix-ex1",
     )
-    assert spec.same_recursion(builtin_spec("appendix-ex1"))
+    assert spec == builtin_spec("appendix-ex1")
 
 
 def test_parse_eq22_absolute_source():
@@ -288,8 +289,8 @@ def test_whole_spec_checks_skip_atoms_that_cancel(text):
 
 def test_unicode_minus_accepted():
     spec = parse("X[i] = (1+W[i])*X[i-1] − W[i-1]*X[i-2];"
-                 " X[1] = (1+W[1])*X[0]; X[0] = input")
-    assert spec.same_recursion(builtin_spec("newarch"))
+                 " X[1] = (1+W[1])*X[0]; X[0] = input", name="newarch")
+    assert spec == builtin_spec("newarch")
 
 
 def test_comments_and_blank_lines():
@@ -298,9 +299,10 @@ def test_comments_and_blank_lines():
         # shortcut recursion
         X[i] = (1 + W[i])*X[i-1]   # the rule
         X[0] = input
-        """
+        """,
+        name="resnet",
     )
-    assert spec.same_recursion(builtin_spec("resnet"))
+    assert spec == builtin_spec("resnet")
 
 
 def test_highway_style_gate_not_expressible():
@@ -452,25 +454,24 @@ def test_base_case_valid_ranges():
         parse("X[i] = W[i]*X[i-1]; X[1] = W[1]*X[1]; X[0] = input")
 
 
-def test_equality_sees_the_name_and_same_recursion_does_not():
+def test_equality_sees_the_name():
     a = parse("X[i] = W[i]*X[i-1]; X[0] = input", name="a")
     b = parse("X[i] = W[i]*X[i-1]; X[0] = input", name="b")
     assert a != b
-    assert a.same_recursion(b)
     assert a == parse("X[i] = W[i]*X[i-1]; X[0] = input", name="a")
 
 
-def test_same_recursion_ignores_variable_name():
+def test_equality_sees_the_index_variable():
     a = parse("X[i] = W[i]*X[i-1]; X[0] = input")
     b = parse("X[n] = W[n]*X[n-1]; X[0] = input")
     assert a != b
-    assert a.same_recursion(b)
+    assert a.rule.terms == b.rule.terms and a.base_cases == b.base_cases
 
 
 def test_deep_nesting_is_a_syntax_error():
     inner = "W[i]*X[i-1]"
     ok = "X[i] = " + "(" * MAX_NESTING + inner + ")" * MAX_NESTING + "; X[0] = input"
-    assert parse(ok).same_recursion(parse(f"X[i] = {inner}; X[0] = input"))
+    assert parse(ok) == parse(f"X[i] = {inner}; X[0] = input")
     depth = MAX_NESTING + 1
     text = "X[i] = " + "(" * depth + inner + ")" * depth + "; X[0] = input"
     with pytest.raises(FormulaSyntaxError) as info:

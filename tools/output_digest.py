@@ -103,6 +103,11 @@ FILES = {
         "X[0] = input; X[1] = (1 + W[1])*X[0];"
         " X[i] = (1 - 2*W[i])*X[i-1] + W[i-1]*X[i-2]\n"
     ),
+    # a widest failure whose text has a term after a negative one
+    "neg.rf": "X[0] = input\nX[i] = (1 - W[i])*X[i-1]\n",
+    # a lag-2 rule with an absolute source, which pushes twice into X[0] at
+    # X[2], for the tanh check
+    "lagmix.rf": "X[0] = input\nX[1] = W[1]*X[0]\nX[i] = W[i]*X[i-1] - X[i-2] + X[0]\n",
     # a superscript two, which str.isdigit accepts and int() does not
     "superscript.rf": "X[0] = input\nX[i] = W[i]*X[i-\u00b2]\n",
     # an integer literal past CPython's 4,300-digit conversion limit
@@ -289,6 +294,10 @@ def commands() -> list[list[str]]:
         ["graph", "deg2.rf", "-L", "3"],
         ["census", "wide.rf", "-L", "3", "--check", "widest"],
         ["census", "wide.rf", "-L", "3", "--check", "widest", "--format", "json"],
+        ["census", "neg.rf", "-L", "2", "--check", "widest"],
+        # the tanh check of a formula that reads below X[j] and past X[i-1]
+        ["verify", "lagmix.rf", "-L", "6", "--activation", "tanh", "--seeds", "2"],
+        ["verify", "lagmix.rf", "-L", "6", "--activation", "tanh", "--format", "json"],
         ["graph", "--builtin", "appendix-ex2", "-L", "5000", "--propagation"],
         ["verify", "overflow.rf", "-L", "1"],
         ["parse", "superscript.rf"],
