@@ -31,7 +31,6 @@ _HOMES = {
     "structural_equal": "archgraph",
     "BUILTIN_NAMES": "builtins",
     "builtin_spec": "builtins",
-    "ActivationError": "errors",
     "DegenerateError": "errors",
     "FormulaSyntaxError": "errors",
     "NonAffineError": "errors",

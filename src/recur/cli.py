@@ -284,7 +284,7 @@ def cmd_verify(args) -> int:
     results = []
     if tanh:
         for seed in seeds:
-            net = numeric.instantiate(spec, L, d, seed, activation="tanh")
+            net = numeric.instantiate(spec, L, d, seed)
             results += numeric.finite_diff_checks(
                 net, wrts, epsilon=args.eps, tol=args.fd_tol
             )
@@ -301,11 +301,9 @@ def cmd_verify(args) -> int:
         for start in range(0, len(seeds), group):
             if start:
                 net = numeric.instantiate(spec, L, d, seeds[start : start + group])
-            checks = numeric.check_derivatives(
+            results += numeric.check_derivatives(
                 net, {j: polys[j] for j in wrts}, tol=args.tol
             )
-            for per_seed in zip(*checks):
-                results += per_seed
 
     all_pass = all(r.passed for r in results)
     if args.format == "json":

@@ -82,9 +82,5 @@ class Budget:
             )
 
 
-class ActivationError(RecurError):
-    """A check run on a net of the wrong kind, linear or tanh-activated."""
-
-
 class DegenerateError(RecurError):
     """Statistic undefined for the given input (division by zero)."""

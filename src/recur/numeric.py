@@ -5,6 +5,8 @@ be evaluated numerically and compared against two independent references:
 an exact Jacobian obtained by propagating basis vectors through the affine
 recursion, and a central-difference Jacobian for the activated recursion
 X[i] = tanh(sum of C * X[s]).  tanh is smooth, so central differences behave.
+A net is only its blocks: jacobian_exact and check_derivatives run the
+affine recursion on it, forward and finite_diff_checks the tanh one.
 
 A net drawn for one seed holds its blocks as an (L, d, d) stack.  A net
 drawn for a group of S seeds holds them as one (L, S, d, d) stack, the
@@ -34,7 +36,7 @@ from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import PathPolynomial
-from .errors import ActivationError, SizeError
+from .errors import SizeError
 from .parser import ArchitectureSpec
 
 # S * L * d * d float64 entries instantiate may allocate: 256 MB.
@@ -51,22 +53,22 @@ class ConcreteNet:
     array is copied unless it is read-only and owns its data, as
     ``instantiate`` hands it over, so a caller cannot change the blocks
     behind the net's back.  A stacked net's ``seed`` is the tuple of its
-    seeds; it takes no activation.
+    seeds.  A net without blocks, without seeds or with d = 0 raises
+    ValueError.
     """
 
-    __slots__ = (
-        "spec", "matrices", "activation", "seed", "stack", "_coefficients", "_pushes"
-    )
+    __slots__ = ("spec", "matrices", "seed", "stack", "_coefficients", "_pushes")
 
     def __init__(
         self,
         spec: ArchitectureSpec,
         matrices,
-        activation: str | None = None,
         seed: int | tuple[int, ...] | None = None,
     ) -> None:
         import numpy as np
 
+        if not len(matrices):
+            raise ValueError("a net takes at least one block matrix")
         shape = np.shape(matrices[0])
         if (
             len(shape) not in (2, 3)
@@ -74,21 +76,17 @@ class ConcreteNet:
             or any(np.shape(m) != shape for m in matrices)
         ):
             raise ValueError("all block matrices must share one square shape")
+        if 0 in shape:
+            raise ValueError(f"a net takes one seed or more and d >= 1, got {shape}")
         stack = np.asarray(matrices, dtype=float)
         if stack is matrices and (stack.flags.writeable or stack.base is not None):
             stack = stack.copy()
         if not np.all(np.isfinite(stack)):
             raise ValueError("block matrices must be finite")
         stack.flags.writeable = False
-        if activation is not None:
-            if activation != "tanh":
-                raise ValueError(f"unsupported activation {activation!r}")
-            if stack.ndim == 4:
-                raise ValueError("an activated net takes one seed")
         self.spec = spec
         self.stack = stack
         self.matrices = tuple(stack)  # matrices[i-1] realizes W[i]
-        self.activation = activation
         self.seed = seed
         # i -> instantiate_terms(i) with the coefficients evaluated, filled by
         # jacobian_exact: the blocks are read-only, so these never go stale.
@@ -115,7 +113,6 @@ def instantiate(
     L: int,
     d: int,
     seed: int | Sequence[int] = 0,
-    activation: str | None = None,
 ) -> ConcreteNet:
     """Draw block matrices i.i.d. uniform on [-0.5, 0.5], scaled by 1/sqrt(d).
 
@@ -147,7 +144,7 @@ def instantiate(
     stack /= np.sqrt(d)
     stack.flags.writeable = False
     seed = seed if single else seeds
-    return ConcreteNet(spec, stack, activation, seed)
+    return ConcreteNet(spec, stack, seed)
 
 
 class ForwardTrace(NamedTuple):
@@ -199,16 +196,22 @@ def _layers(net: ConcreteNet, start: np.ndarray, j: int = 0, below=()):
         yield z, current
 
 
+def _one_seed(net: ConcreteNet) -> None:
+    """ValueError for a stacked net: the tanh recursion runs one seed."""
+    if net.stack.ndim == 4:
+        raise ValueError("the tanh recursion takes a net of one seed")
+
+
 def forward(net: ConcreteNet, x0: np.ndarray) -> ForwardTrace:
-    """Run X[i] = tanh(sum of C * X[s]), base cases included, from ``x0``.
+    """Run X[i] = tanh(sum of C * X[s]), base cases included, from ``x0``,
+    on a net of one seed; a stacked net raises ValueError.
 
     The activation is applied after the junction sum, and the pre-activation
     vectors are recorded for later g' capture.
     """
     import numpy as np
 
-    if net.activation != "tanh":
-        raise ActivationError("forward requires a tanh-activated net")
+    _one_seed(net)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (net.dim,):
         raise ValueError(f"x0 must have shape ({net.dim},), got {x0.shape}")
@@ -547,7 +550,7 @@ def _eval_term_by_term(
     each reusing the prefix products it shares with the term before it."""
     import numpy as np
 
-    d = net.dim
+    eye = np.eye(net.dim)
     totals = []
     previous = ""
     prefix: list[np.ndarray] = []  # prefix[k]: product of previous[: k + 1]
@@ -564,7 +567,8 @@ def _eval_term_by_term(
                 block = net.matrix(ord(code))
                 prefix.append(prefix[-1] @ block if prefix else block)
             previous = word
-            total += _coefficient(coeff) * (prefix[-1] if prefix else np.eye(d))
+            product = prefix[-1] if prefix else eye
+            total += product if coeff == 1 else _coefficient(coeff) * product
         totals.append(total)
     return totals
 
@@ -588,8 +592,6 @@ def jacobian_exact(
     """
     import numpy as np
 
-    if net.activation is not None:
-        raise ActivationError("jacobian_exact requires an unactivated net")
     L, shape = net.depth, net.stack.shape[1:]
     if not 0 <= j <= L:
         raise ValueError(f"wrt index must be in [0, {L}], got {j}")
@@ -681,11 +683,12 @@ def relative_error(
 
 def check_derivatives(
     net: ConcreteNet, polys: Mapping[int, PathPolynomial], tol: float = 1e-10
-) -> list[JacobianCheckResult | tuple[JacobianCheckResult, ...]]:
+) -> list[JacobianCheckResult]:
     """Compare each polynomial ``polys[j]`` against the basis-propagation
-    Jacobian of X[j], in the order of ``polys``: one result per j, or one
-    per seed, in seed order, on a stacked net.  eval_polynomials evaluates
-    the polynomials together.
+    Jacobian of X[j]: one flat list in (seed, j) order, the seeds in the
+    net's order and each seed's j in the order of ``polys``, on one seed and
+    on a stacked net alike.  eval_polynomials evaluates the polynomials
+    together.
 
     A zero polynomial has no relative error: the reference, which rounding
     may leave a few ulps off zero, is measured against the magnitude of the
@@ -695,7 +698,7 @@ def check_derivatives(
     stacked = net.stack.ndim == 4
     S = net.stack.shape[1] if stacked else 1
     seeds = net.seed if stacked and net.seed else [net.seed] * S
-    checks = []
+    checks = []  # per j: one result per seed
     observed = eval_polynomials(list(polys.values()), net)
     for (j, poly), matrix in zip(polys.items(), observed):
         reference = jacobian_exact(net, j).reshape(-1, d, d)
@@ -715,8 +718,8 @@ def check_derivatives(
             )
             for seed, *errors in zip(seeds, matrix.reshape(-1, d, d), reference, sizes)
         )
-        checks.append(results if stacked else results[0])
-    return checks
+        checks.append(results)
+    return list(chain.from_iterable(zip(*checks)))
 
 
 def _activated_products(net: ConcreteNet, trace: ForwardTrace, stop: int = 0):
@@ -751,8 +754,9 @@ def finite_diff_checks(
     x0: np.ndarray | None = None,
     tol: float = 1e-4,
 ) -> list[JacobianCheckResult]:
-    """Central-difference Jacobian vs the backward pass, one result for
-    each j of ``wrts``, in that order.
+    """Central-difference Jacobian vs the backward pass of the tanh
+    recursion, one result for each j of ``wrts``, in that order, on a net of
+    one seed; a stacked net raises ValueError.
 
     One forward pass serves every j, and one backward pass gives every
     dX[L]/dX[j].  A rerun from a perturbed X[j] reads the states below j at
@@ -762,8 +766,7 @@ def finite_diff_checks(
     """
     import numpy as np
 
-    if net.activation != "tanh":
-        raise ActivationError("finite_diff_check requires a tanh-activated net")
+    _one_seed(net)
     if not 0.0 < epsilon <= 1e-2:
         raise ValueError(f"epsilon must be in (0, 1e-2], got {epsilon}")
     L, d = net.depth, net.dim

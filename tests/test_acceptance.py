@@ -179,7 +179,7 @@ def test_criterion_7_numeric_jacobians():
     for name in ALL_BUILTINS:
         spec = builtin_spec(name)
         for seed in range(5):
-            net = instantiate(spec, 4, 4, seed=seed, activation="tanh")
+            net = instantiate(spec, 4, 4, seed=seed)
             for j in range(0, 4):
                 res = finite_diff_check(net, j, epsilon=1e-5, tol=1e-4)
                 crit.expect(

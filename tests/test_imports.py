@@ -227,7 +227,7 @@ def test_each_name_is_its_home_module_attribute():
         "        wrong.append(name)\n"
         "print(json.dumps([len(recur.__all__), wrong]))\n"
     )
-    assert json.loads(run_fresh(code)) == [60, []]
+    assert json.loads(run_fresh(code)) == [59, []]
 
 
 def test_unknown_name_raises_attribute_error():

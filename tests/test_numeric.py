@@ -9,7 +9,7 @@ from conftest import random_affine_spec
 from recur import numeric
 from recur.algebra import PathPolynomial
 from recur.builtins import builtin_spec
-from recur.errors import ActivationError, SizeError
+from recur.errors import SizeError
 from recur.expansion import derivative
 from recur.parser import parse, render
 from recur.numeric import (
@@ -104,27 +104,56 @@ def test_instantiate_bounds_the_whole_stack_before_allocating():
         instantiate(CHAIN, 1, 1024, seed=range(33))
     with pytest.raises(SizeError, match=r"^L \* d \* d = 1000000000000 matrix"):
         instantiate(CHAIN, 1, 1_000_000, seed=[0])
-    with pytest.raises(ValueError, match="one seed"):
-        instantiate(RESNET, 3, 2, seed=[1, 2], activation="tanh")
+
+
+def test_empty_nets_are_rejected_at_the_constructor():
+    with pytest.raises(ValueError, match="one seed or more"):
+        instantiate(RESNET, 3, 2, seed=[])
+    with pytest.raises(ValueError, match="at least one block"):
+        ConcreteNet(RESNET, [])
+    with pytest.raises(ValueError, match="at least one block"):
+        ConcreteNet(RESNET, np.zeros((0, 2, 2)))
+    with pytest.raises(ValueError, match="d >= 1"):
+        ConcreteNet(RESNET, np.zeros((2, 0, 0)))
+    with pytest.raises(ValueError, match="d >= 1"):
+        ConcreteNet(RESNET, np.zeros((2, 3, 0, 0)))
 
 
 def test_activation_guard():
-    # tanh is defined for every formula, on a net of one seed.
+    # The tanh recursion runs one seed: forward and the finite-difference
+    # checks refuse a stacked net before they read its seeds.
     for name in ALL_BUILTINS:
-        instantiate(builtin_spec(name), 3, 4, seed=7, activation="tanh")
-    with pytest.raises(ValueError, match="one seed"):
-        instantiate(NEWARCH, 3, 4, seed=[7, 8], activation="tanh")
-    with pytest.raises(ValueError, match="unsupported activation 'relu'"):
-        instantiate(NEWARCH, 3, 4, seed=7, activation="relu")
+        stacked = instantiate(builtin_spec(name), 3, 4, seed=[7, 8])
+        with pytest.raises(ValueError, match="one seed"):
+            forward(stacked, np.zeros(4))
+        with pytest.raises(ValueError, match="one seed"):
+            finite_diff_check(stacked, 0)
+        with pytest.raises(ValueError, match="one seed"):
+            numeric.finite_diff_checks(stacked, [0, 1], x0=np.zeros(4))
 
 
-def _tanh_net(spec, *values):
-    matrices = tuple(np.array([[v]], dtype=float) for v in values)
-    return ConcreteNet(spec=spec, matrices=matrices, activation="tanh")
+def test_forward_runs_on_any_one_seed_net():
+    trace = forward(_scalar_net(RESNET, 0.5, 0.25), np.array([1.0]))
+    assert trace.preactivations[0][0] == 1.5
+    for name in ALL_BUILTINS:
+        net = instantiate(builtin_spec(name), 4, 3, seed=7)
+        assert len(forward(net, np.ones(3)).states) == 4
+        assert all(r.passed for r in numeric.finite_diff_checks(net, range(4)))
+
+
+def test_jacobian_exact_runs_on_the_net_finite_diff_used():
+    for name in ALL_BUILTINS:
+        spec = builtin_spec(name)
+        net = instantiate(spec, 4, 3, seed=7)
+        numeric.finite_diff_checks(net, range(4))
+        for j in range(5):
+            fresh = instantiate(spec, 4, 3, seed=7)
+            assert np.array_equal(jacobian_exact(net, j), jacobian_exact(fresh, j))
+            assert check_derivatives(net, {j: derivative(spec, 4, j)})[0].passed
 
 
 def test_forward_scalar_resnet():
-    trace = forward(_tanh_net(RESNET, 0.5, 0.25, 0.125), np.array([1.0]))
+    trace = forward(_scalar_net(RESNET, 0.5, 0.25, 0.125), np.array([1.0]))
     x, expected = 1.0, []
     for m in (0.5, 0.25, 0.125):
         expected.append(x + m * x)
@@ -134,14 +163,9 @@ def test_forward_scalar_resnet():
 
 
 def test_forward_scalar_chain():
-    trace = forward(_tanh_net(CHAIN, 2.0, 3.0), np.array([1.0]))
+    trace = forward(_scalar_net(CHAIN, 2.0, 3.0), np.array([1.0]))
     assert [z[0] for z in trace.preactivations] == [2.0, 3.0 * np.tanh(2.0)]
     assert trace.states[1][0] == np.tanh(3.0 * np.tanh(2.0))
-
-
-def test_forward_rejects_unactivated_net():
-    with pytest.raises(ActivationError):
-        forward(_scalar_net(RESNET, 0.5, 0.25), np.array([1.0]))
 
 
 def test_jacobian_exact_at_final_state_is_identity():
@@ -206,12 +230,6 @@ def test_jacobian_exact_keeps_coefficients_within_the_matrix_budget(
                 got = jacobian_exact(net, j)
                 assert np.array_equal(got, expected[seeds][j]), (seeds, budget, j)
                 assert sum(map(len, net._coefficients.values())) <= room
-
-
-def test_jacobian_exact_rejects_activated_net():
-    net = instantiate(RESNET, 3, 2, seed=1, activation="tanh")
-    with pytest.raises(ActivationError):
-        jacobian_exact(net, 0)
 
 
 def test_eval_polynomial_identity():
@@ -302,6 +320,45 @@ def test_eval_term_by_term_memory_does_not_grow_with_terms():
         for sweep, L in ((False, 16), (True, 14)):
             small, large = peak(8, seed, sweep), peak(L, seed, sweep)
             assert large <= 4 * small, (seed, sweep, small, large)
+
+
+def _term_by_term_scaling_every_term(polys, net):
+    """_eval_term_by_term with every term multiplied by its float
+    coefficient, 1 included, and a fresh identity for each identity term."""
+    totals, previous, prefix = [], "", []
+    for poly in polys:
+        total = np.zeros(net.stack.shape[1:])
+        for word, coeff in poly.items():
+            shared = 0
+            for a, b in zip(previous, word):
+                if a != b:
+                    break
+                shared += 1
+            del prefix[shared:]
+            for code in word[shared:]:
+                block = net.matrix(ord(code))
+                prefix.append(prefix[-1] @ block if prefix else block)
+            previous = word
+            total += float(coeff) * (prefix[-1] if prefix else np.eye(net.dim))
+        totals.append(total)
+    return totals
+
+
+def test_eval_term_by_term_skips_unit_coefficients_bit_for_bit():
+    # 1.0 * x is x: skipping the multiply for a unit coefficient, and
+    # sharing one identity, leaves every bit in place.
+    coefficients = set()
+    for spec, L in _specs_for_stacking():
+        polys = [derivative(spec, L, j) for j in range(L + 1)]
+        coefficients.update(c for poly in polys for c in poly.coefficients.values())
+        for d in (1, 3):
+            for seeds in (4, [4, 5, 6]):
+                net = instantiate(spec, L, d, seed=seeds)
+                got = numeric._eval_term_by_term(polys, net)
+                want = _term_by_term_scaling_every_term(polys, net)
+                for j, (a, b) in enumerate(zip(got, want)):
+                    assert a.tobytes() == b.tobytes(), (render(spec), L, d, seeds, j)
+    assert 1 in coefficients and len(coefficients) > 1
 
 
 # 126 words of up to six factors over W[1] and W[2].
@@ -660,9 +717,9 @@ def test_stacked_net_is_bit_identical_to_each_seed_alone(monkeypatch, d):
                 assert np.array_equal(exact[s], jacobian_exact(net, j)), where
                 one = jacobian_exact(net, j, magnitude=True)
                 assert np.array_equal(size[s], one), where
-            assert check_derivatives(stacked, {j: poly})[0] == tuple(
+            assert check_derivatives(stacked, {j: poly}) == [
                 check_derivatives(net, {j: poly})[0] for net in alone
-            )
+            ]
     assert all(paths) if d == 30 else (True in paths and False in paths)
 
 
@@ -695,9 +752,13 @@ def test_eval_polynomials_match_naive_on_every_sweep(monkeypatch, d):
                         where = (spec.name, L, j, s)
                         seed = matrix if net.stack.ndim == 3 else matrix[s]
                         assert np.array_equal(seed, _naive_eval(poly, one)), where
+                # One flat list in (seed, j) order: each seed's results are
+                # those of its own net.
                 checks = numeric.check_derivatives(net, dict(enumerate(polys)))
                 assert checks == [
-                    check_derivatives(net, {j: p})[0] for j, p in enumerate(polys)
+                    check_derivatives(one, {j: p})[0]
+                    for one in alone
+                    for j, p in enumerate(polys)
                 ]
     assert paths == {False, True}
 
@@ -708,11 +769,11 @@ def test_stacked_zero_polynomial_is_measured_per_seed():
     poly = derivative(spec, 5, 0)
     assert poly.is_zero()
     stacked = instantiate(spec, 5, 3, seed=[0, 1])
-    results = check_derivatives(stacked, {0: poly})[0]
-    assert results == tuple(
+    results = check_derivatives(stacked, {0: poly})
+    assert results == [
         check_derivatives(instantiate(spec, 5, 3, seed=seed), {0: poly})[0]
         for seed in (0, 1)
-    )
+    ]
     assert [r.seed for r in results] == [0, 1] and all(r.passed for r in results)
 
 
@@ -773,14 +834,14 @@ def _activated_product_jacobian(net, trace, j):
 
 
 def test_finite_diff_resnet():
-    net = instantiate(RESNET, 4, 4, seed=7, activation="tanh")
+    net = instantiate(RESNET, 4, 4, seed=7)
     res = finite_diff_check(net, 0, epsilon=1e-5)
     assert res.error <= 1e-4
     assert res.passed
 
 
 def test_finite_diff_chain_all_states():
-    net = instantiate(CHAIN, 3, 3, seed=7, activation="tanh")
+    net = instantiate(CHAIN, 3, 3, seed=7)
     for j in range(0, 3):
         res = finite_diff_check(net, j, epsilon=1e-5)
         assert res.error <= 1e-4, (j, res.error)
@@ -789,7 +850,7 @@ def test_finite_diff_chain_all_states():
 def test_finite_diff_zero_matrices_formula_is_gprime_product():
     d, L = 2, 2
     zeros = tuple(np.zeros((d, d)) for _ in range(L))
-    net = ConcreteNet(spec=RESNET, matrices=zeros, activation="tanh", seed=0)
+    net = ConcreteNet(spec=RESNET, matrices=zeros, seed=0)
     x0 = np.array([0.05, -0.08])
     res = finite_diff_check(net, 0, epsilon=1e-5, x0=x0)
     assert res.error <= 1e-10
@@ -802,7 +863,7 @@ def test_finite_diff_zero_matrices_formula_is_gprime_product():
 
 
 def test_chain_product_formula_is_explicit_gprime_chain():
-    net = instantiate(CHAIN, 3, 3, seed=7, activation="tanh")
+    net = instantiate(CHAIN, 3, 3, seed=7)
     x0 = np.array([0.3, -0.2, 0.1])
     trace = forward(net, x0)
     z1, z2, z3 = trace.preactivations
@@ -828,7 +889,7 @@ def test_product_formula_scales_rows_as_the_diagonal_product_does(spec):
     for d in (1, 2, 3, 16, 33):
         for L in (1, 3, 6):
             for seed in range(2):
-                net = instantiate(spec, L, d, seed=seed, activation="tanh")
+                net = instantiate(spec, L, d, seed=seed)
                 x0 = np.random.default_rng((seed, 1)).uniform(-0.5, 0.5, size=d)
                 trace = forward(net, x0)
                 for j in range(L):
@@ -878,7 +939,7 @@ def _finite_diff_error_by_column(net, j, epsilon, x0):
 def test_finite_diff_matches_a_column_by_column_reference(spec, d):
     L = 5
     for seed in (0, 3):
-        net = instantiate(spec, L, d, seed=seed, activation="tanh")
+        net = instantiate(spec, L, d, seed=seed)
         rng = np.random.default_rng((seed, 1))
         x0 = rng.uniform(-0.5, 0.5, size=d)  # the start finite_diff_check draws
         for j in range(L):
@@ -898,7 +959,7 @@ def test_finite_diff_in_blocks_of_columns_matches_the_reference(monkeypatch, wid
     monkeypatch.setattr(numeric, "CHUNK_ENTRIES", 2 * d * width)
     x0 = np.random.default_rng((5, 1)).uniform(-0.5, 0.5, size=d)
     for spec in BUILTIN_SPECS:
-        net = instantiate(spec, L, d, seed=5, activation="tanh")
+        net = instantiate(spec, L, d, seed=5)
         for j in range(L):
             res = finite_diff_check(net, j)
             assert res.error == _finite_diff_error_by_column(net, j, 1e-5, x0), j
@@ -921,7 +982,7 @@ def test_finite_diff_memory_does_not_grow_with_the_perturbed_starts():
     # formula's d x d matrices set the peak; one (2d, d, 1) stack of starts
     # would add about 5 d**2 floats, 40 MB at d = 1000.
     d = 1000
-    net = instantiate(RESNET, 1, d, seed=0, activation="tanh")
+    net = instantiate(RESNET, 1, d, seed=0)
     x0 = np.full(d, 0.25)
     formula = _peak(lambda: _activated_product_jacobian(net, forward(net, x0), 0))
     check = _peak(lambda: finite_diff_check(net, 0, x0=x0))
@@ -936,7 +997,7 @@ def test_finite_diff_rerun_holds_only_the_states_a_later_push_reads():
     spec = builtin_spec("appendix-ex1")
     peaks = []
     for L in (4, 40):
-        net = instantiate(spec, L, d, seed=0, activation="tanh")
+        net = instantiate(spec, L, d, seed=0)
         peaks.append(_peak(lambda: finite_diff_check(net, 0)))
     assert peaks[1] <= peaks[0] + 4 * d * d * 8, peaks
 
@@ -965,7 +1026,7 @@ def test_backward_pass_matches_forward_mode_on_every_formula():
     for n, spec in enumerate(specs):
         for L in range(1, 7):
             for d in (1, 4):
-                net = instantiate(spec, L, d, seed=n, activation="tanh")
+                net = instantiate(spec, L, d, seed=n)
                 x0 = np.random.default_rng((n, 1)).uniform(-0.5, 0.5, size=d)
                 trace = forward(net, x0)
                 for j, backward in numeric._activated_products(net, trace):
@@ -996,7 +1057,7 @@ def test_finite_diff_passes_at_zero_where_x_l_does_not_read_x_j():
     spec = parse("X[i] = W[i]*X[i-2]; X[1] = W[1]*X[0]; X[0] = input")
     L = 6
     for d in (1, 4):
-        net = instantiate(spec, L, d, seed=3, activation="tanh")
+        net = instantiate(spec, L, d, seed=3)
         trace = forward(net, np.full(d, 0.25))
         products = dict(numeric._activated_products(net, trace))
         for j in range(L):
@@ -1014,7 +1075,7 @@ def test_finite_diff_passes_at_zero_past_a_coefficient_that_cancels():
         "X[i] = (W[i-1] - W[2])*X[i-1]; X[2] = W[2]*X[1]; X[1] = W[1]*X[0];"
         " X[0] = input"
     )
-    net = instantiate(spec, 5, 3, seed=1, activation="tanh")
+    net = instantiate(spec, 5, 3, seed=1)
     trace = forward(net, np.full(3, 0.25))
     assert not trace.preactivations[2].any() and not trace.states[2].any()
     products = dict(numeric._activated_products(net, trace))
@@ -1030,32 +1091,29 @@ def test_finite_diff_checks_match_one_check_per_index(spec, d):
     # One forward pass and one product chain serve every j, in any order.
     L = 6
     for seed in (0, 3):
-        net = instantiate(spec, L, d, seed=seed, activation="tanh")
+        net = instantiate(spec, L, d, seed=seed)
         for wrts in (range(L), [3, 0, 5], [2]):
             alone = [finite_diff_check(net, j, epsilon=1e-4) for j in wrts]
             assert numeric.finite_diff_checks(net, wrts, epsilon=1e-4) == alone
 
 
 def test_finite_diff_checks_raise_for_the_first_index_in_order():
-    net = instantiate(RESNET, 3, 2, seed=0, activation="tanh")
+    net = instantiate(RESNET, 3, 2, seed=0)
     with pytest.raises(ValueError, match=r"spacing of X\[2\]"):
         numeric.finite_diff_checks(net, [2, 0], epsilon=1e-300)
     with pytest.raises(ValueError, match=r"got 3$"):
         numeric.finite_diff_checks(net, [1, 3, 4])
 
 
-def test_finite_diff_requires_activation_and_valid_epsilon():
-    plain = instantiate(RESNET, 3, 2, seed=0)
-    with pytest.raises(ActivationError):
-        finite_diff_check(plain, 0)
-    net = instantiate(RESNET, 3, 2, seed=0, activation="tanh")
+def test_finite_diff_requires_a_valid_epsilon():
+    net = instantiate(RESNET, 3, 2, seed=0)
     with pytest.raises(ValueError):
         finite_diff_check(net, 0, epsilon=0.5)
 
 
 @pytest.mark.parametrize("j", [0, 2])
 def test_finite_diff_rejects_a_bump_that_rounds_back_to_its_start(j):
-    net = instantiate(RESNET, 3, 2, seed=0, activation="tanh")
+    net = instantiate(RESNET, 3, 2, seed=0)
     with pytest.raises(ValueError, match=rf"spacing of X\[{j}\]"):
         finite_diff_check(net, j, epsilon=1e-300)
     # A bump that stays apart from a zero coordinate is fine.
